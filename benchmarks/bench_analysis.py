@@ -1,4 +1,4 @@
-"""Analysis-plane benchmark — dict snapshot path vs zero-copy CSR views.
+"""Analysis-plane benchmark — set-based reference vs zero-copy CSR views.
 
 The measured kernels are *observation windows*, the unit of work the
 scenario layer pays every time an observer cadence fires:
@@ -12,11 +12,12 @@ scenario layer pays every time an observer cadence fires:
   probing uses.
 
 Each kernel runs twice on the same frozen network state: the **dict**
-plane (``state.snapshot()`` → dict-of-frozensets analyses) and the
-**csr** plane (``state.csr_view()`` → vectorized analyses).  The probe
-kernel asserts the two planes return the *identical* probe (minimum,
-witness, candidates checked) before timings count — the benchmark
-doubles as a large-n parity check.
+plane (``state.snapshot()`` → the set-based reference analyses of
+``tests/oracles/analysis.py``) and the **csr** plane
+(``state.csr_view()`` → the production analyses of ``repro.analysis``).
+The probe kernel asserts the two planes return the *identical* probe
+(minimum, witness, candidates checked) before timings count — the
+benchmark doubles as a large-n parity check.
 
 A third kernel measures the *incremental* plane
 (:class:`repro.analysis.incremental.ProbeCache`): after a warm fill, each
@@ -44,10 +45,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
 import pytest
+
+# The reference plane lives with the test suite; make the repository
+# root importable in script mode as well as under pytest.
+REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
+from tests.oracles import analysis as oracle  # noqa: E402
 
 from repro.analysis.degrees import degree_summary
 from repro.analysis.expansion import adversarial_expansion_upper_bound
@@ -87,6 +97,24 @@ def build_network(n: int, seed: int, backend: str | None) -> StreamingNetwork:
     )
 
 
+#: Per plane: the topology export and the degree-summary, isolated-count
+#: and probe implementations it measures.
+PLANES = {
+    "dict": (
+        "snapshot",
+        oracle.degree_summary,
+        oracle.count_isolated,
+        oracle.adversarial_expansion_upper_bound,
+    ),
+    "csr": (
+        "csr_view",
+        degree_summary,
+        count_isolated,
+        adversarial_expansion_upper_bound,
+    ),
+}
+
+
 def analysis_kernel(net: StreamingNetwork, plane: str) -> dict:
     """Time one census window and one probe window on *plane*.
 
@@ -94,19 +122,21 @@ def analysis_kernel(net: StreamingNetwork, plane: str) -> dict:
     view export) — that is what an observer cadence actually costs.
     """
     state, now = net.state, net.now
+    export, summarize, isolated_count, probe_fn = PLANES[plane]
+    build = getattr(state, export)
 
     start = time.perf_counter()
-    graph = state.snapshot(now) if plane == "dict" else state.csr_view(now)
+    graph = build(now)
     build_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    summary = degree_summary(graph)
-    isolated = count_isolated(graph)
+    summary = summarize(graph)
+    isolated = isolated_count(graph)
     census_seconds = build_seconds + (time.perf_counter() - start)
 
     start = time.perf_counter()
-    graph = state.snapshot(now) if plane == "dict" else state.csr_view(now)
-    probe = adversarial_expansion_upper_bound(graph, **PROBE_PARAMS)
+    graph = build(now)
+    probe = probe_fn(graph, **PROBE_PARAMS)
     probe_seconds = time.perf_counter() - start
 
     # Raw seconds: speedups divide these, so they must not be

@@ -1,10 +1,10 @@
 """Graph analyses: expansion, isolation, degrees, ages, spectra, edge probabilities.
 
-The hot analyses (expansion probes, degree summaries, isolated and
-component censuses) accept either a frozen dict
-:class:`~repro.core.snapshot.Snapshot` or a
-:class:`~repro.core.csr.CSRView` from the vectorized analysis plane and
-return identical results on both (see ``docs/architecture.md``).
+The topology analyses (expansion probes, degree summaries, isolated and
+component censuses, distances, spectra) have one implementation, on a
+:class:`~repro.core.csr.CSRView`; a frozen
+:class:`~repro.core.snapshot.Snapshot` argument is converted once at
+entry (see ``docs/architecture.md``).
 """
 
 from repro.analysis.ages import AgeProfile, age_profile, age_slices

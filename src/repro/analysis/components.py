@@ -4,16 +4,19 @@ The models without regeneration are never connected for constant ``d``
 (Lemmas 3.5/4.10 give Ω_d(n) isolated nodes) but keep a *giant component*
 covering a 1 − exp(−Ω(d)) fraction; with regeneration the snapshot is an
 expander, hence connected w.h.p.  These helpers quantify that split.
+
+The census runs on a :class:`~repro.core.csr.CSRView` (a snapshot is
+converted once at entry), and :func:`giant_verts` is the one
+giant-component rule every analysis restricted to the giant shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from repro.core.csr import CSRView
+from repro.core.csr import CSRView, as_view
 from repro.core.snapshot import Snapshot
 
 
@@ -73,17 +76,32 @@ def component_sizes(view: CSRView) -> np.ndarray:
     return np.sort(counts)[::-1]
 
 
-def component_summary(graph: Union[Snapshot, CSRView]) -> ComponentSummary:
+def giant_verts(view: CSRView) -> np.ndarray:
+    """Verts of the largest component, in ascending node-id order.
+
+    Among components of maximal size the one holding the smallest node
+    id wins.  The rule reads node ids, never storage rows, so the giant
+    (and everything measured on it: λ₂, diameters, path samples) is the
+    same on every backend however rows were reused.
+    """
+    if view.n == 0:
+        return np.empty(0, dtype=np.int64)
+    labels = component_labels(view)[view.alive_verts]
+    _, inverse, counts = np.unique(
+        labels, return_inverse=True, return_counts=True
+    )
+    # alive_verts is in ascending id order, so the first position whose
+    # component has maximal size belongs to the winning component.
+    first = int(np.argmax(counts[inverse] == counts.max()))
+    return view.alive_verts[inverse == inverse[first]]
+
+
+def component_summary(graph: Snapshot | CSRView) -> ComponentSummary:
     """Compute the component census of a snapshot or CSR view."""
-    if isinstance(graph, CSRView):
-        sizes_arr = component_sizes(graph)
-        sizes = sizes_arr.tolist()
-        num_nodes = graph.n
-    else:
-        sizes = [len(c) for c in graph.connected_components()]
-        num_nodes = graph.num_nodes()
+    view = as_view(graph)
+    sizes = component_sizes(view).tolist()
     return ComponentSummary(
-        num_nodes=num_nodes,
+        num_nodes=view.n,
         num_components=len(sizes),
         giant_size=sizes[0] if sizes else 0,
         second_size=sizes[1] if len(sizes) > 1 else 0,
@@ -91,6 +109,6 @@ def component_summary(graph: Union[Snapshot, CSRView]) -> ComponentSummary:
     )
 
 
-def giant_component_fraction(graph: Union[Snapshot, CSRView]) -> float:
+def giant_component_fraction(graph: Snapshot | CSRView) -> float:
     """Fraction of nodes in the largest connected component."""
     return component_summary(graph).giant_fraction

@@ -6,17 +6,21 @@ Lemma 6.1: in a streaming snapshot every node has expected degree ``d``
 exactly ``nd`` request-edges (≤ nd distinct undirected edges).  Section 5
 remarks that the maximum degree still grows like Θ(log n) — the in-degree
 of a long-lived node behaves like a balls-in-bins maximum.
+
+The degree statistics read the degree vector off a
+:class:`~repro.core.csr.CSRView`; a snapshot is converted once at entry.
+Only :func:`in_out_degree_split`, which needs the out-slots a view does
+not carry, reads the snapshot itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from repro.core.backend import GraphBackend
-from repro.core.csr import CSRView
+from repro.core.csr import CSRView, as_view
 from repro.core.snapshot import Snapshot
 
 
@@ -31,33 +35,20 @@ class DegreeSummary:
     min_degree: int
     std_degree: float
 
-    @property
-    def mean_out_requests(self) -> float:
-        """Average number of assigned out-slots per node (filled separately)."""
-        return self.mean_degree / 2.0
 
-
-def degree_summary(graph: Union[Snapshot, CSRView]) -> DegreeSummary:
+def degree_summary(graph: Snapshot | CSRView) -> DegreeSummary:
     """Compute the degree summary of a snapshot or CSR view.
 
-    The view path reads the degree vector straight off the CSR arrays —
-    no per-node dict materialisation — and returns the same summary
-    (float statistics can differ in the last bit because the two paths
-    sum the degrees in different node orders).
+    Reads the degree vector straight off the CSR arrays — no per-node
+    dict materialisation.
     """
-    if isinstance(graph, CSRView):
-        degrees = graph.degrees.astype(float)
-        num_nodes, num_edges = graph.n, graph.num_edges()
-    else:
-        degrees = np.array(
-            [len(nbrs) for nbrs in graph.adjacency.values()], dtype=float
-        )
-        num_nodes, num_edges = graph.num_nodes(), graph.num_edges()
+    view = as_view(graph)
+    degrees = view.degrees.astype(float)
     if degrees.size == 0:
         return DegreeSummary(0, 0, 0.0, 0, 0, 0.0)
     return DegreeSummary(
-        num_nodes=num_nodes,
-        num_edges=num_edges,
+        num_nodes=view.n,
+        num_edges=view.num_edges(),
         mean_degree=float(degrees.mean()),
         max_degree=int(degrees.max()),
         min_degree=int(degrees.min()),
@@ -85,13 +76,10 @@ def live_degree_summary(state: GraphBackend) -> DegreeSummary:
     )
 
 
-def max_degree(graph: Union[Snapshot, CSRView]) -> int:
+def max_degree(graph: Snapshot | CSRView) -> int:
     """Maximum undirected degree."""
-    if isinstance(graph, CSRView):
-        return int(graph.degrees.max()) if graph.n else 0
-    if graph.num_nodes() == 0:
-        return 0
-    return max(len(nbrs) for nbrs in graph.adjacency.values())
+    view = as_view(graph)
+    return int(view.degrees.max()) if view.n else 0
 
 
 def in_out_degree_split(snapshot: Snapshot) -> dict[int, tuple[int, int]]:
@@ -112,13 +100,7 @@ def in_out_degree_split(snapshot: Snapshot) -> dict[int, tuple[int, int]]:
     return {u: (out_counts.get(u, 0), in_counts[u]) for u in snapshot.nodes}
 
 
-def degree_histogram(graph: Union[Snapshot, CSRView]) -> dict[int, int]:
+def degree_histogram(graph: Snapshot | CSRView) -> dict[int, int]:
     """Map degree value -> number of nodes with that degree."""
-    if isinstance(graph, CSRView):
-        values, counts = np.unique(graph.degrees, return_counts=True)
-        return dict(zip(values.tolist(), counts.tolist()))
-    hist: dict[int, int] = {}
-    for nbrs in graph.adjacency.values():
-        deg = len(nbrs)
-        hist[deg] = hist.get(deg, 0) + 1
-    return dict(sorted(hist.items()))
+    values, counts = np.unique(as_view(graph).degrees, return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))

@@ -16,18 +16,16 @@ so the module offers three tools:
   age-extreme sets (oldest-k, youngest-k) that are the natural worst cases
   in models without regeneration.
 
-Both probes run on either graph representation: a frozen dict
-:class:`~repro.core.snapshot.Snapshot` (the readable reference path) or a
-:class:`~repro.core.csr.CSRView` (the vectorized analysis plane — mask
-frontiers for the multi-source BFS balls, gather/`np.bincount` boundary
-counts, a vectorized greedy sweep, and batched random-set ratios).  The
-two paths evaluate the *identical* candidate portfolio — candidates are
-ordered canonically (ascending node id), ties break on
-``(ratio, |S|, sorted ids)``, duplicates are removed with the shared
-:func:`~repro.core.csr.candidate_key` hashing, and both consume the RNG
-identically — so probe minima, witnesses, and ``candidates_checked`` are
-equal on both paths and both topology backends (the parity suite in
-``tests/test_analysis_csr.py`` asserts this).
+Both probes run on a :class:`~repro.core.csr.CSRView` — mask frontiers
+for the multi-source BFS balls, gather/`np.bincount` boundary counts, a
+vectorized greedy sweep, and batched random-set ratios; a frozen
+:class:`~repro.core.snapshot.Snapshot` argument is converted once at
+entry.  Candidates are ordered canonically (ascending node id), ties
+break on ``(ratio, |S|, sorted ids)``, and duplicates are removed with
+the :func:`~repro.core.csr.candidate_key` hashing, so probe minima,
+witnesses, and ``candidates_checked`` do not depend on the topology
+backend.  The test suite checks them exactly against a set-based
+reference portfolio, and against exhaustive enumeration on small graphs.
 
 All candidates are genuine subsets, so every reported ratio is an exact
 expansion of a real set: the minimum over candidates is always a valid
@@ -38,16 +36,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING, Callable, Iterable, Union
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
-from repro.core.csr import (
-    CSRView,
-    candidate_key,
-    candidate_key_array,
-    mix64,
-)
+from repro.core.csr import CSRView, as_view, candidate_key, candidate_key_array
 from repro.core.snapshot import Snapshot
 from repro.errors import AnalysisError
 from repro.util.rng import SeedLike, make_rng
@@ -57,9 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 #: Hard cap for exhaustive enumeration (sum of binomials stays ~ 3M).
 EXACT_ENUMERATION_LIMIT = 22
-
-#: Either graph representation accepted by the probes.
-GraphLike = Union[Snapshot, CSRView]
 
 #: Sources per vectorized multi-source BFS chunk (bounds the mask buffer).
 _BALL_CHUNK = 512
@@ -111,14 +101,13 @@ class ExpansionProbe:
     candidates_checked: int
 
 
-def expansion_of_set(graph: GraphLike, subset: Iterable[int]) -> float:
+def expansion_of_set(graph: Snapshot | CSRView, subset: Iterable[int]) -> float:
     """Exact expansion ``|∂out(S)|/|S|`` of one concrete subset."""
-    if isinstance(graph, CSRView):
-        verts = graph.verts_for(set(subset))
-        if verts.size == 0:
-            raise ValueError("expansion of the empty set is undefined")
-        return graph.boundary_count(verts) / verts.size
-    return graph.expansion_of(subset)
+    view = as_view(graph)
+    verts = view.verts_for(set(subset))
+    if verts.size == 0:
+        raise ValueError("expansion of the empty set is undefined")
+    return view.boundary_count(verts) / verts.size
 
 
 def vertex_expansion_exact(snapshot: Snapshot) -> ExpansionProbe:
@@ -148,7 +137,7 @@ def vertex_expansion_exact(snapshot: Snapshot) -> ExpansionProbe:
 
 
 # ----------------------------------------------------------------------
-# shared minimum tracking (canonical tie-break, shared by both paths)
+# minimum tracking (canonical tie-break)
 # ----------------------------------------------------------------------
 
 
@@ -157,10 +146,10 @@ class _BestCandidate:
 
     Candidates are compared on ``(ratio, size, sorted id tuple)``, which
     makes the winner independent of evaluation order — the property that
-    lets the vectorized path batch candidates in a different schedule
-    than the sequential reference while producing the identical witness.
-    ``members_fn`` is only invoked when a candidate actually contends,
-    so batch paths never materialise losing sets.
+    lets the vectorized sweeps batch candidates in any schedule (and the
+    incremental plane replay cached ones) while producing the identical
+    witness.  ``members_fn`` is only invoked when a candidate actually
+    contends, so batch paths never materialise losing sets.
     """
 
     def __init__(self) -> None:
@@ -186,57 +175,13 @@ class _BestCandidate:
             self.size, self.members = size, members
 
 
-class _MinTracker:
-    """Scores snapshot candidates within a size window (reference path).
-
-    Deduplicates identical candidate sets with the canonical
-    :func:`~repro.core.csr.candidate_key` before scoring, so coincident
-    BFS balls (or a greedy set re-finding a ball) are evaluated — and
-    counted — once.
-    """
-
-    def __init__(self, snapshot: Snapshot, min_size: int, max_size: int) -> None:
-        self.snapshot = snapshot
-        self.min_size = min_size
-        self.max_size = max_size
-        self.best = _BestCandidate()
-        self.seen: set[int] = set()
-        self.checked = 0
-
-    def consider(self, subset: Iterable[int]) -> None:
-        candidate = set(subset)
-        size = len(candidate)
-        if not (self.min_size <= size <= self.max_size):
-            return
-        xor = 0
-        for u in candidate:
-            xor ^= mix64(u)
-        key = candidate_key(size, xor)
-        if key in self.seen:
-            return
-        self.seen.add(key)
-        self.checked += 1
-        ratio = len(self.snapshot.outer_boundary(candidate)) / size
-        self.best.offer(ratio, size, lambda: tuple(sorted(candidate)))
-
-    def result(self) -> ExpansionProbe:
-        if self.checked == 0:
-            raise AnalysisError("no candidate set fell inside the size window")
-        return ExpansionProbe(
-            min_ratio=self.best.ratio,
-            witness_size=self.best.size,
-            witness=frozenset(self.best.members),
-            candidates_checked=self.checked,
-        )
-
-
 # ----------------------------------------------------------------------
-# adversarial portfolio — reference (snapshot) path
+# probe entry points
 # ----------------------------------------------------------------------
 
 
 def adversarial_expansion_upper_bound(
-    graph: GraphLike,
+    graph: Snapshot | CSRView,
     seed: SeedLike = None,
     num_random_sets: int = 200,
     greedy_restarts: int = 8,
@@ -257,16 +202,12 @@ def adversarial_expansion_upper_bound(
        boundary — the standard local-search heuristic for sparse cuts;
     4. uniformly random sets of random sizes in the window.
 
-    Accepts a :class:`Snapshot` (reference implementation) or a
-    :class:`~repro.core.csr.CSRView` (vectorized plane) and returns
-    identical results on either.
+    Phases 1 and 2 run as one multi-source BFS sweep (the radius-0 ball
+    is the singleton, radius 1 the closed neighbourhood).  A
+    :class:`Snapshot` argument is probed through its memoized view.
     """
-    if isinstance(graph, CSRView):
-        return _adversarial_probe_csr(
-            graph, seed, num_random_sets, greedy_restarts, min_size, max_size
-        )
-    snapshot = graph
-    n = snapshot.num_nodes()
+    view = as_view(graph)
+    n = view.n
     if n < 2:
         raise AnalysisError("vertex expansion needs at least 2 nodes")
     if max_size is None:
@@ -275,45 +216,11 @@ def adversarial_expansion_upper_bound(
     if min_size > max_size:
         raise AnalysisError(f"empty size window [{min_size}, {max_size}]")
     rng = make_rng(seed)
-    nodes = sorted(snapshot.nodes)  # canonical candidate order
-    tracker = _MinTracker(snapshot, min_size, max_size)
-
-    # 1. singletons and closed neighbourhoods.
-    for u in nodes:
-        tracker.consider({u})
-        tracker.consider({u} | set(snapshot.adjacency[u]))
-
-    # 2. BFS balls from every node.
-    for u in nodes:
-        ball = {u}
-        frontier = {u}
-        while frontier and len(ball) < max_size:
-            next_frontier: set[int] = set()
-            for v in frontier:
-                for w in snapshot.adjacency[v]:
-                    if w not in ball:
-                        next_frontier.add(w)
-            if not next_frontier:
-                break
-            ball |= next_frontier
-            frontier = next_frontier
-            if len(ball) <= max_size:
-                tracker.consider(ball)
-
-    # 3. greedy boundary-minimising growth from low-degree seeds (ties on
-    # node id, matching the CSR path's vectorized sweep).
-    degrees = snapshot.degrees()
-    seeds = sorted(nodes, key=lambda u: (degrees[u], u))[:greedy_restarts]
-    for seed_node in seeds:
-        _greedy_grow(snapshot, seed_node, max_size, tracker)
-
-    # 4. random sets (index draws over the canonical node order).
-    for _ in range(num_random_sets):
-        size = int(rng.integers(min_size, max_size + 1))
-        chosen = rng.choice(len(nodes), size=size, replace=False)
-        tracker.consider({nodes[i] for i in chosen})
-
-    return tracker.result()
+    probe = _CSRProbe(view, min_size, max_size)
+    probe.ball_phase()
+    probe.greedy_phase(greedy_restarts)
+    probe.random_phase(rng, num_random_sets)
+    return probe.result()
 
 
 def probe_network_expansion(
@@ -327,10 +234,8 @@ def probe_network_expansion(
     """Adversarial expansion probe of a live network (CSR fast path).
 
     Exports the topology backend's state as a zero-copy
-    :class:`~repro.core.csr.CSRView` (no dict freeze) and runs the
-    vectorized portfolio on it.  Returns exactly what the snapshot-path
-    probe would: the two paths share candidate order, tie-breaks, RNG
-    consumption, and dedupe keys.
+    :class:`~repro.core.csr.CSRView` and runs the portfolio on it; the
+    result equals probing ``network.snapshot()``, minus the dict freeze.
     """
     view = network.state.csr_view(network.now)
     return adversarial_expansion_upper_bound(
@@ -344,7 +249,7 @@ def probe_network_expansion(
 
 
 def large_set_expansion_probe(
-    graph: GraphLike,
+    graph: Snapshot | CSRView,
     min_size: int,
     max_size: int | None = None,
     seed: SeedLike = None,
@@ -355,15 +260,10 @@ def large_set_expansion_probe(
     Adds the age-extreme candidates that stress models without
     regeneration: the ``k`` oldest nodes tend to have lost their out-edges,
     the ``k`` youngest have received few in-edges.  Accepts a
-    :class:`Snapshot` or a :class:`~repro.core.csr.CSRView`; the paths
-    return identical probes.
+    :class:`Snapshot` or a :class:`~repro.core.csr.CSRView`.
     """
-    if isinstance(graph, CSRView):
-        return _large_set_probe_csr(
-            graph, min_size, max_size, seed, num_random_sets
-        )
-    snapshot = graph
-    n = snapshot.num_nodes()
+    view = as_view(graph)
+    n = view.n
     if max_size is None:
         max_size = n // 2
     max_size = min(max_size, n // 2)
@@ -371,75 +271,23 @@ def large_set_expansion_probe(
     if min_size > max_size:
         raise AnalysisError(f"empty size window [{min_size}, {max_size}]")
     rng = make_rng(seed)
-    tracker = _MinTracker(snapshot, min_size, max_size)
-
-    nodes = sorted(snapshot.nodes)  # canonical candidate order
-    by_age = sorted(nodes, key=lambda u: (snapshot.age(u), u))
-    degrees = snapshot.degrees()
-    by_degree = sorted(nodes, key=lambda u: (degrees[u], u))
-    sizes = _large_set_sizes(min_size, max_size)
-    for size in sizes:
-        tracker.consider(by_age[:size])  # youngest
-        tracker.consider(by_age[-size:])  # oldest
-        tracker.consider(by_degree[:size])
-
-    for _ in range(num_random_sets):
-        size = int(rng.integers(min_size, max_size + 1))
-        chosen = rng.choice(len(nodes), size=size, replace=False)
-        tracker.consider({nodes[i] for i in chosen})
-
-    # Greedy growth through the window as well.
-    for seed_node in by_degree[:4]:
-        _greedy_grow(snapshot, seed_node, max_size, tracker)
-
-    return tracker.result()
+    probe = _CSRProbe(view, min_size, max_size)
+    probe.extreme_phase(_large_set_sizes(min_size, max_size))
+    probe.random_phase(rng, num_random_sets)
+    probe.greedy_phase(4)
+    return probe.result()
 
 
 def _large_set_sizes(min_size: int, max_size: int) -> list[int]:
-    """The probed sizes of the large-set portfolio (shared by both paths)."""
+    """The probed sizes of the large-set portfolio."""
     return sorted(
         {min_size, max_size, (min_size + max_size) // 2}
         | {int(s) for s in np.linspace(min_size, max_size, num=8)}
     )
 
 
-def _greedy_grow(
-    snapshot: Snapshot, seed_node: int, max_size: int, tracker: _MinTracker
-) -> None:
-    """Grow a set by absorbing the boundary node minimising the new boundary.
-
-    Classic sparse-cut local search: at each step, move the boundary vertex
-    whose absorption shrinks (or least grows) the boundary into the set
-    (ties on node id).  Scores every intermediate set against the tracker.
-    """
-    current = {seed_node}
-    boundary = set(snapshot.adjacency[seed_node])
-    tracker.consider(current)
-    while len(current) < max_size and boundary:
-        best_key: tuple[int, int] | None = None
-        for v in boundary:
-            # Absorbing v removes it from the boundary and adds its
-            # outside neighbours.
-            new_out = sum(
-                1
-                for w in snapshot.adjacency[v]
-                if w not in current and w not in boundary
-            )
-            key = (new_out, v)
-            if best_key is None or key < best_key:
-                best_key = key
-        assert best_key is not None
-        best_vertex = best_key[1]
-        current.add(best_vertex)
-        boundary.discard(best_vertex)
-        for w in snapshot.adjacency[best_vertex]:
-            if w not in current:
-                boundary.add(w)
-        tracker.consider(current)
-
-
 # ----------------------------------------------------------------------
-# adversarial portfolio — vectorized (CSRView) path
+# the vectorized portfolio
 # ----------------------------------------------------------------------
 
 
@@ -513,11 +361,12 @@ class BallRecorder:
 
 
 class _CSRProbe:
-    """One probe run on a :class:`CSRView`: phases + shared dedupe/minimum.
+    """One probe run on a :class:`CSRView`: phases + dedupe/minimum.
 
-    Mirrors :class:`_MinTracker` exactly — same candidate keys, same
-    window, same tie-break — with candidates arriving from vectorized
-    sweeps instead of per-set Python evaluation.
+    Every candidate inside the size window is keyed with
+    :func:`~repro.core.csr.candidate_key`, scored once, and offered to a
+    :class:`_BestCandidate`; candidates arrive from vectorized sweeps
+    rather than per-set Python evaluation.
     """
 
     def __init__(
@@ -581,8 +430,8 @@ class _CSRProbe:
     def ball_phase(self, sources: np.ndarray | None = None) -> None:
         """Balls of every radius around every node, via mask frontiers.
 
-        Covers portfolio phases 1+2 of the reference path: the radius-0
-        ball is the singleton, radius 1 the closed neighbourhood.  Each
+        Covers portfolio phases 1+2: the radius-0 ball is the
+        singleton, radius 1 the closed neighbourhood.  Each
         ball ``B_r`` is scored with ``|∂B_r| = |shell_{r+1}|`` — the next
         BFS shell *is* the outer boundary — so scoring costs nothing
         beyond the BFS itself.  Sources advance in lockstep chunks over
@@ -787,8 +636,7 @@ class _CSRProbe:
         Each step scores every boundary vert's absorption in one
         gather + ``np.bincount`` pass (how many of its neighbours lie
         outside the set and its boundary), absorbs the ``(delta, id)``
-        minimiser, and offers the grown set — identical to the
-        reference's per-vertex Python scan.
+        minimiser, and offers the grown set.
         """
         view = self.view
         order = np.lexsort((view.ids, view.degrees))
@@ -845,8 +693,8 @@ class _CSRProbe:
     # -- batched random sets -------------------------------------------
 
     def random_phase(self, rng: np.random.Generator, count: int) -> None:
-        """Uniformly random sets; identical RNG consumption to the
-        reference (index draws over the ascending-id node order)."""
+        """Uniformly random sets (index draws over the ascending-id node
+        order, so RNG consumption is backend-independent)."""
         view = self.view
         n = view.n
         for _ in range(count):
@@ -865,49 +713,3 @@ class _CSRProbe:
             self.consider_verts(by_age[:size])  # youngest
             self.consider_verts(by_age[-size:])  # oldest
             self.consider_verts(by_degree[:size])
-
-
-def _adversarial_probe_csr(
-    view: CSRView,
-    seed: SeedLike,
-    num_random_sets: int,
-    greedy_restarts: int,
-    min_size: int,
-    max_size: int | None,
-) -> ExpansionProbe:
-    n = view.n
-    if n < 2:
-        raise AnalysisError("vertex expansion needs at least 2 nodes")
-    if max_size is None:
-        max_size = n // 2
-    max_size = min(max_size, n // 2)
-    if min_size > max_size:
-        raise AnalysisError(f"empty size window [{min_size}, {max_size}]")
-    rng = make_rng(seed)
-    probe = _CSRProbe(view, min_size, max_size)
-    probe.ball_phase()
-    probe.greedy_phase(greedy_restarts)
-    probe.random_phase(rng, num_random_sets)
-    return probe.result()
-
-
-def _large_set_probe_csr(
-    view: CSRView,
-    min_size: int,
-    max_size: int | None,
-    seed: SeedLike,
-    num_random_sets: int,
-) -> ExpansionProbe:
-    n = view.n
-    if max_size is None:
-        max_size = n // 2
-    max_size = min(max_size, n // 2)
-    min_size = max(1, min_size)
-    if min_size > max_size:
-        raise AnalysisError(f"empty size window [{min_size}, {max_size}]")
-    rng = make_rng(seed)
-    probe = _CSRProbe(view, min_size, max_size)
-    probe.extreme_phase(_large_set_sizes(min_size, max_size))
-    probe.random_phase(rng, num_random_sets)
-    probe.greedy_phase(4)
-    return probe.result()

@@ -11,26 +11,23 @@ node ever regains an edge before dying.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
-from repro.core.csr import CSRView
+from repro.core.csr import CSRView, as_view
 from repro.core.snapshot import Snapshot
 from repro.models.base import DynamicNetwork
 
 
-def count_isolated(graph: Union[Snapshot, CSRView]) -> int:
+def count_isolated(graph: Snapshot | CSRView) -> int:
     """Number of degree-0 nodes in the snapshot or CSR view."""
-    if isinstance(graph, CSRView):
-        return int((graph.degrees == 0).sum())
-    return len(graph.isolated_nodes())
+    return int((as_view(graph).degrees == 0).sum())
 
 
-def isolated_fraction(graph: Union[Snapshot, CSRView]) -> float:
+def isolated_fraction(graph: Snapshot | CSRView) -> float:
     """Fraction of alive nodes that are isolated."""
-    n = graph.n if isinstance(graph, CSRView) else graph.num_nodes()
-    if n == 0:
+    view = as_view(graph)
+    if view.n == 0:
         return 0.0
-    return count_isolated(graph) / n
+    return count_isolated(view) / view.n
 
 
 @dataclass(frozen=True)

@@ -9,29 +9,27 @@ counted with edges, divided by d_max to convert edge- to vertex-boundary).
 A spectral gap bounded away from zero across n is independent evidence for
 the Θ(1)-expander claims (Theorems 3.15/4.16).
 
-Both entry points accept ``Snapshot | CSRView``.  On a
-:class:`~repro.core.csr.CSRView` the scipy CSR matrix is assembled
-directly from the view's ``indptr``/``indices`` arrays — no Python-dict
-traversal, no COO staging — and the giant component comes from the
-vectorized label-propagation census, so the spectral plane rides the
-same zero-copy export as the rest of the CSR analyses.  The Snapshot
-path is kept verbatim as the readable reference; the two agree to
-floating-point roundoff on the same topology
-(``tests/test_analysis_csr.py``).
+Both entry points run on a :class:`~repro.core.csr.CSRView` (a
+``Snapshot`` is converted once at entry).  The scipy CSR matrix is
+assembled directly from the view's ``indptr``/``indices`` arrays — no
+Python-dict traversal, no COO staging — and the giant component is
+:func:`~repro.analysis.components.giant_verts`, the rule the distance
+analyses share, so λ₂ does not depend on the backend's row layout.
+The set-based reference the test suite checks λ₂ against agrees to
+floating-point roundoff on the same topology.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.analysis.components import component_labels
-from repro.core.csr import CSRView
+from repro.analysis.components import giant_verts
+from repro.core.csr import CSRView, as_view
 from repro.core.snapshot import Snapshot
 from repro.errors import AnalysisError
 
@@ -63,19 +61,6 @@ def _lambda2_of_adjacency(adjacency: sp.csr_matrix) -> float:
     return float(np.sort(eigenvalues)[1])
 
 
-def _giant_verts(view: CSRView) -> np.ndarray:
-    """Verts of the largest component, in ascending node-id order.
-
-    ``alive_verts`` is already canonically ordered, so selecting from it
-    keeps the row order of the extracted submatrix identical to the
-    Snapshot path's ``sorted(component)`` ordering.
-    """
-    labels = component_labels(view)[view.alive_verts]
-    unique, counts = np.unique(labels, return_counts=True)
-    giant_label = unique[np.argmax(counts)]
-    return view.alive_verts[labels == giant_label]
-
-
 def _view_adjacency(view: CSRView, verts: np.ndarray) -> sp.csr_matrix:
     """The scipy CSR adjacency of *verts*, built from the view's arrays.
 
@@ -97,52 +82,28 @@ def _view_adjacency(view: CSRView, verts: np.ndarray) -> sp.csr_matrix:
 
 
 def normalized_laplacian_lambda2(
-    graph: Union[Snapshot, CSRView], on_giant: bool = True
+    graph: Snapshot | CSRView, on_giant: bool = True
 ) -> float:
     """Second-smallest eigenvalue of the normalized Laplacian.
 
     Args:
-        graph: topology to analyse — a frozen :class:`Snapshot` (the
-            dict reference path) or a :class:`~repro.core.csr.CSRView`
-            (the vectorized path; zero-copy on the array backend).
+        graph: topology to analyse — a frozen :class:`Snapshot` or a
+            :class:`~repro.core.csr.CSRView` (zero-copy on the array
+            backend).
         on_giant: restrict to the largest connected component (otherwise
             a disconnected graph trivially has λ₂ = 0).
     """
-    if isinstance(graph, CSRView):
-        if graph.n == 0:
-            raise AnalysisError("empty graph has no spectral gap")
-        verts = _giant_verts(graph) if on_giant else graph.alive_verts
-        if verts.size < 3:
-            raise AnalysisError(f"need at least 3 nodes, got {verts.size}")
-        return _lambda2_of_adjacency(_view_adjacency(graph, verts))
-
-    snapshot = graph
-    if on_giant:
-        components = snapshot.connected_components()
-        if not components:
-            raise AnalysisError("empty graph has no spectral gap")
-        nodes = sorted(components[0])
-    else:
-        nodes = sorted(snapshot.nodes)
-    n = len(nodes)
-    if n < 3:
-        raise AnalysisError(f"need at least 3 nodes, got {n}")
-    index = {u: i for i, u in enumerate(nodes)}
-    rows: list[int] = []
-    cols: list[int] = []
-    node_set = set(nodes)
-    for u in nodes:
-        for v in snapshot.adjacency[u]:
-            if v in node_set:
-                rows.append(index[u])
-                cols.append(index[v])
-    data = np.ones(len(rows), dtype=float)
-    adjacency = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    return _lambda2_of_adjacency(adjacency)
+    view = as_view(graph)
+    if view.n == 0:
+        raise AnalysisError("empty graph has no spectral gap")
+    verts = giant_verts(view) if on_giant else view.alive_verts
+    if verts.size < 3:
+        raise AnalysisError(f"need at least 3 nodes, got {verts.size}")
+    return _lambda2_of_adjacency(_view_adjacency(view, verts))
 
 
 def cheeger_bounds(
-    graph: Union[Snapshot, CSRView], on_giant: bool = True
+    graph: Snapshot | CSRView, on_giant: bool = True
 ) -> CheegerBounds:
     """Cheeger sandwich for conductance plus a vertex-expansion lower bound.
 
@@ -150,17 +111,11 @@ def cheeger_bounds(
     a set lands on a boundary vertex that absorbs at most ``d_max`` edges,
     and each set vertex carries at least ``d_min`` volume.
     """
-    lam2 = normalized_laplacian_lambda2(graph, on_giant=on_giant)
-    if isinstance(graph, CSRView):
-        nonzero = graph.degrees[graph.degrees > 0]
-        d_max = int(nonzero.max()) if nonzero.size else 1
-        d_min = int(nonzero.min()) if nonzero.size else 1
-    else:
-        degrees = [
-            len(graph.adjacency[u]) for u in graph.nodes if graph.adjacency[u]
-        ]
-        d_max = max(degrees) if degrees else 1
-        d_min = min(degrees) if degrees else 1
+    view = as_view(graph)
+    lam2 = normalized_laplacian_lambda2(view, on_giant=on_giant)
+    nonzero = view.degrees[view.degrees > 0]
+    d_max = int(nonzero.max()) if nonzero.size else 1
+    d_min = int(nonzero.min()) if nonzero.size else 1
     phi_lower = lam2 / 2.0
     phi_upper = math.sqrt(max(0.0, 2.0 * lam2))
     return CheegerBounds(

@@ -5,21 +5,22 @@ The paper's analysis is all about snapshots; these helpers quantify the
 live, how fast the topology decorrelates, and whether a run has reached
 stationarity.  Used by the robustness experiment (EXP-17) and available
 as a user-facing diagnostic toolkit.
+
+Topology comparisons (:func:`snapshot_jaccard`) read edge keys off a
+:class:`~repro.core.csr.CSRView`; a snapshot argument is converted once
+at entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from repro.core.csr import CSRView
+from repro.core.csr import CSRView, as_view
 from repro.core.snapshot import Snapshot
 from repro.errors import AnalysisError
 from repro.models.base import DynamicNetwork
-
-GraphLike = Union[Snapshot, CSRView]
 
 
 @dataclass(frozen=True)
@@ -67,17 +68,17 @@ def edge_lifetime_stats(
     )
 
 
-def snapshot_jaccard(a: GraphLike, b: GraphLike) -> float:
+def snapshot_jaccard(a: Snapshot | CSRView, b: Snapshot | CSRView) -> float:
     """Jaccard similarity of the two graphs' edge sets.
 
     1.0 = identical topology, 0.0 = disjoint.  The decay of this value
     with time lag measures how fast the dynamic graph decorrelates.
-    Accepts snapshots and CSR views in any combination — views are read
-    straight off their arrays (one ``u < v`` mask plus a sort), so the
-    array backend never freezes a dict to compare two windows.
+    Accepts snapshots and CSR views in any combination — edge keys are
+    read straight off the view arrays (one ``u < v`` mask plus a sort),
+    so the array backend never freezes a dict to compare two windows.
     """
-    keys_a = _edge_keys(a)
-    keys_b = _edge_keys(b)
+    keys_a = _edge_keys(as_view(a))
+    keys_b = _edge_keys(as_view(b))
     intersection = np.intersect1d(keys_a, keys_b, assume_unique=True).size
     union = keys_a.size + keys_b.size - intersection
     if union == 0:
@@ -157,28 +158,18 @@ def _key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _edge_keys(graph: GraphLike) -> np.ndarray:
+def _edge_keys(view: CSRView) -> np.ndarray:
     """Sorted uint64 keys (``u << 32 | v`` with ``u < v``) of the distinct
-    undirected edges — one comparable array per graph, either path."""
-    if isinstance(graph, CSRView):
-        owner = np.repeat(
-            np.arange(graph.space, dtype=np.int64), np.diff(graph.indptr)
-        )
-        u = graph.vert_ids[owner].astype(np.int64)
-        v = graph.vert_ids[graph.indices].astype(np.int64)
-        keep = u < v
-        u, v = u[keep], v[keep]
-        if u.size and int(v.max()) >= 1 << 32:
-            raise AnalysisError("node ids beyond 2^32 not supported here")
-        keys = (u.astype(np.uint64) << np.uint64(32)) | v.astype(np.uint64)
-        keys.sort()
-        return keys
-    edges = [
-        (u << 32) | v
-        for u, nbrs in graph.adjacency.items()
-        for v in nbrs
-        if u < v
-    ]
-    keys = np.asarray(edges, dtype=np.uint64)
+    undirected edges — one comparable array per graph."""
+    owner = np.repeat(
+        np.arange(view.space, dtype=np.int64), np.diff(view.indptr)
+    )
+    u = view.vert_ids[owner].astype(np.int64)
+    v = view.vert_ids[view.indices].astype(np.int64)
+    keep = u < v
+    u, v = u[keep], v[keep]
+    if u.size and int(v.max()) >= 1 << 32:
+        raise AnalysisError("node ids beyond 2^32 not supported here")
+    keys = (u.astype(np.uint64) << np.uint64(32)) | v.astype(np.uint64)
     keys.sort()
     return keys

@@ -136,10 +136,6 @@ class ArraySlotBackend(GraphBackend):
         """Node ids occupying *rows*."""
         return self._id_of[rows]
 
-    def slot_matrix(self) -> np.ndarray:
-        """The ``(capacity, d)`` slot store of target rows (read-only view)."""
-        return self._slots
-
     def alive_row_mask(self) -> np.ndarray:
         """Boolean mask over rows of currently-alive nodes (read-only view)."""
         return self._alive_rows

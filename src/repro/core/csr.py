@@ -7,16 +7,17 @@ representation), a view exposes the same instant as a handful of NumPy
 arrays — a CSR adjacency over *verts* (storage indices), the id/birth
 arrays aligned with those verts, and the alive verts in canonical
 ascending-node-id order.  Every hot analysis (expansion probes, degree
-summaries, isolated/component censuses) has a vectorized implementation
-on top of this structure that returns results identical to the dict
-path.
+summaries, isolated/component censuses, distances, spectra) has exactly
+one implementation, on top of this structure; a snapshot handed to an
+analysis is converted once, at entry, by :func:`as_view`.
 
 On the :class:`~repro.core.array_backend.ArraySlotBackend` a view is
 **zero-copy**: ``indptr``/``indices`` are the backend's lazily rebuilt
 CSR and ``vert_ids``/``birth`` alias its dense row arrays, so building a
 view costs one alive-row argsort instead of an O(n·d) dict freeze.  On
-the dict backend (or from a snapshot) the arrays are built once, in one
-pass, for parity testing and mixed pipelines.
+the dict backend (or from a snapshot) the arrays are built in one pass;
+a snapshot memoizes its view, so repeated analyses of one snapshot pay
+the conversion once.
 
 **Lifetime contract:** a view aliases live backend storage, so it is
 only valid until the next topology mutation — use it within the
@@ -25,10 +26,10 @@ observation window that built it (exactly what
 :class:`Snapshot` when the frozen topology must outlive the window.
 
 The module also hosts the canonical 64-bit set-hashing helpers
-(:func:`mix64`, :func:`candidate_key`) shared by the dict-path and
-CSR-path expansion portfolios: both paths deduplicate candidate sets
-with the *same* keys, so their ``candidates_checked`` counts and probe
-results agree exactly.
+(:func:`mix64`, :func:`candidate_key`) the expansion portfolio
+deduplicates candidate sets with; the scalar and vectorized variants
+are bit-identical, so a candidate gets the same key whichever sweep
+produced it.
 """
 
 from __future__ import annotations
@@ -309,10 +310,25 @@ def csr_view_from_adjacency(
 
 
 def csr_view_from_snapshot(snapshot: "Snapshot") -> CSRView:
-    """One-shot view of a frozen :class:`Snapshot` (parity/testing path)."""
+    """Build the view of a frozen :class:`Snapshot` (one pass).
+
+    This is the production conversion behind :func:`as_view`; callers
+    normally go through :meth:`Snapshot.csr_view`, which memoizes it.
+    """
     return csr_view_from_adjacency(
         time=snapshot.time,
         ids=list(snapshot.nodes),
         neighbors_of=snapshot.adjacency,
         birth_fn=lambda u: snapshot.birth_times[u],
     )
+
+
+def as_view(graph: "Snapshot | CSRView") -> CSRView:
+    """The :class:`CSRView` of *graph*: a view as-is, a snapshot converted.
+
+    Every analysis entry point calls this once, so a :class:`Snapshot`
+    argument goes through the same (only) implementation as a view.
+    """
+    if isinstance(graph, CSRView):
+        return graph
+    return graph.csr_view()

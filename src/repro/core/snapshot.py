@@ -148,15 +148,20 @@ class Snapshot:
         )
 
     def csr_view(self):
-        """Export as a :class:`~repro.core.csr.CSRView` (built once).
+        """Export as a :class:`~repro.core.csr.CSRView` (memoized).
 
-        The bridge from the frozen dict representation into the
-        vectorized analysis plane — used by the parity suite and by
-        pipelines that hold snapshots but want the fast analyses.
+        The bridge from the frozen dict representation into the analysis
+        plane: every analysis handed a snapshot runs on this view.  The
+        first call builds it; later calls return the same object (cached
+        like :meth:`num_edges`, outside the dataclass fields).
         """
-        from repro.core.csr import csr_view_from_snapshot
+        cached = self.__dict__.get("_csr_view")
+        if cached is None:
+            from repro.core.csr import csr_view_from_snapshot
 
-        return csr_view_from_snapshot(self)
+            cached = csr_view_from_snapshot(self)
+            object.__setattr__(self, "_csr_view", cached)
+        return cached
 
     def to_networkx(self) -> nx.Graph:
         """Export as a simple undirected :class:`networkx.Graph`.

@@ -82,9 +82,8 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
                 else:
                     sim = simulate(PDGR_SPEC.with_(n=probe_n, d=d), seed=child)
                 # Live-network probe on the CSR analysis plane: the
-                # backend state exports a zero-copy view and the
-                # vectorized portfolio scores the identical candidates
-                # (and returns the identical probe) as the snapshot path.
+                # backend state exports a zero-copy view, so no snapshot
+                # is frozen just to be converted back.
                 probe = probe_network_expansion(sim.network, seed=child)
                 if worst is None or probe.min_ratio < worst.min_ratio:
                     worst = probe
@@ -102,7 +101,7 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
 
         # 3. Spectral gap evidence, on the CSR analysis plane: the scipy
         #    Laplacian is assembled straight from the session's zero-copy
-        #    view (the snapshot path remains as the tested reference).
+        #    view.
         sim = simulate(
             SDGR_SPEC.with_(n=probe_n, d=14, horizon=probe_n),
             seed=derive_seed(seed, "exp03-spectral", 0),

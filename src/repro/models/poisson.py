@@ -159,10 +159,6 @@ class PoissonNetwork(DynamicNetwork):
         events = self.advance_to_time(start + 1.0)
         return RoundReport(start_time=start, end_time=self.now, events=events)
 
-    def expected_events_per_unit_time(self) -> float:
-        """Event rate at the stationary size (≈ λ + n·µ = 2λ)."""
-        return self.chain.total_rate(int(round(self.n)))
-
     def apply_churn(self, is_birth: bool) -> EventRecord:
         """Apply one churn event of the given kind at the current clock time.
 

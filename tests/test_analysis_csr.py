@@ -1,22 +1,31 @@
-"""Cross-path parity suite for the CSR analysis plane.
+"""Parity suite for the CSR analysis plane.
 
-The contract under test (see ``docs/architecture.md``): every hot
-analysis returns *identical* results whether it runs on the frozen dict
-:class:`Snapshot` (reference path) or on a :class:`CSRView` — built
-zero-copy from the array backend, one-shot from the dict backend, or
-converted from a snapshot — and identical across topology backends.
-For the expansion probes "identical" means the exact probe minimum, the
-exact witness set, and the exact ``candidates_checked`` count.
+The contract under test (see ``docs/architecture.md``): every analysis
+has one implementation, on a :class:`CSRView` — built zero-copy from the
+array backend, one-shot from the dict backend, or converted from a
+snapshot — and returns results *identical* to the set-based reference in
+:mod:`tests.oracles.analysis`, whichever way the view was built and on
+either topology backend.  Degree, isolated and component censuses are
+checked against the :class:`Snapshot` methods directly.  For the
+expansion probes "identical" means the exact probe minimum, the exact
+witness set, and the exact ``candidates_checked`` count; exhaustive
+enumeration backs the probes on small graphs.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.components import component_summary
+from repro.analysis.components import (
+    ComponentSummary,
+    component_summary,
+    giant_verts,
+)
 from repro.analysis.degrees import degree_histogram, degree_summary, max_degree
 from repro.analysis.expansion import (
     _CSRProbe,
@@ -24,6 +33,7 @@ from repro.analysis.expansion import (
     expansion_of_set,
     large_set_expansion_probe,
     probe_network_expansion,
+    vertex_expansion_exact,
 )
 from repro.analysis.distances import (
     average_shortest_path_sample,
@@ -35,7 +45,9 @@ from repro.analysis.incremental import ProbeCache
 from repro.analysis.isolated import count_isolated, isolated_fraction
 from repro.analysis.temporal import snapshot_jaccard
 from repro.analysis.spectral import cheeger_bounds, normalized_laplacian_lambda2
+from repro.core.backend import create_backend
 from repro.core.csr import (
+    as_view,
     candidate_key,
     candidate_key_array,
     csr_view_from_snapshot,
@@ -55,6 +67,7 @@ from repro.scenario import (
     simulate,
 )
 from tests.conftest import cycle_snapshot, path_snapshot, snapshot_from_edges
+from tests.oracles import analysis as oracle
 
 
 def seeded_networks(backend: str):
@@ -77,6 +90,48 @@ def assert_probe_equal(a, b):
     assert a.witness_size == b.witness_size
     assert a.witness == b.witness
     assert a.candidates_checked == b.candidates_checked
+
+
+def census_graphs(backend: str):
+    """``(name, snapshot, backend view)`` for each seeded network."""
+    return [
+        (name, net.snapshot(), net.state.csr_view(net.now))
+        for name, net in seeded_networks(backend)
+    ]
+
+
+def reference_components(snapshot) -> ComponentSummary:
+    """The component census read off ``Snapshot.connected_components``."""
+    sizes = [len(c) for c in snapshot.connected_components()]
+    return ComponentSummary(
+        num_nodes=snapshot.num_nodes(),
+        num_components=len(sizes),
+        giant_size=sizes[0] if sizes else 0,
+        second_size=sizes[1] if len(sizes) > 1 else 0,
+        num_isolated=sum(1 for size in sizes if size == 1),
+    )
+
+
+def tied_giants(backend: str, triangle: bool = False):
+    """Two equal-size components whose storage rows invert their id order.
+
+    Ids 0-3 die and ids 8-11 are born after them, so on the array backend
+    ids 8-11 reuse the freed rows below those of ids 4-7.  A path is then
+    built on {4, 5, 6} and a second path (or a triangle) on {8, 9, 10}.
+    """
+    state = create_backend(backend)
+    for u in range(8):
+        state.add_node(u, 0.0, 1)
+    for u in range(4):
+        state.remove_node(u, 1.0)
+    for u in range(8, 12):
+        state.add_node(u, 1.0, 1)
+    edges = [(4, 5), (5, 6), (8, 9), (9, 10)]
+    if triangle:
+        edges.append((10, 8))
+    for u, v in edges:
+        state.assign_slot(u, 0, v)
+    return state
 
 
 class TestHashing:
@@ -154,36 +209,47 @@ class TestViewConstruction:
 
 
 class TestCensusParity:
+    """Censuses on views equal the Snapshot methods, however the view
+    was built (backend export, or the snapshot's own conversion)."""
+
     @pytest.fixture(params=["dict", "array"])
     def graphs(self, request):
-        return [
-            (name, net.snapshot(), net.state.csr_view(net.now))
-            for name, net in seeded_networks(request.param)
-        ]
+        return census_graphs(request.param)
 
     def test_degree_summary(self, graphs):
         for name, snap, view in graphs:
-            ref, fast = degree_summary(snap), degree_summary(view)
-            assert ref.num_nodes == fast.num_nodes, name
-            assert ref.num_edges == fast.num_edges, name
-            assert ref.min_degree == fast.min_degree, name
-            assert ref.max_degree == fast.max_degree, name
-            assert ref.mean_degree == pytest.approx(fast.mean_degree)
-            assert ref.std_degree == pytest.approx(fast.std_degree)
+            degrees = np.array(list(snap.degrees().values()), dtype=float)
+            for graph in (view, snap):
+                summary = degree_summary(graph)
+                assert summary.num_nodes == snap.num_nodes(), name
+                assert summary.num_edges == snap.num_edges(), name
+                assert summary.min_degree == degrees.min(), name
+                assert summary.max_degree == degrees.max(), name
+                assert summary.mean_degree == pytest.approx(degrees.mean())
+                assert summary.std_degree == pytest.approx(
+                    degrees.std(ddof=1)
+                )
 
     def test_max_degree_and_histogram(self, graphs):
         for name, snap, view in graphs:
-            assert max_degree(snap) == max_degree(view), name
-            assert degree_histogram(snap) == degree_histogram(view), name
+            degrees = list(snap.degrees().values())
+            histogram = dict(sorted(Counter(degrees).items()))
+            for graph in (view, snap):
+                assert max_degree(graph) == max(degrees), name
+                assert degree_histogram(graph) == histogram, name
 
     def test_isolated_census(self, graphs):
         for name, snap, view in graphs:
-            assert count_isolated(snap) == count_isolated(view), name
-            assert isolated_fraction(snap) == isolated_fraction(view), name
+            isolated = len(snap.isolated_nodes())
+            for graph in (view, snap):
+                assert count_isolated(graph) == isolated, name
+                assert isolated_fraction(graph) == isolated / snap.num_nodes()
 
     def test_component_census(self, graphs):
         for name, snap, view in graphs:
-            assert component_summary(snap) == component_summary(view), name
+            reference = reference_components(snap)
+            assert component_summary(view) == reference, name
+            assert component_summary(snap) == reference, name
 
     def test_component_census_on_crafted_graphs(self):
         # Long path (stresses pointer-jumping convergence), disconnected
@@ -196,39 +262,65 @@ class TestCensusParity:
         ]
         for snap in crafted:
             view = csr_view_from_snapshot(snap)
-            assert component_summary(snap) == component_summary(view)
+            assert component_summary(view) == reference_components(snap)
+
+
+class TestGiantRule:
+    """One giant-component rule: among equal-size components the one
+    holding the smallest node id wins, never the lowest storage row."""
+
+    def test_tie_breaks_on_node_id_not_row(self, backend_name):
+        state = tied_giants(backend_name)
+        view = state.csr_view(1.0)
+        if backend_name == "array":  # rows really invert the id order
+            assert view.vert_of(8) < view.vert_of(4)
+        for graph in (view, state.snapshot(1.0).csr_view()):
+            assert graph.vert_ids[giant_verts(graph)].tolist() == [4, 5, 6]
+
+    def test_distances_and_spectra_share_the_giant(self, backend_name):
+        state = tied_giants(backend_name, triangle=True)
+        view, snap = state.csr_view(1.0), state.snapshot(1.0)
+        assert oracle.giant_ids(snap) == [4, 5, 6]
+        # The path P3 has normalized-Laplacian spectrum {0, 1, 2}; the
+        # triangle's λ₂ is 1.5, so the picked component is visible.
+        assert normalized_laplacian_lambda2(view) == pytest.approx(1.0)
+        assert normalized_laplacian_lambda2(view) == pytest.approx(
+            oracle.normalized_laplacian_lambda2(snap), abs=1e-12
+        )
+        assert giant_component_diameter(view) == 2
+        assert average_shortest_path_sample(view, seed=0) == pytest.approx(
+            oracle.average_shortest_path_sample(snap, seed=0)
+        )
 
 
 class TestSpectralParity:
-    """λ₂ via the CSR view equals the Snapshot reference path.
+    """λ₂ on the CSR view equals the set-based reference.
 
-    The view path extracts the giant component in the same ascending-id
-    row order the snapshot path uses, so the assembled Laplacians are
-    the same matrix and the eigenvalues agree to solver roundoff.
+    The view extracts the giant component in the same ascending-id row
+    order the reference uses, so the assembled Laplacians are the same
+    matrix and the eigenvalues agree to solver roundoff.
     """
 
     @pytest.fixture(params=["dict", "array"])
     def graphs(self, request):
-        return [
-            (name, net.snapshot(), net.state.csr_view(net.now))
-            for name, net in seeded_networks(request.param)
-        ]
+        return census_graphs(request.param)
 
     def test_lambda2_parity(self, graphs):
         for name, snap, view in graphs:
-            ref = normalized_laplacian_lambda2(snap)
+            ref = oracle.normalized_laplacian_lambda2(snap)
             fast = normalized_laplacian_lambda2(view)
             assert fast == pytest.approx(ref, abs=1e-9), name
 
     def test_lambda2_parity_from_snapshot_view(self, graphs):
         for name, snap, _ in graphs:
-            ref = normalized_laplacian_lambda2(snap)
-            fast = normalized_laplacian_lambda2(csr_view_from_snapshot(snap))
-            assert fast == pytest.approx(ref, abs=1e-9), name
+            ref = oracle.normalized_laplacian_lambda2(snap)
+            for graph in (csr_view_from_snapshot(snap), snap):
+                fast = normalized_laplacian_lambda2(graph)
+                assert fast == pytest.approx(ref, abs=1e-9), name
 
     def test_cheeger_parity(self, graphs):
         for name, snap, view in graphs:
-            ref, fast = cheeger_bounds(snap), cheeger_bounds(view)
+            ref, fast = oracle.cheeger_bounds(snap), cheeger_bounds(view)
             assert fast.lambda2 == pytest.approx(ref.lambda2, abs=1e-9), name
             assert fast.conductance_lower == pytest.approx(
                 ref.conductance_lower, abs=1e-9
@@ -245,7 +337,7 @@ class TestSpectralParity:
             8, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (4, 5), (5, 6)]
         )
         view = csr_view_from_snapshot(snap)
-        ref = normalized_laplacian_lambda2(snap, on_giant=True)
+        ref = oracle.normalized_laplacian_lambda2(snap, on_giant=True)
         fast = normalized_laplacian_lambda2(view, on_giant=True)
         assert fast == pytest.approx(ref, abs=1e-12)
         assert fast > 0.0
@@ -272,10 +364,10 @@ class TestProbeParity:
     def test_adversarial_probe_identical(self, backend):
         for name, net in seeded_networks(backend):
             snap = net.snapshot()
-            reference = adversarial_expansion_upper_bound(snap, seed=1)
-            for view in (net.state.csr_view(net.now), snap.csr_view()):
+            reference = oracle.adversarial_expansion_upper_bound(snap, seed=1)
+            for graph in (net.state.csr_view(net.now), snap.csr_view(), snap):
                 assert_probe_equal(
-                    adversarial_expansion_upper_bound(view, seed=1), reference
+                    adversarial_expansion_upper_bound(graph, seed=1), reference
                 )
 
     @pytest.mark.parametrize("backend", ["dict", "array"])
@@ -283,13 +375,14 @@ class TestProbeParity:
         for name, net in seeded_networks(backend):
             snap = net.snapshot()
             n = snap.num_nodes()
-            reference = large_set_expansion_probe(
+            reference = oracle.large_set_expansion_probe(
                 snap, min_size=4, max_size=n // 2, seed=2
             )
-            fast = large_set_expansion_probe(
-                net.state.csr_view(net.now), min_size=4, max_size=n // 2, seed=2
-            )
-            assert_probe_equal(fast, reference)
+            for graph in (net.state.csr_view(net.now), snap):
+                fast = large_set_expansion_probe(
+                    graph, min_size=4, max_size=n // 2, seed=2
+                )
+                assert_probe_equal(fast, reference)
 
     def test_probes_identical_across_backends(self):
         probes = []
@@ -311,7 +404,7 @@ class TestProbeParity:
         net.run_rounds(70)
         assert_probe_equal(
             probe_network_expansion(net, seed=1),
-            adversarial_expansion_upper_bound(net.snapshot(), seed=1),
+            oracle.adversarial_expansion_upper_bound(net.snapshot(), seed=1),
         )
 
     def test_size_window_respected_on_view(self):
@@ -335,11 +428,11 @@ class TestProbeParity:
     def test_duplicate_candidates_counted_once(self):
         # On a complete graph every BFS ball of radius 1 is the whole
         # vertex set and every closed neighbourhood coincides; dedupe
-        # must collapse them on both paths identically.
+        # must collapse them in the probe exactly as in the reference.
         from tests.conftest import complete_snapshot
 
         snap = complete_snapshot(8)
-        reference = adversarial_expansion_upper_bound(
+        reference = oracle.adversarial_expansion_upper_bound(
             snap, seed=0, num_random_sets=16
         )
         fast = adversarial_expansion_upper_bound(
@@ -350,9 +443,37 @@ class TestProbeParity:
         # far fewer than the undeduplicated portfolio would count.
         assert reference.candidates_checked <= 8 + 16 + 8 * 3
 
+    @pytest.mark.parametrize("backend", ["dict", "array"])
+    def test_probes_bound_the_exhaustive_minimum(self, backend):
+        # Small graphs where brute force is exact: both probes equal the
+        # reference and never undercut the true h_out (every candidate
+        # is a genuine set), and an isolated node is always found.
+        for model, n, d, seed in ((SDG, 14, 2, 1), (SDGR, 16, 3, 4),
+                                  (PDG, 12, 2, 6)):
+            net = model(n=n, d=d, seed=seed, backend=backend)
+            net.run_rounds(n)
+            snap = net.snapshot()
+            if snap.num_nodes() > 22:
+                continue
+            exact = vertex_expansion_exact(snap)
+            view = net.state.csr_view(net.now)
+            probe = adversarial_expansion_upper_bound(view, seed=3)
+            assert_probe_equal(
+                probe, oracle.adversarial_expansion_upper_bound(snap, seed=3)
+            )
+            assert probe.min_ratio >= exact.min_ratio
+            if exact.min_ratio == 0.0:
+                assert probe.min_ratio == 0.0
+            low = max(1, snap.num_nodes() // 4)
+            large = large_set_expansion_probe(view, min_size=low, seed=3)
+            assert_probe_equal(
+                large, oracle.large_set_expansion_probe(snap, low, seed=3)
+            )
+            assert large.min_ratio >= exact.min_ratio
+
 
 class TestBallProperty:
-    """Vectorized BFS balls equal set-based balls (the ISSUE property)."""
+    """Vectorized BFS balls equal set-based balls."""
 
     @staticmethod
     def _set_ball(snapshot, root: int, radius: int) -> frozenset[int]:
@@ -399,7 +520,7 @@ class TestBallProperty:
         agree on it for arbitrary roots and max_size windows."""
         net = SDGR(n=48, d=d, seed=seed, backend="array")
         net.run_rounds(48)
-        reference = adversarial_expansion_upper_bound(
+        reference = oracle.adversarial_expansion_upper_bound(
             net.snapshot(),
             seed=0,
             num_random_sets=0,
@@ -417,23 +538,20 @@ class TestBallProperty:
 
 
 class TestDistanceParity:
-    """CSR mask-frontier BFS equals the dict reference, ties included."""
+    """CSR mask-frontier BFS equals the set-based reference, ties included."""
 
     @pytest.fixture(params=["dict", "array"])
     def graphs(self, request):
-        return [
-            (name, net.snapshot(), net.state.csr_view(net.now))
-            for name, net in seeded_networks(request.param)
-        ]
+        return census_graphs(request.param)
 
     def test_bfs_distances_and_eccentricity(self, graphs):
         for name, snap, view in graphs:
             for source in sorted(snap.nodes)[:5]:
-                assert bfs_distances(snap, source) == bfs_distances(
-                    view, source
-                ), name
-                assert eccentricity(snap, source) == eccentricity(
-                    view, source
+                reference = oracle.bfs_distances(snap, source)
+                assert bfs_distances(view, source) == reference, name
+                assert bfs_distances(snap, source) == reference, name
+                assert eccentricity(view, source) == oracle.eccentricity(
+                    snap, source
                 ), name
 
     def test_unknown_source_rejected_on_view(self):
@@ -446,31 +564,34 @@ class TestDistanceParity:
     def test_giant_component_diameter(self, graphs):
         for name, snap, view in graphs:
             assert giant_component_diameter(
-                snap, seed=2
-            ) == giant_component_diameter(view, seed=2), name
+                view, seed=2
+            ) == oracle.giant_component_diameter(snap, seed=2), name
             # Double-sweep path (exact_limit below component size): same
             # RNG draws, same canonical far-node tie-break.
             assert giant_component_diameter(
+                view, exact_limit=1, seed=4
+            ) == oracle.giant_component_diameter(
                 snap, exact_limit=1, seed=4
-            ) == giant_component_diameter(view, exact_limit=1, seed=4), name
+            ), name
 
     def test_average_shortest_path_sample(self, graphs):
         for name, snap, view in graphs:
             assert average_shortest_path_sample(
-                snap, seed=9
-            ) == average_shortest_path_sample(view, seed=9), name
+                view, seed=9
+            ) == oracle.average_shortest_path_sample(snap, seed=9), name
 
     def test_diameter_on_crafted_graphs(self):
         for snap in (path_snapshot(9), cycle_snapshot(10),
                      snapshot_from_edges(7, [(0, 1), (1, 2), (2, 3), (5, 6)])):
             view = csr_view_from_snapshot(snap)
-            assert giant_component_diameter(snap) == giant_component_diameter(
+            assert giant_component_diameter(
                 view
-            )
+            ) == oracle.giant_component_diameter(snap)
 
     def test_snapshot_jaccard_mixed_paths(self, graphs):
         (_, snap_a, view_a), (_, snap_b, view_b) = graphs[:2]
-        reference = snapshot_jaccard(snap_a, snap_b)
+        reference = oracle.snapshot_jaccard(snap_a, snap_b)
+        assert snapshot_jaccard(snap_a, snap_b) == reference
         assert snapshot_jaccard(view_a, view_b) == reference
         assert snapshot_jaccard(snap_a, view_b) == reference
         assert snapshot_jaccard(view_a, snap_b) == reference
@@ -586,7 +707,9 @@ class TestObserverSharing:
         assert final["min_degree"] == summary.min_degree
         assert final["max_degree"] == summary.max_degree
         assert final["mean_degree"] == pytest.approx(summary.mean_degree)
-        assert results["isolated"]["final"]["isolated"] == count_isolated(snap)
+        assert results["isolated"]["final"]["isolated"] == len(
+            snap.isolated_nodes()
+        )
 
     def test_legacy_snapshot_observer_still_fed(self):
         class SnapshotEcho(Observer):
@@ -631,7 +754,7 @@ class TestObserverSharing:
         )
         series = sim.results()["expansion"]["series"]
         assert len(series) == 1
-        reference = adversarial_expansion_upper_bound(
+        reference = oracle.adversarial_expansion_upper_bound(
             sim.snapshot(), seed=1, num_random_sets=8, max_size=10
         )
         assert series[0]["min_ratio"] == reference.min_ratio
@@ -645,11 +768,22 @@ class TestSnapshotMemoization:
         first = snap.num_edges()
         assert first == snap.num_edges() == 12
 
+    def test_csr_view_cached(self):
+        snap = cycle_snapshot(12)
+        view = snap.csr_view()
+        assert snap.csr_view() is view
+        assert as_view(snap) is view
+        assert as_view(view) is view
+        assert view.num_edges() == snap.num_edges() == 12
+
     def test_cache_does_not_leak_into_equality_or_serialization(self):
         a = cycle_snapshot(10)
         b = cycle_snapshot(10)
-        a.num_edges(), a.degrees()  # populate caches on one side only
+        payload = a.to_dict()
+        # populate caches on one side only
+        a.num_edges(), a.degrees(), a.csr_view()
         assert a == b
+        assert a.to_dict() == payload == b.to_dict()
         restored = type(a).from_dict(a.to_dict())
         assert restored == a
         assert restored.num_edges() == a.num_edges()
