@@ -57,7 +57,8 @@ def _spec(n: int, horizon: int, seed: int, backend: str) -> ScenarioSpec:
         n=n,
         d=4,
         horizon=horizon,
-        churn_params={"batch": True, "fast_warm": True},
+        churn_params={"fast_warm": True},
+        fast_rounds=True,
         backend=backend,
         seed=seed,
     )

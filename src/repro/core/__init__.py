@@ -22,7 +22,7 @@ from repro.core.edge_policy import (
     RAESPolicy,
     RegenerationPolicy,
 )
-from repro.core.graph import DictBackend, DynamicGraphState
+from repro.core.graph import DictBackend
 from repro.core.node import NodeRecord
 from repro.core.snapshot import Snapshot
 
@@ -32,7 +32,6 @@ __all__ = [
     "BoundedInDegreePolicy",
     "CappedRegenerationPolicy",
     "DictBackend",
-    "DynamicGraphState",
     "EdgePolicy",
     "GraphBackend",
     "NodeRecord",

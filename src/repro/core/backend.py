@@ -5,7 +5,7 @@ dynamic network.  Two implementations ship with the library:
 
 * :class:`~repro.core.graph.DictBackend` — the original dict-of-dicts
   state; simple, fully introspectable, and the reference implementation
-  for invariant checking (``DynamicGraphState`` remains an alias);
+  for invariant checking;
 * :class:`~repro.core.array_backend.ArraySlotBackend` — a dense NumPy
   slot store with free-list row recycling, batched births, and a
   vectorized flooding frontier; the same seeded churn trajectory as the

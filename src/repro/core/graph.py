@@ -20,7 +20,6 @@ incrementally and in O(1) amortised per operation:
 The state is policy-agnostic: birth/death/regeneration *decisions* live in
 :mod:`repro.core.edge_policy`; this module only applies topology deltas and
 maintains invariants (checkable via :meth:`DictBackend.check_invariants`).
-``DynamicGraphState`` remains as a backward-compatible alias.
 """
 
 from __future__ import annotations
@@ -402,7 +401,3 @@ class DictBackend(GraphBackend):
                 del row[b]
                 if a == u:
                     self._edge_count -= 1
-
-
-#: Backward-compatible name for the reference backend.
-DynamicGraphState = DictBackend

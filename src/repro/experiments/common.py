@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from repro.errors import ExperimentError
 from repro.util.tables import render_kv, render_table
 
 
@@ -90,20 +89,3 @@ class Stopwatch:
     def __exit__(self, *exc: object) -> None:
         self.elapsed = time.perf_counter() - self._start
 
-
-def trial_seeds(seed: int, count: int) -> list[Any]:
-    """Removed in 1.5 — raises with migration instructions.
-
-    Positional derivation forced experiments needing several trial
-    families into ad-hoc offsets (``trial_seeds(seed + 1, ...)``), which
-    alias across master seeds.  The shim was deprecated in 1.4 and now
-    fails loudly; this stub (and its message) will be dropped entirely
-    in the next release.
-    """
-    raise ExperimentError(
-        "trial_seeds() was removed in 1.5: positional seed derivation "
-        "aliases across master seeds.  Use named streams instead — "
-        "repro.util.rng.derive_seeds(seed, 'your-stream-name', "
-        f"{count}) gives {count} independent seeds for one family, and "
-        "distinct stream names give independent families."
-    )

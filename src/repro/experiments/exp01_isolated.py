@@ -52,8 +52,7 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
         n, trials, ds = 1500, 12, [1, 2, 3, 4, 5, 6]
 
     # One declared replica sweep per model: the d axis × `trials` seed
-    # replicas, each family on its own named stream (this is what the old
-    # `trial_seeds(seed)` / `trial_seeds(seed + 1)` offsets meant).
+    # replicas, each family on its own named stream.
     models = [
         (
             "SDG",

@@ -72,7 +72,7 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
     partial_horizon = partial_flooding_rounds(n, 12)
     complete_rounds = 40 * int(math.log2(n))
     # One declared sweep per Table-1 section, each on its own named seed
-    # stream (the old trial_seeds(seed + k) families, made explicit).
+    # stream.
     sweeps = {
         "isolated": _model_sweep(
             [_model_overrides(m, n, 2) for m in ("SDG", "PDG")],

@@ -1,6 +1,6 @@
 """Common driver interface for dynamic networks.
 
-A *driver* owns a :class:`~repro.core.graph.DynamicGraphState`, an
+A *driver* owns a :class:`~repro.core.backend.GraphBackend`, an
 :class:`~repro.core.edge_policy.EdgePolicy` and a source of randomness, and
 advances the network through time.  Flooding and the experiment harness only
 rely on the small interface defined here:

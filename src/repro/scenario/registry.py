@@ -133,10 +133,6 @@ def make_lifetime(
 
 ChurnBuilder = Callable[["ScenarioSpec", SeedLike], DynamicNetwork]
 
-#: ``churn_params`` keys consumed by :meth:`Simulation.run` rather than
-#: the builders (available on every churn model).
-_RUN_KEYS = ("batch", "window")
-
 #: Allowed ``churn_params`` keys per churn model (checked both at spec
 #: construction and by the builders).
 CHURN_PARAM_KEYS: dict[str, tuple[str, ...]] = {
@@ -162,7 +158,7 @@ def validate_churn_params(spec: "ScenarioSpec") -> None:
     """
     allowed = CHURN_PARAM_KEYS.get(spec.churn)
     if allowed is not None:
-        _check_keys(spec.churn_params, allowed + _RUN_KEYS, f"{spec.churn} churn")
+        _check_keys(spec.churn_params, allowed, f"{spec.churn} churn")
     if spec.churn in PROTOCOL_MANAGED_CHURN:
         _require_protocol_managed(spec)
     if spec.churn == "threshold":
@@ -194,7 +190,7 @@ def validate_churn_params(spec: "ScenarioSpec") -> None:
 
 def _build_streaming(spec: "ScenarioSpec", seed: SeedLike) -> DynamicNetwork:
     params = spec.churn_params
-    _check_keys(params, CHURN_PARAM_KEYS["streaming"] + _RUN_KEYS, "streaming churn")
+    _check_keys(params, CHURN_PARAM_KEYS["streaming"], "streaming churn")
     return StreamingNetwork(
         int(spec.n),
         make_policy(spec),
@@ -207,7 +203,7 @@ def _build_streaming(spec: "ScenarioSpec", seed: SeedLike) -> DynamicNetwork:
 
 def _build_threshold(spec: "ScenarioSpec", seed: SeedLike) -> DynamicNetwork:
     params = spec.churn_params
-    _check_keys(params, CHURN_PARAM_KEYS["threshold"] + _RUN_KEYS, "threshold churn")
+    _check_keys(params, CHURN_PARAM_KEYS["threshold"], "threshold churn")
     threshold = params.get("threshold")
     return ThresholdStreamingNetwork(
         int(spec.n),
@@ -224,7 +220,7 @@ def _build_threshold(spec: "ScenarioSpec", seed: SeedLike) -> DynamicNetwork:
 
 def _build_poisson(spec: "ScenarioSpec", seed: SeedLike) -> DynamicNetwork:
     params = spec.churn_params
-    _check_keys(params, CHURN_PARAM_KEYS["poisson"] + _RUN_KEYS, "poisson churn")
+    _check_keys(params, CHURN_PARAM_KEYS["poisson"], "poisson churn")
     warm_time = params.get("warm_time")
     return PoissonNetwork(
         spec.n,
@@ -239,7 +235,7 @@ def _build_poisson(spec: "ScenarioSpec", seed: SeedLike) -> DynamicNetwork:
 
 def _build_general(spec: "ScenarioSpec", seed: SeedLike) -> DynamicNetwork:
     params = spec.churn_params
-    _check_keys(params, CHURN_PARAM_KEYS["general"] + _RUN_KEYS, "general churn")
+    _check_keys(params, CHURN_PARAM_KEYS["general"], "general churn")
     lifetime = make_lifetime(
         str(params.get("lifetime", "exponential")),
         float(params.get("lifetime_mean", spec.n)),
@@ -259,7 +255,7 @@ def _build_general(spec: "ScenarioSpec", seed: SeedLike) -> DynamicNetwork:
 
 def _build_adversarial(spec: "ScenarioSpec", seed: SeedLike) -> DynamicNetwork:
     params = spec.churn_params
-    _check_keys(params, CHURN_PARAM_KEYS["adversarial"] + _RUN_KEYS, "adversarial churn")
+    _check_keys(params, CHURN_PARAM_KEYS["adversarial"], "adversarial churn")
     return AdversarialStreamingNetwork(
         int(spec.n),
         make_policy(spec),
@@ -272,7 +268,7 @@ def _build_adversarial(spec: "ScenarioSpec", seed: SeedLike) -> DynamicNetwork:
 
 def _build_trace(spec: "ScenarioSpec", seed: SeedLike) -> DynamicNetwork:
     params = spec.churn_params
-    _check_keys(params, CHURN_PARAM_KEYS["trace"] + _RUN_KEYS, "trace churn")
+    _check_keys(params, CHURN_PARAM_KEYS["trace"], "trace churn")
     if params.get("path") is not None:
         trace = ChurnTrace.load(str(params["path"]))
     else:
@@ -296,7 +292,7 @@ def _require_protocol_managed(spec: "ScenarioSpec") -> None:
 def _build_central_cache(spec: "ScenarioSpec", seed: SeedLike) -> DynamicNetwork:
     _require_protocol_managed(spec)
     params = spec.churn_params
-    _check_keys(params, CHURN_PARAM_KEYS["central_cache"] + _RUN_KEYS, "central_cache churn")
+    _check_keys(params, CHURN_PARAM_KEYS["central_cache"], "central_cache churn")
     cache_size = params.get("cache_size")
     return CentralCacheNetwork(
         int(spec.n),
@@ -311,7 +307,7 @@ def _build_central_cache(spec: "ScenarioSpec", seed: SeedLike) -> DynamicNetwork
 def _build_tokens(spec: "ScenarioSpec", seed: SeedLike) -> DynamicNetwork:
     _require_protocol_managed(spec)
     params = spec.churn_params
-    _check_keys(params, CHURN_PARAM_KEYS["tokens"] + _RUN_KEYS, "tokens churn")
+    _check_keys(params, CHURN_PARAM_KEYS["tokens"], "tokens churn")
     tokens_per_node = params.get("tokens_per_node")
     return TokenNetwork(
         int(spec.n),
@@ -326,7 +322,7 @@ def _build_tokens(spec: "ScenarioSpec", seed: SeedLike) -> DynamicNetwork:
 def _build_bitcoin(spec: "ScenarioSpec", seed: SeedLike) -> DynamicNetwork:
     _require_protocol_managed(spec)
     params = spec.churn_params
-    _check_keys(params, CHURN_PARAM_KEYS["bitcoin"] + _RUN_KEYS, "bitcoin churn")
+    _check_keys(params, CHURN_PARAM_KEYS["bitcoin"], "bitcoin churn")
     warm_time = params.get("warm_time")
     return BitcoinLikeNetwork(
         spec.n,

@@ -13,16 +13,19 @@ Two stepping modes:
   call per unit-time round, exactly what the hand-written experiment
   loops did — a scenario run is bit-identical to the pre-scenario code on
   the same seed.
-* **batched** (``churn_params={"batch": True}``): churn models exposing
-  ``advance_to_time_batched`` advance in windows between observer reads,
-  keeping the hot loop on the array backend's vectorized path — grouped
-  ``apply_births``/``apply_deaths`` batches on the Poisson/general
-  drivers, the fused per-round churn kernel (``apply_round_batch``) on
-  the streaming-cadence ones.  Same churn law, different seeded
-  trajectory (see the drivers' docstrings).  ``fast_rounds=True`` on the
-  spec (or ``REPRO_FAST_ROUNDS=1`` in the environment) requests the same
-  stepping *advisorily*: drivers without a batched path fall back to
-  per-event instead of erroring.
+* **fused** (``ScenarioSpec(fast_rounds=True)``): churn models exposing
+  ``advance_to_time_batched`` advance in windows between observer reads
+  and checkpoints (the whole run when there is no cadence), keeping the
+  hot loop on the array backend's vectorized path.  The streaming and
+  threshold drivers run the fused per-round churn kernel
+  (``apply_round_batch``): same churn law, different seeded trajectory.
+  The Poisson/general drivers apply each window's births as one batch
+  and then its deaths as one batch — births before deaths within a
+  window, an approximation that vanishes as the window shrinks (see the
+  drivers' docstrings).  The request is advisory: drivers without a
+  batched path run per-event.
+
+Both paths step whole rounds only.
 
 Observation windows build topology access **at most once each**: one
 :class:`~repro.core.csr.CSRView` shared by every due ``needs_view``
@@ -42,7 +45,6 @@ uninterrupted seeded run exactly.
 from __future__ import annotations
 
 import math
-import os
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -330,18 +332,15 @@ class Simulation:
             rounds = max(float(self.spec.horizon) - self.rounds_completed, 0.0)
         if rounds < 0:
             raise ConfigurationError(f"rounds must be >= 0, got {rounds}")
-        if self.spec.churn_params.get("batch", False) or self._fast_rounds_active():
-            self._run_batched(float(rounds))
+        if float(rounds) != int(rounds):
+            # Observers, checkpoints and rounds_completed count whole
+            # rounds on both stepping paths.
+            raise ConfigurationError(
+                f"stepping needs a whole number of rounds, got {rounds}"
+            )
+        if self._fast_rounds_active():
+            self._run_batched(int(rounds))
         else:
-            if float(rounds) != int(rounds):
-                # Batched mode honors fractional horizons exactly; the
-                # per-event loop cannot, so reject instead of silently
-                # observing a different amount of churn per mode.
-                raise ConfigurationError(
-                    f"per-event stepping needs a whole number of rounds, "
-                    f"got {rounds}; use churn_params={{'batch': True}} for "
-                    "fractional horizons"
-                )
             self._run_per_event(int(rounds))
         self._notify_finish()
         return self
@@ -349,15 +348,10 @@ class Simulation:
     def _fast_rounds_active(self) -> bool:
         """Whether fused-window stepping is requested *and* available.
 
-        ``fast_rounds`` is advisory where ``churn_params['batch']`` is
-        mandatory: a driver without a batched path silently runs
-        per-event.  The ``REPRO_FAST_ROUNDS`` environment variable turns
-        the request on process-wide.
+        ``fast_rounds`` is advisory: a driver without a batched path
+        (``supports_batched_advance``) silently runs per-event.
         """
-        requested = self.spec.fast_rounds or os.environ.get(
-            "REPRO_FAST_ROUNDS", ""
-        ).strip().lower() in ("1", "true", "yes", "on")
-        return requested and self.network.supports_batched_advance
+        return self.spec.fast_rounds and self.network.supports_batched_advance
 
     def _dispatch(self, report: RoundReport) -> None:
         due: list[_ObserverFeed] = []
@@ -388,29 +382,19 @@ class Simulation:
             self._dispatch(report)
             self._maybe_checkpoint()
 
-    def _run_batched(self, rounds: float) -> None:
+    def _run_batched(self, rounds: int) -> None:
         network = self.network
-        if not network.supports_batched_advance:
-            raise ConfigurationError(
-                f"churn model {self.spec.churn!r} has no batched advance; "
-                "drop churn_params['batch']"
-            )
-        advance = network.advance_to_time_batched
         # Observer reads (and checkpoints) happen at window boundaries:
         # the stride is the gcd of the attached cadences so every cadence
         # is hit exactly.
         cadences = [f.observer.every for f in self._feeds]
         if self.checkpoint_every:
             cadences.append(self.checkpoint_every)
-        if cadences:
-            stride = math.gcd(*cadences)
-        else:
-            stride = max(int(math.ceil(rounds)), 1)
-        window = float(self.spec.churn_params.get("window", 0.0)) or None
+        stride = math.gcd(*cadences) if cadences else max(int(rounds), 1)
         end = network.now + rounds
         while network.now < end:
             target = min(network.now + stride, end)
-            report = advance(target, window=window)
+            report = network.advance_to_time_batched(target)
             self.rounds_completed += int(round(target - report.start_time))
             self._dispatch(report)
             self._maybe_checkpoint()

@@ -72,7 +72,7 @@ class ScenarioSpec:
             default 2).
         policy_params: extra edge-policy parameters.
         churn_params: extra churn-model parameters (e.g. ``warm_time``,
-            ``strategy``, ``lifetime``, ``fast_warm``, ``batch``).
+            ``strategy``, ``lifetime``, ``fast_warm``).
         protocol: spreading protocol name (see
             :func:`repro.flooding.protocol_names`), or None when the
             scenario only observes topology.
@@ -87,13 +87,16 @@ class ScenarioSpec:
         checkpoint_dir: directory for cadence checkpoints (required when
             ``checkpoint_every`` > 0, unless supplied at session
             construction or through the ambient service options).
-        fast_rounds: opt into the fused churn kernels — inter-observation
-            gaps advance through the driver's batched window path when it
-            has one (``supports_batched_advance``), falling back to
-            per-event rounds otherwise.  Same churn law, different seeded
-            trajectory (like ``fast_warm``).  The ``REPRO_FAST_ROUNDS``
-            environment variable (``1``/``true``/``yes``/``on``) turns it
-            on process-wide without editing specs.
+        fast_rounds: the one request for batched stepping — the gaps
+            between observer reads and checkpoints (the whole run when
+            there is no cadence) advance through the driver's batched
+            window path when it has one (``supports_batched_advance``),
+            falling back to per-event rounds otherwise.  The streaming
+            and threshold fused kernels keep the churn law on a
+            different seeded trajectory (like ``fast_warm``); the
+            Poisson/general windows apply all of a window's births
+            before its deaths, an approximation that shrinks with the
+            window.
     """
 
     churn: str = "streaming"

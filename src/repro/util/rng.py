@@ -118,8 +118,7 @@ def derive_seeds(
 ) -> list[np.random.SeedSequence]:
     """*count* independent child seeds of the named stream.
 
-    The replacement for ``trial_seeds(seed + k, count)`` call sites: name
-    the family instead of hand-numbering it::
+    Name the family instead of hand-numbering it::
 
         for child in derive_seeds(seed, "exp01-pdg", trials):
             ...

@@ -1,4 +1,4 @@
-"""Tests for DynamicGraphState, including a hypothesis invariant property."""
+"""Tests for DictBackend, including a hypothesis invariant property."""
 
 from __future__ import annotations
 
@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.edge_policy import NoRegenerationPolicy, RegenerationPolicy
-from repro.core.graph import DynamicGraphState
+from repro.core.graph import DictBackend
 from repro.errors import SimulationError
 from repro.util.rng import make_rng
 
 
-def build_triangle() -> DynamicGraphState:
+def build_triangle() -> DictBackend:
     """Three nodes; 0→1, 1→2, 2→0 single-slot requests."""
-    state = DynamicGraphState()
+    state = DictBackend()
     for _ in range(3):
         state.add_node(state.allocate_id(), birth_time=0.0, num_slots=1)
     state.assign_slot(0, 0, 1)
@@ -25,13 +25,13 @@ def build_triangle() -> DynamicGraphState:
 
 class TestBasicTopology:
     def test_add_node(self):
-        state = DynamicGraphState()
+        state = DictBackend()
         state.add_node(state.allocate_id(), 0.0, num_slots=3)
         assert state.num_alive() == 1
         assert state.record(0).out_slots == [None, None, None]
 
     def test_duplicate_node_rejected(self):
-        state = DynamicGraphState()
+        state = DictBackend()
         state.add_node(0, 0.0, 1)
         with pytest.raises(SimulationError):
             state.add_node(0, 1.0, 1)
@@ -49,7 +49,7 @@ class TestBasicTopology:
         assert build_triangle().num_edges() == 3
 
     def test_self_loop_rejected(self):
-        state = DynamicGraphState()
+        state = DictBackend()
         state.add_node(0, 0.0, 1)
         with pytest.raises(SimulationError):
             state.assign_slot(0, 0, 0)
@@ -74,12 +74,12 @@ class TestBasicTopology:
         assert state.record(0).out_slots == [None]
 
     def test_clear_empty_slot_returns_none(self):
-        state = DynamicGraphState()
+        state = DictBackend()
         state.add_node(0, 0.0, 1)
         assert state.clear_slot(0, 0) is None
 
     def test_parallel_slots_single_edge(self):
-        state = DynamicGraphState()
+        state = DictBackend()
         state.add_node(0, 0.0, 2)
         state.add_node(1, 0.0, 0)
         state.assign_slot(0, 0, 1)
@@ -145,7 +145,7 @@ class TestSampling:
             assert len(targets) == 4
 
     def test_sample_targets_empty_network(self):
-        state = DynamicGraphState()
+        state = DictBackend()
         state.add_node(0, 0.0, 1)
         assert state.sample_targets(make_rng(0), 3, exclude=0) == []
 
@@ -176,7 +176,7 @@ def test_property_random_churn_preserves_invariants(seed, num_ops, regen):
     """Random birth/death sequences never violate the state invariants."""
     rng = make_rng(seed)
     policy = (RegenerationPolicy if regen else NoRegenerationPolicy)(d=3)
-    state = DynamicGraphState()
+    state = DictBackend()
     # Track, per node, the minimum network size seen since its birth: a
     # regeneration slot can only stay empty if the network dropped to a
     # single node at some point (no candidate to re-sample).

@@ -12,13 +12,13 @@ from repro.core.edge_policy import (
     RAESPolicy,
     RegenerationPolicy,
 )
-from repro.core.graph import DynamicGraphState
+from repro.core.graph import DictBackend
 from repro.errors import ConfigurationError
 from repro.util.rng import make_rng
 
 
-def seeded_state(policy, num_nodes: int, seed: int = 0) -> DynamicGraphState:
-    state = DynamicGraphState()
+def seeded_state(policy, num_nodes: int, seed: int = 0) -> DictBackend:
+    state = DictBackend()
     rng = make_rng(seed)
     for _ in range(num_nodes):
         policy.handle_birth(state, state.allocate_id(), 0.0, rng)
@@ -39,7 +39,7 @@ class TestBirth:
 
     def test_birth_event_record(self):
         policy = NoRegenerationPolicy(d=3)
-        state = DynamicGraphState()
+        state = DictBackend()
         rng = make_rng(1)
         policy.handle_birth(state, state.allocate_id(), 0.0, rng)
         record = policy.handle_birth(state, state.allocate_id(), 1.0, rng)

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import ExperimentError
 from repro.experiments import all_experiments, get_experiment, run_experiment
 from repro.experiments.__main__ import main as cli_main
-from repro.experiments.common import ExperimentResult, Stopwatch, trial_seeds
+from repro.experiments.common import ExperimentResult, Stopwatch
 from repro.util.rng import derive_seeds
 
 
@@ -30,10 +30,6 @@ class TestRegistry:
 
 
 class TestCommon:
-    def test_trial_seeds_removed_with_pointed_message(self):
-        with pytest.raises(ExperimentError, match="derive_seeds"):
-            trial_seeds(0, 4)
-
     def test_named_streams_are_the_replacement(self):
         seeds = derive_seeds(0, "trials", 4)
         assert len(seeds) == 4

@@ -1,6 +1,6 @@
 """Failure-injection tests: corrupted state must be *detected*, not ignored.
 
-`DynamicGraphState.check_invariants` is the safety net behind every
+`DictBackend.check_invariants` is the safety net behind every
 experiment; these tests corrupt each index it guards and assert the
 corruption is caught.
 """
@@ -10,14 +10,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core.edge_policy import RegenerationPolicy
-from repro.core.graph import DynamicGraphState
+from repro.core.graph import DictBackend
 from repro.errors import SimulationError
 from repro.util.rng import make_rng
 
 
-def healthy_state(num_nodes: int = 6, d: int = 2, seed: int = 0) -> DynamicGraphState:
+def healthy_state(num_nodes: int = 6, d: int = 2, seed: int = 0) -> DictBackend:
     policy = RegenerationPolicy(d)
-    state = DynamicGraphState()
+    state = DictBackend()
     rng = make_rng(seed)
     for _ in range(num_nodes):
         policy.handle_birth(state, state.allocate_id(), 0.0, rng)
@@ -76,7 +76,7 @@ class TestInvariantDetection:
 
 class TestApiMisuse:
     def test_remove_never_added_node(self):
-        state = DynamicGraphState()
+        state = DictBackend()
         with pytest.raises(SimulationError):
             state.remove_node(3, death_time=0.0)
 
@@ -91,7 +91,7 @@ class TestApiMisuse:
         assert before == after
 
 
-def _an_assigned_slot(state: DynamicGraphState) -> tuple[int, int, int]:
+def _an_assigned_slot(state: DictBackend) -> tuple[int, int, int]:
     for node_id in state.alive_ids():
         for slot_index, target in enumerate(state.records[node_id].out_slots):
             if target is not None:

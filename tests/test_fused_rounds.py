@@ -313,17 +313,60 @@ class TestFastRoundsSimulation:
         assert sim.network.num_alive() == 40
         sim.state.check_invariants()
 
-    def test_env_var_turns_it_on(self, monkeypatch):
+    def test_environment_cannot_change_a_cell(self, backend_name, monkeypatch):
+        # A sweep cell's value is a function of its spec (and so of its
+        # content-addressed key): no environment variable may switch its
+        # stepping path behind the key's back.
+        from repro.scenario import ScenarioSpec
+        from repro.sweep import SweepSpec, cell_tasks, execute_cell
+
+        sweep = SweepSpec(
+            base=ScenarioSpec(
+                churn="streaming", policy="none", n=200, d=2, horizon=40
+            ),
+            stream="fast-rounds-env",
+        )
+        (task,) = cell_tasks(sweep, backend_name)
+        _, plain, error, _ = execute_cell(task)
+        assert error is None
+        monkeypatch.setenv("REPRO_FAST_ROUNDS", "1")
+        _, with_env, error, _ = execute_cell(task)
+        assert error is None
+        assert with_env == plain
+
+    @pytest.mark.parametrize(
+        "churn_params", [{"batch": True}, {"window": 5}]
+    )
+    def test_removed_stepping_keys_rejected(self, churn_params):
+        # fast_rounds is the only request for batched stepping; the old
+        # churn_params keys fail the unknown-key check, unmapped.
+        with pytest.raises(ConfigurationError, match="unknown"):
+            self._spec(churn="poisson", churn_params=churn_params)
+
+    @pytest.mark.parametrize("fast_rounds", [False, True])
+    def test_fractional_horizon_rejected(self, backend_name, fast_rounds):
+        # Both stepping paths count whole rounds: a fractional horizon is
+        # rejected before any churn is applied.
         from repro.scenario import Simulation
 
-        spec = self._spec(fast_rounds=False)
-        assert not Simulation(spec)._fast_rounds_active()
-        monkeypatch.setenv("REPRO_FAST_ROUNDS", "1")
-        assert Simulation(spec)._fast_rounds_active()
+        sim = Simulation(
+            self._spec(
+                churn="poisson",
+                horizon=20.5,
+                backend=backend_name,
+                fast_rounds=fast_rounds,
+            )
+        )
+        assert sim._fast_rounds_active() is fast_rounds
+        start = sim.network.now
+        with pytest.raises(ConfigurationError, match="whole number of rounds"):
+            sim.run()
+        assert sim.rounds_completed == 0
+        assert sim.network.now == start
 
     def test_advisory_on_unbatched_driver(self):
         # The adversarial driver has no fused path: fast_rounds falls
-        # back to per-event instead of erroring (unlike batch=True).
+        # back to per-event instead of erroring.
         from repro.scenario import Simulation
 
         spec = self._spec(

@@ -88,21 +88,10 @@ class TestSession:
         with pytest.raises(ConfigurationError, match="cannot interpret"):
             Simulation(spec, observers=[42])
 
-    def test_batched_run_requires_support(self):
-        # The adversarial driver picks victims off the evolving topology
-        # and has no batched window path (streaming gained one in the
-        # fused-kernel work, so it no longer serves here).
-        spec = ScenarioSpec(
-            churn="adversarial", n=40, d=2, horizon=5,
-            churn_params={"batch": True, "strategy": "max_degree"},
-        )
-        with pytest.raises(ConfigurationError, match="no batched advance"):
-            Simulation(spec).run()
-
     def test_batched_poisson_run(self):
         spec = ScenarioSpec(
             churn="poisson", policy="regen", n=80, d=4, horizon=30,
-            churn_params={"batch": True},
+            fast_rounds=True,
         )
         sim = simulate(spec, seed=2, observers=[SizeObserver(every=10)])
         sim.state.check_invariants()
@@ -146,14 +135,14 @@ class TestObserverPipeline:
         assert len(coverage["runs"]) == 2
         assert coverage["all_completed"] is True
 
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_window_on_horizon_emits_exactly_once(self, batch):
+    @pytest.mark.parametrize("fast_rounds", [False, True])
+    def test_window_on_horizon_emits_exactly_once(self, fast_rounds):
         """The cadence edge case: a window boundary landing exactly on
         the horizon must produce its final report once — not zero times,
         not twice — on both stepping paths."""
         spec = ScenarioSpec(
             churn="poisson", policy="regen", n=50, d=3, horizon=20,
-            churn_params={"batch": True} if batch else {},
+            fast_rounds=fast_rounds,
         )
         sim = simulate(spec, seed=6, observers=[SizeObserver(every=5)])
         result = sim.results()["size"]
@@ -163,13 +152,13 @@ class TestObserverPipeline:
         assert result["times"][-1] == sim.network.now
         assert result["final_size"] == sim.network.num_alive()
 
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_horizon_off_cadence_still_reports_final_state(self, batch):
+    @pytest.mark.parametrize("fast_rounds", [False, True])
+    def test_horizon_off_cadence_still_reports_final_state(self, fast_rounds):
         """When the horizon is NOT on the cadence, on_finish still
         delivers the final state exactly once."""
         spec = ScenarioSpec(
             churn="poisson", policy="regen", n=50, d=3, horizon=22,
-            churn_params={"batch": True} if batch else {},
+            fast_rounds=fast_rounds,
         )
         sim = simulate(spec, seed=6, observers=[SizeObserver(every=5)])
         result = sim.results()["size"]

@@ -89,7 +89,7 @@ def test_observer_matrix_smoke(backend):
 def test_batched_scenario_smoke(backend):
     spec = ScenarioSpec(
         churn="poisson", policy="regen", n=100, d=35, horizon=20,
-        churn_params={"batch": True, "fast_warm": True},
+        churn_params={"fast_warm": True}, fast_rounds=True,
         protocol="discretized", protocol_params={"max_rounds": 120},
         backend=backend,
     )
@@ -127,7 +127,7 @@ def test_raes_batched_scenario_smoke(backend):
     spec = ScenarioSpec(
         churn="poisson", policy="raes", policy_params={"c": 2},
         n=100, d=8, horizon=20,
-        churn_params={"batch": True, "fast_warm": True},
+        churn_params={"fast_warm": True}, fast_rounds=True,
         protocol="discretized", protocol_params={"max_rounds": 120},
         backend=backend,
     )

@@ -126,7 +126,7 @@ class TestRestoreParityDeterministic:
 
     def test_batched_restore_parity(self, backend_name):
         spec = _spec(
-            "poisson", {"batch": True}, backend_name, n=60, horizon=20
+            "poisson", {}, backend_name, n=60, horizon=20, fast_rounds=True
         )
         baseline = _run_uninterrupted(spec)
         with tempfile.TemporaryDirectory() as scratch:
@@ -329,7 +329,7 @@ class TestCli:
     restore from the mid-run file, and get the identical final report."""
 
     def _scenario_file(self, tmp_path):
-        spec = _spec("poisson", {"batch": True}, "array", n=50)
+        spec = _spec("poisson", {}, "array", n=50, fast_rounds=True)
         document = {
             "scenario": spec.to_dict(),
             "observers": ["size"],
