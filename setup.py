@@ -1,8 +1,9 @@
 """Setup shim.
 
-The canonical metadata lives in pyproject.toml; this file exists so that
-``pip install -e . --no-use-pep517`` works on machines without the ``wheel``
-package (offline environments).
+The repository carries no packaging metadata: there is no
+pyproject.toml, and ``setup()`` below is called without arguments.
+The library runs from a checkout with ``PYTHONPATH=src``, and its
+dependencies are listed in ``requirements-dev.txt``.
 """
 
 from setuptools import setup

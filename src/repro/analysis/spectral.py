@@ -23,15 +23,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.analysis.components import giant_verts
 from repro.core.csr import CSRView, as_view
 from repro.core.snapshot import Snapshot
 from repro.errors import AnalysisError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,9 @@ class CheegerBounds:
 
 def _lambda2_of_adjacency(adjacency: sp.csr_matrix) -> float:
     """λ₂ of the normalized Laplacian of one connected adjacency matrix."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     n = adjacency.shape[0]
     degrees = np.asarray(adjacency.sum(axis=1)).ravel()
     if np.any(degrees == 0):
@@ -68,6 +73,8 @@ def _view_adjacency(view: CSRView, verts: np.ndarray) -> sp.csr_matrix:
     vector of ones is the only allocation); restricting to *verts* is
     one scipy submatrix gather.
     """
+    import scipy.sparse as sp
+
     full = sp.csr_matrix(
         (
             np.ones(view.indices.size, dtype=float),

@@ -10,9 +10,10 @@ analyses need (boundaries, degrees, components) without the conversion cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -168,6 +169,8 @@ class Snapshot:
 
         Node attributes: ``birth_time`` and ``age``.
         """
+        import networkx as nx
+
         graph = nx.Graph()
         for u in self.nodes:
             graph.add_node(u, birth_time=self.birth_times[u], age=self.age(u))

@@ -10,12 +10,15 @@ additional comparisons.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.core.backend import create_backend
 from repro.core.snapshot import Snapshot
 from repro.errors import ConfigurationError
 from repro.util.rng import SeedLike, make_rng
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def static_d_out_snapshot(n: int, d: int, seed: SeedLike = None) -> Snapshot:
@@ -40,6 +43,8 @@ def static_d_out_snapshot(n: int, d: int, seed: SeedLike = None) -> Snapshot:
 
 def erdos_renyi_snapshot(n: int, p: float, seed: SeedLike = None) -> Snapshot:
     """G(n, p) as a :class:`Snapshot` (comparison baseline)."""
+    import networkx as nx
+
     if not 0.0 <= p <= 1.0:
         raise ConfigurationError(f"p must be in [0, 1], got {p}")
     rng = make_rng(seed)
@@ -49,6 +54,8 @@ def erdos_renyi_snapshot(n: int, p: float, seed: SeedLike = None) -> Snapshot:
 
 def random_regular_snapshot(n: int, degree: int, seed: SeedLike = None) -> Snapshot:
     """A uniform random *degree*-regular graph (comparison baseline)."""
+    import networkx as nx
+
     if n * degree % 2 != 0:
         raise ConfigurationError("n * degree must be even for a regular graph")
     rng = make_rng(seed)

@@ -116,13 +116,14 @@ def canonical_json(data: Any) -> str:
     )
 
 
-def atomic_write_text(path: Path, text: str) -> Path:
-    """Durably write *text* to *path*: temp file, fsync, rename.
+def atomic_write_text(path: Path, text: str, durable: bool = True) -> Path:
+    """Atomically write *text* to *path*: temp file, fsync, rename.
 
     The rename is the commit point; the fsync (plus a best-effort
     directory fsync) makes the committed bytes survive a host crash,
     which matters now that store files double as cross-host commit
-    records.
+    records.  ``durable=False`` skips both fsyncs and keeps only the
+    atomic rename — for files whose loss in a crash is harmless.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     handle = tempfile.NamedTemporaryFile(
@@ -133,7 +134,8 @@ def atomic_write_text(path: Path, text: str) -> Path:
         with handle:
             handle.write(text)
             handle.flush()
-            os.fsync(handle.fileno())
+            if durable:
+                os.fsync(handle.fileno())
         os.replace(handle.name, path)
     except BaseException:
         try:
@@ -141,6 +143,8 @@ def atomic_write_text(path: Path, text: str) -> Path:
         except OSError:
             pass
         raise
+    if not durable:
+        return path
     try:  # directory entry durability — best-effort (not all FS allow it)
         dir_fd = os.open(path.parent, os.O_RDONLY)
         try:
@@ -328,7 +332,10 @@ class ResultStore:
 
         Returns False — without touching anything — when the claim is
         gone or now owned by someone else (a takeover happened; the
-        caller should treat the cell as lost and move on).
+        caller should treat the cell as lost and move on).  The rewrite
+        is atomic but not fsynced: a heartbeat lost in a host crash only
+        lets the claim expire, which a crashed owner's claim should do
+        anyway.
         """
         path = self.claim_path(key)
         try:
@@ -339,7 +346,9 @@ class ResultStore:
             return False
         payload["heartbeat"] = int(payload.get("heartbeat", 0)) + 1
         try:
-            atomic_write_text(path, json.dumps(payload, sort_keys=True))
+            atomic_write_text(
+                path, json.dumps(payload, sort_keys=True), durable=False
+            )
         except OSError:
             return False
         return True

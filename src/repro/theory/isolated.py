@@ -39,8 +39,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import integrate
-
 
 def isolated_fraction_lower_bound_streaming(d: int) -> float:
     """Lemma 3.5's guaranteed isolated fraction: ``e^{−2d}/6``."""
@@ -54,6 +52,8 @@ def isolated_fraction_lower_bound_poisson(d: int) -> float:
 
 def isolated_fraction_prediction_streaming(d: int) -> float:
     """First-order expected isolated fraction in SDG: ``∫₀¹ a^d e^{−da} da``."""
+    from scipy import integrate
+
     value, _ = integrate.quad(lambda a: a**d * math.exp(-d * a), 0.0, 1.0)
     return float(value)
 

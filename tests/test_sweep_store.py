@@ -183,6 +183,25 @@ class TestClaims:
         assert not store.claim_info(self.KEY)["expired"]
         assert not store.claim(self.KEY, owner="bob")
 
+    def test_heartbeat_skips_fsync_put_keeps_it(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path)
+        assert store.claim(self.KEY, owner="alice")
+        calls = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            calls.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        assert store.heartbeat(self.KEY, "alice")
+        assert calls == []
+        assert store.claim_info(self.KEY)["heartbeat"] == 1
+        # Still staged atomically: no temp file left beside the claim.
+        assert list(tmp_path.glob("??/.*.tmp")) == []
+        store.put(self.KEY, {"v": 1}, 0.1)
+        assert len(calls) >= 1
+
     def test_unreadable_claim_counts_with_default_ttl(self, tmp_path):
         # A claimer that crashed mid-create leaves garbage: it must still
         # block (it may be alive), expiring on the default TTL.
