@@ -221,12 +221,17 @@ def run_worker(
     it claims up to *claim_batch* result-less cells in one scan, then
     executes the claimed batch — claiming in bulk amortizes the scan
     (one walk of the grid per *claim_batch* cells instead of per cell)
-    and keeps racing workers off each other's runways.  Claim semantics
-    are unchanged from cell-at-a-time draining: every claim carries the
-    usual TTL, is heartbeat-refreshed while its batch executes, and is
-    released (or taken over after expiry, exactly as before) cell by
-    cell — a worker that dies mid-batch forfeits only its unexecuted
-    claims after one TTL.  When a pass finds work left but nothing
+    and keeps racing workers off each other's runways.  Every claim
+    carries the usual TTL and is released (or taken over after expiry)
+    cell by cell — a worker that dies mid-batch forfeits only its
+    unexecuted claims after one TTL.  Before each cell the worker
+    refreshes the claims still pending in its batch, but only once more
+    than ``ttl / 4`` has passed on its monotonic clock since the last
+    refresh (or since just before the batch's first claim): a cell must
+    therefore finish within three quarters of *ttl*, or its batch-mates'
+    claims may expire.  A cell whose refresh fails was taken over by a
+    peer: it is skipped, counted in ``lost_claims`` and left claimed by
+    its new owner.  When a pass finds work left but nothing
     claimable, the worker returns — unless *wait* seconds of patience
     remain, in which case it sleeps *poll* and rescans (the path by
     which expired claims of crashed peers are taken over).  A cell whose
@@ -274,6 +279,8 @@ def run_worker(
             missing += 1
             if len(batch) >= budget:
                 continue  # keep censusing; this scan's claims are full
+            if not batch:
+                refreshed = time.monotonic()
             if not rstore.claim(task.key, owner=me, ttl=ttl):
                 continue
             # The result may have landed between our get and claim (a
@@ -281,15 +288,25 @@ def run_worker(
             if rstore.get(task.key) is not None:
                 lost_claims += 1
                 missing -= 1
-                rstore.release(task.key)
+                rstore.release(task.key, me)
                 continue
             batch.append(task)
+        lost: set[int] = set()
         for position, task in enumerate(batch):
-            try:
+            now = time.monotonic()
+            if now - refreshed > ttl / 4:
                 # Refresh every claim still waiting behind this cell, so
                 # a long cell cannot expire the rest of the batch.
+                refreshed = now
                 for pending in batch[position:]:
-                    rstore.heartbeat(pending.key, me)
+                    if pending.index not in lost and not rstore.heartbeat(
+                        pending.key, me
+                    ):
+                        lost.add(pending.index)  # a peer took it over
+            if task.index in lost:
+                lost_claims += 1
+                continue
+            try:
                 index, value, error, elapsed = execute_cell(task)
                 if error is None:
                     rstore.put(
@@ -312,7 +329,7 @@ def run_worker(
                 progress = True
                 missing -= 1
             finally:
-                rstore.release(task.key)
+                rstore.release(task.key, me)
         first_pass = False
         budget_left = max_cells is None or len(executed) < max_cells
         if missing == 0 or not budget_left:

@@ -208,8 +208,9 @@ class ArraySlotBackend(GraphBackend):
         """Current undirected neighbours of *node_id* (distinct ids)."""
         self._ensure_in_refs()
         row = self._row_of[node_id]
-        out = self._slots[row, : self._num_slots[row]]
-        result = {int(self._id_of[t]) for t in out if t >= 0}
+        id_of = self._id_of
+        out = self._slots[row, : self._num_slots[row]].tolist()
+        result = {int(id_of[t]) for t in out if t >= 0}
         result.update(source for source, _ in self._in_refs[row])
         return result
 
@@ -292,8 +293,9 @@ class ArraySlotBackend(GraphBackend):
             node_id=node_id, birth_time=birth_time, out_slots=[None] * num_slots
         )
 
-    def assign_slot(self, source: int, slot_index: int, target: int) -> None:
-        self._ensure_in_refs()
+    def _write_slot(self, source: int, slot_index: int, target: int) -> None:
+        """Check one ``(source, slot) -> target`` write and apply it,
+        without touching the epoch (the callers count it)."""
         srow = self._row_of[source]
         if not 0 <= slot_index < self._num_slots[srow]:
             # Matches the dict backend's list IndexError; without this the
@@ -314,7 +316,32 @@ class ArraySlotBackend(GraphBackend):
         self._slots[srow, slot_index] = trow
         self._in_refs[trow].add((source, slot_index))
         self._in_count[trow] += 1
+
+    def assign_slot(self, source: int, slot_index: int, target: int) -> None:
+        self._ensure_in_refs()
+        self._write_slot(source, slot_index, target)
         self._note_mutation((source, target))
+
+    def assign_slots(
+        self, pairs: Sequence[tuple[int, int]], targets: Sequence[int]
+    ) -> None:
+        """Point each ``(source, slot)`` pair at its target in one pass.
+
+        Same checks, errors and epoch count as the per-pair loop of
+        :meth:`GraphBackend.assign_slots`: a failing pair raises with the
+        pairs before it applied and counted.
+        """
+        self._ensure_in_refs()
+        write = self._write_slot
+        touched: list[int] = []
+        try:
+            for (source, slot_index), target in zip(pairs, targets):
+                write(source, slot_index, target)
+                touched.append(source)
+                touched.append(target)
+        finally:
+            if touched:
+                self._note_mutation(touched, len(touched) // 2)
 
     def clear_slot(self, source: int, slot_index: int) -> int | None:
         self._ensure_in_refs()
@@ -345,8 +372,8 @@ class ArraySlotBackend(GraphBackend):
         touched = [node_id]
 
         # Drop the dying node's own requests.
-        for slot_index in range(int(self._num_slots[row])):
-            trow = self._slots[row, slot_index]
+        out = self._slots[row, : self._num_slots[row]].tolist()
+        for slot_index, trow in enumerate(out):
             if trow >= 0:
                 self._in_refs[trow].discard((node_id, slot_index))
                 self._in_count[trow] -= 1
@@ -907,7 +934,14 @@ class ArraySlotBackend(GraphBackend):
         tgt = self._slots[mask]
         u = np.concatenate([src, tgt])
         v = np.concatenate([tgt, src])
-        keys = np.unique(u * np.int64(cap) + v)
+        # Sort + adjacent-difference dedupe: the same sorted distinct
+        # keys as np.unique, without its hash-based path.
+        keys = np.sort(u * np.int64(cap) + v)
+        if keys.size:
+            distinct = np.empty(keys.size, dtype=bool)
+            distinct[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+            keys = keys[distinct]
         uu = keys // cap
         vv = keys % cap
         counts = np.bincount(uu, minlength=cap)

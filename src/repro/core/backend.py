@@ -116,9 +116,10 @@ class GraphBackend(ABC):
         self._touched = set()
         return touched
 
-    def _note_mutation(self, ids: Iterable[int] = ()) -> None:
-        """Bump the epoch; record *ids* as touched when tracking."""
-        self._mutation_epoch += 1
+    def _note_mutation(self, ids: Iterable[int] = (), count: int = 1) -> None:
+        """Bump the epoch by *count* mutations; record *ids* as touched
+        when tracking."""
+        self._mutation_epoch += count
         if self._touched is not None:
             self._touched.update(ids)
 
@@ -226,6 +227,21 @@ class GraphBackend(ABC):
     @abstractmethod
     def assign_slot(self, source: int, slot_index: int, target: int) -> None:
         """Point ``source``'s slot *slot_index* at *target* (must be empty)."""
+
+    def assign_slots(
+        self, pairs: Sequence[tuple[int, int]], targets: Sequence[int]
+    ) -> None:
+        """Apply :meth:`assign_slot` to each ``(source, slot)`` pair in order.
+
+        ``pairs[i]`` is pointed at ``targets[i]``.  A pair that fails a
+        check raises the error :meth:`assign_slot` would, with the pairs
+        before it already applied.  Every assigned slot advances
+        :meth:`mutation_epoch` by one (the epoch is written into
+        checkpoints, so an override must keep this count).  This loop is
+        the reference; the array backend overrides it with one pass.
+        """
+        for (source, slot_index), target in zip(pairs, targets):
+            self.assign_slot(source, slot_index, target)
 
     @abstractmethod
     def clear_slot(self, source: int, slot_index: int) -> int | None:

@@ -70,9 +70,10 @@ class EdgePolicy(ABC):
         state.add_node(node_id, birth_time=time, num_slots=self.d)
         record = EventRecord(time=time, kind=NodeBorn(node_id=node_id))
         targets = state.sample_targets(rng, self.d, exclude=node_id)
-        for slot_index, target in enumerate(targets):
-            state.assign_slot(node_id, slot_index, target)
-            record.edges_created.append(EdgeCreated(source=node_id, target=target))
+        state.assign_slots([(node_id, j) for j in range(len(targets))], targets)
+        record.edges_created.extend(
+            EdgeCreated(source=node_id, target=target) for target in targets
+        )
         return record
 
     def handle_death(
@@ -85,10 +86,10 @@ class EdgePolicy(ABC):
         """Remove the dying node and repair orphaned requests per policy."""
         record = EventRecord(time=time, kind=NodeDied(node_id=node_id))
         # Destroyed edges: everything incident to the dying node.
-        for neighbor in list(state.neighbors(node_id)):
-            record.edges_destroyed.append(
-                EdgeDestroyed(source=node_id, target=neighbor)
-            )
+        record.edges_destroyed.extend(
+            EdgeDestroyed(source=node_id, target=neighbor)
+            for neighbor in state.neighbors(node_id)
+        )
         orphaned = state.remove_node(node_id, death_time=time)
         self.repair_orphans(state, orphaned, time, rng, record)
         return record
@@ -251,14 +252,15 @@ class RegenerationPolicy(EdgePolicy):
         rng: np.random.Generator,
         record: EventRecord,
     ) -> None:
-        for source, slot_index in orphaned:
-            targets = state.sample_targets(rng, 1, exclude=source)
-            if not targets:
-                continue  # the source is the only node left
-            state.assign_slot(source, slot_index, targets[0])
-            record.edges_created.append(
-                EdgeCreated(source=source, target=targets[0])
-            )
+        if not orphaned or state.num_alive() < 2:
+            return  # nothing to repair, or each source is the only node left
+        sources = [source for source, _ in orphaned]
+        targets = state.alive.sample_each_excluding(rng, sources)
+        state.assign_slots(orphaned, targets)
+        record.edges_created.extend(
+            EdgeCreated(source=source, target=target)
+            for source, target in zip(sources, targets)
+        )
 
 
 class BoundedInDegreePolicy(EdgePolicy):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeCreated:
     """An undirected edge appeared, requested by *source* towards *target*."""
 
@@ -22,7 +22,7 @@ class EdgeCreated:
         return (self.source, self.target)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeDestroyed:
     """An undirected edge disappeared (because one endpoint died)."""
 

@@ -47,10 +47,11 @@ from repro import __version__ as _REPRO_VERSION
 #: Bump when the payload schema changes (old entries become misses).
 STORE_FORMAT = 1
 
-#: Default lifetime of a work claim.  Must exceed the worst-case runtime
-#: of a single cell, or live claims get taken over and cells execute
-#: twice (harmless for correctness — results are deterministic and the
-#: commit is last-writer-wins — but wasteful).
+#: Default lifetime of a work claim.  A worker refreshes its pending
+#: claims only after a quarter of the TTL has passed, so a single cell
+#: must finish within three quarters of it, or live claims get taken
+#: over and cells execute twice (harmless for correctness — results are
+#: deterministic and the commit is last-writer-wins — but wasteful).
 DEFAULT_CLAIM_TTL = 300.0
 
 #: Portable stand-ins for IEEE non-finite floats.  ``json.dumps`` would
@@ -338,11 +339,8 @@ class ResultStore:
         anyway.
         """
         path = self.claim_path(key)
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return False
-        if not isinstance(payload, dict) or payload.get("owner") != owner:
+        payload = self._owned_payload(path, owner)
+        if payload is None:
             return False
         payload["heartbeat"] = int(payload.get("heartbeat", 0)) + 1
         try:
@@ -353,12 +351,33 @@ class ResultStore:
             return False
         return True
 
-    def release(self, key: str) -> None:
-        """Drop the claim on *key* (idempotent; missing claims are fine)."""
+    def release(self, key: str, owner: str) -> None:
+        """Drop *owner*'s claim on *key*.
+
+        Idempotent: a missing claim is fine.  A claim held by someone
+        else — a peer took it over after it expired — or one whose owner
+        cannot be read is left in place, so a slow worker never frees a
+        cell its new owner is still computing.
+        """
+        path = self.claim_path(key)
+        if self._owned_payload(path, owner) is None:
+            return
         try:
-            os.unlink(self.claim_path(key))
+            os.unlink(path)
         except OSError:
             pass
+
+    @staticmethod
+    def _owned_payload(path: Path, owner: str) -> dict | None:
+        """The claim payload at *path* if *owner* holds it, else None
+        (missing, unreadable or someone else's)."""
+        try:
+            payload = json.loads(path.read_text())
+        except (OSError, ValueError):
+            return None
+        if not isinstance(payload, dict) or payload.get("owner") != owner:
+            return None
+        return payload
 
     def claims(self) -> Iterator[str]:
         """Keys of every claim file currently present (live or expired)."""

@@ -9,9 +9,24 @@ the classic list + position-map ("swap-pop") representation.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+
+#: Below this many values, scalar draws beat one vector draw, whose fixed
+#: cost (argument handling) exceeds three scalar calls.  Best-of timings
+#: of ``k`` scalar calls vs one ``size=k`` call, NumPy 2.4 / CPython 3.11
+#: on 2 vCPUs: k=1 2.0 vs 5.4 µs, k=2 3.6 vs 5.6, k=3 4.9 vs 5.1,
+#: k=4 6.4 vs 6.2, k=6 11.4 vs 5.7.  Both forms consume the same stream.
+_VECTOR_DRAW_MIN = 4
+
+
+def _uniform_indices(rng: np.random.Generator, size: int, k: int) -> list[int]:
+    """*k* uniform draws from ``[0, size)``, in stream order."""
+    if k < _VECTOR_DRAW_MIN:
+        return [int(rng.integers(0, size)) for _ in range(k)]
+    return rng.integers(0, size, size=k).tolist()
 
 
 class IndexedSet:
@@ -98,16 +113,43 @@ class IndexedSet:
     def sample_excluding(self, rng: np.random.Generator, excluded: int) -> int:
         """Uniformly sample a member different from *excluded*.
 
-        Requires at least one eligible member.  Uses rejection sampling,
-        which terminates quickly because at most one element is excluded.
+        Requires at least one eligible member; see
+        :meth:`sample_each_excluding`.
         """
-        size = len(self._items)
-        if size == 0 or (size == 1 and self._items[0] == excluded):
+        return self.sample_each_excluding(rng, (excluded,))[0]
+
+    def sample_each_excluding(
+        self, rng: np.random.Generator, excluded: Sequence[int]
+    ) -> list[int]:
+        """One uniform member per entry of *excluded*, never that entry.
+
+        Rejection sampling that consumes the RNG exactly like a loop of
+        scalar ``int(rng.integers(0, size))`` draws, one entry after
+        another: NumPy's bounded draws with one bound form a single
+        stream, so ``rng.integers(0, size, size=k)`` yields the same
+        values and leaves the same generator state as ``k`` scalar
+        calls.  The walk takes the stream's next value for each entry;
+        a rejected value is followed by the next one, drawn in a refill
+        only as long as the entries still waiting (each of them needs at
+        least one more value, so nothing is over-drawn).
+
+        Raises :class:`IndexError` (before any draw) when some entry has
+        no eligible member.
+        """
+        items = self._items
+        size = len(items)
+        count = len(excluded)
+        if count and (size == 0 or (size == 1 and items[0] in excluded)):
             raise IndexError("no eligible element to sample")
-        while True:
-            candidate = self._items[int(rng.integers(0, size))]
-            if candidate != excluded:
-                return candidate
+        out: list[int] = []
+        while len(out) < count:
+            # One value per waiting entry: an entry that rejects its value
+            # takes the next one, and the rejections are drawn again.
+            for index in _uniform_indices(rng, size, count - len(out)):
+                candidate = items[index]
+                if candidate != excluded[len(out)]:
+                    out.append(candidate)
+        return out
 
     def sample_many(
         self, rng: np.random.Generator, k: int, exclude: int | None = None
@@ -125,8 +167,8 @@ class IndexedSet:
         if exclude is not None and exclude in self._pos:
             if size == 1:
                 return []
-            return [self.sample_excluding(rng, exclude) for _ in range(k)]
-        return [self._items[int(i)] for i in rng.integers(0, size, size=k)]
+            return self.sample_each_excluding(rng, (exclude,) * k)
+        return [self._items[i] for i in _uniform_indices(rng, size, k)]
 
     def as_list(self) -> list[int]:
         """Return a snapshot copy of the members (ordering is internal)."""

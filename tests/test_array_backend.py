@@ -154,6 +154,55 @@ class TestVectorizedReads:
         state.num_edges()
         assert state._csr_epoch != first_epoch  # mutation invalidates
 
+    @staticmethod
+    def unique_csr(state: ArraySlotBackend) -> tuple[np.ndarray, np.ndarray]:
+        """The CSR of the slot matrix, deduplicated with ``np.unique``."""
+        cap = state.row_capacity()
+        mask = state._slots >= 0
+        src = np.nonzero(mask)[0]
+        tgt = state._slots[mask]
+        keys = np.unique(
+            np.concatenate([src, tgt]) * np.int64(cap)
+            + np.concatenate([tgt, src])
+        )
+        indptr = np.zeros(cap + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // cap, minlength=cap), out=indptr[1:])
+        return indptr, keys % cap
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_csr_dedupe_matches_np_unique(self, seed):
+        rng = np.random.default_rng(seed)
+        state = ArraySlotBackend(initial_capacity=4, slot_width=3)
+        empty_indptr, empty_indices = state.adjacency_csr()
+        reference = self.unique_csr(state)
+        assert np.array_equal(empty_indptr, reference[0])
+        assert empty_indices.size == 0 and reference[1].size == 0
+        for _ in range(4):
+            # Births with random (repeated) targets, then deaths whose
+            # rows the next births recycle.
+            for _ in range(12):
+                node_id = state.allocate_id()
+                state.add_node(node_id, birth_time=0.0, num_slots=3)
+                others = [u for u in state.alive_ids() if u != node_id]
+                for slot in range(3):
+                    if others:
+                        target = others[int(rng.integers(len(others)))]
+                        state.assign_slot(node_id, slot, target)
+            # A mutual request pair: u -> v and v -> u.
+            alive = state.alive_ids()
+            u, v = alive[-1], alive[-2]
+            state.clear_slot(u, 0)
+            state.clear_slot(v, 0)
+            state.assign_slot(u, 0, v)
+            state.assign_slot(v, 0, u)
+            indptr, indices = state.adjacency_csr()
+            ref_indptr, ref_indices = self.unique_csr(state)
+            assert np.array_equal(indptr, ref_indptr)
+            assert np.array_equal(indices, ref_indices)
+            for victim in rng.choice(alive, size=5, replace=False).tolist():
+                state.remove_node(victim, death_time=0.0)
+        assert state._high < state.peek_next_id()  # births reused dead rows
+
     def test_snapshot_equals_dict_snapshot(self):
         rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
         a, b = DictBackend(), ArraySlotBackend(initial_capacity=2, slot_width=3)

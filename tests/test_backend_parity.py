@@ -25,6 +25,7 @@ from repro.core.edge_policy import (
     RegenerationPolicy,
 )
 from repro.core.graph import DictBackend
+from repro.errors import SimulationError
 from repro.flooding.discrete import flood_discrete
 from repro.flooding.discretized import flood_discretized
 from repro.models.adversarial import AdversarialStreamingNetwork
@@ -277,3 +278,59 @@ def test_no_regen_policy_parity_with_deaths():
     assert a.snapshot(2.0).to_dict() == b.snapshot(2.0).to_dict()
     a.check_invariants()
     b.check_invariants()
+
+
+def _four_node_state(backend_cls):
+    """Nodes 0..3 with two empty slots each; node 4 was born and died."""
+    state = backend_cls()
+    for node_id in range(5):
+        state.add_node(node_id, birth_time=0.0, num_slots=2)
+    state.remove_node(4, death_time=0.0)
+    state.assign_slot(0, 0, 1)
+    return state
+
+
+#: (pair, target) of each invalid request: slot out of range, slot
+#: already assigned, self-loop, dead target.
+INVALID_REQUESTS = {
+    "slot-range": ((2, 2), 3),
+    "assigned": ((0, 0), 2),
+    "self-loop": ((2, 0), 2),
+    "dead-target": ((2, 0), 4),
+}
+
+
+@pytest.mark.parametrize("backend_cls", [DictBackend, ArraySlotBackend])
+@pytest.mark.parametrize("case", sorted(INVALID_REQUESTS))
+def test_assign_slots_fails_like_assign_slot(backend_cls, case):
+    """``assign_slots`` raises ``assign_slot``'s error at the bad pair,
+    with the pairs before it applied and counted in the epoch."""
+    pair, target = INVALID_REQUESTS[case]
+    single = _four_node_state(backend_cls)
+    with pytest.raises((IndexError, SimulationError)) as one:
+        single.assign_slot(*pair, target)
+    batched = _four_node_state(backend_cls)
+    epoch = batched.mutation_epoch()
+    with pytest.raises(type(one.value)) as many:
+        batched.assign_slots([(1, 0), pair, (3, 0)], [0, target, 0])
+    assert str(many.value) == str(one.value)
+    assert batched.mutation_epoch() == epoch + 1
+    assert batched.out_slots_of(1) == [0, None]
+    assert batched.out_slots_of(3) == [None, None]
+    batched.check_invariants()
+
+
+@pytest.mark.parametrize("backend_cls", [DictBackend, ArraySlotBackend])
+def test_assign_slots_counts_one_epoch_per_slot(backend_cls):
+    state = _four_node_state(backend_cls)
+    state.track_mutations()
+    state.drain_touched()
+    epoch = state.mutation_epoch()
+    state.assign_slots([(1, 0), (1, 1), (3, 1)], [0, 2, 1])
+    assert state.mutation_epoch() == epoch + 3
+    assert state.drain_touched() == {0, 1, 2, 3}
+    assert state.out_slots_of(1) == [0, 2]
+    assert state.in_slot_count(1) == 2
+    state.assign_slots([], [])
+    assert state.mutation_epoch() == epoch + 3
+    state.check_invariants()

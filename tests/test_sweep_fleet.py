@@ -9,9 +9,13 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import time
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
+import repro.api.sweeps as sweeps_api
 from repro.api import (
     collect,
     load_submission,
@@ -180,6 +184,83 @@ class TestLifecycle:
         on_disk = json.loads(artifact_path(tmp_path, result.key).read_text())
         assert on_disk["digest"] == result.digest
         assert on_disk["provenance"]["reduced_by"] == "prov-reducer"
+
+
+def count_heartbeats(monkeypatch) -> list[str]:
+    """Record the key of every ``ResultStore.heartbeat`` call."""
+    calls: list[str] = []
+    real = ResultStore.heartbeat
+
+    def counting(self, key, owner):
+        calls.append(key)
+        return real(self, key, owner)
+
+    monkeypatch.setattr(ResultStore, "heartbeat", counting)
+    return calls
+
+
+def slow_cells(monkeypatch, seconds: float, before=None) -> None:
+    """Make every cell take *seconds* on the worker's monotonic clock;
+    *before* (if given) runs with each task just before it executes."""
+    clock = [0.0]
+    monkeypatch.setattr(
+        sweeps_api,
+        "time",
+        SimpleNamespace(
+            monotonic=lambda: clock[0],
+            perf_counter=time.perf_counter,
+            sleep=time.sleep,
+        ),
+    )
+    real_execute = sweeps_api.execute_cell
+
+    def execute(task):
+        if before is not None:
+            before(task)
+        clock[0] += seconds
+        return real_execute(task)
+
+    monkeypatch.setattr(sweeps_api, "execute_cell", execute)
+
+
+class TestClaimHeartbeats:
+    def test_fast_batch_makes_no_heartbeats(self, tmp_path, monkeypatch):
+        calls = count_heartbeats(monkeypatch)
+        sweep = fleet_sweep(replicas=8)
+        report = run_worker(tmp_path, sweep)
+        assert len(report.executed) == sweep.num_cells == 16
+        assert calls == []
+
+    def test_slow_cells_refresh_every_pending_claim(self, tmp_path, monkeypatch):
+        ttl = 60.0
+        calls = count_heartbeats(monkeypatch)
+        slow_cells(monkeypatch, ttl / 4 + 1)
+        submission = submit_sweep(fleet_sweep(replicas=8), tmp_path)
+        keys = [task.key for task in submission.tasks()]
+        report = run_worker(tmp_path, submission, ttl=ttl)
+        assert len(report.executed) == 16
+        # Cell 0 starts right after claiming; before cell k >= 1 more
+        # than ttl/4 has passed, so cells k..15 are all refreshed.
+        assert Counter(calls) == {keys[k]: k for k in range(1, 16)}
+
+    def test_taken_over_cell_is_skipped_and_not_released(
+        self, tmp_path, monkeypatch
+    ):
+        store = ResultStore(tmp_path)
+        submission = submit_sweep(fleet_sweep(), tmp_path)
+        keys = [task.key for task in submission.tasks()]
+        stolen = {"owner": "bob", "pid": 0, "heartbeat": 0, "ttl": 300.0}
+
+        def take_over_cell_1(task):
+            if task.index == 0:  # bob takes cell 1 over while cell 0 runs
+                store.claim_path(keys[1]).write_text(json.dumps(stolen))
+
+        slow_cells(monkeypatch, 100.0, before=take_over_cell_1)
+        report = run_worker(tmp_path, submission, host="alice", ttl=300.0)
+        assert report.lost_claims == 1
+        assert report.executed == (0, 2, 3, 4, 5)
+        assert store.get(keys[1]) is None
+        assert store.claim_info(keys[1])["owner"] == "bob"
 
 
 class TestFailureIsolation:

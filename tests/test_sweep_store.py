@@ -159,9 +159,9 @@ class TestClaims:
         assert store.claim_info(self.KEY)["heartbeat"] == 1
         # Only the owner can heartbeat.
         assert not store.heartbeat(self.KEY, "bob")
-        store.release(self.KEY)
+        store.release(self.KEY, "alice")
         assert store.claim_info(self.KEY) is None
-        store.release(self.KEY)  # idempotent
+        store.release(self.KEY, "alice")  # idempotent
 
     def test_expired_claim_taken_over(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -172,6 +172,18 @@ class TestClaims:
         assert store.claim(self.KEY, owner="bob", ttl=10.0)
         assert store.claim_info(self.KEY)["owner"] == "bob"
         assert not store.heartbeat(self.KEY, "alice")
+
+    def test_release_leaves_a_taken_over_claim(self, tmp_path):
+        store = ResultStore(tmp_path)
+        assert store.claim(self.KEY, owner="alice", ttl=0.05)
+        time.sleep(0.1)
+        assert store.claim(self.KEY, owner="bob", ttl=10.0)
+        # Alice finishes late: releasing must not free Bob's cell.
+        store.release(self.KEY, "alice")
+        assert store.claim_info(self.KEY)["owner"] == "bob"
+        assert not store.claim(self.KEY, owner="carol")
+        store.release(self.KEY, "bob")
+        assert store.claim_info(self.KEY) is None
 
     def test_heartbeat_keeps_claim_alive(self, tmp_path):
         store = ResultStore(tmp_path)

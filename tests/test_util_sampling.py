@@ -142,3 +142,57 @@ def test_property_matches_builtin_set(ops):
     assert len(s) == len(reference)
     for v in range(21):
         assert (v in s) == (v in reference)
+
+
+def scalar_sample_each_excluding(s, rng, excluded):
+    """The per-request loop :meth:`IndexedSet.sample_each_excluding`
+    replaces: one scalar rejection loop per entry."""
+    items = s.as_list()
+    out = []
+    for avoid in excluded:
+        while True:
+            candidate = items[int(rng.integers(0, len(items)))]
+            if candidate != avoid:
+                out.append(candidate)
+                break
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    size=st.integers(2, 5),
+    picks=st.lists(st.integers(0, 6), max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_each_excluding_consumes_the_scalar_stream(size, picks, seed):
+    """Same values and the same generator state as the scalar loop.
+
+    Tiny sets make rejections (and refills of the vector draw) frequent;
+    exclusions outside the set are never rejected.
+    """
+    s = IndexedSet(range(size))
+    fast_rng, slow_rng = make_rng(seed), make_rng(seed)
+    assert s.sample_each_excluding(fast_rng, picks) == (
+        scalar_sample_each_excluding(s, slow_rng, picks)
+    )
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+    # Both generators continue on the same stream, under a new bound too.
+    assert fast_rng.integers(0, 1000) == slow_rng.integers(0, 1000)
+
+
+def test_sample_many_excluding_matches_scalar_stream():
+    s = IndexedSet(range(3))
+    fast_rng, slow_rng = make_rng(4), make_rng(4)
+    assert s.sample_many(fast_rng, 40, exclude=1) == (
+        scalar_sample_each_excluding(s, slow_rng, [1] * 40)
+    )
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+def test_sample_each_excluding_needs_an_eligible_member():
+    with pytest.raises(IndexError):
+        IndexedSet([5]).sample_each_excluding(make_rng(0), [6, 5])
+    with pytest.raises(IndexError):
+        IndexedSet().sample_each_excluding(make_rng(0), [1])
+    assert IndexedSet([5]).sample_each_excluding(make_rng(0), [6, 7]) == [5, 5]
+    assert IndexedSet().sample_each_excluding(make_rng(0), []) == []
