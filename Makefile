@@ -81,14 +81,19 @@ scenario-smoke:
 	$(PYTHON) -m repro.experiments --scenario examples/adversarial_gossip.json
 
 # Sweep plane: grid/runner/store tests, the threshold-churn scenario,
-# and a CLI round trip (cold parallel run, then a fully-cached resume).
+# and CLI round trips (cold parallel run, then a fully-cached re-run;
+# the --sweep re-run must report `executed 0`).
 sweep-smoke:
 	$(PYTHON) -m pytest tests/test_sweep_spec.py tests/test_sweep_runner.py \
 		tests/test_models_threshold.py -q
 	$(PYTHON) -m repro.experiments --scenario examples/threshold_streaming.json
-	rm -rf /tmp/repro-sweep-store
+	rm -rf /tmp/repro-sweep-store /tmp/repro-sweep-file-store
 	$(PYTHON) -m repro.experiments EXP-01 --jobs 2 --store /tmp/repro-sweep-store
-	$(PYTHON) -m repro.experiments EXP-01 --jobs 2 --store /tmp/repro-sweep-store --resume
+	$(PYTHON) -m repro.experiments EXP-01 --jobs 2 --store /tmp/repro-sweep-store
+	$(PYTHON) -m repro.experiments --sweep examples/fleet_sweep.json --jobs 2 \
+		--store /tmp/repro-sweep-file-store > /dev/null
+	$(PYTHON) -m repro.experiments --sweep examples/fleet_sweep.json --jobs 2 \
+		--store /tmp/repro-sweep-file-store 2>&1 >/dev/null | grep 'executed 0,'
 
 # Fleet plane: store/fleet/CLI suites, then a real multi-terminal round
 # trip against one shared store — two concurrent workers drain the

@@ -98,7 +98,7 @@ def measure_sweep(
             )
 
         start = time.perf_counter()
-        resumed = run_sweep(sweep, jobs=1, store=store, resume=True)
+        resumed = run_sweep(sweep, jobs=1, store=store)
         resume_seconds = time.perf_counter() - start
         if resumed.executed != 0:
             raise AssertionError(

@@ -11,19 +11,24 @@ scheduler is another.  The lifecycle:
 2. :func:`run_worker` drains the grid: for each cell without a result it
    tries to *claim* the cell (``O_EXCL`` on ``<cell>.claim``, expired
    claims taken over — see :meth:`repro.sweep.store.ResultStore.claim`),
-   executes the claimed cell with the exact engine the in-process
-   runner uses (:func:`repro.sweep.runner.execute_cell`), commits via
-   :meth:`~repro.sweep.store.ResultStore.put`, and releases the claim.
-   N workers on N hosts need no coordination beyond the shared store.
+   executes the claimed cell (:func:`repro.sweep.runner.execute_cell`),
+   commits via :meth:`~repro.sweep.store.ResultStore.put`, and releases
+   the claim.  N workers on N hosts need no coordination beyond the
+   shared store.
 3. :func:`sweep_status` reports progress without touching anything.
 4. :func:`collect` (the *reducer*) polls until every cell has a result,
    assembles the canonical-order :class:`~repro.sweep.artifact.
    SweepResult`, and writes the sweep artifact.
 
-:func:`run_fleet` composes all four for the single-host case: ``--jobs
-N`` is literally a local fleet of N worker processes draining the same
-store, which is why its artifact is byte-identical (canonical core) to
-a sequential run's — there is no separate parallel code path to drift.
+This is the only sweep engine.  :func:`drain_locally` is its only
+single-host launcher: one worker in-process, or a process pool of N
+:func:`run_worker` calls.  :func:`run_fleet` (``sweep run``) composes
+submit, that launcher and the reducer; :func:`repro.sweep.runner.
+run_sweep` (experiments, ``--sweep``, ``--jobs N``) composes submit and
+the launcher over the configured store, or a throwaway one.  ``--jobs
+N`` is therefore literally a local fleet of N workers draining one
+store, which is why its output is byte-identical to a sequential
+run's — there is no separate parallel code path to drift.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -519,6 +525,81 @@ def _fleet_worker(
     return run_worker(store, key, ttl=ttl, host=host, claim_batch=claim_batch)
 
 
+def drain_locally(
+    submission: SweepSubmission,
+    workers: int,
+    ttl: float = DEFAULT_CLAIM_TTL,
+    claim_batch: int = DEFAULT_CLAIM_BATCH,
+) -> tuple[list[WorkerReport], str | None]:
+    """Drain *submission* with *workers* local workers; return their reports.
+
+    One worker runs in-process; more run as a process pool of
+    :func:`run_worker` calls.  This is the only launcher: :func:`run_fleet`
+    and :func:`repro.sweep.runner.run_sweep` both drain through it.  The
+    second element is ``None``, or — when a worker process died outright
+    (OOM kill, segfault, ``os._exit``) and took the pool down — the error
+    to charge to every cell left without a result.  The reports of the
+    workers the pool killed with it are lost, and so is any claim they
+    held: this launcher releases the claims of its own workers whenever
+    the drain ends early, so a rerun does not wait out their TTL.
+    """
+    base_host = default_host()
+    hosts = (
+        [base_host]
+        if workers == 1
+        else [f"{base_host}/w{rank}" for rank in range(workers)]
+    )
+    reports: list[WorkerReport] = []
+    died = None
+    clean = False
+    try:
+        if workers == 1:
+            reports.append(
+                run_worker(
+                    submission.store,
+                    submission,
+                    ttl=ttl,
+                    host=base_host,
+                    claim_batch=claim_batch,
+                )
+            )
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                futures = [
+                    pool.submit(
+                        _fleet_worker,
+                        str(submission.store),
+                        submission.key,
+                        ttl,
+                        host,
+                        claim_batch,
+                    )
+                    for host in hosts
+                ]
+                for future in futures:
+                    try:
+                        reports.append(future.result())
+                    except BrokenProcessPool as error:
+                        died = (
+                            "worker process died before returning a "
+                            f"result: {error!r}"
+                        )
+        clean = died is None
+    finally:
+        if not clean:
+            _release_claims(submission, hosts)
+    return reports, died
+
+
+def _release_claims(submission: SweepSubmission, owners: list[str]) -> None:
+    """Drop every claim on *submission*'s cells that one of *owners* holds."""
+    rstore = ResultStore(submission.store)
+    for task in submission.tasks():
+        info = rstore.claim_info(task.key)
+        if info is not None and info["owner"] in owners:
+            rstore.release(task.key, info["owner"])
+
+
 def run_fleet(
     sweep: SweepSpec,
     store: str | Path,
@@ -533,38 +614,16 @@ def run_fleet(
     ``workers=1`` runs the single worker in-process (no pool), so a
     sequential run and an N-worker run differ only in who claims which
     cell — the artifact's canonical core is byte-identical either way.
-    Worker failures surface here (first failing cell's traceback), like
-    :meth:`SweepRunResult.raise_if_failed` does for the in-process
-    runner.
+    Worker failures surface here as a :class:`~repro.errors.SweepError`:
+    the first failing cell's traceback, or the death of a worker
+    process.
     """
     if workers < 1:
         raise SweepError(f"fleet needs workers >= 1, got {workers}")
     submission = submit_sweep(sweep, store, backend)
-    if workers == 1:
-        reports = [
-            run_worker(
-                store,
-                submission,
-                ttl=ttl,
-                host=default_host(),
-                claim_batch=claim_batch,
-            )
-        ]
-    else:
-        base_host = default_host()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _fleet_worker,
-                    str(submission.store),
-                    submission.key,
-                    ttl,
-                    f"{base_host}/w{rank}",
-                    claim_batch,
-                )
-                for rank in range(workers)
-            ]
-            reports = [future.result() for future in futures]
+    reports, died = drain_locally(submission, workers, ttl, claim_batch)
+    if died is not None:
+        raise SweepError(died)
     for report in reports:
         report.raise_if_failed()
     return collect(store, submission, timeout=timeout)

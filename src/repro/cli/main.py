@@ -74,7 +74,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="run a JSON-defined parameter sweep (a SweepSpec document, "
         "see repro.sweep) and print its cell values as JSON; honors "
-        "--jobs/--store/--resume and --backend",
+        "--jobs/--store and --backend",
     )
     parser.add_argument(
         "--jobs",
@@ -89,13 +89,8 @@ def main(argv: list[str] | None = None) -> int:
         metavar="DIR",
         default=None,
         help="content-addressed sweep result store: cells are persisted "
-        "to DIR; combine with --resume to serve warm cells from it",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="serve sweep cells already present in --store instead of "
-        "re-running them (a fully warm store executes zero cells)",
+        "to DIR, and cells already in DIR are served instead of re-run "
+        "(a fully warm store executes zero cells)",
     )
     parser.add_argument(
         "--checkpoint-dir",
@@ -124,8 +119,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.jobs is not None and args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if args.resume and args.store is None:
-        parser.error("--resume needs --store DIR")
     if args.checkpoint_every is not None and args.checkpoint_every < 0:
         parser.error("--checkpoint-every must be >= 0")
     if args.checkpoint_every and args.checkpoint_dir is None:
@@ -144,12 +137,11 @@ def main(argv: list[str] | None = None) -> int:
             or args.sweep is not None
             or args.jobs is not None
             or args.store is not None
-            or args.resume
         ):
             parser.error(
                 "--restore cannot be combined with experiment ids, "
                 "--all, --full, --csv, --scenario, --sweep, or the "
-                "sweep flags (--jobs/--store/--resume)"
+                "sweep flags (--jobs/--store)"
             )
         return run_restore(
             args.restore,
@@ -165,12 +157,11 @@ def main(argv: list[str] | None = None) -> int:
             or args.csv
             or args.jobs is not None
             or args.store is not None
-            or args.resume
         ):
             parser.error(
                 "--scenario cannot be combined with experiment ids, "
                 "--all, --full, --csv, or the sweep flags "
-                "(--jobs/--store/--resume)"
+                "(--jobs/--store)"
             )
         return run_scenario_file(
             args.scenario,
@@ -191,7 +182,6 @@ def main(argv: list[str] | None = None) -> int:
             backend=args.backend,
             jobs=args.jobs,
             store=args.store,
-            resume=args.resume or None,
         )
 
     if args.list or (not args.experiment_ids and not args.all):
@@ -216,7 +206,6 @@ def main(argv: list[str] | None = None) -> int:
             backend=args.backend,
             jobs=args.jobs,
             store=args.store,
-            resume=args.resume or None,
             checkpoint_every=args.checkpoint_every,
             checkpoint_dir=args.checkpoint_dir,
         )
@@ -237,7 +226,6 @@ def run_sweep_file(
     backend: str | None = None,
     jobs: int | None = None,
     store: str | None = None,
-    resume: bool | None = None,
 ) -> int:
     """Run one JSON sweep document and print its cell values as JSON."""
     from dataclasses import replace
@@ -249,7 +237,7 @@ def run_sweep_file(
     if backend is not None:
         sweep = replace(sweep, base=sweep.base.with_(backend=backend))
 
-    result = run_sweep(sweep, jobs=jobs, store=store, resume=resume)
+    result = run_sweep(sweep, jobs=jobs, store=store)
     failures = result.failures
     print(f"sweep: {path}", file=sys.stderr)
     print(

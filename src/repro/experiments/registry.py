@@ -81,7 +81,6 @@ def run_experiment(
     backend: str | None = None,
     jobs: int | None = None,
     store: str | Path | None = None,
-    resume: bool | None = None,
     checkpoint_every: int | None = None,
     checkpoint_dir: str | Path | None = None,
 ) -> ExperimentResult:
@@ -90,11 +89,11 @@ def run_experiment(
     *backend* overrides the topology backend for every network the runner
     builds (via :func:`repro.core.backend.use_backend`, so experiment
     signatures stay unchanged); ``None`` keeps the process default.
-    *jobs*, *store* and *resume* configure the ambient sweep options the
-    same way (:func:`repro.sweep.use_sweep_options`): every replication
-    sweep the runner declares executes on *jobs* worker processes
-    against the content-addressed result store at *store*, serving warm
-    cells from it when *resume* is set.  *checkpoint_every* and
+    *jobs* and *store* configure the ambient sweep options the same way
+    (:func:`repro.sweep.use_sweep_options`): every replication sweep the
+    runner declares executes on *jobs* worker processes against the
+    content-addressed result store at *store*, which serves the cells it
+    already holds.  *checkpoint_every* and
     *checkpoint_dir* set the ambient service options
     (:func:`repro.service.use_service_options`), so every scenario
     session the runner builds dumps resumable checkpoints at that
@@ -103,7 +102,7 @@ def run_experiment(
     from repro.service import use_service_options
 
     with use_backend(backend), use_sweep_options(
-        jobs=jobs, store=store, resume=resume
+        jobs=jobs, store=store
     ), use_service_options(
         checkpoint_every=checkpoint_every, checkpoint_dir=checkpoint_dir
     ):

@@ -10,14 +10,15 @@ such ensemble runs on:
   arithmetic);
 * :mod:`~repro.sweep.measurements` — the registry of per-cell
   measurement functions a sweep names declaratively;
-* :class:`~repro.sweep.runner.SweepRunner` / :func:`run_sweep` —
-  sequential or :class:`~concurrent.futures.ProcessPoolExecutor`
-  execution with per-cell timing and failure isolation, returning
-  results in canonical grid order so ``--jobs 4`` output is
-  bit-identical to ``--jobs 1``;
+* :func:`~repro.sweep.runner.run_sweep` — execution on the fleet
+  engine (:mod:`repro.api.sweeps`: ``jobs`` workers draining a result
+  store) with per-cell timing and failure isolation, returning results
+  in canonical grid order so ``--jobs 4`` output is bit-identical to
+  ``--jobs 1``;
 * :class:`~repro.sweep.store.ResultStore` — a content-addressed on-disk
   cache (sha256 of scenario + measurement + seed identity + version)
-  making sweeps resumable and warm re-runs free.
+  that always serves the cells it holds, making interrupted sweeps
+  resumable and warm re-runs free.
 
 Quick start::
 
@@ -53,7 +54,6 @@ from repro.sweep.runner import (
     CellResult,
     CellTask,
     SweepOptions,
-    SweepRunner,
     SweepRunResult,
     cell_tasks,
     current_sweep_options,
@@ -83,7 +83,6 @@ __all__ = [
     "SweepOptions",
     "SweepResult",
     "SweepRunResult",
-    "SweepRunner",
     "SweepSpec",
     "artifact_path",
     "cell_key",

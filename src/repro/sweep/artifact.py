@@ -17,7 +17,7 @@ downstream consumer computes on) and *provenance* (wall-clock timings,
 host names, the reducing host).  :meth:`SweepResult.core_bytes` is the
 canonical serialization of the core, and :attr:`SweepResult.digest` its
 sha256: a ``--jobs 1`` run, a 4-worker pool, two worker processes on a
-shared store, and a warm resume all reduce to **byte-identical core
+shared store, and a warm re-run all reduce to **byte-identical core
 bytes** (and therefore equal digests).  Provenance can never be
 bit-stable — wall clocks and host names differ by construction — so it
 is carried alongside the core and excluded from the digest.

@@ -1,6 +1,6 @@
-"""Sweep execution: sequential or process-pool, cached, order-canonical.
+"""Sweep execution: one engine, cached, order-canonical.
 
-The runner turns a :class:`~repro.sweep.spec.SweepSpec` into a
+:func:`run_sweep` turns a :class:`~repro.sweep.spec.SweepSpec` into a
 :class:`SweepRunResult` whose cells appear in the spec's canonical grid
 order regardless of how they were computed:
 
@@ -8,26 +8,27 @@ order regardless of how they were computed:
   ``(sweep.seed, sweep.stream, cell index)``, so execution order cannot
   leak into results;
 * **normalization** — every fresh value makes one JSON round trip before
-  it is reported, so a value served from the content-addressed store is
+  it is stored, so a value served from the content-addressed store is
   byte-for-byte the value a fresh run would have produced;
 * **ordering** — results are assembled by cell index, not completion
   order.
 
 Together these make ``jobs=4`` output bit-identical to ``jobs=1``, and a
-resumed run bit-identical to a cold one.
+warm run bit-identical to a cold one.
 
-**Workers.**  Parallel cells run on a
-:class:`~concurrent.futures.ProcessPoolExecutor`.  The parent resolves
-the topology backend once (spec override, else the process default) and
-ships the name in every cell payload; the pool initializer also exports
-it as ``REPRO_BACKEND`` so network builders in the worker resolve the
-identical backend even under a ``spawn`` start method.  A cell that
-raises is *isolated*: its traceback is captured on the cell result, the
-remaining cells complete, and the failure surfaces — naming the cell —
-when the caller reads :meth:`SweepRunResult.values`.
+**Engine.**  There is one: the fleet's.  :func:`run_sweep` submits the
+sweep to the configured result store — or to a throwaway temporary
+store when none is configured — and drains it with ``jobs`` workers
+(:func:`repro.api.sweeps.run_worker`; in-process for one, a process pool
+for more), exactly as ``sweep run`` does.  A configured store therefore
+always serves the cells it already holds.  Each cell runs under
+:func:`execute_cell`, which pins the task's resolved topology backend.
+A cell that raises is *isolated*: its traceback is captured on the cell
+result, the remaining cells complete, and the failure surfaces — naming
+the cell — when the caller reads :meth:`SweepRunResult.values`.
 
-**Ambient options.**  ``--jobs/--store/--resume`` travel from the CLI to
-the experiment runners through :func:`use_sweep_options`, mirroring how
+**Ambient options.**  ``--jobs/--store`` travel from the CLI to the
+experiment runners through :func:`use_sweep_options`, mirroring how
 ``use_backend`` threads the topology backend, so experiment signatures
 stay ``run(quick, seed)``.
 """
@@ -35,42 +36,33 @@ stay ``run(quick, seed)``.
 from __future__ import annotations
 
 import json
-import os
+import tempfile
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.core.backend import default_backend_name, use_backend
+from repro.core.backend import use_backend
 from repro.errors import SweepError
 from repro.scenario.spec import ScenarioSpec
 from repro.sweep.measurements import get_measurement
 from repro.sweep.spec import SweepCell, SweepSpec
-from repro.sweep.store import (
-    ResultStore,
-    cell_key,
-    default_host,
-    encode_nonfinite,
-)
+from repro.sweep.store import ResultStore, cell_key, encode_nonfinite
 from repro.util.rng import derive_seed
 
 
 @dataclass(frozen=True)
 class SweepOptions:
-    """Ambient execution options (the CLI's ``--jobs/--store/--resume``)."""
+    """Ambient execution options (the CLI's ``--jobs/--store``)."""
 
     jobs: int = 1
     store: Path | None = None
-    resume: bool = False
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise SweepError(f"jobs must be >= 1, got {self.jobs}")
-        if self.resume and self.store is None:
-            raise SweepError("resume needs a result store (pass store=...)")
 
 
 _OPTIONS_STACK: list[SweepOptions] = [SweepOptions()]
@@ -81,11 +73,21 @@ def current_sweep_options() -> SweepOptions:
     return _OPTIONS_STACK[-1]
 
 
+def _with_overrides(
+    jobs: int | None, store: str | Path | None
+) -> SweepOptions:
+    """The ambient options with every non-``None`` override applied."""
+    base = current_sweep_options()
+    return SweepOptions(
+        jobs=base.jobs if jobs is None else int(jobs),
+        store=base.store if store is None else Path(store),
+    )
+
+
 @contextmanager
 def use_sweep_options(
     jobs: int | None = None,
     store: str | Path | None = None,
-    resume: bool | None = None,
 ) -> Iterator[SweepOptions]:
     """Override the ambient sweep options within a ``with`` block.
 
@@ -93,12 +95,7 @@ def use_sweep_options(
     compose (e.g. an experiment pinning ``jobs=1`` for a tiny sweep
     inside a CLI-level ``--jobs 8`` session).
     """
-    base = current_sweep_options()
-    merged = SweepOptions(
-        jobs=base.jobs if jobs is None else int(jobs),
-        store=base.store if store is None else Path(store),
-        resume=base.resume if resume is None else bool(resume),
-    )
+    merged = _with_overrides(jobs, store)
     _OPTIONS_STACK.append(merged)
     try:
         yield merged
@@ -211,11 +208,6 @@ def execute_cell(task: CellTask) -> tuple[int, Any, str | None, float]:
     return task.index, value, None, time.perf_counter() - start
 
 
-def _worker_init(backend: str) -> None:
-    """Pool initializer: pin the topology backend in the worker process."""
-    os.environ["REPRO_BACKEND"] = backend
-
-
 # ----------------------------------------------------------------------
 # results
 # ----------------------------------------------------------------------
@@ -293,168 +285,104 @@ class SweepRunResult:
 
 
 # ----------------------------------------------------------------------
-# the runner
+# the engine
 # ----------------------------------------------------------------------
-
-
-class SweepRunner:
-    """Executes sweeps under fixed options (jobs, store, resume).
-
-    Args:
-        jobs: worker processes (1 = in-process sequential execution).
-        store: directory of the content-addressed result store, or None
-            to run uncached.
-        resume: serve cells from the store when their key hits (writes
-            happen whenever a store is configured; *reads* only under
-            resume, so a store can be refreshed by re-running without
-            ``--resume``).
-    """
-
-    def __init__(
-        self,
-        jobs: int = 1,
-        store: str | Path | None = None,
-        resume: bool = False,
-    ) -> None:
-        self.options = SweepOptions(
-            jobs=int(jobs),
-            store=None if store is None else Path(store),
-            resume=bool(resume),
-        )
-
-    def run(self, sweep: SweepSpec) -> SweepRunResult:
-        start = time.perf_counter()
-        backend = sweep.base.backend or default_backend_name()
-        store = (
-            None
-            if self.options.store is None
-            else ResultStore(self.options.store)
-        )
-        cells = list(sweep.cells())
-        tasks = cell_tasks(sweep, backend, keyed=store is not None)
-
-        outcomes: dict[int, tuple[Any, str | None, float, bool]] = {}
-        pending: list[CellTask] = []
-        for task in tasks:
-            payload = (
-                store.get(task.key)
-                if (store is not None and self.options.resume)
-                else None
-            )
-            if payload is not None:
-                outcomes[task.index] = (
-                    payload["value"],
-                    None,
-                    float(payload.get("elapsed", 0.0)),
-                    True,
-                )
-            else:
-                pending.append(task)
-
-        by_index = {task.index: task for task in pending}
-
-        def record(index: int, value: Any, error: str | None, elapsed: float) -> None:
-            # Store writes happen per cell, as results arrive — an
-            # interrupted sweep keeps everything it finished, which is
-            # what makes --resume worth having on long runs.
-            outcomes[index] = (value, error, elapsed, False)
-            task = by_index[index]
-            if store is not None and error is None:
-                store.put(
-                    task.key,
-                    value,
-                    elapsed,
-                    scenario=task.spec_dict,
-                    measure=task.measure,
-                    measure_params=task.measure_params,
-                    seed=task.seed,
-                    stream=task.stream,
-                    cell=task.index,
-                    backend=task.backend,
-                    host=default_host(),
-                )
-
-        if pending:
-            if self.options.jobs > 1:
-                with ProcessPoolExecutor(
-                    max_workers=self.options.jobs,
-                    initializer=_worker_init,
-                    initargs=(backend,),
-                ) as pool:
-                    futures = {
-                        pool.submit(execute_cell, task): task
-                        for task in pending
-                    }
-                    for future in as_completed(futures):
-                        task = futures[future]
-                        try:
-                            record(*future.result())
-                        except Exception as exc:
-                            # _execute_cell never raises, so this is a
-                            # worker that died outright (OOM kill,
-                            # segfault → BrokenProcessPool on every
-                            # outstanding future).  Isolate it like any
-                            # other cell failure: completed cells are
-                            # already recorded and stored.
-                            record(
-                                task.index,
-                                None,
-                                "worker process died before returning a "
-                                f"result: {exc!r}",
-                                0.0,
-                            )
-            else:
-                for task in pending:
-                    record(*execute_cell(task))
-
-        results = tuple(
-            CellResult(
-                cell=cell,
-                value=outcomes[cell.index][0],
-                error=outcomes[cell.index][1],
-                elapsed=outcomes[cell.index][2],
-                cached=outcomes[cell.index][3],
-            )
-            for cell in cells
-        )
-        return SweepRunResult(
-            spec=sweep,
-            cells=results,
-            backend=backend,
-            jobs=self.options.jobs,
-            elapsed=time.perf_counter() - start,
-        )
 
 
 def run_sweep(
     sweep: SweepSpec,
     jobs: int | None = None,
     store: str | Path | None = None,
-    resume: bool | None = None,
 ) -> SweepRunResult:
     """Run *sweep* under the ambient options, with optional overrides.
 
     The workhorse of the ported experiments: a bare ``run_sweep(spec)``
-    inside an experiment picks up whatever ``--jobs/--store/--resume``
-    the CLI (or an enclosing :func:`use_sweep_options`) configured.
+    inside an experiment picks up whatever ``--jobs/--store`` the CLI
+    (or an enclosing :func:`use_sweep_options`) configured.  The sweep
+    is submitted to the store and drained by ``jobs`` fleet workers (see
+    the module docstring); cells the store already held come back with
+    ``cached=True``.  With a configured store a fully successful run
+    also writes the sweep artifact, exactly as ``sweep run`` would.
+
+    A cell no worker could produce becomes a failed cell: a measurement
+    that raised, a worker process that died, or a cell another owner's
+    live claim blocks (named, never waited on).
     """
-    ambient = current_sweep_options()
-    options = replace(
-        ambient,
-        **{
-            key: value
-            for key, value in {
-                "jobs": None if jobs is None else int(jobs),
-                "store": None if store is None else Path(store),
-                "resume": None if resume is None else bool(resume),
-            }.items()
-            if value is not None
-        },
+    # Function-local: repro.api.sweeps imports this module.
+    from repro.api.sweeps import collect, drain_locally, submit_sweep
+
+    options = _with_overrides(jobs, store)
+    start = time.perf_counter()
+    scratch = (
+        tempfile.TemporaryDirectory(prefix="repro-sweep-")
+        if options.store is None
+        else nullcontext(options.store)
     )
-    runner = SweepRunner(
-        jobs=options.jobs, store=options.store, resume=options.resume
+    with scratch as root:
+        submission = submit_sweep(sweep, root)
+        rstore = ResultStore(root)
+        tasks = submission.tasks()
+        cached = (
+            set()
+            if options.store is None
+            else {t.index for t in tasks if rstore.get(t.key) is not None}
+        )
+        # About four claim batches per worker: few grid scans (one per
+        # batch), yet small enough that the pool stays balanced to the
+        # end of the grid.
+        claim_batch = max(1, -(-len(tasks) // (4 * options.jobs)))
+        reports, died = drain_locally(
+            submission, options.jobs, claim_batch=claim_batch
+        )
+        errors: dict[int, str] = {}
+        for report in reports:
+            for index, error in report.failures:
+                errors.setdefault(index, error)  # two workers, one cell
+
+        results = []
+        for cell, task in zip(sweep.cells(), tasks):
+            payload = rstore.get(task.key)
+            if payload is None:
+                error = (
+                    errors.get(task.index)
+                    or died
+                    or _missing_reason(rstore, task)
+                )
+                results.append(CellResult(cell, None, error, 0.0, False))
+            else:
+                results.append(
+                    CellResult(
+                        cell,
+                        payload["value"],
+                        None,
+                        float(payload.get("elapsed", 0.0)),
+                        task.index in cached,
+                    )
+                )
+        if options.store is not None and all(r.ok for r in results):
+            collect(root, submission, timeout=0)
+    return SweepRunResult(
+        spec=sweep,
+        cells=tuple(results),
+        backend=submission.backend,
+        jobs=options.jobs,
+        elapsed=time.perf_counter() - start,
     )
-    return runner.run(sweep)
+
+
+def _missing_reason(store: ResultStore, task: CellTask) -> str:
+    """Why a cell no worker failed still has no result after the drain."""
+    info = store.claim_info(task.key)
+    if info is None:
+        return (
+            "no result after the drain: another worker released the "
+            "cell without committing one"
+        )
+    return (
+        f"cell is claimed by {info['owner']!r} (claim TTL "
+        f"{info['ttl']:g}s, age {info['age']:.0f}s); not waited on — "
+        "rerun once that owner finishes or its claim expires"
+    )
 
 
 # Re-exported for forward compatibility with callers that only need the
@@ -464,7 +392,6 @@ __all__ = [
     "CellTask",
     "SweepOptions",
     "SweepRunResult",
-    "SweepRunner",
     "cell_tasks",
     "current_sweep_options",
     "execute_cell",

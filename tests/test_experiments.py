@@ -144,9 +144,5 @@ class TestSweepCli:
         store = tmp_path / "store"
         assert cli_main(["--sweep", str(path), "--store", str(store)]) == 0
         capsys.readouterr()
-        assert (
-            cli_main(
-                ["--sweep", str(path), "--store", str(store), "--resume"]
-            )
-            == 0
-        )
+        assert cli_main(["--sweep", str(path), "--store", str(store)]) == 0
+        assert "executed 0," in capsys.readouterr().err

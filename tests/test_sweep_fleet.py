@@ -24,9 +24,16 @@ from repro.api import (
     submit_sweep,
     sweep_status,
 )
+from repro.core.backend import use_backend
 from repro.errors import SweepError
 from repro.scenario import ScenarioSpec
-from repro.sweep import ResultStore, SweepResult, SweepSpec, measurement
+from repro.sweep import (
+    ResultStore,
+    SweepResult,
+    SweepSpec,
+    measurement,
+    run_sweep,
+)
 from repro.sweep.artifact import artifact_path, submitted_spec_path, sweep_key
 from repro.util.rng import SeedLike, make_rng
 
@@ -54,6 +61,13 @@ def fleet_kill_once(
         with open(marker, "w") as handle:
             handle.write("killed here")
         os._exit(1)
+    return {"d": spec.d}
+
+
+@measurement("pytest-fleet-kill-at-d3")
+def fleet_kill_at_d3(spec: ScenarioSpec, seed: SeedLike) -> dict:
+    if spec.d == 3:
+        os._exit(1)  # simulate an OOM-killed / segfaulted worker
     return {"d": spec.d}
 
 
@@ -86,6 +100,19 @@ class TestByteIdentity:
         loaded = SweepResult.load(tmp_path / "s1", sequential.key)
         assert loaded is not None
         assert loaded.core_bytes() == sequential.core_bytes()
+        # run_sweep drains with the same engine: its values equal the
+        # fleet artifact's at every worker count, with or without a
+        # store, and a stored run leaves the same artifact core.
+        for jobs in (1, 2):
+            store = tmp_path / f"run-sweep-{jobs}"
+            with use_backend(backend):
+                ephemeral = run_sweep(sweep, jobs=jobs)
+                stored = run_sweep(sweep, jobs=jobs, store=store)
+            assert ephemeral.values() == list(sequential.values)
+            assert stored.values() == list(sequential.values)
+            artifact = SweepResult.load(store, sequential.key)
+            assert artifact is not None
+            assert artifact.core_bytes() == sequential.core_bytes()
 
     def test_two_workers_one_store_split_the_grid(self, tmp_path):
         # Concurrent workers against one store: the grid completes, no
@@ -280,6 +307,15 @@ class TestFailureIsolation:
         sweep = fleet_sweep(measure="pytest-fleet-fail-at-d3")
         with pytest.raises(SweepError, match="exploded"):
             run_fleet(sweep, tmp_path, workers=2)
+
+    def test_run_fleet_surfaces_a_dead_worker_process(self, tmp_path):
+        # A worker killed outright breaks the pool; the fleet reports it
+        # as a SweepError (the CLI's `error: ...`, exit 1), not a raw
+        # BrokenProcessPool, and frees the claims its workers held.
+        sweep = fleet_sweep(measure="pytest-fleet-kill-at-d3")
+        with pytest.raises(SweepError, match="worker process died"):
+            run_fleet(sweep, tmp_path, workers=2)
+        assert list(ResultStore(tmp_path).claims()) == []
 
 
 def _doomed_worker(store: str, key: str, ttl: float) -> None:

@@ -27,7 +27,7 @@ from repro.api import (
 from repro.cli.sweep import main as sweep_main
 from repro.errors import SweepError
 from repro.scenario import ScenarioSpec
-from repro.sweep import ResultStore, SweepSpec, measurement
+from repro.sweep import ResultStore, SweepSpec, measurement, run_sweep
 from repro.util.rng import SeedLike, make_rng
 
 BASE = ScenarioSpec(churn="streaming", policy="none", n=30, d=2, horizon=5)
@@ -154,6 +154,16 @@ class TestGcStore:
         resubmitted = submit_sweep(dropped.sweep, store)
         report = run_worker(store, resubmitted.key)
         assert len(report.executed) == 3
+
+    def test_run_sweep_store_is_reachable(self, tmp_path):
+        # Experiments and --sweep fill a store through run_sweep; that
+        # submits the sweep, so gc keeps every cell it wrote.
+        store = tmp_path / "store"
+        result = run_sweep(make_sweep("gc-run-sweep"), jobs=2, store=store)
+        summary = gc_store(store, yes=True)
+        assert summary["sweeps"] == 1
+        assert summary["stored_cells"] == len(result.cells)
+        assert summary["unreachable_cells"] == 0
 
     def test_empty_store(self, tmp_path):
         summary = gc_store(tmp_path / "empty")

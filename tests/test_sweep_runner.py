@@ -11,7 +11,6 @@ from repro.experiments import run_experiment
 from repro.scenario import ScenarioSpec, simulate
 from repro.sweep import (
     ResultStore,
-    SweepRunner,
     SweepSpec,
     cell_key,
     current_sweep_options,
@@ -114,16 +113,10 @@ class TestStore:
     def test_resume_executes_zero_cells(self, tmp_path):
         sweep = small_sweep()
         cold = run_sweep(sweep, store=tmp_path)
-        warm = run_sweep(sweep, store=tmp_path, resume=True)
+        warm = run_sweep(sweep, store=tmp_path)
         assert warm.executed == 0
         assert warm.from_cache == sweep.num_cells
         assert warm.values() == cold.values()
-
-    def test_store_without_resume_recomputes(self, tmp_path):
-        sweep = small_sweep()
-        run_sweep(sweep, store=tmp_path)
-        again = run_sweep(sweep, store=tmp_path)
-        assert again.executed == sweep.num_cells
 
     def test_partial_resume_mixes_cache_and_execution(self, tmp_path):
         sweep = small_sweep()
@@ -132,7 +125,7 @@ class TestStore:
         victims = list(store.keys())[:2]
         for key in victims:
             store.path_for(key).unlink()
-        warm = run_sweep(sweep, store=tmp_path, resume=True, jobs=2)
+        warm = run_sweep(sweep, store=tmp_path, jobs=2)
         assert warm.executed == 2
         assert warm.from_cache == sweep.num_cells - 2
         assert warm.values() == cold.values()
@@ -166,11 +159,11 @@ class TestStore:
         wrong = dict(store.get(keys[2]))
         wrong["key"] = "0" * 64
         store.path_for(keys[2]).write_text(json.dumps(wrong))
-        warm = run_sweep(sweep, store=tmp_path, resume=True)
+        warm = run_sweep(sweep, store=tmp_path)
         assert warm.executed == 3
         assert warm.values() == cold.values()
         # The corrupted entries were rewritten and now serve cleanly.
-        healed = run_sweep(sweep, store=tmp_path, resume=True)
+        healed = run_sweep(sweep, store=tmp_path)
         assert healed.executed == 0
 
     def test_cached_values_identical_to_fresh(self, tmp_path):
@@ -178,7 +171,7 @@ class TestStore:
         # bit-identical to the normalized fresh value.
         sweep = small_sweep(measure_params={"offset": 0.1234567890123457})
         cold = run_sweep(sweep, store=tmp_path)
-        warm = run_sweep(sweep, store=tmp_path, resume=True)
+        warm = run_sweep(sweep, store=tmp_path)
         assert cold.values() == warm.values()
 
 
@@ -221,6 +214,21 @@ class TestFailureIsolation:
         with pytest.raises(SweepError):
             result.values()
 
+    def test_cell_claimed_elsewhere_fails_without_waiting(self, tmp_path):
+        # A live claim by another owner blocks one cell: run_sweep names
+        # the owner and the TTL instead of dropping or waiting on it.
+        sweep = small_sweep()
+        run_sweep(sweep, store=tmp_path)
+        store = ResultStore(tmp_path)
+        victim = list(store.keys())[0]
+        store.path_for(victim).unlink()
+        assert store.claim(victim, owner="elsewhere", ttl=600.0)
+        result = run_sweep(sweep, store=tmp_path)
+        assert len(result.failures) == 1
+        assert "'elsewhere'" in result.failures[0].error
+        assert "TTL 600s" in result.failures[0].error
+        assert store.claim_info(victim)["owner"] == "elsewhere"
+
     def test_unserializable_value_is_a_cell_failure(self):
         result = run_sweep(small_sweep(measure="pytest-unserializable"))
         assert len(result.failures) == result.spec.num_cells
@@ -232,35 +240,29 @@ class TestAmbientOptions:
         options = current_sweep_options()
         assert options.jobs == 1
         assert options.store is None
-        assert not options.resume
 
     def test_nesting_inherits_unset_fields(self, tmp_path):
         with use_sweep_options(jobs=4, store=tmp_path):
-            with use_sweep_options(resume=True):
+            with use_sweep_options(jobs=2):
                 options = current_sweep_options()
-                assert options.jobs == 4
+                assert options.jobs == 2
                 assert options.store == tmp_path
-                assert options.resume
-            assert not current_sweep_options().resume
+            assert current_sweep_options().jobs == 4
         assert current_sweep_options().jobs == 1
-
-    def test_resume_requires_store(self):
-        with pytest.raises(SweepError):
-            with use_sweep_options(resume=True):
-                pass  # pragma: no cover
+        assert current_sweep_options().store is None
 
     def test_run_sweep_picks_up_ambient_options(self, tmp_path):
         sweep = small_sweep()
         with use_sweep_options(store=tmp_path):
             run_sweep(sweep)
-        with use_sweep_options(store=tmp_path, resume=True):
+        with use_sweep_options(store=tmp_path):
             warm = run_sweep(sweep)
         assert warm.executed == 0
 
     def test_run_experiment_threads_options(self, tmp_path):
         cold = run_experiment("EXP-01", quick=True, seed=0, store=tmp_path)
         warm = run_experiment(
-            "EXP-01", quick=True, seed=0, jobs=2, store=tmp_path, resume=True
+            "EXP-01", quick=True, seed=0, jobs=2, store=tmp_path
         )
         assert warm.rows == cold.rows
         assert warm.verdict == cold.verdict
@@ -268,17 +270,16 @@ class TestAmbientOptions:
 
 class TestRunnerObject:
     def test_runner_is_reusable(self, tmp_path):
-        runner = SweepRunner(jobs=1, store=tmp_path, resume=True)
         sweep = small_sweep()
-        first = runner.run(sweep)
-        second = runner.run(sweep)
+        first = run_sweep(sweep, jobs=1, store=tmp_path)
+        second = run_sweep(sweep, jobs=1, store=tmp_path)
         assert first.executed == sweep.num_cells
         assert second.executed == 0
         assert first.values() == second.values()
 
     def test_rejects_bad_jobs(self):
         with pytest.raises(SweepError):
-            SweepRunner(jobs=0)
+            run_sweep(small_sweep(), jobs=0)
 
     def test_per_cell_timing_recorded(self):
         result = run_sweep(small_sweep())

@@ -90,7 +90,7 @@ class TestCanonicalJson:
             measure="pytest-nonfinite",
         )
         cold = run_sweep(sweep, store=tmp_path)
-        warm = run_sweep(sweep, store=tmp_path, resume=True)
+        warm = run_sweep(sweep, store=tmp_path)
         assert warm.executed == 0
         assert cold.values() == warm.values()
         assert cold.values()[0]["nan"] == "NaN"
