@@ -78,7 +78,7 @@ bench-check:
 # Every registered protocol x both backends through the scenario layer.
 scenario-smoke:
 	$(PYTHON) -m pytest tests/test_scenario_smoke.py -q
-	$(PYTHON) -m repro.experiments --scenario examples/adversarial_gossip.json
+	$(PYTHON) -m repro.cli --scenario examples/adversarial_gossip.json
 
 # Sweep plane: grid/runner/store tests, the threshold-churn scenario,
 # and CLI round trips (cold parallel run, then a fully-cached re-run;
@@ -86,13 +86,13 @@ scenario-smoke:
 sweep-smoke:
 	$(PYTHON) -m pytest tests/test_sweep_spec.py tests/test_sweep_runner.py \
 		tests/test_models_threshold.py -q
-	$(PYTHON) -m repro.experiments --scenario examples/threshold_streaming.json
+	$(PYTHON) -m repro.cli --scenario examples/threshold_streaming.json
 	rm -rf /tmp/repro-sweep-store /tmp/repro-sweep-file-store
-	$(PYTHON) -m repro.experiments EXP-01 --jobs 2 --store /tmp/repro-sweep-store
-	$(PYTHON) -m repro.experiments EXP-01 --jobs 2 --store /tmp/repro-sweep-store
-	$(PYTHON) -m repro.experiments --sweep examples/fleet_sweep.json --jobs 2 \
+	$(PYTHON) -m repro.cli EXP-01 --jobs 2 --store /tmp/repro-sweep-store
+	$(PYTHON) -m repro.cli EXP-01 --jobs 2 --store /tmp/repro-sweep-store
+	$(PYTHON) -m repro.cli --sweep examples/fleet_sweep.json --jobs 2 \
 		--store /tmp/repro-sweep-file-store > /dev/null
-	$(PYTHON) -m repro.experiments --sweep examples/fleet_sweep.json --jobs 2 \
+	$(PYTHON) -m repro.cli --sweep examples/fleet_sweep.json --jobs 2 \
 		--store /tmp/repro-sweep-file-store 2>&1 >/dev/null | grep 'executed 0,'
 
 # Fleet plane: store/fleet/CLI suites, then a real multi-terminal round
@@ -103,14 +103,14 @@ fleet-smoke:
 	$(PYTHON) -m pytest tests/test_sweep_store.py tests/test_sweep_fleet.py \
 		tests/test_cli_sweep.py -q
 	rm -rf /tmp/repro-fleet-store /tmp/repro-fleet-solo
-	$(PYTHON) -m repro.experiments sweep worker examples/fleet_sweep.json \
+	$(PYTHON) -m repro.cli sweep worker examples/fleet_sweep.json \
 		--store /tmp/repro-fleet-store --wait 30 & \
-	$(PYTHON) -m repro.experiments sweep worker examples/fleet_sweep.json \
+	$(PYTHON) -m repro.cli sweep worker examples/fleet_sweep.json \
 		--store /tmp/repro-fleet-store --wait 30 & \
 	wait
-	$(PYTHON) -m repro.experiments sweep reduce examples/fleet_sweep.json \
+	$(PYTHON) -m repro.cli sweep reduce examples/fleet_sweep.json \
 		--store /tmp/repro-fleet-store --timeout 0 > /tmp/repro-fleet-a.json
-	$(PYTHON) -m repro.experiments sweep run examples/fleet_sweep.json \
+	$(PYTHON) -m repro.cli sweep run examples/fleet_sweep.json \
 		--store /tmp/repro-fleet-solo --workers 1 > /tmp/repro-fleet-b.json
 	$(PYTHON) -c "import json; \
 		a = json.load(open('/tmp/repro-fleet-a.json')); \
@@ -125,12 +125,12 @@ service-smoke:
 	$(PYTHON) -m pytest tests/test_service_checkpoint.py \
 		tests/test_service_trace.py tests/test_service_metrics.py \
 		tests/test_examples_roundtrip.py -q
-	$(PYTHON) -m repro.experiments --scenario examples/trace_replay.json
+	$(PYTHON) -m repro.cli --scenario examples/trace_replay.json
 	rm -rf /tmp/repro-service-ckpt && mkdir -p /tmp/repro-service-ckpt
 	cd /tmp/repro-service-ckpt && PYTHONPATH=$(CURDIR)/src $(PYTHON) \
-		-m repro.experiments --scenario $(CURDIR)/examples/service_checkpoint.json
+		-m repro.cli --scenario $(CURDIR)/examples/service_checkpoint.json
 	cd /tmp/repro-service-ckpt && PYTHONPATH=$(CURDIR)/src $(PYTHON) \
-		-m repro.experiments --restore /tmp/repro-service-ckpt/checkpoints
+		-m repro.cli --restore /tmp/repro-service-ckpt/checkpoints
 
 experiments:
-	$(PYTHON) -m repro.experiments --all
+	$(PYTHON) -m repro.cli --all

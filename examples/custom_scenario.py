@@ -12,7 +12,7 @@ Run:  PYTHONPATH=src python examples/custom_scenario.py
 The same scenario, as pure JSON, lives in
 ``examples/adversarial_gossip.json`` and runs via::
 
-    PYTHONPATH=src python -m repro.experiments --scenario examples/adversarial_gossip.json
+    PYTHONPATH=src python -m repro.cli --scenario examples/adversarial_gossip.json
 """
 
 from __future__ import annotations

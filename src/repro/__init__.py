@@ -22,7 +22,7 @@ The four models of the paper:
 
 Scenarios — churn × policy × protocol × observers as one declarative
 object (JSON-round-trippable, runnable from the CLI via
-``python -m repro.experiments --scenario file.json``)::
+``python -m repro.cli --scenario file.json``)::
 
     from repro import ScenarioSpec, simulate
 

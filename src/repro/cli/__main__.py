@@ -1,4 +1,4 @@
-"""``python -m repro.cli`` — same surface as ``python -m repro.experiments``."""
+"""``python -m repro.cli`` — the command-line entry point."""
 
 import sys
 

@@ -1,11 +1,8 @@
 """The root command line: experiments, scenario files, restore, sweeps.
 
-Historically this lived in ``repro.experiments.__main__``; it moved
-here when the interface layer split from the engine (``repro.api``),
-and the old module remains a re-exporting shim so both ``python -m
-repro.experiments`` and ``python -m repro.cli`` keep working.  A
-leading ``sweep`` argument routes to the fleet subcommands in
-:mod:`repro.cli.sweep`; everything else is the experiment harness.
+Run it as ``python -m repro.cli``.  A leading ``sweep`` argument
+routes to the fleet subcommands in :mod:`repro.cli.sweep`; everything
+else is the experiment harness.
 
 Besides the registered experiments, ``--scenario file.json`` runs a
 scenario defined purely in JSON through the declarative
@@ -30,7 +27,7 @@ def main(argv: list[str] | None = None) -> int:
         return sweep_main(argv[1:])
 
     parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments",
+        prog="python -m repro.cli",
         description="Reproduce the paper's tables and figures.  "
         "(Multi-host sweep execution lives under the `sweep` "
         "subcommand: `... sweep {run,worker,reduce,status} --help`.)",

@@ -95,7 +95,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments sweep",
+        prog="python -m repro.cli sweep",
         description="Fleet-scale sweep execution against a shared store.",
     )
     commands = parser.add_subparsers(dest="command", required=True)

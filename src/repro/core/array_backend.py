@@ -209,8 +209,8 @@ class ArraySlotBackend(GraphBackend):
         self._ensure_in_refs()
         row = self._row_of[node_id]
         id_of = self._id_of
-        out = self._slots[row, : self._num_slots[row]].tolist()
-        result = {int(id_of[t]) for t in out if t >= 0}
+        out = self._slots[row, : self._num_slots.item(row)].tolist()
+        result = {id_of.item(t) for t in out if t >= 0}
         result.update(source for source, _ in self._in_refs[row])
         return result
 
@@ -270,7 +270,8 @@ class ArraySlotBackend(GraphBackend):
     # ------------------------------------------------------------------
 
     def add_node(self, node_id: int, birth_time: float, num_slots: int) -> NodeRecord:
-        if node_id in self._row_of:
+        row_of = self._row_of
+        if node_id in row_of:
             raise SimulationError(f"node id {node_id} already exists")
         if self.compact_csr and node_id > _INT32_MAX:
             raise SimulationError(
@@ -279,84 +280,90 @@ class ArraySlotBackend(GraphBackend):
         if num_slots > self._width:
             self._grow_cols(num_slots)
         row = self._take_row()
-        self._slots[row, :] = -1
+        self._slots[row] = -1
         self._num_slots[row] = num_slots
         self._birth[row] = birth_time
         self._id_of[row] = node_id
         self._alive_rows[row] = True
         self._in_refs[row] = set()
         self._in_count[row] = 0
-        self._row_of[node_id] = row
+        row_of[node_id] = row
         self.alive.add(node_id)
         self._note_mutation((node_id,))
         return NodeRecord(
             node_id=node_id, birth_time=birth_time, out_slots=[None] * num_slots
         )
 
-    def _write_slot(self, source: int, slot_index: int, target: int) -> None:
-        """Check one ``(source, slot) -> target`` write and apply it,
-        without touching the epoch (the callers count it)."""
-        srow = self._row_of[source]
-        if not 0 <= slot_index < self._num_slots[srow]:
-            # Matches the dict backend's list IndexError; without this the
-            # write would land in a padding column, visible to the CSR but
-            # not to neighbors()/out_slots_of().
-            raise IndexError(
-                f"slot index {slot_index} out of range for node {source}"
-            )
-        if self._slots[srow, slot_index] >= 0:
-            raise SimulationError(
-                f"slot {slot_index} of node {source} is already assigned"
-            )
-        if target == source:
-            raise SimulationError(f"self-loop requested by node {source}")
-        trow = self._row_of.get(target)
-        if trow is None:
-            raise SimulationError(f"slot target {target} is not alive")
-        self._slots[srow, slot_index] = trow
-        self._in_refs[trow].add((source, slot_index))
-        self._in_count[trow] += 1
-
     def assign_slot(self, source: int, slot_index: int, target: int) -> None:
-        self._ensure_in_refs()
-        self._write_slot(source, slot_index, target)
-        self._note_mutation((source, target))
+        self.assign_slots(((source, slot_index),), (target,))
 
     def assign_slots(
         self, pairs: Sequence[tuple[int, int]], targets: Sequence[int]
     ) -> None:
         """Point each ``(source, slot)`` pair at its target in one pass.
 
-        Same checks, errors and epoch count as the per-pair loop of
-        :meth:`GraphBackend.assign_slots`: a failing pair raises with the
-        pairs before it applied and counted.
+        The only checked slot write of this backend (:meth:`assign_slot`
+        is a one-pair call).  Same checks, errors and epoch count as the
+        per-pair loop of :meth:`GraphBackend.assign_slots`: a failing pair
+        raises with the pairs before it applied and counted.  Scalars are
+        read with ``.item()`` through local aliases, and the touched ids
+        are collected only while :meth:`track_mutations` is on.
         """
         self._ensure_in_refs()
-        write = self._write_slot
-        touched: list[int] = []
+        row_of = self._row_of
+        slots = self._slots
+        num_slots = self._num_slots
+        in_refs = self._in_refs
+        in_count = self._in_count
+        touched: list[int] | None = [] if self._touched is not None else None
+        applied = 0
         try:
             for (source, slot_index), target in zip(pairs, targets):
-                write(source, slot_index, target)
-                touched.append(source)
-                touched.append(target)
+                srow = row_of[source]
+                if not 0 <= slot_index < num_slots.item(srow):
+                    # Matches the dict backend's list IndexError; without
+                    # this the write would land in a padding column,
+                    # visible to the CSR but not to neighbors() or
+                    # out_slots_of().
+                    raise IndexError(
+                        f"slot index {slot_index} out of range for node {source}"
+                    )
+                if slots.item(srow, slot_index) >= 0:
+                    raise SimulationError(
+                        f"slot {slot_index} of node {source} is already assigned"
+                    )
+                if target == source:
+                    raise SimulationError(f"self-loop requested by node {source}")
+                trow = row_of.get(target)
+                if trow is None:
+                    raise SimulationError(f"slot target {target} is not alive")
+                slots[srow, slot_index] = trow
+                in_refs[trow].add((source, slot_index))
+                in_count[trow] = in_count.item(trow) + 1
+                applied += 1
+                if touched is not None:
+                    touched.append(source)
+                    touched.append(target)
         finally:
-            if touched:
-                self._note_mutation(touched, len(touched) // 2)
+            if applied:
+                self._note_mutation(touched or (), applied)
 
     def clear_slot(self, source: int, slot_index: int) -> int | None:
         self._ensure_in_refs()
         srow = self._row_of[source]
-        if not 0 <= slot_index < self._num_slots[srow]:
+        if not 0 <= slot_index < self._num_slots.item(srow):
             raise IndexError(
                 f"slot index {slot_index} out of range for node {source}"
             )
-        trow = self._slots[srow, slot_index]
+        slots = self._slots
+        trow = slots.item(srow, slot_index)
         if trow < 0:
             return None
-        self._slots[srow, slot_index] = -1
+        slots[srow, slot_index] = -1
         self._in_refs[trow].discard((source, slot_index))
-        self._in_count[trow] -= 1
-        target = int(self._id_of[trow])
+        in_count = self._in_count
+        in_count[trow] = in_count.item(trow) - 1
+        target = self._id_of.item(trow)
         self._note_mutation((source, target))
         return target
 
@@ -366,35 +373,41 @@ class ArraySlotBackend(GraphBackend):
         self._ensure_in_refs()
         if node_id not in self.alive:
             raise SimulationError(f"cannot remove node {node_id}: not alive")
-        row = self._row_of[node_id]
+        row_of = self._row_of
+        slots = self._slots
+        in_refs = self._in_refs
+        in_count = self._in_count
+        id_of = self._id_of
+        row = row_of.pop(node_id)
         self.alive.discard(node_id)
         self._alive_rows[row] = False
-        touched = [node_id]
+        touched: list[int] | None = [node_id] if self._touched is not None else None
 
         # Drop the dying node's own requests.
-        out = self._slots[row, : self._num_slots[row]].tolist()
+        out = slots[row, : self._num_slots.item(row)].tolist()
         for slot_index, trow in enumerate(out):
             if trow >= 0:
-                self._in_refs[trow].discard((node_id, slot_index))
-                self._in_count[trow] -= 1
-                touched.append(int(self._id_of[trow]))
-        self._slots[row, :] = -1
+                in_refs[trow].discard((node_id, slot_index))
+                in_count[trow] = in_count.item(trow) - 1
+                if touched is not None:
+                    touched.append(id_of.item(trow))
+        slots[row] = -1
 
         # Orphan the requests of others pointing here (sorted, matching the
         # dict backend so regeneration repairs in the same RNG order).
-        orphaned = sorted(self._in_refs[row])
+        orphaned = sorted(in_refs[row])
         for source, slot_index in orphaned:
-            self._slots[self._row_of[source], slot_index] = -1
-            touched.append(source)
-        self._in_refs[row] = set()
-        self._in_count[row] = 0
+            slots[row_of[source], slot_index] = -1
+        if touched is not None:
+            touched.extend(source for source, _ in orphaned)
+        in_refs[row] = set()
+        in_count[row] = 0
 
-        del self._row_of[node_id]
-        self._id_of[row] = -1
+        id_of[row] = -1
         self._num_slots[row] = 0
         self._birth[row] = 0.0
         self._free.append(row)
-        self._note_mutation(touched)
+        self._note_mutation(touched or ())
         return orphaned
 
     # ------------------------------------------------------------------

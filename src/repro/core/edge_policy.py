@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from itertools import repeat
 
 import numpy as np
 
@@ -71,9 +72,7 @@ class EdgePolicy(ABC):
         record = EventRecord(time=time, kind=NodeBorn(node_id=node_id))
         targets = state.sample_targets(rng, self.d, exclude=node_id)
         state.assign_slots([(node_id, j) for j in range(len(targets))], targets)
-        record.edges_created.extend(
-            EdgeCreated(source=node_id, target=target) for target in targets
-        )
+        record.edges_created.extend(map(EdgeCreated, repeat(node_id), targets))
         return record
 
     def handle_death(
@@ -87,8 +86,7 @@ class EdgePolicy(ABC):
         record = EventRecord(time=time, kind=NodeDied(node_id=node_id))
         # Destroyed edges: everything incident to the dying node.
         record.edges_destroyed.extend(
-            EdgeDestroyed(source=node_id, target=neighbor)
-            for neighbor in state.neighbors(node_id)
+            map(EdgeDestroyed, repeat(node_id), state.neighbors(node_id))
         )
         orphaned = state.remove_node(node_id, death_time=time)
         self.repair_orphans(state, orphaned, time, rng, record)
@@ -257,10 +255,7 @@ class RegenerationPolicy(EdgePolicy):
         sources = [source for source, _ in orphaned]
         targets = state.alive.sample_each_excluding(rng, sources)
         state.assign_slots(orphaned, targets)
-        record.edges_created.extend(
-            EdgeCreated(source=source, target=target)
-            for source, target in zip(sources, targets)
-        )
+        record.edges_created.extend(map(EdgeCreated, sources, targets))
 
 
 class BoundedInDegreePolicy(EdgePolicy):

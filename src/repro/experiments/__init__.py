@@ -2,10 +2,10 @@
 
 Run from the command line::
 
-    python -m repro.experiments --list
-    python -m repro.experiments EXP-01
-    python -m repro.experiments --all
-    python -m repro.experiments --all --full   # EXPERIMENTS.md scale
+    python -m repro.cli --list
+    python -m repro.cli EXP-01
+    python -m repro.cli --all
+    python -m repro.cli --all --full   # EXPERIMENTS.md scale
 
 or programmatically::
 

@@ -28,7 +28,7 @@ Quick start::
     print(sim.flood().completion_round, sim.results()["expansion"])
 
 JSON scenarios run from the CLI:
-``python -m repro.experiments --scenario file.json``.
+``python -m repro.cli --scenario file.json``.
 """
 
 from repro.scenario.observers import (

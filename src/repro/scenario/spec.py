@@ -4,7 +4,7 @@ A :class:`ScenarioSpec` is one frozen, JSON-round-trippable value object
 naming everything that defines a paper experiment instance: the churn
 model and its parameters, the edge policy, the spreading protocol, the
 topology backend, the scale ``(n, d)``, the seed and the observation
-horizon.  The experiment runners, the CLI (``python -m repro.experiments
+horizon.  The experiment runners, the CLI (``python -m repro.cli
 --scenario file.json``) and parameter sweeps all build network sessions
 from specs through :class:`~repro.scenario.simulation.Simulation`, so a
 scenario behaves identically whether it was written in Python or loaded
@@ -229,7 +229,7 @@ class ScenarioDocument:
     """A scenario file: one spec plus observer declarations.
 
     The JSON shape accepted by :func:`load_scenario_document` (and hence
-    by ``python -m repro.experiments --scenario file.json``) is either a
+    by ``python -m repro.cli --scenario file.json``) is either a
     flat :class:`ScenarioSpec` object, or::
 
         {

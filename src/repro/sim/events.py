@@ -4,15 +4,23 @@ Each churn event (a node birth or death) produces one :class:`EventRecord`
 describing exactly which topology changes it caused.  The asynchronous
 flooding process consumes these records to learn about newly created edges
 incident to informed nodes; experiment code consumes them for tracing.
+
+The per-edge records :class:`EdgeCreated` and :class:`EdgeDestroyed` are
+:class:`~typing.NamedTuple` classes: immutable, hashable and picklable,
+and about half as costly to build as a frozen dataclass (the per-event
+path builds one per request).  Being tuples, a record compares
+equal to its ``(source, target)`` tuple (so an ``EdgeCreated`` and an
+``EdgeDestroyed`` with the same endpoints compare equal too); tell them
+apart by type or by the :class:`EventRecord` list holding them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeCreated:
+class EdgeCreated(NamedTuple):
     """An undirected edge appeared, requested by *source* towards *target*."""
 
     source: int
@@ -22,8 +30,7 @@ class EdgeCreated:
         return (self.source, self.target)
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeDestroyed:
+class EdgeDestroyed(NamedTuple):
     """An undirected edge disappeared (because one endpoint died)."""
 
     source: int

@@ -334,3 +334,19 @@ def test_assign_slots_counts_one_epoch_per_slot(backend_cls):
     state.assign_slots([], [])
     assert state.mutation_epoch() == epoch + 3
     state.check_invariants()
+
+
+@pytest.mark.parametrize("model", [SDG, SDGR, PDG, PDGR])
+def test_mutation_tracking_parity(model):
+    """With tracking on, both backends report the same touched ids each
+    round and end on the same mutation epoch (the array backend builds
+    its touched lists only while tracking, without changing the count)."""
+    a, b = both_backends(lambda backend: model(n=40, d=3, seed=21, backend=backend))
+    for net in (a, b):
+        net.state.track_mutations()
+    for _ in range(60):
+        a.advance_round()
+        b.advance_round()
+        assert a.state.drain_touched() == b.state.drain_touched()
+    assert a.state.mutation_epoch() == b.state.mutation_epoch()
+    assert_states_identical(a, b)

@@ -1,15 +1,17 @@
-"""Interface-layer tests: the ``sweep`` subcommands, the CLI split
-(``repro.cli`` owning what ``repro.experiments.__main__`` re-exports),
-and the thin-shim contract."""
+"""Interface-layer tests: the ``sweep`` subcommands and the
+``repro.cli`` entry point."""
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli.main import main as cli_main
-from repro.experiments.__main__ import main as legacy_main
 from repro.scenario import ScenarioSpec
 from repro.sweep import SweepSpec, measurement
 from repro.util.rng import SeedLike, make_rng
@@ -48,22 +50,39 @@ def _last_json(captured: str) -> dict:
 
 
 class TestShim:
-    def test_legacy_module_is_a_thin_reexport(self):
-        # Both entry points must be the same callable, so behavior can
-        # never drift between `python -m repro.experiments` and
-        # `python -m repro.cli`.
-        assert legacy_main is cli_main
-
     def test_legacy_helpers_still_importable(self):
-        from repro.experiments.__main__ import (  # noqa: F401
+        from repro.cli.main import (  # noqa: F401
             run_restore,
             run_scenario_file,
             run_sweep_file,
         )
 
     def test_list_still_works_through_both(self, capsys):
-        assert legacy_main(["--list"]) == 0
+        assert cli_main(["--list"]) == 0
         assert "EXP-01" in capsys.readouterr().out
+
+    def test_module_entry_point(self):
+        # `python -m repro.cli` is the one command-line entry point; the
+        # old `python -m repro.experiments` module is gone.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+
+        def run(module: str) -> subprocess.CompletedProcess:
+            return subprocess.run(
+                [sys.executable, "-m", module, "--list"],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+
+        current = run("repro.cli")
+        assert current.returncode == 0, current.stderr
+        assert "EXP-01" in current.stdout
+        assert run("repro.experiments").returncode != 0
 
 
 class TestSweepRun:

@@ -90,7 +90,7 @@ class TestCsvExport:
 
 class TestCliCsvFlag:
     def test_cli_writes_csv(self, tmp_path, capsys):
-        from repro.experiments.__main__ import main as cli_main
+        from repro.cli.main import main as cli_main
 
         code = cli_main(["EXP-07", "--csv", str(tmp_path)])
         assert code == 0

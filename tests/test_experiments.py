@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments import all_experiments, get_experiment, run_experiment
-from repro.experiments.__main__ import main as cli_main
+from repro.cli.main import main as cli_main
 from repro.experiments.common import ExperimentResult, Stopwatch
 from repro.util.rng import derive_seeds
 

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import json
+import pickle
+
 import pytest
 
 from repro.models import PDGR, SDGR
 from repro.models.base import RoundReport
-from repro.sim.events import EventRecord, NodeBorn, NodeDied
+from repro.service.checkpoint import decode_event, encode_event
+from repro.sim.events import (
+    EdgeCreated,
+    EdgeDestroyed,
+    EventRecord,
+    NodeBorn,
+    NodeDied,
+)
 
 
 class TestRoundReport:
@@ -67,7 +77,51 @@ class TestDriverInterface:
         assert died.is_death and not died.is_birth
 
     def test_edge_endpoint_helpers(self):
-        from repro.sim.events import EdgeCreated, EdgeDestroyed
-
         assert EdgeCreated(1, 2).endpoints() == (1, 2)
         assert EdgeDestroyed(3, 4).endpoints() == (3, 4)
+
+
+class TestEdgeRecords:
+    """The per-edge record surface the drivers, flooding and checkpoints use."""
+
+    @pytest.mark.parametrize("cls", [EdgeCreated, EdgeDestroyed])
+    def test_fields_and_endpoints(self, cls):
+        edge = cls(source=5, target=9)
+        assert (edge.source, edge.target) == (5, 9)
+        assert edge.endpoints() == (5, 9)
+        assert edge == cls(5, 9)
+        assert hash(edge) == hash(cls(5, 9))
+        # A record is a tuple: it compares equal to (source, target).
+        assert edge == (5, 9)
+
+    @pytest.mark.parametrize("cls", [EdgeCreated, EdgeDestroyed])
+    def test_records_are_immutable(self, cls):
+        edge = cls(1, 2)
+        with pytest.raises(AttributeError):
+            edge.source = 3
+        with pytest.raises(AttributeError):
+            edge.weight = 1.0
+
+    @pytest.mark.parametrize("cls", [EdgeCreated, EdgeDestroyed])
+    def test_records_pickle(self, cls):
+        edge = cls(4, 7)
+        restored = pickle.loads(pickle.dumps(edge))
+        assert type(restored) is cls
+        assert restored == edge
+
+    def test_event_codec_round_trip(self):
+        event = EventRecord(
+            time=2.5,
+            kind=NodeDied(node_id=3),
+            edges_created=[EdgeCreated(8, 1), EdgeCreated(6, 2)],
+            edges_destroyed=[EdgeDestroyed(3, 8), EdgeDestroyed(3, 6)],
+        )
+        decoded = decode_event(json.loads(json.dumps(encode_event(event))))
+        assert decoded == event
+        assert all(type(e) is EdgeCreated for e in decoded.edges_created)
+        assert all(type(e) is EdgeDestroyed for e in decoded.edges_destroyed)
+
+    def test_live_records_round_trip(self):
+        net = SDGR(n=30, d=3, seed=5)
+        for event in net.advance_round().events:
+            assert decode_event(encode_event(event)) == event

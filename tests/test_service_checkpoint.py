@@ -340,7 +340,7 @@ class TestCli:
         return path
 
     def test_kill_and_resume_round_trip(self, tmp_path, capsys):
-        from repro.experiments.__main__ import main as cli_main
+        from repro.cli.main import main as cli_main
 
         scenario = self._scenario_file(tmp_path)
         ckpt_dir = tmp_path / "ckpts"
@@ -374,13 +374,13 @@ class TestCli:
         assert resumed.endswith(tail)
 
     def test_restore_conflicts_with_scenario(self, tmp_path):
-        from repro.experiments.__main__ import main as cli_main
+        from repro.cli.main import main as cli_main
 
         with pytest.raises(SystemExit):
             cli_main(["--restore", "x", "--scenario", "y"])
 
     def test_checkpoint_every_needs_dir(self):
-        from repro.experiments.__main__ import main as cli_main
+        from repro.cli.main import main as cli_main
 
         with pytest.raises(SystemExit):
             cli_main(["EXP-01", "--checkpoint-every", "5"])
