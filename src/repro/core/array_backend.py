@@ -426,6 +426,20 @@ class ArraySlotBackend(GraphBackend):
         birth paths; the :class:`GraphBackend` contract only promises the
         registration itself).
         """
+        rows = self._register_rows(node_ids, times, num_slots)
+        if rows.size:
+            self._note_mutation(
+                self._id_of[rows].tolist() if self._touched is not None else ()
+            )
+        return rows
+
+    def _register_rows(
+        self,
+        node_ids: Sequence[int],
+        times: Sequence[float] | float,
+        num_slots: int,
+    ) -> np.ndarray:
+        """:meth:`add_nodes` without the epoch bump (callers count it)."""
         count = len(node_ids)
         if count == 0:
             return np.empty(0, dtype=np.int64)
@@ -467,7 +481,6 @@ class ArraySlotBackend(GraphBackend):
         self._in_count[rows] = 0
         self._row_of.update(zip(ids.tolist(), rows.tolist()))
         self.alive.extend_unique(node_ids)
-        self._note_mutation(ids.tolist() if self._touched is not None else ())
         return rows
 
     def apply_births(
@@ -531,51 +544,63 @@ class ArraySlotBackend(GraphBackend):
     ) -> None:
         """Vectorized pure-birth batch with pre-drawn target ids.
 
-        Registers the batch via :meth:`add_nodes` and scatters every
-        non-negative target into the slot matrix in one pass; rows may
-        reference earlier newborns of the same batch.  No RNG is consumed
-        (the caller drew from a canonical plan).
+        Leaves the state a loop of :meth:`add_node` + :meth:`assign_slots`
+        over the batch leaves, epoch included (one per newborn plus one
+        per written slot); rows may reference earlier newborns of the
+        same batch.  Targets among the newborns resolve to rows through
+        one sorted map of the batch's ids, older targets through the id
+        map.  When the batch is the whole population on
+        ascending rows, the reverse index is marked stale instead of
+        built: :meth:`_ensure_in_refs` rebuilds it row-major, which is
+        exactly the loop's insertion order.  No RNG is consumed.
         """
         count = len(node_ids)
         if count == 0:
             return
         targets = np.asarray(targets, dtype=np.int64)
         num_slots = targets.shape[1] if targets.ndim == 2 else 0
-        self._ensure_in_refs()
-        rows = self.add_nodes(node_ids, times, num_slots)
-        if num_slots == 0:
-            return
-        flat = targets.reshape(-1)
+        flat = targets.reshape(-1) if num_slots else np.empty(0, np.int64)
         valid = flat >= 0
-        if not np.any(valid):
-            return
         ids = np.asarray(node_ids, dtype=np.int64)
-        if np.any(flat[valid] == np.repeat(ids, num_slots)[valid]):
+        src_ids = np.repeat(ids, num_slots)[valid]
+        tgt = flat[valid]
+        if np.any(tgt == src_ids):
             raise SimulationError("self-loop in pre-drawn birth targets")
-        row_of = self._row_of
-        try:
-            trows = np.fromiter(
-                (row_of[t] for t in flat[valid].tolist()),
-                dtype=np.int64,
-                count=int(np.count_nonzero(valid)),
-            )
-        except KeyError as exc:
-            raise SimulationError(
-                f"pre-drawn birth target {exc.args[0]} is not alive"
-            ) from exc
+        whole = self.num_alive() == 0
+        self._ensure_in_refs()
+        rows = self._register_rows(node_ids, times, num_slots)
+        order = np.argsort(ids, kind="stable")
+        pos = np.minimum(np.searchsorted(ids[order], tgt), count - 1)
+        trows = rows[order[pos]]
+        older = np.flatnonzero(ids[order[pos]] != tgt)
+        if older.size:
+            row_of = self._row_of
+            try:
+                trows[older] = [row_of[t] for t in tgt[older].tolist()]
+            except KeyError as exc:
+                raise SimulationError(
+                    f"pre-drawn birth target {exc.args[0]} is not alive"
+                ) from exc
         src_rows = np.repeat(rows, num_slots)[valid]
         src_cols = np.tile(np.arange(num_slots), count)[valid]
         self._slots[src_rows, src_cols] = trows
-        np.add.at(self._in_count, trows, 1)
-        in_refs = self._in_refs
-        src_ids = np.repeat(ids, num_slots)[valid]
-        for source, col, trow in zip(
-            src_ids.tolist(), src_cols.tolist(), trows.tolist()
-        ):
-            in_refs[trow].add((source, int(col)))
-        self._note_mutation(
-            self._id_of[trows].tolist() if self._touched is not None else ()
+        self._in_count += np.bincount(trows, minlength=self._cap).astype(
+            np.int32
         )
+        if whole and np.all(rows[1:] > rows[:-1]):
+            self._in_refs_stale = True
+        else:
+            in_refs = self._in_refs
+            for source, col, trow in zip(
+                src_ids.tolist(), src_cols.tolist(), trows.tolist()
+            ):
+                in_refs[trow].add((source, col))
+        touched = (
+            ids.tolist() + self._id_of[trows].tolist()
+            if self._touched is not None
+            else ()
+        )
+        self._note_mutation(touched, count + tgt.size)
 
     # ------------------------------------------------------------------
     # fused streaming rounds (death → regeneration → birth per round)

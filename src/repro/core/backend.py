@@ -398,8 +398,10 @@ class GraphBackend(ABC):
         randomness is consumed here — the caller drew the targets from a
         canonical plan, which is what makes fused windows bit-identical
         across backends.  The generic implementation loops
-        :meth:`add_node`/:meth:`assign_slot`; the array backend scatters
-        the batch in vectorized writes.
+        :meth:`add_node`/:meth:`assign_slot`, so each newborn and each
+        written slot advances :meth:`mutation_epoch` by one; the array
+        backend scatters the batch in vectorized writes with the same
+        count (the epoch is written into checkpoints).
         """
         targets = np.asarray(targets, dtype=np.int64)
         times_list = self.birth_times_list(node_ids, times)

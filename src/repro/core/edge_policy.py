@@ -50,6 +50,7 @@ from repro.sim.events import (
     NodeDied,
     NodesDied,
 )
+from repro.util.sampling import birth_prefix_draws
 
 
 class EdgePolicy(ABC):
@@ -164,9 +165,35 @@ class EdgePolicy(ABC):
         if self.supports_batch_birth:
             state.apply_births(node_ids, times, self.d, rng)
             return
-        times_list = state.birth_times_list(node_ids, times)
-        for node_id, time in zip(node_ids, times_list):
-            self.handle_birth(state, node_id, time, rng)
+        self.handle_birth_prefix(state, node_ids, times, rng)
+
+    def handle_birth_prefix(
+        self,
+        state: GraphBackend,
+        node_ids: list[int],
+        times: list[float] | float,
+        rng: np.random.Generator,
+    ) -> None:
+        """Apply pure births exactly as a :meth:`handle_birth` loop would.
+
+        Same targets, alive order, ``mutation_epoch`` and RNG state as
+        the loop, without event records: the per-event warm-up.  With
+        the base uniform birth rule every request is drawn in one exact
+        batch (:func:`~repro.util.sampling.birth_prefix_draws`) and
+        written with one ``apply_birth_slots``; a policy that overrides
+        :meth:`handle_birth` keeps its loop.
+        """
+        if not self.supports_batch_birth:
+            times_list = state.birth_times_list(node_ids, times)
+            for node_id, time in zip(node_ids, times_list):
+                self.handle_birth(state, node_id, time, rng)
+            return
+        # Newborn k's pool: the alive order, then the newborns up to k.
+        first_pool = state.num_alive() + 1
+        pool = np.asarray(state.alive.as_list() + list(node_ids), dtype=np.int64)
+        draws = birth_prefix_draws(rng, first_pool, len(node_ids), self.d)
+        targets = np.where(draws >= 0, pool[draws], -1)
+        state.apply_birth_slots(node_ids, times, targets)
 
     def handle_deaths(
         self,
@@ -378,9 +405,7 @@ class BoundedInDegreePolicy(EdgePolicy):
         the whole post-batch population.
         """
         if not self._use_bulk(state):
-            times_list = state.birth_times_list(node_ids, times)
-            for node_id, time in zip(node_ids, times_list):
-                self.handle_birth(state, node_id, time, rng)
+            self.handle_birth_prefix(state, node_ids, times, rng)
             return
         m0 = state.num_alive()
         rows = state.add_nodes(node_ids, times, self.d)

@@ -39,14 +39,19 @@ class StreamingNetwork(DynamicNetwork):
         n: network size (= deterministic node lifetime in rounds).
         policy: edge policy (no-regen for SDG, regen for SDGR).
         seed: RNG seed.
-        warm: when true (default), immediately run the first ``n`` birth
-            rounds so the network starts full, at round ``n``.
+        warm: when true (default), immediately apply the first ``n``
+            birth rounds so the network starts full, at round ``n``.  The
+            births are applied as one batch with no per-round reports,
+            bit-identical to ``n`` per-event rounds (same targets, alive
+            order, mutation epoch and RNG state) on every backend; a
+            policy overriding the birth hook runs it per birth.
         backend: topology backend name/instance (None = process default).
-        fast_warm: apply the ``n`` warm-up births through the backend's
-            batched path (one vectorized draw on the array backend).  Same
-            distribution as the per-round warm-up, but a *different seeded
-            trajectory* — leave False when bit-identical trajectories
-            against a per-round run matter (e.g. cross-backend parity).
+        fast_warm: draw the ``n`` warm-up births through the backend's
+            batched path instead (one vectorized draw on the array
+            backend).  Same distribution as the exact warm-up, but a
+            *different seeded trajectory*: it differs only in its RNG
+            stream, so leave False when trajectories must match a
+            per-event run (e.g. cross-backend parity).
     """
 
     def __init__(
@@ -65,19 +70,22 @@ class StreamingNetwork(DynamicNetwork):
         self.schedule = StreamingSchedule(n)
         self.round_number = 0
         if warm:
-            if fast_warm:
-                self._warm_batch()
-            else:
-                self.run_rounds(n)
+            self._warm_batch(fast_warm)
 
-    def _warm_batch(self) -> None:
-        """Warm-up as one batched pure-birth pass (Definition 3.2 rounds
-        1..n have no deaths, so the whole prefix is a single batch)."""
+    def _warm_batch(self, fast: bool) -> None:
+        """Warm-up as one pure-birth batch (Definition 3.2 rounds 1..n
+        have no deaths): exact per-event births, or the backend's batched
+        draw when *fast*."""
         node_ids = self.state.allocate_ids(self.n)
         if node_ids[0] != self.schedule.birth_id(1):
             raise SimulationError("batched warm-up must start from round 0")
         times = np.arange(1, self.n + 1, dtype=np.float64)
-        self.policy.handle_births(self.state, node_ids, times, self.rng)
+        if fast:
+            self.policy.handle_births(self.state, node_ids, times, self.rng)
+        else:
+            self.policy.handle_birth_prefix(
+                self.state, node_ids, times, self.rng
+            )
         self.round_number = self.n
         self.clock.advance_to(float(self.n))
 

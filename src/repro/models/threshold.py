@@ -88,11 +88,13 @@ class ThresholdStreamingNetwork(DynamicNetwork):
         threshold: minimum distinct-neighbour degree an alive node must
             keep; anything below departs in the round's sweep.
         seed: RNG seed.
-        warm: run the ``n`` warm-up birth rounds immediately (default).
+        warm: apply the ``n`` warm-up birth rounds immediately
+            (default), as one batch bit-identical to ``n`` per-event
+            births — exactly like the streaming driver's warm-up.
         backend: topology backend name/instance (None = process default).
-        fast_warm: apply the warm-up births through the backend's
-            batched path (same distribution, different seeded
-            trajectory — exactly like the other drivers' fast_warm).
+        fast_warm: draw the warm-up births through the backend's batched
+            path instead (same distribution, different RNG stream —
+            exactly like the other drivers' fast_warm).
     """
 
     def __init__(
@@ -124,28 +126,23 @@ class ThresholdStreamingNetwork(DynamicNetwork):
         #: round of grace to attract in-links), examined the round after.
         self._grace_id: int | None = None
         if warm:
-            if fast_warm:
-                self._warm_batch()
-            else:
-                self._warm_rounds()
+            self._warm_batch(fast_warm)
 
     # ------------------------------------------------------------------
     # warm-up (pure births, Definition 3.2)
     # ------------------------------------------------------------------
 
-    def _warm_rounds(self) -> None:
-        for _ in range(self.n):
-            self.round_number += 1
-            self.clock.advance_to(float(self.round_number))
-            birth_id = self.state.allocate_id()
-            self.policy.handle_birth(self.state, birth_id, self.now, self.rng)
-
-    def _warm_batch(self) -> None:
+    def _warm_batch(self, fast: bool) -> None:
         node_ids = self.state.allocate_ids(self.n)
         if node_ids[0] != 0:
             raise SimulationError("batched warm-up must start from round 0")
         times = np.arange(1, self.n + 1, dtype=np.float64)
-        self.policy.handle_births(self.state, node_ids, times, self.rng)
+        if fast:
+            self.policy.handle_births(self.state, node_ids, times, self.rng)
+        else:
+            self.policy.handle_birth_prefix(
+                self.state, node_ids, times, self.rng
+            )
         self.round_number = self.n
         self.clock.advance_to(float(self.n))
 

@@ -29,6 +29,58 @@ def _uniform_indices(rng: np.random.Generator, size: int, k: int) -> list[int]:
     return rng.integers(0, size, size=k).tolist()
 
 
+#: Fewest values a speculative chunk of :func:`birth_prefix_draws` draws.
+_SPECULATION_MIN = 512
+
+
+def birth_prefix_draws(
+    rng: np.random.Generator, first_size: int, count: int, d: int
+) -> np.ndarray:
+    """Pool indices of *count* successive newborns' *d* requests each.
+
+    Newborn ``k`` sees a pool of ``first_size + k`` members with itself
+    last, so each of its requests takes bounded draws with that bound
+    until one is not its own index.  Row ``k`` of the ``(count, d)``
+    result holds the same values, and *rng* ends in the same state, as a
+    loop of ``IndexedSet.add(newborn)`` plus ``sample_many(rng, d,
+    exclude=newborn)``; a newborn alone in its pool draws nothing and
+    gets a row of −1.
+
+    One ``rng.integers`` call with an array of bounds consumes the stream
+    like scalar calls with those bounds, one after another.  So a chunk
+    of about one pool size of values (at least ``_SPECULATION_MIN``) is
+    drawn speculatively, assuming no rejection; at the first rejected
+    value the generator state is restored and the chunk replayed up to
+    and including that value, and drawing goes on from there.
+    Rejections come about ``d·ln(count)`` times in all, mostly in the
+    first, smallest pools.
+    """
+    out = np.full((count, d), -1, dtype=np.int64)
+    skip = 1 if first_size == 1 else 0
+    if count <= skip or d == 0:
+        return out
+    sizes = np.arange(first_size + skip, first_size + count, dtype=np.int64)
+    bounds = np.repeat(sizes, d)
+    flat = out[skip:].reshape(-1)
+    bit_generator = rng.bit_generator
+    pos = 0
+    while pos < bounds.size:
+        chunk = bounds[pos : pos + max(_SPECULATION_MIN, int(bounds[pos]))]
+        saved = bit_generator.state
+        values = rng.integers(0, chunk)
+        rejected = np.flatnonzero(values == chunk - 1)
+        if rejected.size == 0:
+            flat[pos : pos + chunk.size] = values
+            pos += chunk.size
+            continue
+        first = int(rejected[0])
+        flat[pos : pos + first] = values[:first]
+        bit_generator.state = saved
+        rng.integers(0, chunk[: first + 1])
+        pos += first
+    return out
+
+
 class IndexedSet:
     """A set of ints supporting O(1) add/discard/contains/uniform-sample."""
 

@@ -1,0 +1,260 @@
+"""The exact warm-up: golden digests, birth hooks and epoch counts.
+
+Every streaming-cadence session starts with Definition 3.2's ``n`` pure
+births (``N_0 = ∅``).  The per-event warm-up (``fast_warm=False``) must
+leave exactly the state a loop of ``EdgePolicy.handle_birth`` calls
+leaves — however the driver applies it.  Each digest hashes, right after
+warm-up: the alive order and every out-slot, every ``in_slot_count``, the
+backend's ``mutation_epoch``, the RNG state and a full checkpoint
+payload; then the event records of the first 10 per-event rounds.
+
+The digests were computed with the per-birth warm-up loop (one
+``handle_birth`` call per round), so they pin the batch to it.  The other tests pin what that
+batch relies on: a policy overriding the birth hook still runs it once
+per birth, and ``apply_birth_slots`` counts the epoch like the loop of
+``add_node`` + ``assign_slots`` it replaces, on both backends.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from repro.core.array_backend import ArraySlotBackend
+from repro.core.edge_policy import (
+    CappedRegenerationPolicy,
+    RAESPolicy,
+    RegenerationPolicy,
+)
+from repro.core.graph import DictBackend
+from repro.errors import SimulationError
+from repro.models.streaming import StreamingNetwork
+from repro.models.threshold import ThresholdStreamingNetwork
+from repro.scenario import ScenarioSpec, Simulation
+from repro.service.checkpoint import build_payload, encode_value
+
+_CAPPED = {"max_in_degree": 5, "max_attempts": 4}
+
+#: (churn, policy, backend, n, d) -> sha256 of the warm-state transcript.
+GOLDEN = {
+    ("streaming", "none", "array", 2000, 8): (
+        "1c1055b9dfa5118a177521e95fe07989"
+        "d72c8a4282e326f1fdc4549553863d9b"
+    ),
+    ("streaming", "none", "dict", 2000, 8): (
+        "d7fd22a26a36055812c1525391c59f1f"
+        "72622c82c9c3a08ba810aea6f777046b"
+    ),
+    ("streaming", "regen", "array", 2000, 8): (
+        "2dfec12d21b6a11a869e9e956a8282fb"
+        "18ff0807b307556e54bfe47baae7a717"
+    ),
+    ("streaming", "regen", "dict", 2000, 8): (
+        "d00912f6dd0344e73f3a39b701feef5b"
+        "ef42f5178d87aaa5b335991a0e8d9bf2"
+    ),
+    ("threshold", "capped", "array", 300, 3): (
+        "fd1e0ef0f5571abd5cfbaf9076bf66ce"
+        "7234e6922dbce9c16352208c4455d3e2"
+    ),
+    ("threshold", "capped", "array", 300, 5): (
+        "0a5af28f203a4181ea10bd4d5040153b"
+        "2c39d861135cddb7138d0fa7690cd285"
+    ),
+    ("threshold", "capped", "dict", 300, 3): (
+        "6787f9584a36cc548e9a0f1b1dd98f52"
+        "b0b55194a9bda7d224a28dbf850aacdd"
+    ),
+    ("threshold", "capped", "dict", 300, 5): (
+        "9267be6a96713c56372399843281d139"
+        "ff2200e29d82be9dc2cca3710ee14892"
+    ),
+    ("threshold", "regen", "array", 300, 3): (
+        "796606668b46979356db9a2646fc9a29"
+        "66a469a61e5c278d306eb448019c5d77"
+    ),
+    ("threshold", "regen", "array", 300, 5): (
+        "4df6c98b235c322d3c36a458edd19c29"
+        "c1a066c666b102bb4b707a6e35717691"
+    ),
+    ("threshold", "regen", "dict", 300, 3): (
+        "07f2a318f986d06abed6aaf07f4fadbf"
+        "7ccc51b7cfb54b437a1c31b10d99d719"
+    ),
+    ("threshold", "regen", "dict", 300, 5): (
+        "a0c8fcbe30b660261b56df8b965b7c1e"
+        "a5b3cfeb526eb5f7492ebc5180966898"
+    ),
+}
+
+
+def warm_transcript(
+    churn: str, policy: str, backend: str, n: int, d: int
+) -> dict:
+    spec = ScenarioSpec(
+        churn=churn,
+        policy=policy,
+        policy_params=_CAPPED if policy == "capped" else {},
+        n=n,
+        d=d,
+        seed=2025,
+        backend=backend,
+    )
+    sim = Simulation(spec)
+    network = sim.network
+    state = network.state
+    alive = state.alive_ids()
+    payload = json.dumps(
+        encode_value(build_payload(sim)), sort_keys=True, separators=(",", ":")
+    )
+    warm = {
+        "alive": alive,
+        "slots": [state.out_slots_of(u) for u in alive],
+        "in_counts": [state.in_slot_count(u) for u in alive],
+        "epoch": state.mutation_epoch(),
+        "rng": network.rng.bit_generator.state,
+        "checkpoint": hashlib.sha256(payload.encode()).hexdigest(),
+    }
+    rounds = [
+        [
+            [
+                type(event.kind).__name__,
+                list(event.node_ids),
+                [[e.source, e.target] for e in event.edges_created],
+                [[e.source, e.target] for e in event.edges_destroyed],
+            ]
+            for event in report.events
+        ]
+        for report in network.run_rounds(10)
+    ]
+    return {"warm": warm, "rounds": rounds}
+
+
+def digest(transcript: dict) -> str:
+    blob = json.dumps(transcript, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("churn,policy,backend,n,d", sorted(GOLDEN))
+def test_warm_state_matches_golden_digest(churn, policy, backend, n, d):
+    transcript = warm_transcript(churn, policy, backend, n, d)
+    assert digest(transcript) == GOLDEN[(churn, policy, backend, n, d)]
+
+
+def counting(policy_cls, *args, **kwargs):
+    """*policy_cls* with a birth hook that counts its calls."""
+
+    class Counting(policy_cls):
+        births = 0
+
+        def handle_birth(self, state, node_id, time, rng):
+            self.births += 1
+            return super().handle_birth(state, node_id, time, rng)
+
+    return Counting(*args, **kwargs)
+
+
+POLICIES = {
+    "capped": lambda: counting(CappedRegenerationPolicy, 4, max_in_degree=6),
+    "raes": lambda: counting(RAESPolicy, 4),
+    "uniform": lambda: counting(RegenerationPolicy, 4),
+}
+
+
+@pytest.mark.parametrize("backend", ["dict", "array"])
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("driver", ["streaming", "threshold"])
+def test_overridden_birth_hooks_run_once_per_warm_birth(
+    driver, policy, backend
+):
+    """Capped, RAES and any policy overriding the birth hook warm up
+    through that hook, once per birth."""
+    n = 60
+    hooked = POLICIES[policy]()
+    assert not hooked.supports_batch_birth
+    if driver == "streaming":
+        net = StreamingNetwork(n, hooked, seed=3, backend=backend)
+    else:
+        net = ThresholdStreamingNetwork(
+            n, hooked, threshold=1, seed=3, backend=backend
+        )
+    assert hooked.births == n
+    assert net.round_number == n and net.now == n and net.num_alive() == n
+    net.state.check_invariants()
+
+
+def test_fused_prefix_epoch_matches_across_backends():
+    """A fused session's warm prefix (``warm=False``, applied through
+    ``apply_birth_slots``) counts the epoch like the dict backend's
+    per-slot loop; the epoch is written into checkpoints."""
+    epochs = []
+    for backend in ("dict", "array"):
+        spec = ScenarioSpec(
+            churn="streaming",
+            policy="regen",
+            n=200,
+            d=4,
+            horizon=50,
+            fast_rounds=True,
+            churn_params={"warm": False},
+            backend=backend,
+            seed=7,
+        )
+        sim = Simulation(spec).run()
+        epochs.append(sim.network.state.mutation_epoch())
+    assert epochs == [50 + 49 * 4] * 2
+
+
+def _pure_births(backend_cls, batched):
+    """Four existing nodes, then three newborns targeting old and earlier
+    newborn ids; batched or as the add_node + assign_slots loop."""
+    state = backend_cls()
+    for node_id in range(4):
+        state.add_node(node_id, birth_time=0.0, num_slots=2)
+    state.remove_node(2, death_time=0.5)
+    state.track_mutations()
+    state.drain_touched()
+    targets = np.array([[0, 3], [10, -1], [11, 10]], dtype=np.int64)
+    if batched:
+        state.apply_birth_slots([10, 11, 12], [1.0, 2.0, 3.0], targets)
+    else:
+        for k, node_id in enumerate([10, 11, 12]):
+            state.add_node(node_id, birth_time=1.0 + k, num_slots=2)
+            written = [t for t in targets[k].tolist() if t >= 0]
+            state.assign_slots(
+                [(node_id, j) for j in range(len(written))], written
+            )
+    return state
+
+
+@pytest.mark.parametrize("backend_cls", [DictBackend, ArraySlotBackend])
+def test_apply_birth_slots_matches_the_per_birth_loop(backend_cls):
+    batched = _pure_births(backend_cls, batched=True)
+    looped = _pure_births(backend_cls, batched=False)
+    assert batched.mutation_epoch() == looped.mutation_epoch()
+    assert batched.drain_touched() == looped.drain_touched()
+    assert batched.alive_ids() == looped.alive_ids()
+    for node_id in looped.alive_ids():
+        assert batched.out_slots_of(node_id) == looped.out_slots_of(node_id)
+        assert batched.in_slot_count(node_id) == looped.in_slot_count(node_id)
+        assert sorted(batched.neighbors(node_id)) == sorted(
+            looped.neighbors(node_id)
+        )
+    batched.check_invariants()
+
+
+@pytest.mark.parametrize("backend_cls", [DictBackend, ArraySlotBackend])
+@pytest.mark.parametrize(
+    "targets,message",
+    [([[1], [6]], "self-loop"), ([[1], [2]], "not alive")],
+)
+def test_apply_birth_slots_rejects_bad_targets(backend_cls, targets, message):
+    state = backend_cls()
+    for node_id in range(3):
+        state.add_node(node_id, birth_time=0.0, num_slots=1)
+    state.remove_node(2, death_time=0.5)
+    with pytest.raises(SimulationError, match=message):
+        state.apply_birth_slots([5, 6], 1.0, np.array(targets))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util.rng import make_rng
-from repro.util.sampling import IndexedSet
+from repro.util.sampling import IndexedSet, birth_prefix_draws
 
 
 class TestBasicOps:
@@ -196,3 +196,53 @@ def test_sample_each_excluding_needs_an_eligible_member():
         IndexedSet().sample_each_excluding(make_rng(0), [1])
     assert IndexedSet([5]).sample_each_excluding(make_rng(0), [6, 7]) == [5, 5]
     assert IndexedSet().sample_each_excluding(make_rng(0), []) == []
+
+
+def looped_birth_draws(rng, members, count, d):
+    """The per-birth loop :func:`birth_prefix_draws` replaces: each
+    newborn joins the set, then draws ``d`` members other than itself;
+    results are pool indices (−1 pads a newborn alone in its pool)."""
+    pool = IndexedSet(range(-members, 0))
+    out = np.full((count, d), -1, dtype=np.int64)
+    for newborn in range(count):
+        pool.add(newborn)
+        index = {member: i for i, member in enumerate(pool.as_list())}
+        picks = pool.sample_many(rng, d, exclude=newborn)
+        out[newborn, : len(picks)] = [index[p] for p in picks]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    members=st.integers(0, 5),
+    count=st.integers(0, 40),
+    d=st.integers(1, 8),
+    drawn=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_birth_prefix_draws_consume_the_per_birth_stream(
+    members, count, d, drawn, seed
+):
+    """Same values and generator state as the per-birth loop.
+
+    Tiny starting pools make rejections (and speculative replays)
+    frequent; ``d`` spans both sides of the scalar/vector threshold, and
+    the generator may have drawn values before the births start.
+    """
+    fast_rng, slow_rng = make_rng(seed), make_rng(seed)
+    for rng in (fast_rng, slow_rng):
+        rng.integers(0, 7, size=drawn)
+    fast = birth_prefix_draws(fast_rng, members + 1, count, d)
+    assert np.array_equal(fast, looped_birth_draws(slow_rng, members, count, d))
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+    assert fast_rng.integers(0, 1000) == slow_rng.integers(0, 1000)
+
+
+def test_birth_prefix_draws_across_many_speculation_chunks():
+    """A warm-up large enough to cross many chunks and replays."""
+    fast_rng, slow_rng = make_rng(2025), make_rng(2025)
+    fast = birth_prefix_draws(fast_rng, 1, 3000, 8)
+    assert np.array_equal(fast, looped_birth_draws(slow_rng, 0, 3000, 8))
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+    assert (fast[0] == -1).all() and (fast[1:] >= 0).all()
+    assert (fast[1:] < np.arange(1, 3000)[:, None]).all()
