@@ -55,13 +55,13 @@ bench-service:
 	$(PYTHON) benchmarks/bench_service.py
 
 # Both stepping contracts (fused-round parity, per-event golden digests,
-# the exact warm-up), then fused window rounds vs per-event stepping at
-# n=1e5 (asserts the 5x floor) plus an n=1e6 fused smoke row; writes
-# BENCH_churn.json.
+# the exact warm-up, cross-backend parity of both birth paths), then
+# fused window rounds vs per-event stepping at n=1e5 (asserts the 5x
+# floor) plus an n=1e6 fused smoke row; writes BENCH_churn.json.
 bench-churn:
 	$(PYTHON) -m pytest tests/test_fused_rounds.py \
 		tests/test_per_event_golden.py tests/test_exact_warm.py \
-		tests/test_util_sampling.py -q
+		tests/test_util_sampling.py tests/test_backend_parity.py -q
 	$(PYTHON) benchmarks/bench_churn.py
 
 # Fresh sweeps compared against the committed BENCH_*.json baselines.

@@ -12,9 +12,8 @@
 * **a lazily rebuilt CSR adjacency** — distinct-neighbour queries
   (snapshots, degree vectors, edge counts) rebuild a CSR structure at
   most once per topology version, entirely in vectorized NumPy;
-* **batched births** — :meth:`apply_births` applies thousands of births
-  in a handful of array operations (same distribution as the sequential
-  path, different RNG stream consumption);
+* **batched births** — :meth:`apply_birth_slots` writes thousands of
+  pre-drawn births in a handful of array operations;
 * **a dense in-degree counter** — ``_in_count`` mirrors
   ``len(_in_refs[row])`` as an ``int32`` array, so capacity checks in the
   bounded-degree policies (and the bulk accept/reject sampler
@@ -183,14 +182,15 @@ class ArraySlotBackend(GraphBackend):
         self._width = new_width
 
     def _ensure_in_refs(self) -> None:
-        """Rebuild the per-row reverse-reference sets if a fused window
-        left them stale (one vectorized scan of the slot matrix plus a
-        Python insert per assigned slot)."""
+        """Refill the per-row reverse-reference sets if a batch left them
+        stale (the sets are cleared in place, then one vectorized scan of
+        the slot matrix plus a Python insert per assigned slot)."""
         if not self._in_refs_stale:
             return
         self._in_refs_stale = False
-        in_refs: list[set[tuple[int, int]]] = [set() for _ in range(self._cap)]
-        self._in_refs = in_refs
+        in_refs = self._in_refs
+        for refs in in_refs:
+            refs.clear()
         rows, cols = np.nonzero(self._slots >= 0)
         if rows.size:
             targets = self._slots[rows, cols]
@@ -422,14 +422,16 @@ class ArraySlotBackend(GraphBackend):
     ) -> np.ndarray:
         """Register a batch of newborns in a few vectorized writes.
 
-        Returns the assigned rows in batch order (used by the batched
-        birth paths; the :class:`GraphBackend` contract only promises the
-        registration itself).
+        Advances the epoch by one per newborn, like the :meth:`add_node`
+        loop.  Returns the assigned rows in batch order (used by the
+        batched birth paths; the :class:`GraphBackend` contract only
+        promises the registration itself).
         """
         rows = self._register_rows(node_ids, times, num_slots)
         if rows.size:
             self._note_mutation(
-                self._id_of[rows].tolist() if self._touched is not None else ()
+                self._id_of[rows].tolist() if self._touched is not None else (),
+                rows.size,
             )
         return rows
 
@@ -482,59 +484,6 @@ class ArraySlotBackend(GraphBackend):
         self._row_of.update(zip(ids.tolist(), rows.tolist()))
         self.alive.extend_unique(node_ids)
         return rows
-
-    def apply_births(
-        self,
-        node_ids: Sequence[int],
-        times: Sequence[float] | float,
-        num_slots: int,
-        rng: np.random.Generator,
-    ) -> None:
-        """Vectorized pure-birth batch.
-
-        Newborn ``k`` draws its ``num_slots`` targets uniformly (with
-        replacement) from the ``m0 + k`` nodes present when it joins —
-        the same law as the sequential path, sampled in one
-        ``rng.integers`` call for the whole batch.
-        """
-        count = len(node_ids)
-        if count == 0:
-            return
-        self._ensure_in_refs()
-        # Existing alive rows in IndexedSet order, then the new rows: the
-        # first m0 + k entries are exactly newborn k's candidate pool.
-        m0 = self.num_alive()
-        existing_ids = self.alive.as_list()
-        rows = self.add_nodes(node_ids, times, num_slots)
-        pool_rows = np.empty(m0 + count, dtype=np.int64)
-        if m0:
-            pool_rows[:m0] = self.rows_for(existing_ids)
-        pool_rows[m0:] = rows
-
-        ids = np.asarray(node_ids, dtype=np.int64)
-        highs = np.repeat(m0 + np.arange(count, dtype=np.int64), num_slots)
-        valid = highs > 0
-        draws = rng.integers(0, np.where(valid, highs, 1))
-        target_rows = pool_rows[draws[valid]]
-
-        flat = np.full(count * num_slots, -1, dtype=np.int64)
-        flat[valid] = target_rows
-        self._slots[np.repeat(rows, num_slots), np.tile(np.arange(num_slots), count)] = flat
-
-        source_ids = np.repeat(ids, num_slots)[valid]
-        slot_indices = np.tile(np.arange(num_slots), count)[valid]
-        in_refs = self._in_refs
-        for source, slot_index, trow in zip(
-            source_ids.tolist(), slot_indices.tolist(), target_rows.tolist()
-        ):
-            in_refs[trow].add((source, slot_index))
-        if target_rows.size:
-            np.add.at(self._in_count, target_rows, 1)
-        self._note_mutation(
-            self._id_of[target_rows].tolist()
-            if self._touched is not None
-            else ()
-        )
 
     def apply_birth_slots(
         self,
@@ -857,9 +806,10 @@ class ArraySlotBackend(GraphBackend):
             highs: optional per-request candidate-pool prefix sizes over
                 the alive set's internal order — newborn ``k`` of a birth
                 batch passes ``m0 + k`` so it only targets nodes present
-                when it joined (mirroring :meth:`apply_births`).  When
-                omitted every request draws from all alive nodes except
-                its own source.
+                when it joined (mirroring the base
+                :meth:`~repro.core.edge_policy.EdgePolicy.handle_births`).
+                When omitted every request draws from all alive nodes
+                except its own source.
             source_rows: the rows of *sources*, when the caller already
                 knows them (the batched birth path does); skips the
                 per-request id→row translation.

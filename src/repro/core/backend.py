@@ -352,37 +352,11 @@ class GraphBackend(ABC):
 
         The generic implementation loops :meth:`add_node`; the array
         backend registers the whole batch in a few vectorized writes.
-        Batched birth paths (``apply_births``, the bounded policies'
-        ``handle_births``) build on this.
+        The bounded policies' bulk ``handle_births`` builds on this.
         """
         times_list = self.birth_times_list(node_ids, times)
         for node_id, birth_time in zip(node_ids, times_list):
             self.add_node(node_id, birth_time=birth_time, num_slots=num_slots)
-
-    def apply_births(
-        self,
-        node_ids: Sequence[int],
-        times: Sequence[float] | float,
-        num_slots: int,
-        rng: np.random.Generator,
-    ) -> None:
-        """Apply a pure-birth batch: each newborn issues ``num_slots`` uniform
-        requests among the nodes present when it joins (earlier newborns of
-        the same batch included, itself excluded) — the base
-        :meth:`~repro.core.edge_policy.EdgePolicy.handle_birth` semantics
-        without event records.
-
-        The generic implementation loops per node and consumes the RNG
-        exactly like the per-event path; vectorized backends draw the same
-        distribution in bulk (same law, different stream consumption).
-        """
-        times_list = self.birth_times_list(node_ids, times)
-        for node_id, birth_time in zip(node_ids, times_list):
-            self.add_node(node_id, birth_time=birth_time, num_slots=num_slots)
-            for slot_index, target in enumerate(
-                self.sample_targets(rng, num_slots, exclude=node_id)
-            ):
-                self.assign_slot(node_id, slot_index, target)
 
     def apply_birth_slots(
         self,
@@ -394,10 +368,9 @@ class GraphBackend(ABC):
 
         ``targets`` is a ``(len(node_ids), d)`` array of destination node
         ids (−1 = leave the slot empty); row ``k`` may reference earlier
-        newborns of the same batch.  Unlike :meth:`apply_births` no
-        randomness is consumed here — the caller drew the targets from a
-        canonical plan, which is what makes fused windows bit-identical
-        across backends.  The generic implementation loops
+        newborns of the same batch.  No randomness is consumed here —
+        the caller drew the targets from a canonical plan, which is what
+        makes every pure-birth batch bit-identical across backends.  The generic implementation loops
         :meth:`add_node`/:meth:`assign_slot`, so each newborn and each
         written slot advances :meth:`mutation_epoch` by one; the array
         backend scatters the batch in vectorized writes with the same

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from itertools import repeat
+from typing import Callable
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from repro.sim.events import (
     NodeDied,
     NodesDied,
 )
-from repro.util.sampling import birth_prefix_draws
+from repro.util.sampling import birth_batch_draws, birth_prefix_draws
 
 
 class EdgePolicy(ABC):
@@ -155,17 +156,18 @@ class EdgePolicy(ABC):
         times: list[float] | float,
         rng: np.random.Generator,
     ) -> None:
-        """Apply a pure-birth batch without per-event records.
+        """Apply a pure-birth batch without per-event records, fast.
 
-        Dispatches to the backend's (possibly vectorized)
-        :meth:`~repro.core.backend.GraphBackend.apply_births` when the
-        policy uses the base birth rule; otherwise falls back to the
-        per-node :meth:`handle_birth` loop so policy overrides apply.
+        With the base uniform birth rule every request is drawn in one
+        call (:func:`~repro.util.sampling.birth_batch_draws`): the law of
+        :meth:`handle_birth_prefix` on a different RNG stream, the same
+        stream on every backend.  A policy that overrides
+        :meth:`handle_birth` runs :meth:`handle_birth_prefix`.
         """
-        if self.supports_batch_birth:
-            state.apply_births(node_ids, times, self.d, rng)
+        if not self.supports_batch_birth:
+            self.handle_birth_prefix(state, node_ids, times, rng)
             return
-        self.handle_birth_prefix(state, node_ids, times, rng)
+        self._write_births(state, node_ids, times, rng, birth_batch_draws)
 
     def handle_birth_prefix(
         self,
@@ -188,10 +190,22 @@ class EdgePolicy(ABC):
             for node_id, time in zip(node_ids, times_list):
                 self.handle_birth(state, node_id, time, rng)
             return
+        self._write_births(state, node_ids, times, rng, birth_prefix_draws)
+
+    def _write_births(
+        self,
+        state: GraphBackend,
+        node_ids: list[int],
+        times: list[float] | float,
+        rng: np.random.Generator,
+        draw: Callable[[np.random.Generator, int, int, int], np.ndarray],
+    ) -> None:
+        """Draw the batch's pool indices with *draw* and write the
+        targets through one ``apply_birth_slots``."""
         # Newborn k's pool: the alive order, then the newborns up to k.
         first_pool = state.num_alive() + 1
         pool = np.asarray(state.alive.as_list() + list(node_ids), dtype=np.int64)
-        draws = birth_prefix_draws(rng, first_pool, len(node_ids), self.d)
+        draws = draw(rng, first_pool, len(node_ids), self.d)
         targets = np.where(draws >= 0, pool[draws], -1)
         state.apply_birth_slots(node_ids, times, targets)
 
@@ -306,8 +320,8 @@ class BoundedInDegreePolicy(EdgePolicy):
       accept/reject pass
       (:meth:`~repro.core.array_backend.ArraySlotBackend.place_slots_capped`);
       same placement law, different RNG stream consumption, exactly like
-      the backend's ``apply_births``.  Set ``bulk=False`` to force the
-      sequential loop everywhere (benchmark/diagnostic knob).
+      the base :meth:`EdgePolicy.handle_births`.  Set ``bulk=False`` to
+      force the sequential loop everywhere (benchmark/diagnostic knob).
     """
 
     def __init__(
@@ -397,12 +411,12 @@ class BoundedInDegreePolicy(EdgePolicy):
     ) -> None:
         """Apply a pure-birth batch, placing all slots in bulk when possible.
 
-        By default mirrors the pool semantics of the backend's
-        ``apply_births`` — newborn ``k`` only targets the ``m0 + k`` nodes
-        present when it joins (earlier newborns of the same batch
-        included, itself and later newborns excluded).  Policies setting
-        :attr:`bulk_birth_full_pool` instead let every request draw from
-        the whole post-batch population.
+        By default mirrors the pool semantics of the base
+        :meth:`EdgePolicy.handle_births` — newborn ``k`` only targets the
+        ``m0 + k`` nodes present when it joins (earlier newborns of the
+        same batch included, itself and later newborns excluded).
+        Policies setting :attr:`bulk_birth_full_pool` instead let every
+        request draw from the whole post-batch population.
         """
         if not self._use_bulk(state):
             self.handle_birth_prefix(state, node_ids, times, rng)

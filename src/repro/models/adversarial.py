@@ -51,7 +51,8 @@ class AdversarialStreamingNetwork(DynamicNetwork):
             get_strategy(strategy) if isinstance(strategy, str) else strategy
         )
         if warm:
-            self.run_rounds(n)
+            self._pure_birth_rounds(0, n, exact=True)
+            self.round_number = n
 
     def advance_round(self) -> RoundReport:
         """One round: strategy-chosen death (once full), then a birth."""

@@ -22,6 +22,7 @@ import numpy as np
 from repro.core.backend import GraphBackend, create_backend
 from repro.core.edge_policy import EdgePolicy
 from repro.core.snapshot import Snapshot
+from repro.errors import SimulationError
 from repro.sim.clock import SimClock
 from repro.sim.events import EventRecord
 from repro.util.rng import SeedLike, make_rng
@@ -93,6 +94,30 @@ class DynamicNetwork(ABC):
         """Advance *count* unit-time rounds, returning their reports."""
         return [self.advance_round() for _ in range(count)]
 
+    def _pure_birth_rounds(self, start: int, count: int, exact: bool) -> list[int]:
+        """Apply rounds ``start + 1 … start + count`` as one pure-birth batch.
+
+        Definition 3.2's rounds before any death: round ``r`` births id
+        ``r − 1`` at time ``r``.  *exact* writes the batch as a
+        :meth:`~repro.core.edge_policy.EdgePolicy.handle_birth` loop would
+        (``handle_birth_prefix``), otherwise through the one-call
+        ``handle_births``.  Advances the clock to ``start + count`` and
+        returns the newborn ids; callers keep their own round counter.
+        """
+        node_ids = self.state.allocate_ids(count)
+        if node_ids[0] != start:
+            raise SimulationError(
+                f"id drift: allocated {node_ids[0]}, round {start + 1} "
+                f"expects {start}"
+            )
+        times = np.arange(start + 1, start + count + 1, dtype=np.float64)
+        births = (
+            self.policy.handle_birth_prefix if exact else self.policy.handle_births
+        )
+        births(self.state, node_ids, times, self.rng)
+        self.clock.advance_to(float(start + count))
+        return node_ids
+
     # ------------------------------------------------------------------
     # batched churn windows
     # ------------------------------------------------------------------
@@ -108,8 +133,8 @@ class DynamicNetwork(ABC):
         Splits ``[now, target]`` into windows of at most *window* time
         units (default: one window for the whole span) and hands each to
         the driver's ``_advance_window_batched``, which applies the
-        window's churn through the backend's batched
-        ``apply_births``/``apply_deaths`` paths.  Same churn law as the
+        window's churn through the policy's batched
+        ``handle_births``/``handle_deaths`` paths.  Same churn law as the
         per-event path, different seeded trajectory — see the driver
         docstrings for each model's exact approximation.
 

@@ -41,7 +41,7 @@ class GeneralChurnNetwork(DynamicNetwork):
             3 × expected size, mirroring Lemma 4.4's horizon).
         fast_warm: warm through :meth:`advance_to_time_batched` (grouped
             births/deaths) instead of per-event application.  Same churn
-            law, different seeded trajectory.
+            law, different seeded trajectory (the same on every backend).
     """
 
     def __init__(
@@ -107,8 +107,8 @@ class GeneralChurnNetwork(DynamicNetwork):
 
     #: Batched windows (:meth:`DynamicNetwork.advance_to_time_batched`):
     #: per window, the Poisson(λ) birth times are drawn exactly, all
-    #: births are applied through the backend's batched
-    #: :meth:`~repro.core.backend.GraphBackend.apply_births` path (each
+    #: births are applied through one
+    #: :meth:`~repro.core.edge_policy.EdgePolicy.handle_births` batch (each
     #: newborn gets a lifetime and a scheduled death, as on the per-event
     #: path), then every death scheduled inside the window — including
     #: short-lived same-window newborns — is applied through one

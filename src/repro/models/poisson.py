@@ -41,8 +41,9 @@ class PoissonNetwork(DynamicNetwork):
             from the empty network.
         fast_warm: warm through :meth:`advance_to_time_batched` (grouped
             births/deaths) instead of per-event application.  Same churn
-            law, *different seeded trajectory* — leave False when
-            bit-identical trajectories against a per-event run matter.
+            law, *different seeded trajectory* (the same on every
+            backend) — leave False when bit-identical trajectories
+            against a per-event run matter.
     """
 
     def __init__(
@@ -96,8 +97,8 @@ class PoissonNetwork(DynamicNetwork):
     #: Batched windows (:meth:`DynamicNetwork.advance_to_time_batched`):
     #: per window, the jump chain of Lemma 4.6 is simulated exactly (it
     #: only needs the alive *count*), then all of the window's births are
-    #: applied through the backend's batched
-    #: :meth:`~repro.core.backend.GraphBackend.apply_births` path and all
+    #: applied through one
+    #: :meth:`~repro.core.edge_policy.EdgePolicy.handle_births` batch and all
     #: of its deaths through one
     #: :meth:`~repro.core.edge_policy.EdgePolicy.handle_deaths` call on a
     #: uniform without-replacement victim set.  The size process follows

@@ -16,8 +16,6 @@ used by Lemma 3.14 (see DESIGN.md §2.2).  During the first ``n`` rounds
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.churn.streaming import StreamingSchedule
 from repro.core.backend import GraphBackend
 from repro.core.edge_policy import (
@@ -46,12 +44,12 @@ class StreamingNetwork(DynamicNetwork):
             order, mutation epoch and RNG state) on every backend; a
             policy overriding the birth hook runs it per birth.
         backend: topology backend name/instance (None = process default).
-        fast_warm: draw the ``n`` warm-up births through the backend's
-            batched path instead (one vectorized draw on the array
-            backend).  Same distribution as the exact warm-up, but a
-            *different seeded trajectory*: it differs only in its RNG
-            stream, so leave False when trajectories must match a
-            per-event run (e.g. cross-backend parity).
+        fast_warm: draw the ``n`` warm-up births in one call instead
+            (:meth:`~repro.core.edge_policy.EdgePolicy.handle_births`).
+            Same distribution as the exact warm-up, but a *different
+            seeded trajectory*: it differs only in its RNG stream, which
+            is the same on every backend.  Leave False when trajectories
+            must match a per-event run.
     """
 
     def __init__(
@@ -70,24 +68,8 @@ class StreamingNetwork(DynamicNetwork):
         self.schedule = StreamingSchedule(n)
         self.round_number = 0
         if warm:
-            self._warm_batch(fast_warm)
-
-    def _warm_batch(self, fast: bool) -> None:
-        """Warm-up as one pure-birth batch (Definition 3.2 rounds 1..n
-        have no deaths): exact per-event births, or the backend's batched
-        draw when *fast*."""
-        node_ids = self.state.allocate_ids(self.n)
-        if node_ids[0] != self.schedule.birth_id(1):
-            raise SimulationError("batched warm-up must start from round 0")
-        times = np.arange(1, self.n + 1, dtype=np.float64)
-        if fast:
-            self.policy.handle_births(self.state, node_ids, times, self.rng)
-        else:
-            self.policy.handle_birth_prefix(
-                self.state, node_ids, times, self.rng
-            )
-        self.round_number = self.n
-        self.clock.advance_to(float(self.n))
+            self._pure_birth_rounds(0, n, exact=not fast_warm)
+            self.round_number = n
 
     def advance_round(self) -> RoundReport:
         """Apply one streaming round: death (if any), regeneration, birth."""
@@ -155,7 +137,15 @@ class StreamingNetwork(DynamicNetwork):
         if self.round_number < self.n:
             take = min(rounds, self.n - self.round_number)
             if self.policy.supports_batch_birth:
-                self._fused_warm_prefix(take, report)
+                node_ids = self._pure_birth_rounds(
+                    self.round_number, take, exact=False
+                )
+                self.round_number += take
+                report.events.append(
+                    EventRecord(
+                        time=self.now, kind=NodesBorn(node_ids=tuple(node_ids))
+                    )
+                )
             else:
                 self._per_event_rounds(take, report)
             rounds -= take
@@ -206,32 +196,6 @@ class StreamingNetwork(DynamicNetwork):
                 time=self.now,
                 kind=NodesBorn(node_ids=tuple(range(first_born, first_born + rounds))),
             )
-        )
-
-    def _fused_warm_prefix(self, take: int, report: RoundReport) -> None:
-        """Warm rounds as one pre-drawn birth batch (canonical pool =
-        ascending ids, so both backends consume the same draws)."""
-        r0 = self.round_number
-        node_ids = self.state.allocate_ids(take)
-        if node_ids[0] != self.schedule.birth_id(r0 + 1):
-            raise SimulationError(
-                f"id drift: allocated {node_ids[0]}, schedule expects "
-                f"{self.schedule.birth_id(r0 + 1)}"
-            )
-        # Newborn of round r has the r-1 earlier nodes (ids 0..r-2) as its
-        # pool; offset draws double as target ids.
-        highs = np.repeat(
-            np.arange(r0, r0 + take, dtype=np.int64), self.d
-        )
-        valid = highs > 0
-        draws = self.rng.integers(0, np.where(valid, highs, 1))
-        targets = np.where(valid, draws, -1).reshape(take, self.d)
-        times = np.arange(r0 + 1, r0 + take + 1, dtype=np.float64)
-        self.state.apply_birth_slots(node_ids, times, targets)
-        self.round_number += take
-        self.clock.advance_to(float(self.round_number))
-        report.events.append(
-            EventRecord(time=self.now, kind=NodesBorn(node_ids=tuple(node_ids)))
         )
 
     def _per_event_rounds(self, count: int, report: RoundReport) -> None:

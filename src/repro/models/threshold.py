@@ -61,6 +61,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.models.base import DynamicNetwork, RoundReport
 from repro.sim.events import EventRecord, NodesBorn
 from repro.util.rng import SeedLike
+from repro.util.sampling import birth_batch_draws
 
 import numpy as np
 
@@ -92,9 +93,9 @@ class ThresholdStreamingNetwork(DynamicNetwork):
             (default), as one batch bit-identical to ``n`` per-event
             births — exactly like the streaming driver's warm-up.
         backend: topology backend name/instance (None = process default).
-        fast_warm: draw the warm-up births through the backend's batched
-            path instead (same distribution, different RNG stream —
-            exactly like the other drivers' fast_warm).
+        fast_warm: draw the warm-up births in one call instead (same
+            distribution, a different RNG stream that is the same on
+            every backend — exactly like the other drivers' fast_warm).
     """
 
     def __init__(
@@ -126,25 +127,8 @@ class ThresholdStreamingNetwork(DynamicNetwork):
         #: round of grace to attract in-links), examined the round after.
         self._grace_id: int | None = None
         if warm:
-            self._warm_batch(fast_warm)
-
-    # ------------------------------------------------------------------
-    # warm-up (pure births, Definition 3.2)
-    # ------------------------------------------------------------------
-
-    def _warm_batch(self, fast: bool) -> None:
-        node_ids = self.state.allocate_ids(self.n)
-        if node_ids[0] != 0:
-            raise SimulationError("batched warm-up must start from round 0")
-        times = np.arange(1, self.n + 1, dtype=np.float64)
-        if fast:
-            self.policy.handle_births(self.state, node_ids, times, self.rng)
-        else:
-            self.policy.handle_birth_prefix(
-                self.state, node_ids, times, self.rng
-            )
-        self.round_number = self.n
-        self.clock.advance_to(float(self.n))
+            self._pure_birth_rounds(0, n, exact=not fast_warm)
+            self.round_number = n
 
     # ------------------------------------------------------------------
     # the threshold round
@@ -276,8 +260,7 @@ class ThresholdStreamingNetwork(DynamicNetwork):
         d = self.d
         pool = np.array(sorted(self.state.alive_ids()), dtype=np.int64)
         next_id = self.state.peek_next_id()
-        highs = np.repeat(m0 + np.arange(W, dtype=np.int64), d)
-        offsets = self.rng.integers(0, highs).reshape(W, d)
+        offsets = birth_batch_draws(self.rng, m0 + 1, W, d)
 
         # Exam degrees, entirely from the draws: distinct targets per
         # newborn, plus the single possible in-link from the next round's

@@ -81,6 +81,25 @@ def birth_prefix_draws(
     return out
 
 
+def birth_batch_draws(
+    rng: np.random.Generator, first_size: int, count: int, d: int
+) -> np.ndarray:
+    """Pool indices of *count* successive newborns' *d* requests, in one call.
+
+    Same arguments, result and −1 convention as
+    :func:`birth_prefix_draws`, but newborn ``k`` draws each request over
+    the ``first_size − 1 + k`` members before itself, so nothing is
+    rejected and the batch is one ``rng.integers`` call: the same law,
+    a different stream.
+    """
+    bounds = np.repeat(
+        np.arange(first_size - 1, first_size - 1 + count, dtype=np.int64), d
+    )
+    valid = bounds > 0
+    draws = rng.integers(0, np.where(valid, bounds, 1))
+    return np.where(valid, draws, -1).reshape(count, d)
+
+
 class IndexedSet:
     """A set of ints supporting O(1) add/discard/contains/uniform-sample."""
 

@@ -214,14 +214,14 @@ class TestVectorizedReads:
 
 
 class TestBatchedChurn:
-    def test_apply_births_marginals(self):
+    def test_handle_births_marginals(self):
         """Batched births reproduce the sequential birth law (smoke check
         of sizes and structure; the law itself is uniform-with-replacement
         over the pre-existing pool)."""
         state = ArraySlotBackend(initial_capacity=8, slot_width=2)
         rng = np.random.default_rng(0)
         ids = state.allocate_ids(500)
-        state.apply_births(ids, times=0.0, num_slots=2, rng=rng)
+        RegenerationPolicy(2).handle_births(state, ids, 0.0, rng)
         assert state.num_alive() == 500
         state.check_invariants()
         # First node had no candidates; everyone else filled both slots.
@@ -234,16 +234,13 @@ class TestBatchedChurn:
         for u in ids[1:]:
             assert all(t < u for t in state.out_slots_of(u) if t is not None)
 
-    def test_apply_births_generic_fallback_matches_sequential(self):
-        """The dict backend's generic batch path consumes the RNG exactly
-        like per-node handle_birth, so the two are bit-identical."""
-        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
-        a, b = DictBackend(), DictBackend()
-        policy = RegenerationPolicy(2)
-        for node_id in a.allocate_ids(30):
-            policy.handle_birth(a, node_id, float(node_id), rng_a)
-        b.apply_births(b.allocate_ids(30), np.arange(30.0), 2, rng_b)
-        assert a.snapshot(50.0).to_dict() == b.snapshot(50.0).to_dict()
+    @pytest.mark.parametrize("backend_cls", [DictBackend, ArraySlotBackend])
+    def test_add_nodes_counts_one_epoch_per_newborn(self, backend_cls):
+        state = backend_cls()
+        state.add_node(0, birth_time=0.0, num_slots=2)
+        before = state.mutation_epoch()
+        state.add_nodes([1, 2, 3], [1.0, 2.0, 3.0], 2)
+        assert state.mutation_epoch() == before + 3
 
     def test_apply_deaths_batch(self):
         state = ArraySlotBackend(initial_capacity=8, slot_width=2)
@@ -273,14 +270,16 @@ class TestBatchedChurn:
         degs = net.state.degree_vector()
         assert degs.mean() == pytest.approx(2 * 4, rel=0.25)
 
-    def test_apply_births_rejects_duplicate_ids(self):
-        state = ArraySlotBackend(initial_capacity=4, slot_width=1)
+    @pytest.mark.parametrize("backend_cls", [DictBackend, ArraySlotBackend])
+    def test_handle_births_rejects_duplicate_ids(self, backend_cls):
+        state = backend_cls()
+        policy = RegenerationPolicy(1)
         rng = np.random.default_rng(0)
-        state.apply_births([0, 1, 2], times=0.0, num_slots=1, rng=rng)
+        policy.handle_births(state, [0, 1, 2], 0.0, rng)
         with pytest.raises(SimulationError):
-            state.apply_births([2], times=1.0, num_slots=1, rng=rng)
+            policy.handle_births(state, [2], 1.0, rng)
         with pytest.raises(SimulationError):
-            state.apply_births([5, 5], times=1.0, num_slots=1, rng=rng)
+            policy.handle_births(state, [5, 5], 1.0, rng)
         state.check_invariants()
 
     def test_handle_deaths_batch_parity(self):

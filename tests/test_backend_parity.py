@@ -12,6 +12,8 @@ array backend's vectorized reads replace the dict backend's loops.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,7 +57,15 @@ def assert_states_identical(a, b):
     b.state.check_invariants()
 
 
-@pytest.mark.parametrize("model", [SDG, SDGR])
+def fast_warm(model):
+    """*model* with ``fast_warm=True``: its warm-up draws each birth
+    batch in one call, a stream that must match across backends too."""
+    return pytest.param(
+        partial(model, fast_warm=True), id=f"{model.__name__}-fast_warm"
+    )
+
+
+@pytest.mark.parametrize("model", [SDG, SDGR, fast_warm(SDG), fast_warm(SDGR)])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_streaming_trace_parity(model, seed):
     a, b = both_backends(lambda backend: model(n=40, d=3, seed=seed, backend=backend))
@@ -67,7 +77,7 @@ def test_streaming_trace_parity(model, seed):
     assert_states_identical(a, b)
 
 
-@pytest.mark.parametrize("model", [PDG, PDGR])
+@pytest.mark.parametrize("model", [PDG, PDGR, fast_warm(PDG), fast_warm(PDGR)])
 def test_poisson_trace_parity(model):
     a, b = both_backends(lambda backend: model(n=50, d=4, seed=11, backend=backend))
     assert_states_identical(a, b)

@@ -9,10 +9,13 @@ backend's ``mutation_epoch``, the RNG state and a full checkpoint
 payload; then the event records of the first 10 per-event rounds.
 
 The digests were computed with the per-birth warm-up loop (one
-``handle_birth`` call per round), so they pin the batch to it.  The other tests pin what that
-batch relies on: a policy overriding the birth hook still runs it once
-per birth, and ``apply_birth_slots`` counts the epoch like the loop of
-``add_node`` + ``assign_slots`` it replaces, on both backends.
+``handle_birth`` call per round), so they pin the batch to it.  A
+second table pins the fast streams (``fast_warm``, ``fast_rounds``) on
+the array backend and checks their epoch against the dict backend's.
+The other tests pin what that batch relies on: a policy overriding the
+birth hook still runs it once per birth, and ``apply_birth_slots``
+counts the epoch like the loop of ``add_node`` + ``assign_slots`` it
+replaces, on both backends.
 """
 
 from __future__ import annotations
@@ -91,6 +94,79 @@ GOLDEN = {
 }
 
 
+#: Fast streams on the array backend: label -> (spec fields, sha256 of
+#: the transcript without the epoch).  ``fast_warm`` warm-ups and
+#: ``fast_rounds`` sessions (the fused warm prefix of ``warm=False``
+#: included) draw every pure-birth batch in one call; these digests were
+#: computed with the array backend's earlier batch implementation, so
+#: they pin the one batch path to it.  The epoch is compared with the
+#: dict backend's instead, which counts like the per-birth loop.
+FAST_GOLDEN = {
+    "pdgr-fast-rounds": (
+        {"churn": "poisson", "n": 300, "d": 4, "horizon": 40,
+         "fast_rounds": True},
+        (
+            "6a5ebff48f7d4d0249f963d97bc8fbf8"
+            "9e182c2535e5289674f42d2711e1aedc"
+        ),
+    ),
+    "pdgr-fast-warm": (
+        {"churn": "poisson", "n": 300, "d": 4,
+         "churn_params": {"fast_warm": True}},
+        (
+            "007277c35759af3db45efc75f1a265dc"
+            "ff43771dfc0a71ce444b9025653484a8"
+        ),
+    ),
+    "sdg-fast-warm": (
+        {"policy": "none", "n": 2000, "d": 8,
+         "churn_params": {"fast_warm": True}},
+        (
+            "b1b72a326bdec02c45ef40f162f0cd4b"
+            "c52728f689b0a3b33a0b7a0a4359a044"
+        ),
+    ),
+    "sdgr-fast-warm": (
+        {"n": 2000, "d": 8, "churn_params": {"fast_warm": True}},
+        (
+            "2f602dfc1edddbfada78b8f685008744"
+            "93183084ad8b95199bedd4927854933c"
+        ),
+    ),
+    "sdgr-fast-warm-n3": (
+        {"n": 3, "d": 4, "churn_params": {"fast_warm": True}},
+        (
+            "4b28d758761e5de3578d9f8d46b700f2"
+            "3e103083cf8d9b3c89ede278c9cf5515"
+        ),
+    ),
+    "sdgr-cold-fast-rounds": (
+        {"n": 300, "d": 4, "horizon": 250, "fast_rounds": True,
+         "churn_params": {"warm": False}},
+        (
+            "f07f019626a7efe1c52b270826016f73"
+            "b02e8e92740b38e9c117b389e4e82ab8"
+        ),
+    ),
+    "tsdg-fast-rounds": (
+        {"churn": "threshold", "policy": "none", "n": 300, "d": 4,
+         "horizon": 60, "fast_rounds": True},
+        (
+            "e6ba0c815ae9f3be255fa7d3c890cf74"
+            "5e13663209762f6188eab44639437a26"
+        ),
+    ),
+    "tsdg-fast-warm": (
+        {"churn": "threshold", "policy": "none", "n": 300, "d": 4,
+         "churn_params": {"fast_warm": True}},
+        (
+            "8f2776dbb1bd7ca844bba2347a0b4c12"
+            "c864fb9886d6571c15a37216a55fa5c4"
+        ),
+    ),
+}
+
+
 def warm_transcript(
     churn: str, policy: str, backend: str, n: int, d: int
 ) -> dict:
@@ -103,13 +179,20 @@ def warm_transcript(
         seed=2025,
         backend=backend,
     )
-    sim = Simulation(spec)
+    return session_transcript(Simulation(spec))
+
+
+def session_transcript(sim: Simulation, epoch: bool = True) -> dict:
+    """The state of *sim* now, then 10 per-event rounds' records; with
+    ``epoch=False`` the mutation epoch is left out of both the state and
+    the checkpoint payload."""
     network = sim.network
     state = network.state
     alive = state.alive_ids()
-    payload = json.dumps(
-        encode_value(build_payload(sim)), sort_keys=True, separators=(",", ":")
-    )
+    checkpoint = encode_value(build_payload(sim))
+    if not epoch:
+        del checkpoint["backend"]["mutation_epoch"]
+    payload = json.dumps(checkpoint, sort_keys=True, separators=(",", ":"))
     warm = {
         "alive": alive,
         "slots": [state.out_slots_of(u) for u in alive],
@@ -118,6 +201,8 @@ def warm_transcript(
         "rng": network.rng.bit_generator.state,
         "checkpoint": hashlib.sha256(payload.encode()).hexdigest(),
     }
+    if not epoch:
+        del warm["epoch"]
     rounds = [
         [
             [
@@ -142,6 +227,20 @@ def digest(transcript: dict) -> str:
 def test_warm_state_matches_golden_digest(churn, policy, backend, n, d):
     transcript = warm_transcript(churn, policy, backend, n, d)
     assert digest(transcript) == GOLDEN[(churn, policy, backend, n, d)]
+
+
+def fast_session(backend: str, fields: dict) -> Simulation:
+    return Simulation(ScenarioSpec(seed=2025, backend=backend, **fields)).run()
+
+
+@pytest.mark.parametrize("label", sorted(FAST_GOLDEN))
+def test_array_fast_stream_matches_golden_digest(label):
+    fields, expected = FAST_GOLDEN[label]
+    array = fast_session("array", fields)
+    epoch = array.network.state.mutation_epoch()
+    assert digest(session_transcript(array, epoch=False)) == expected
+    reference = fast_session("dict", fields).network.state
+    assert epoch == reference.mutation_epoch()
 
 
 def counting(policy_cls, *args, **kwargs):

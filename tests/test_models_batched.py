@@ -1,4 +1,4 @@
-"""Batched churn (grouped apply_births/apply_deaths) parity tests.
+"""Batched churn (grouped handle_births/handle_deaths) parity tests.
 
 The batched paths draw the same churn *law* as the per-event paths with
 different RNG stream consumption, so the tests are statistical: the size

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util.rng import make_rng
-from repro.util.sampling import IndexedSet, birth_prefix_draws
+from repro.util.sampling import IndexedSet, birth_batch_draws, birth_prefix_draws
 
 
 class TestBasicOps:
@@ -246,3 +246,26 @@ def test_birth_prefix_draws_across_many_speculation_chunks():
     assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
     assert (fast[0] == -1).all() and (fast[1:] >= 0).all()
     assert (fast[1:] < np.arange(1, 3000)[:, None]).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    members=st.integers(0, 5),
+    count=st.integers(0, 40),
+    d=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_birth_batch_draws_take_one_draw_per_request(members, count, d, seed):
+    """Newborn ``k`` takes ``d`` scalar draws over the ``members + k``
+    pool entries before itself (none when there are none); same values
+    and generator state as those draws one after another."""
+    fast_rng, slow_rng = make_rng(seed), make_rng(seed)
+    fast = birth_batch_draws(fast_rng, members + 1, count, d)
+    assert fast.shape == (count, d)
+    for k in range(count):
+        size = members + k
+        expected = [
+            int(slow_rng.integers(0, size)) if size else -1 for _ in range(d)
+        ]
+        assert fast[k].tolist() == expected
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
