@@ -80,9 +80,11 @@ bench-check:
 		--current-service /tmp/bench_service_current.json \
 		--current-churn /tmp/bench_churn_current.json
 
-# Every registered protocol x both backends through the scenario layer.
+# Every registered protocol x both backends through the scenario layer,
+# plus the round engine's golden flood digests and the registry suite.
 scenario-smoke:
-	$(PYTHON) -m pytest tests/test_scenario_smoke.py -q
+	$(PYTHON) -m pytest tests/test_scenario_smoke.py \
+		tests/test_flooding_golden.py tests/test_flooding_vectorized.py -q
 	$(PYTHON) -m repro.cli --scenario examples/adversarial_gossip.json
 
 # Sweep plane: grid/runner/store tests, the threshold-churn scenario,

@@ -633,10 +633,11 @@ class ArraySlotBackend(GraphBackend):
         out_flat = out.reshape(-1)
 
         surv = out[W:]
+        regenerated = 0
         if regenerate:
             # Births interleave with the per-round regeneration draws
             # (the plan's canonical order), so they scatter in-loop.
-            self._fused_regen_rounds(out_flat, n, W, d, plan)
+            regenerated = self._fused_regen_rounds(out_flat, n, W, d, plan)
             if np.any((surv >= 0) & (surv < W)):
                 raise SimulationError(
                     "fused regeneration left a slot pointing at a dead node"
@@ -683,14 +684,18 @@ class ArraySlotBackend(GraphBackend):
 
         self.alive = IndexedSet.from_unique_list(final_ids.tolist())
         self._in_refs_stale = True
+        # Count like the dict kernel: one per death, newborn, birth slot
+        # and regenerated slot.
         self._note_mutation(
-            range(base, base + n + W) if self._touched is not None else ()
+            range(base, base + n + W) if self._touched is not None else (),
+            count=W * (2 + d) + regenerated,
         )
 
     def _fused_regen_rounds(
         self, out_flat: np.ndarray, n: int, W: int, d: int, plan
-    ) -> None:
-        """Per-round regeneration + birth over the local out-slot matrix.
+    ) -> int:
+        """Per-round regeneration + birth over the local out-slot matrix;
+        returns the number of regenerated slots.
 
         Maintains a tombstoned in-edge log: ``in_list[t, :in_cnt[t]]``
         holds every entry (``source_local·d + slot``) that *ever* pointed
@@ -739,6 +744,7 @@ class ArraySlotBackend(GraphBackend):
                 in_list[target, pos] = entry
                 in_cnt[target] = pos + 1
 
+        regenerated = 0
         for k in range(1, W + 1):
             dying = k - 1
             cnt = in_cnt[dying]
@@ -748,6 +754,7 @@ class ArraySlotBackend(GraphBackend):
                 live = (sources > dying) & (out_flat[cand] == dying)
                 orphans = np.sort(cand[live])  # ascending (source, slot)
                 if orphans.size:
+                    regenerated += int(orphans.size)
                     draws = plan.take_regen(int(orphans.size))
                     # Skip trick: draw v over the n-2 survivors other
                     # than the orphan's own source (post-death range
@@ -761,6 +768,7 @@ class ArraySlotBackend(GraphBackend):
             row0 = (n + dying) * d
             out_flat[row0 : row0 + d] = birth_targets
             append(list(range(row0, row0 + d)), birth_targets.tolist())
+        return regenerated
 
     # ------------------------------------------------------------------
     # bulk capped placement (RAES / capped-regeneration fast path)

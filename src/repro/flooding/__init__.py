@@ -1,7 +1,7 @@
 """Flooding processes over dynamic graphs.
 
-Three faithful implementations of the paper's three flooding definitions,
-plus a push/pull gossip extension:
+Faithful implementations of the paper's three flooding definitions, plus
+two extensions:
 
 * :func:`flood_discrete` — Definition 3.3, the synchronous process used for
   the streaming models: ``I_t = (I_{t−1} ∪ ∂out(I_{t−1})) ∩ N_t``.
@@ -14,12 +14,15 @@ plus a push/pull gossip extension:
   churn events on the event engine.
 * :func:`gossip_push_pull` — extension (DESIGN.md §5): one random neighbour
   contacted per round instead of all neighbours.
+* :func:`flood_lossy` — extension: flooding where each transmission fails
+  independently with a fixed probability.
 
-All processes are also registered by name in
-:mod:`repro.flooding.protocols` (``discrete``, ``discretized``,
-``asynchronous``, ``gossip``, ``lossy``) behind the uniform
-:class:`~repro.flooding.protocols.Protocol` interface the scenario layer
-selects protocols through.
+The four round processes share one round engine,
+:func:`repro.flooding.frontier.spread`, and differ only in the frontier
+and the per-round proposal they hand it.  All five are registered by name
+in :mod:`repro.flooding.protocols` (``discrete``, ``discretized``,
+``asynchronous``, ``gossip``, ``lossy``); the scenario layer selects a
+protocol there and calls the function it names.
 """
 
 from repro.flooding.asynchronous import flood_asynchronous
@@ -27,19 +30,11 @@ from repro.flooding.discrete import flood_discrete
 from repro.flooding.discretized import flood_discretized
 from repro.flooding.gossip import gossip_push_pull
 from repro.flooding.lossy import flood_lossy
-from repro.flooding.protocols import (
-    Protocol,
-    all_protocols,
-    get_protocol,
-    protocol_names,
-    register_protocol,
-)
+from repro.flooding.protocols import get_protocol, protocol_names
 from repro.flooding.result import FloodingResult
 
 __all__ = [
     "FloodingResult",
-    "Protocol",
-    "all_protocols",
     "flood_asynchronous",
     "flood_discrete",
     "flood_discretized",
@@ -47,5 +42,4 @@ __all__ = [
     "get_protocol",
     "gossip_push_pull",
     "protocol_names",
-    "register_protocol",
 ]

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.flooding.frontier import initial_informed
 from repro.flooding.result import FloodingResult
 from repro.models.poisson import PoissonNetwork
 from repro.sim.engine import EventEngine
@@ -42,7 +43,8 @@ def flood_asynchronous(
     """Run Definition 4.2 flooding on a Poisson dynamic network.
 
     Args:
-        network: a warm :class:`PoissonNetwork` (PDG or PDGR).
+        network: a warm :class:`PoissonNetwork` (PDG or PDGR); any other
+            driver raises :class:`~repro.errors.ConfigurationError`.
         source: initially informed node; defaults to the youngest alive.
         max_time: give up after this much simulated time past the start.
 
@@ -51,11 +53,13 @@ def flood_asynchronous(
         set at unit-time boundaries, ``completion_round`` holds the
         ceiling of the (continuous) completion time offset.
     """
+    if not isinstance(network, PoissonNetwork):
+        raise ConfigurationError(
+            "asynchronous flooding interleaves with the Poisson jump "
+            f"chain and needs a PoissonNetwork, got {type(network).__name__}"
+        )
     state = network.state
-    if source is None:
-        source = state.youngest_alive()
-    if not state.is_alive(source):
-        raise ConfigurationError(f"source node {source} is not alive")
+    source, _ = initial_informed(network, source)
 
     start = network.now
     deadline = start + max_time

@@ -10,18 +10,18 @@ This is the process analysed for the streaming models (Theorems 3.7, 3.8,
 continuous time), but for those the paper's Definition 4.3 semantics are
 implemented separately in :mod:`repro.flooding.discretized`.
 
-The informed set is tracked through a :mod:`repro.flooding.frontier`
-strategy: a set of ids on the dict backend, a row mask with vectorized
-boundary expansion on the array backend.  Both compute the same informed
-set each round, so trajectories are backend-independent.
+The round loop is :func:`repro.flooding.frontier.spread`; the proposal is
+the frontier's boundary.  The informed set is a set of ids on the dict
+backend and a row mask with vectorized boundary expansion on the array
+backend.  Both compute the same informed set each round, so trajectories
+are backend-independent.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from repro.errors import ConfigurationError
-from repro.flooding.frontier import make_frontier
+from repro.flooding.frontier import initial_informed, make_frontier, spread
 from repro.flooding.result import FloodingResult
 from repro.models.base import DynamicNetwork
 
@@ -50,54 +50,20 @@ def flood_discrete(
     Returns:
         A :class:`FloodingResult` with the full trajectory.
     """
-    state = network.state
-    if sources is not None:
-        initial = set(sources)
-        if not initial:
-            raise ConfigurationError("sources must be non-empty when given")
-        for node in initial:
-            if not state.is_alive(node):
-                raise ConfigurationError(f"source node {node} is not alive")
-        source = min(initial)
-    else:
-        if source is None:
-            source = state.youngest_alive()
-        if not state.is_alive(source):
-            raise ConfigurationError(f"source node {source} is not alive")
-        initial = {source}
-    frontier = make_frontier(state, initial)
-    result = FloodingResult(source=source, start_time=network.now)
-    result.record_round(frontier.count(), state.num_alive())
-    if state.num_alive() == 1:
+    source, informed = initial_informed(network, source, sources)
+    frontier = make_frontier(network.state, informed)
+    # Only this process checks completion before the first round: a lone
+    # source is every alive node.
+    lone = network.state.num_alive() == 1
+    result = spread(
+        network,
+        frontier,
+        frontier.boundary,
+        source,
+        0 if lone else max_rounds,
+        stop_when_extinct,
+    )
+    if lone:
         result.completed = True
         result.completion_round = 0
-        return result
-
-    for round_index in range(1, max_rounds + 1):
-        # Outer boundary in the current snapshot G_{t-1}.
-        boundary = frontier.boundary()
-
-        report = network.advance_round()
-
-        frontier.absorb(boundary, report)
-        informed_count = frontier.count()
-        result.record_round(informed_count, state.num_alive())
-
-        # Completion criterion of Definition 3.3: I_t ⊇ N_{t-1} ∩ N_t,
-        # i.e. every uninformed alive node was born this very round.
-        uninformed_count = state.num_alive() - informed_count
-        fresh_uninformed = sum(
-            1
-            for b in report.births
-            if state.is_alive(b) and not frontier.contains(b)
-        )
-        if informed_count and uninformed_count == fresh_uninformed:
-            result.completed = True
-            result.completion_round = round_index
-            return result
-        if not informed_count:
-            result.extinct = True
-            result.extinction_round = round_index
-            if stop_when_extinct:
-                return result
     return result

@@ -11,13 +11,17 @@ an interval persists through the whole interval **iff both endpoints are
 alive at the end**.  This gives the exact update rule
 
 ``I_t = (I_{t−1} ∩ N_t) ∪ {v ∈ N_t : ∃u ∈ I_{t−1} ∩ N_t, {u,v} ∈ E_{t−1}}``.
+
+The rule lives in :class:`~repro.flooding.frontier.IntervalFrontier`; the
+round loop and the completion test are
+:func:`repro.flooding.frontier.spread`'s, shared with Definition 3.3.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from repro.errors import ConfigurationError
+from repro.flooding.frontier import IntervalFrontier, initial_informed, spread
 from repro.flooding.result import FloodingResult
 from repro.models.base import DynamicNetwork
 
@@ -39,56 +43,13 @@ def flood_discretized(
         sources: start from several informed nodes at once (overrides
             *source*).
     """
-    state = network.state
-    if sources is not None:
-        informed = set(sources)
-        if not informed:
-            raise ConfigurationError("sources must be non-empty when given")
-        for node in informed:
-            if not state.is_alive(node):
-                raise ConfigurationError(f"source node {node} is not alive")
-        source = min(informed)
-    else:
-        if source is None:
-            source = network.state.youngest_alive()
-        if not state.is_alive(source):
-            raise ConfigurationError(f"source node {source} is not alive")
-        informed = {source}
-    result = FloodingResult(source=source, start_time=network.now)
-    result.record_round(len(informed), state.num_alive())
-
-    for round_index in range(1, max_rounds + 1):
-        # Freeze the neighbourhoods of informed nodes at interval start.
-        frontier_neighbors: dict[int, list[int]] = {
-            u: list(state.neighbors(u)) for u in informed
-        }
-
-        report = network.advance_round()
-
-        # Informers must survive the interval for their edges to persist.
-        survivors = {u for u in informed if state.is_alive(u)}
-        newly: set[int] = set()
-        for u in survivors:
-            for v in frontier_neighbors[u]:
-                if v not in survivors and state.is_alive(v):
-                    newly.add(v)
-        informed = survivors | newly
-        result.record_round(len(informed), state.num_alive())
-
-        uninformed_count = state.num_alive() - len(informed)
-        fresh_uninformed = sum(
-            1
-            for b in report.births
-            if state.is_alive(b) and b not in informed
-        )
-        if informed and uninformed_count == fresh_uninformed:
-            result.completed = True
-            result.completion_round = round_index
-            return result
-        if not informed:
-            result.extinct = True
-            result.extinction_round = round_index
-            if stop_when_extinct:
-                return result
-    return result
-
+    source, informed = initial_informed(network, source, sources)
+    frontier = IntervalFrontier(network.state, informed)
+    return spread(
+        network,
+        frontier,
+        frontier.interval_proposal,
+        source,
+        max_rounds,
+        stop_when_extinct,
+    )

@@ -1,9 +1,18 @@
-"""Frontier strategies for synchronous flooding and gossip.
+"""The round engine of the spreading processes, and the informed sets it
+drives.
 
-The round-based spreading processes (:func:`repro.flooding.discrete.flood_discrete`,
-:func:`repro.flooding.gossip.gossip_push_pull`,
-:func:`repro.flooding.lossy.flood_lossy`) track the informed set through
-one of two interchangeable strategies:
+Definitions 3.3 and 4.3 share one round structure: inform on the
+pre-churn snapshot ``G_{t−1}``, apply the round's churn, drop the dead,
+and stop once every uninformed alive node is a newborn (``I_t ⊇ N_{t−1} ∩
+N_t``).  :func:`spread` runs that loop once for
+:func:`~repro.flooding.discrete.flood_discrete`,
+:func:`~repro.flooding.discretized.flood_discretized`,
+:func:`~repro.flooding.gossip.gossip_push_pull` and
+:func:`~repro.flooding.lossy.flood_lossy`; each process only picks a
+frontier and the proposal it absorbs.  :func:`initial_informed` resolves
+the source for every process, the asynchronous one included.
+
+The informed set is one of three frontiers:
 
 * :class:`SetFrontier` — the reference implementation: a Python set of
   node ids, boundary via per-node neighbour unions, gossip/lossy contact
@@ -14,20 +23,23 @@ one of two interchangeable strategies:
   and the gossip/lossy proposals draw all of a round's contacts in a
   handful of array operations over the lazy CSR adjacency.
   Requires ``supports_vectorized_frontier``.
+* :class:`IntervalFrontier` — Definition 4.3's set: the proposal freezes
+  the informed nodes' neighbour lists at the interval start, and only
+  informers that survive the interval pass the rumour along them.
 
-For the deterministic boundary (plain flooding) both strategies compute
-the identical informed set each round — only the representation differs —
-so seeded flooding trajectories match across backends (the cross-backend
-parity tests assert exactly this).  The randomized proposals
-(:meth:`gossip_proposal`, :meth:`lossy_proposal`) draw the same
-*distribution* on either strategy but consume the RNG in different orders,
-so mask-based gossip/lossy runs are statistically equivalent, not
-bit-identical, to the set-based reference.
+For the deterministic boundary (plain flooding) the set and mask
+frontiers compute the identical informed set each round — only the
+representation differs — so seeded flooding trajectories match across
+backends (the cross-backend parity tests assert exactly this).  The
+randomized proposals (:meth:`~SetFrontier.gossip_proposal`,
+:meth:`~SetFrontier.lossy_proposal`) draw the same *distribution* on
+either frontier but consume the RNG in different orders, so mask-based
+gossip/lossy runs are statistically equivalent, not bit-identical, to
+the set-based reference.
 
-The round protocol (Definition 3.3's ``I_t = (I_{t−1} ∪ ∂out(I_{t−1})) ∩
-N_t``) is split in two because churn happens between the boundary read and
-the update: call :meth:`boundary` on the *pre-churn* topology, advance the
-network, then :meth:`absorb` the boundary, discarding members that died.
+Each round is split in two because churn happens between the proposal
+and the update: propose on the *pre-churn* topology, advance the
+network, then :meth:`absorb` the proposal, discarding members that died.
 The mask variant must additionally scrub rows recycled by same-round
 births: a newborn can reuse the row of a dead informed node, and without
 the scrub it would inherit the stale informed bit.
@@ -35,25 +47,24 @@ the scrub it would inherit the stale informed bit.
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol
+from typing import Callable, Iterable, Protocol
 
 import numpy as np
 
 from repro.core.backend import GraphBackend
 from repro.errors import ConfigurationError
+from repro.flooding.result import FloodingResult
 from repro.models.base import DynamicNetwork, RoundReport
 
 
 class Frontier(Protocol):
-    """The informed-set operations flood_discrete needs."""
+    """The informed-set operations :func:`spread` needs."""
 
     def count(self) -> int: ...
 
     def contains(self, node_id: int) -> bool: ...
 
-    def boundary(self) -> object: ...
-
-    def absorb(self, boundary: object, report: RoundReport) -> None: ...
+    def absorb(self, proposal: object, report: RoundReport) -> None: ...
 
 
 class SetFrontier:
@@ -121,6 +132,33 @@ class SetFrontier:
         self.informed |= boundary
         state = self.state
         self.informed = {u for u in self.informed if state.is_alive(u)}
+
+
+class IntervalFrontier(SetFrontier):
+    """Definition 4.3's informed set (discretized flooding).
+
+    In the Poisson models an edge disappears only when an endpoint dies,
+    so an edge present at the start of a unit interval lasts the whole
+    interval iff both endpoints are alive at its end.
+    """
+
+    def interval_proposal(self) -> dict[int, list[int]]:
+        """The informed nodes' neighbour lists, frozen at interval start."""
+        state = self.state
+        return {u: list(state.neighbors(u)) for u in self.informed}
+
+    def absorb(self, frozen: dict[int, list[int]], report: RoundReport) -> None:
+        """``I ← (I ∩ N_t) ∪ {v ∈ N_t : v a frozen neighbour of I ∩ N_t}``."""
+        del report  # newborn ids are fresh, so they can never be in I
+        state = self.state
+        # Informers must survive the interval for their edges to persist.
+        survivors = {u for u in self.informed if state.is_alive(u)}
+        newly: set[int] = set()
+        for u in survivors:
+            for v in frozen[u]:
+                if v not in survivors and state.is_alive(v):
+                    newly.add(v)
+        self.informed = survivors | newly
 
 
 class MaskFrontier:
@@ -247,3 +285,77 @@ def resolve_spreading_frontier(
             f"{type(state).__name__}"
         )
     return MaskFrontier(state, informed)
+
+
+def initial_informed(
+    network: DynamicNetwork,
+    source: int | None = None,
+    sources: Iterable[int] | None = None,
+) -> tuple[int, set[int]]:
+    """Resolve a process's seeds to ``(reported source, informed set)``.
+
+    *sources* overrides *source* and reports its minimum; the default
+    source is the youngest alive node (the paper starts flooding from the
+    node that joins at ``t_0``).  Every seed must be alive.
+    """
+    state = network.state
+    if sources is not None:
+        informed = set(sources)
+        if not informed:
+            raise ConfigurationError("sources must be non-empty when given")
+        source = min(informed)
+    else:
+        if source is None:
+            source = state.youngest_alive()
+        informed = {source}
+    for node in informed:
+        if not state.is_alive(node):
+            raise ConfigurationError(f"source node {node} is not alive")
+    return source, informed
+
+
+def spread(
+    network: DynamicNetwork,
+    frontier: Frontier,
+    propose: Callable[[], object],
+    source: int,
+    max_rounds: int,
+    stop_when_extinct: bool = True,
+) -> FloodingResult:
+    """Run the synchronous round process until completion or *max_rounds*.
+
+    Each round calls *propose* on the pre-churn snapshot ``G_{t−1}``,
+    advances *network* one round and lets *frontier* absorb the proposal.
+    The run completes at the first round whose uninformed alive nodes are
+    all newborns of that round (Definition 3.3's ``I_t ⊇ N_{t−1} ∩ N_t``),
+    and is extinct once no informed node is alive; *stop_when_extinct*
+    ends the run there.
+    """
+    state = network.state
+    result = FloodingResult(source=source, start_time=network.now)
+    result.record_round(frontier.count(), state.num_alive())
+    for round_index in range(1, max_rounds + 1):
+        proposal = propose()
+
+        report = network.advance_round()
+
+        frontier.absorb(proposal, report)
+        informed_count = frontier.count()
+        result.record_round(informed_count, state.num_alive())
+
+        uninformed_count = state.num_alive() - informed_count
+        fresh_uninformed = sum(
+            1
+            for b in report.births
+            if state.is_alive(b) and not frontier.contains(b)
+        )
+        if informed_count and uninformed_count == fresh_uninformed:
+            result.completed = True
+            result.completion_round = round_index
+            return result
+        if not informed_count:
+            result.extinct = True
+            result.extinction_round = round_index
+            if stop_when_extinct:
+                return result
+    return result

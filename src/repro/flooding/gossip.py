@@ -8,10 +8,11 @@ uniformly random neighbour, and every uninformed node *pulls* from one
 uniformly random neighbour (receiving the rumour if that neighbour is
 informed).  Per node per round: O(1) messages.
 
-The round structure mirrors :func:`repro.flooding.discrete.flood_discrete`:
-contacts are drawn in the snapshot ``G_{t-1}``, then churn is applied and
-dead nodes drop out of the informed set.  The informed set lives in a
-:mod:`repro.flooding.frontier` strategy: the per-node
+The rounds run on :func:`repro.flooding.frontier.spread`, the loop
+:func:`repro.flooding.discrete.flood_discrete` uses: contacts are drawn in
+the snapshot ``G_{t-1}``, then churn is applied and dead nodes drop out of
+the informed set; the run always stops on extinction.  The informed set
+lives in a :mod:`repro.flooding.frontier` strategy: the per-node
 :class:`~repro.flooding.frontier.SetFrontier` reference (the default, on
 any backend), or the mask-based vectorized proposal on the array backend
 when ``vectorized=True`` — same contact distribution, different RNG
@@ -21,10 +22,14 @@ bit-identical to the reference.
 
 from __future__ import annotations
 
-import numpy as np
+from functools import partial
 
 from repro.errors import ConfigurationError
-from repro.flooding.frontier import resolve_spreading_frontier
+from repro.flooding.frontier import (
+    initial_informed,
+    resolve_spreading_frontier,
+    spread,
+)
 from repro.flooding.result import FloodingResult
 from repro.models.base import DynamicNetwork
 from repro.util.rng import SeedLike, make_rng
@@ -54,38 +59,13 @@ def gossip_push_pull(
     """
     if not push and not pull:
         raise ConfigurationError("enable at least one of push/pull")
-    state = network.state
-    rng: np.random.Generator = make_rng(seed)
-    if source is None:
-        source = state.youngest_alive()
-    if not state.is_alive(source):
-        raise ConfigurationError(f"source node {source} is not alive")
-
-    frontier = resolve_spreading_frontier(network, {source}, vectorized)
-    result = FloodingResult(source=source, start_time=network.now)
-    result.record_round(1, state.num_alive())
-
-    for round_index in range(1, max_rounds + 1):
-        newly = frontier.gossip_proposal(rng, push=push, pull=pull)
-
-        report = network.advance_round()
-
-        frontier.absorb(newly, report)
-        informed_count = frontier.count()
-        result.record_round(informed_count, state.num_alive())
-
-        uninformed_count = state.num_alive() - informed_count
-        fresh_uninformed = sum(
-            1
-            for b in report.births
-            if state.is_alive(b) and not frontier.contains(b)
-        )
-        if informed_count and uninformed_count == fresh_uninformed:
-            result.completed = True
-            result.completion_round = round_index
-            return result
-        if not informed_count:
-            result.extinct = True
-            result.extinction_round = round_index
-            return result
-    return result
+    rng = make_rng(seed)
+    source, informed = initial_informed(network, source)
+    frontier = resolve_spreading_frontier(network, informed, vectorized)
+    return spread(
+        network,
+        frontier,
+        partial(frontier.gossip_proposal, rng, push=push, pull=pull),
+        source,
+        max_rounds,
+    )

@@ -10,17 +10,22 @@ O(log n) (the per-round growth constant shrinks from ε to ε(1−p)).
 
 EXP-17 and the robustness tests use this to confirm the paper's O(log n)
 claims degrade gracefully rather than collapsing.  As with gossip, the
-informed set lives in a :mod:`repro.flooding.frontier` strategy and
-``vectorized=True`` opts into the array backend's bulk Bernoulli draws
-(same delivery law per round, different RNG stream).
+rounds run on :func:`repro.flooding.frontier.spread` (always stopping on
+extinction), the informed set lives in a :mod:`repro.flooding.frontier`
+strategy and ``vectorized=True`` opts into the array backend's bulk
+Bernoulli draws (same delivery law per round, different RNG stream).
 """
 
 from __future__ import annotations
 
-import numpy as np
+from functools import partial
 
 from repro.errors import ConfigurationError
-from repro.flooding.frontier import resolve_spreading_frontier
+from repro.flooding.frontier import (
+    initial_informed,
+    resolve_spreading_frontier,
+    spread,
+)
 from repro.flooding.result import FloodingResult
 from repro.models.base import DynamicNetwork
 from repro.util.rng import SeedLike, make_rng
@@ -44,38 +49,13 @@ def flood_lossy(
     """
     if not 0.0 <= loss < 1.0:
         raise ConfigurationError(f"loss must be in [0, 1), got {loss}")
-    state = network.state
-    rng: np.random.Generator = make_rng(seed)
-    if source is None:
-        source = state.youngest_alive()
-    if not state.is_alive(source):
-        raise ConfigurationError(f"source node {source} is not alive")
-
-    frontier = resolve_spreading_frontier(network, {source}, vectorized)
-    result = FloodingResult(source=source, start_time=network.now)
-    result.record_round(1, state.num_alive())
-
-    for round_index in range(1, max_rounds + 1):
-        delivered = frontier.lossy_proposal(rng, loss)
-
-        report = network.advance_round()
-
-        frontier.absorb(delivered, report)
-        informed_count = frontier.count()
-        result.record_round(informed_count, state.num_alive())
-
-        uninformed_count = state.num_alive() - informed_count
-        fresh_uninformed = sum(
-            1
-            for b in report.births
-            if state.is_alive(b) and not frontier.contains(b)
-        )
-        if informed_count and uninformed_count == fresh_uninformed:
-            result.completed = True
-            result.completion_round = round_index
-            return result
-        if not informed_count:
-            result.extinct = True
-            result.extinction_round = round_index
-            return result
-    return result
+    rng = make_rng(seed)
+    source, informed = initial_informed(network, source)
+    frontier = resolve_spreading_frontier(network, informed, vectorized)
+    return spread(
+        network,
+        frontier,
+        partial(frontier.lossy_proposal, rng, loss),
+        source,
+        max_rounds,
+    )

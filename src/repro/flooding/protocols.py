@@ -1,9 +1,8 @@
 """Registry of information-spreading protocols.
 
 Every spreading process in the library is registered here under a short
-name, behind one uniform :class:`Protocol` interface, so the scenario
-layer (:mod:`repro.scenario`), the CLI and the smoke matrix can select a
-protocol declaratively:
+name, so the scenario layer (:mod:`repro.scenario`), the CLI and the
+smoke matrix can select a protocol declaratively:
 
 =================  ===========================================  ==========
 name               process                                      reference
@@ -15,101 +14,40 @@ name               process                                      reference
 ``lossy``          flooding with per-message loss               extension
 =================  ===========================================  ==========
 
-``Protocol.run`` delegates to the corresponding function in
-:mod:`repro.flooding` with identical defaults, so a registry-driven run is
-bit-identical to calling the function directly.  The round-based
-protocols additionally expose the two-phase per-round interface used by
-the frontier strategies — :meth:`Protocol.proposal` on the pre-churn
-topology and :meth:`Frontier.absorb` after the churn — which is what the
-vectorized mask fast path on :class:`~repro.core.array_backend.ArraySlotBackend`
-plugs into.
+A registry entry *is* the :mod:`repro.flooding` function, so
+``get_protocol(name)(network, **params)`` is the direct call.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Iterable
-
-import numpy as np
+from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.flooding.asynchronous import flood_asynchronous
 from repro.flooding.discrete import flood_discrete
 from repro.flooding.discretized import flood_discretized
-from repro.flooding.frontier import (
-    Frontier,
-    MaskFrontier,
-    SetFrontier,
-    make_frontier,
-    resolve_spreading_frontier,
-)
 from repro.flooding.gossip import gossip_push_pull
 from repro.flooding.lossy import flood_lossy
 from repro.flooding.result import FloodingResult
-from repro.models.base import DynamicNetwork
+
+#: A spreading process: ``process(network, **params) -> FloodingResult``.
+SpreadingProcess = Callable[..., FloodingResult]
+
+PROTOCOLS: dict[str, SpreadingProcess] = {
+    "asynchronous": flood_asynchronous,
+    "discrete": flood_discrete,
+    "discretized": flood_discretized,
+    "gossip": gossip_push_pull,
+    "lossy": flood_lossy,
+}
 
 
-class Protocol(ABC):
-    """One registered spreading protocol.
-
-    Attributes:
-        name: registry key (also the JSON scenario spelling).
-        description: one-line summary for listings.
-        supports_step: whether the protocol exposes the per-round
-            :meth:`proposal` interface on a frontier (the continuous-time
-            and interval-based processes do not decompose into
-            pre-churn/post-churn round halves).
-    """
-
-    name: str = ""
-    description: str = ""
-    supports_step: bool = True
-
-    @abstractmethod
-    def run(self, network: DynamicNetwork, **params) -> FloodingResult:
-        """Run the protocol on *network* until completion or its round cap."""
-
-    def make_frontier(
-        self, network: DynamicNetwork, informed: Iterable[int], **params
-    ) -> Frontier:
-        """Build the informed-set representation this protocol steps on."""
-        raise ConfigurationError(
-            f"protocol {self.name!r} does not support per-round stepping"
-        )
-
-    def proposal(
-        self, frontier: Frontier, rng: np.random.Generator, **params
-    ) -> object:
-        """The round's newly-informed candidates on the pre-churn topology.
-
-        Feed the returned value to ``frontier.absorb(proposal, report)``
-        after advancing the network one round.
-        """
-        raise ConfigurationError(
-            f"protocol {self.name!r} does not support per-round stepping"
-        )
-
-
-_REGISTRY: dict[str, Protocol] = {}
-
-
-def register_protocol(protocol_cls: type[Protocol]) -> type[Protocol]:
-    """Class decorator adding a protocol to the registry."""
-    protocol = protocol_cls()
-    if not protocol.name:
-        raise ConfigurationError("protocol must define a name")
-    if protocol.name in _REGISTRY:
-        raise ConfigurationError(f"duplicate protocol name {protocol.name!r}")
-    _REGISTRY[protocol.name] = protocol
-    return protocol_cls
-
-
-def get_protocol(name: str) -> Protocol:
+def get_protocol(name: str) -> SpreadingProcess:
     """Look up a protocol by registry name."""
     try:
-        return _REGISTRY[name]
+        return PROTOCOLS[name]
     except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
+        known = ", ".join(protocol_names())
         raise ConfigurationError(
             f"unknown flooding protocol {name!r}; known: {known}"
         ) from None
@@ -117,114 +55,4 @@ def get_protocol(name: str) -> Protocol:
 
 def protocol_names() -> list[str]:
     """All registered protocol names, sorted."""
-    return sorted(_REGISTRY)
-
-
-def all_protocols() -> list[Protocol]:
-    """All registered protocols, sorted by name."""
-    return [_REGISTRY[name] for name in protocol_names()]
-
-
-@register_protocol
-class DiscreteFlooding(Protocol):
-    """Definition 3.3 synchronous flooding."""
-
-    name = "discrete"
-    description = "synchronous flooding (Definition 3.3)"
-
-    def run(self, network: DynamicNetwork, **params) -> FloodingResult:
-        return flood_discrete(network, **params)
-
-    def make_frontier(
-        self, network: DynamicNetwork, informed: Iterable[int], **params
-    ) -> Frontier:
-        # Boundary expansion is deterministic, so the mask frontier is
-        # always safe to auto-select (bit-identical informed sets).
-        return make_frontier(network.state, informed)
-
-    def proposal(
-        self, frontier: Frontier, rng: np.random.Generator, **params
-    ) -> object:
-        del rng  # the boundary is deterministic
-        return frontier.boundary()
-
-
-@register_protocol
-class DiscretizedFlooding(Protocol):
-    """Definition 4.3 unit-interval flooding for the Poisson models."""
-
-    name = "discretized"
-    description = "unit-interval flooding (Definition 4.3)"
-    supports_step = False
-
-    def run(self, network: DynamicNetwork, **params) -> FloodingResult:
-        return flood_discretized(network, **params)
-
-
-@register_protocol
-class AsynchronousFlooding(Protocol):
-    """Definition 4.2 continuous-time flooding for the Poisson models."""
-
-    name = "asynchronous"
-    description = "continuous-time flooding (Definition 4.2)"
-    supports_step = False
-
-    def run(self, network: DynamicNetwork, **params) -> FloodingResult:
-        from repro.models.poisson import PoissonNetwork
-
-        if not isinstance(network, PoissonNetwork):
-            raise ConfigurationError(
-                "asynchronous flooding interleaves with the Poisson jump "
-                f"chain and needs a PoissonNetwork, got {type(network).__name__}"
-            )
-        return flood_asynchronous(network, **params)
-
-
-@register_protocol
-class GossipPushPull(Protocol):
-    """Push/pull gossip (one random contact per node per round)."""
-
-    name = "gossip"
-    description = "push/pull gossip (O(1) messages per node per round)"
-
-    def run(self, network: DynamicNetwork, **params) -> FloodingResult:
-        return gossip_push_pull(network, **params)
-
-    def make_frontier(
-        self, network: DynamicNetwork, informed: Iterable[int], **params
-    ) -> SetFrontier | MaskFrontier:
-        return resolve_spreading_frontier(
-            network, set(informed), bool(params.get("vectorized", False))
-        )
-
-    def proposal(
-        self, frontier: Frontier, rng: np.random.Generator, **params
-    ) -> object:
-        return frontier.gossip_proposal(
-            rng,
-            push=bool(params.get("push", True)),
-            pull=bool(params.get("pull", True)),
-        )
-
-
-@register_protocol
-class LossyFlooding(Protocol):
-    """Flooding with independent per-transmission loss."""
-
-    name = "lossy"
-    description = "flooding with per-message loss"
-
-    def run(self, network: DynamicNetwork, **params) -> FloodingResult:
-        return flood_lossy(network, **params)
-
-    def make_frontier(
-        self, network: DynamicNetwork, informed: Iterable[int], **params
-    ) -> SetFrontier | MaskFrontier:
-        return resolve_spreading_frontier(
-            network, set(informed), bool(params.get("vectorized", False))
-        )
-
-    def proposal(
-        self, frontier: Frontier, rng: np.random.Generator, **params
-    ) -> object:
-        return frontier.lossy_proposal(rng, float(params.get("loss", 0.0)))
+    return sorted(PROTOCOLS)

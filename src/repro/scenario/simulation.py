@@ -51,7 +51,7 @@ from typing import Any, Iterable
 from repro.core.csr import CSRView
 from repro.core.snapshot import Snapshot
 from repro.errors import ConfigurationError
-from repro.flooding.protocols import Protocol, get_protocol
+from repro.flooding.protocols import SpreadingProcess, get_protocol
 from repro.flooding.result import FloodingResult
 from repro.models.base import DynamicNetwork, RoundReport
 from repro.scenario.observers import Observer, make_observer
@@ -433,7 +433,7 @@ class Simulation:
     # protocol dispatch
     # ------------------------------------------------------------------
 
-    def protocol(self) -> Protocol:
+    def protocol(self) -> SpreadingProcess:
         """The spec's spreading protocol (raises when none is configured)."""
         if self.spec.protocol is None:
             raise ConfigurationError(
@@ -452,7 +452,7 @@ class Simulation:
         name = overrides.pop("protocol", None)
         protocol = get_protocol(name) if name is not None else self.protocol()
         params = {**self.spec.protocol_params, **overrides}
-        result = protocol.run(self.network, **params)
+        result = protocol(self.network, **params)
         self.flood_results.append(result)
         for observer in self.observers:
             observer.on_flood(result)

@@ -13,7 +13,7 @@ from a JSON file.
 Validation happens at construction: unknown churn models, policies,
 protocols, churn/policy parameter keys and churn/policy mismatches raise
 :class:`~repro.errors.ConfigurationError` immediately.  (``protocol_params``
-are forwarded verbatim to the protocol's run function, which rejects
+are forwarded verbatim to the protocol function, which rejects
 unknown keywords when the protocol is actually run.)
 """
 

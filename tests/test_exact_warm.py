@@ -99,8 +99,12 @@ GOLDEN = {
 #: ``fast_rounds`` sessions (the fused warm prefix of ``warm=False``
 #: included) draw every pure-birth batch in one call; these digests were
 #: computed with the array backend's earlier batch implementation, so
-#: they pin the one batch path to it.  The epoch is compared with the
-#: dict backend's instead, which counts like the per-birth loop.
+#: they pin the one batch path to it.  The two ``-steady`` cases run past
+#: the warm prefix into fused steady-state windows (horizon > n); their
+#: digests were computed before ``apply_round_batch`` counted the epoch
+#: like the dict backend, so they pin that count's fix to the old stream.
+#: The epoch is compared with the dict backend's instead, which counts
+#: like the per-birth loop.
 FAST_GOLDEN = {
     "pdgr-fast-rounds": (
         {"churn": "poisson", "n": 300, "d": 4, "horizon": 40,
@@ -140,12 +144,28 @@ FAST_GOLDEN = {
             "3e103083cf8d9b3c89ede278c9cf5515"
         ),
     ),
+    "sdg-cold-fast-rounds-steady": (
+        {"policy": "none", "n": 200, "d": 4, "horizon": 350,
+         "fast_rounds": True, "churn_params": {"warm": False}},
+        (
+            "cb6fae1ca6c4a25b934c2be517e17398"
+            "c0dd21a7769d96ba523c56ce63cadf96"
+        ),
+    ),
     "sdgr-cold-fast-rounds": (
         {"n": 300, "d": 4, "horizon": 250, "fast_rounds": True,
          "churn_params": {"warm": False}},
         (
             "f07f019626a7efe1c52b270826016f73"
             "b02e8e92740b38e9c117b389e4e82ab8"
+        ),
+    ),
+    "sdgr-cold-fast-rounds-steady": (
+        {"n": 200, "d": 4, "horizon": 350, "fast_rounds": True,
+         "churn_params": {"warm": False}},
+        (
+            "464fa566f2aaeae9a1a219cc4187f539"
+            "156fdcc77c87a0ee1851263b5051e7dd"
         ),
     ),
     "tsdg-fast-rounds": (

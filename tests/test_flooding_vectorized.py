@@ -1,5 +1,5 @@
 """Vectorized (mask-frontier) gossip and lossy flooding, and the protocol
-registry's uniform run/step interface."""
+registry."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.flooding import (
+    flood_asynchronous,
     flood_discrete,
     flood_lossy,
     get_protocol,
@@ -15,7 +16,6 @@ from repro.flooding import (
     protocol_names,
 )
 from repro.models import PDGR, SDGR
-from repro.util.rng import make_rng
 
 
 def _warm_sdgr(n=120, d=6, seed=0, backend="array"):
@@ -109,7 +109,7 @@ class TestProtocolRegistry:
             get_protocol("smoke-signals")
 
     def test_registry_run_matches_function(self, backend_name):
-        via_registry = get_protocol("discrete").run(
+        via_registry = get_protocol("discrete")(
             _warm_sdgr(seed=7, backend=backend_name), max_rounds=100
         )
         direct = flood_discrete(
@@ -118,49 +118,10 @@ class TestProtocolRegistry:
         assert via_registry.informed_sizes == direct.informed_sizes
 
     def test_asynchronous_requires_poisson(self):
-        protocol = get_protocol("asynchronous")
         with pytest.raises(ConfigurationError, match="PoissonNetwork"):
-            protocol.run(_warm_sdgr())
-        result = protocol.run(PDGR(n=60, d=35, seed=0), max_time=200.0)
+            flood_asynchronous(_warm_sdgr())
+        result = flood_asynchronous(PDGR(n=60, d=35, seed=0), max_time=200.0)
         assert result.completed
-
-    def test_step_interface_replays_discrete_flooding(self):
-        """proposal → advance → absorb, hand-driven, equals flood_discrete."""
-        protocol = get_protocol("discrete")
-        assert protocol.supports_step
-        net = _warm_sdgr(seed=9)
-        reference = flood_discrete(_warm_sdgr(seed=9), max_rounds=50)
-
-        source = net.state.youngest_alive()
-        frontier = protocol.make_frontier(net, {source})
-        sizes = [frontier.count()]
-        rng = make_rng(0)
-        for _ in range(reference.rounds_run):
-            proposal = protocol.proposal(frontier, rng)
-            report = net.advance_round()
-            frontier.absorb(proposal, report)
-            sizes.append(frontier.count())
-        assert sizes == reference.informed_sizes
-
-    def test_step_interface_gossip_mask(self):
-        protocol = get_protocol("gossip")
-        net = _warm_sdgr(seed=4)
-        source = net.state.youngest_alive()
-        frontier = protocol.make_frontier(net, {source}, vectorized=True)
-        rng = make_rng(1)
-        for _ in range(60):
-            proposal = protocol.proposal(frontier, rng, push=True, pull=True)
-            report = net.advance_round()
-            frontier.absorb(proposal, report)
-            if frontier.count() == net.num_alive():
-                break
-        assert frontier.count() > net.num_alive() * 0.9
-
-    def test_non_steppable_protocols_say_so(self):
-        protocol = get_protocol("asynchronous")
-        assert not protocol.supports_step
-        with pytest.raises(ConfigurationError, match="per-round stepping"):
-            protocol.make_frontier(None, set())
 
 
 class TestDeadSourceFrontier:

@@ -86,6 +86,18 @@ class TestCrossBackendIdentity:
             range(rounds, rounds + n)
         )
 
+    @pytest.mark.parametrize("factory", [SDG, SDGR], ids=["SDG", "SDGR"])
+    def test_fused_epoch_matches_across_backends(self, factory):
+        """The array kernel counts the mutation epoch like the dict
+        reference: one per death, newborn, birth slot and regenerated
+        slot.  The epoch is written into checkpoints."""
+        epochs = []
+        for backend in ("dict", "array"):
+            net = factory(200, 4, seed=3, backend=backend)
+            net.advance_to_time_batched(net.now + 350, window=100)
+            epochs.append(net.state.mutation_epoch())
+        assert epochs[0] == epochs[1]
+
     def test_threshold_fused_is_bit_identical_across_backends(self):
         nets = []
         for backend in ("array", "dict"):
