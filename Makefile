@@ -1,6 +1,6 @@
-# Development targets. The tier-1 gate is `make test`; `make test-backends`
-# runs the same suite once per topology backend (REPRO_BACKEND is consumed
-# by tests/conftest.py and repro.core.backend.create_backend).
+# Development targets. The tier-1 gate is `make test`; the library has one
+# topology backend, and the parity suites check it against the dict oracle
+# in tests/oracles/dict_backend.py.
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -9,7 +9,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # benchmark targets enumerate them explicitly.
 BENCH_FILES := $(wildcard benchmarks/bench_*.py)
 
-.PHONY: test test-dict test-array test-backends bench bench-backend \
+.PHONY: test bench bench-backend \
 	bench-bounded bench-analysis bench-sweep bench-fleet bench-service \
 	bench-churn bench-check experiments scenario-smoke sweep-smoke \
 	fleet-smoke service-smoke
@@ -17,18 +17,10 @@ BENCH_FILES := $(wildcard benchmarks/bench_*.py)
 test:
 	$(PYTHON) -m pytest -x -q
 
-test-dict:
-	REPRO_BACKEND=dict $(PYTHON) -m pytest -x -q
-
-test-array:
-	REPRO_BACKEND=array $(PYTHON) -m pytest -x -q
-
-test-backends: test-dict test-array
-
 bench:
 	$(PYTHON) -m pytest $(BENCH_FILES) -q -m "not slow"
 
-# Full dict-vs-array sweep (n up to 1e5); writes BENCH_backend.json.
+# Full dict-oracle-vs-array sweep (n up to 1e5); writes BENCH_backend.json.
 bench-backend:
 	$(PYTHON) benchmarks/bench_backend_scaling.py
 
@@ -55,7 +47,7 @@ bench-service:
 	$(PYTHON) benchmarks/bench_service.py
 
 # Both stepping contracts (fused-round parity, per-event golden digests,
-# the exact warm-up, cross-backend parity of both birth paths), then
+# the exact warm-up, oracle parity of both birth paths), then
 # fused window rounds vs per-event stepping at n=1e5 (asserts the 5x
 # floor) plus an n=1e6 fused smoke row; writes BENCH_churn.json.
 bench-churn:
@@ -80,8 +72,9 @@ bench-check:
 		--current-service /tmp/bench_service_current.json \
 		--current-churn /tmp/bench_churn_current.json
 
-# Every registered protocol x both backends through the scenario layer,
-# plus the round engine's golden flood digests and the registry suite.
+# Every registered protocol through the scenario layer (array backend,
+# and the dict oracle where the protocol runs on it), plus the round
+# engine's golden flood digests and the registry suite.
 scenario-smoke:
 	$(PYTHON) -m pytest tests/test_scenario_smoke.py \
 		tests/test_flooding_golden.py tests/test_flooding_vectorized.py -q

@@ -31,14 +31,13 @@ Run as a script to sweep n ∈ {1e3, 1e4, 1e5, 1e6} and record the numbers
 
     PYTHONPATH=src python benchmarks/bench_analysis.py
 
-or via ``pytest benchmarks/bench_analysis.py`` for the CI-scale subset
-(which respects ``REPRO_BACKEND``, so the smoke matrix covers view
-construction from both topology backends).  The acceptance bars tracked
-here, on the array backend: at n = 1e5 probe ≥ 5×, census ≥ 10×,
-incremental ≥ 3× over the cold CSR probe; at n = 1e6 the full stock
-observer portfolio (expansion + degrees + isolated) must complete a
-dense-cadence window in seconds, not minutes (int32 compact CSR mode,
-no dict plane — a dict probe at that scale takes tens of minutes).
+or via ``pytest benchmarks/bench_analysis.py`` for the CI-scale subset.
+The acceptance bars tracked here, on the array backend: at n = 1e5
+probe ≥ 5×, census ≥ 10×, incremental ≥ 3× over the cold CSR probe; at
+n = 1e6 the full stock observer portfolio (expansion + degrees +
+isolated) must complete a dense-cadence window in seconds, not minutes
+(int32 compact CSR mode, no dict plane — a dict probe at that scale
+takes tens of minutes).
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ from repro.analysis.degrees import degree_summary
 from repro.analysis.expansion import adversarial_expansion_upper_bound
 from repro.analysis.incremental import ProbeCache
 from repro.analysis.isolated import count_isolated
-from repro.core.backend import default_backend_name
 from repro.core.edge_policy import RegenerationPolicy
 from repro.models.streaming import StreamingNetwork
 
@@ -344,19 +342,15 @@ def portfolio_row(n: int, seed: int) -> dict:
 
 @pytest.mark.parametrize("n", [1_000, 10_000])
 def test_bench_analysis(benchmark, bench_seed, n):
-    # backend=None → process default, so the CI smoke matrix exercises
-    # view construction from both topology backends (compare_planes
-    # itself asserts the planes agree, whichever backend runs).
+    # compare_planes itself asserts the planes agree.
     comparison = benchmark.pedantic(
         compare_planes, args=(n, bench_seed, None), rounds=2, iterations=1
     )
     assert comparison["csr"]["probe_min_ratio"] > 0.1  # SDGR expands
-    # Speedup floors only make sense where the view export is zero-copy:
-    # on the dict backend the view build is itself a Python pass, and
-    # the plane is about parity, not speed.  Generous floors at CI scale
-    # (sub-second kernels, noisy runners); the hard 5x/10x acceptance
-    # bars live in the slow 1e5 test and in script mode.
-    if n >= 10_000 and default_backend_name() == "array":
+    # Generous floors at CI scale (sub-second kernels, noisy runners);
+    # the hard 5x/10x acceptance bars live in the slow 1e5 test and in
+    # script mode.
+    if n >= 10_000:
         assert comparison["probe_speedup"] >= 1.5
         assert comparison["census_speedup"] >= 3.0
 
@@ -403,10 +397,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--backend", default="array",
-        help="topology backend owning the measured state (default: array)",
-    )
-    parser.add_argument(
         "--output",
         type=Path,
         default=Path(__file__).resolve().parent.parent / "BENCH_analysis.json",
@@ -431,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             continue
         comparison = compare_planes(
-            n, args.seed, args.backend, incremental=n >= INCREMENTAL_AT
+            n, args.seed, incremental=n >= INCREMENTAL_AT
         )
         results.append(comparison)
         print(
@@ -459,7 +449,7 @@ def main(argv: list[str] | None = None) -> int:
             "degree/isolated census + adversarial expansion probe windows)"
         ),
         "d": D,
-        "backend": args.backend,
+        "backend": "array",
         "probe_params": dict(PROBE_PARAMS),
         "seed": args.seed,
         "results": results,

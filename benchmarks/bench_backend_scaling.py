@@ -3,7 +3,8 @@
 The measured kernel is the library's hottest end-to-end path: build a warm
 SDGR network of ``n`` nodes (``n`` churn rounds: the dominant cost), then
 run Definition 3.3 flooding to completion (~log n rounds of boundary
-expansion).  Each backend uses its natural path — the dict backend runs
+expansion).  Each backend uses its natural path — the dict reference
+backend (the test oracle in ``tests/oracles/dict_backend.py``) runs
 per-event rounds and set-union boundaries, the array backend batched
 births and the vectorized mask frontier — which is exactly the comparison
 that matters for scale.
@@ -23,10 +24,22 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import sys
 import time
 from pathlib import Path
 
 import pytest
+
+# The dict oracle lives with the test suite; make the repository root
+# importable in script mode as well as under pytest.
+REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
+from tests.oracles.dict_backend import (  # noqa: E402
+    DictBackend,
+    flood_discrete_reference,
+)
 
 from repro.analysis.degrees import live_degree_summary
 from repro.flooding import flood_discrete
@@ -44,12 +57,19 @@ def churn_flood_kernel(n: int, backend: str, seed: int) -> dict:
     the flooding rounds, each of which also applies one churn round), so
     ``rounds_per_sec`` is comparable across backends and sizes.
     """
-    fast_warm = backend == "array"
+    array = backend == "array"
+    flood = flood_discrete if array else flood_discrete_reference
     start = time.perf_counter()
-    net = SDGR(n=n, d=D, seed=seed, backend=backend, fast_warm=fast_warm)
+    net = SDGR(
+        n=n,
+        d=D,
+        seed=seed,
+        backend=None if array else DictBackend(),
+        fast_warm=array,
+    )
     build_seconds = time.perf_counter() - start
     start = time.perf_counter()
-    result = flood_discrete(net, max_rounds=8 * int(math.log2(n)))
+    result = flood(net, max_rounds=8 * int(math.log2(n)))
     flood_seconds = time.perf_counter() - start
     total = build_seconds + flood_seconds
     rounds = n + result.rounds_run

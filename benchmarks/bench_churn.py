@@ -27,17 +27,27 @@ covered by tests/test_fused_rounds.py.
     PYTHONPATH=src python benchmarks/bench_churn.py
 
 writes ``BENCH_churn.json``; ``pytest benchmarks/bench_churn.py`` runs
-the CI-scale smoke (small n, correctness-first, both backends).
+the CI-scale smoke (small n, correctness-first, on the array backend and
+the dict oracle of ``tests/oracles/dict_backend.py``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
 import pytest
+
+# The dict oracle lives with the test suite; make the repository root
+# importable in script mode as well as under pytest.
+REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
+from tests.oracles.dict_backend import BACKENDS  # noqa: E402
 
 from repro.models.streaming import SDG, SDGR
 
@@ -56,7 +66,7 @@ FUSED_SPEEDUP_FLOOR = 5.0
 
 
 def _per_event_rate(factory, n, d, rounds, seed, backend) -> float:
-    net = factory(n, d, seed=seed, backend=backend, fast_warm=True)
+    net = factory(n, d, seed=seed, backend=BACKENDS[backend](), fast_warm=True)
     start = time.perf_counter()
     net.run_rounds(rounds)
     return rounds / (time.perf_counter() - start)
@@ -69,7 +79,9 @@ def _fused_rate(
     # shared runner dominates a single timing.
     best = 0.0
     for attempt in range(repeats):
-        net = factory(n, d, seed=seed, backend=backend, fast_warm=True)
+        net = factory(
+            n, d, seed=seed, backend=BACKENDS[backend](), fast_warm=True
+        )
         start = time.perf_counter()
         net.advance_to_time_batched(net.now + rounds)
         elapsed = time.perf_counter() - start
@@ -119,7 +131,7 @@ def measure_smoke(n: int, d: int, rounds: int, seed: int) -> dict:
 
 
 # ----------------------------------------------------------------------
-# pytest smoke (CI scale): correctness-first, both backends
+# pytest smoke (CI scale): correctness-first, array backend and oracle
 # ----------------------------------------------------------------------
 
 

@@ -40,8 +40,6 @@ import tempfile
 import time
 from pathlib import Path
 
-import pytest
-
 from repro.scenario import ScenarioSpec, Simulation
 
 DEFAULT_N = 100_000
@@ -156,15 +154,12 @@ def measure_service(
 
 
 # ----------------------------------------------------------------------
-# pytest smoke (CI scale): correctness-first, both backends
+# pytest smoke (CI scale): correctness-first
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["dict", "array"])
-def test_service_bench_smoke(backend):
-    row = measure_service(
-        n=300, horizon=12, every=4, seed=0, backend=backend
-    )
+def test_service_bench_smoke():
+    row = measure_service(n=300, horizon=12, every=4, seed=0)
     assert row["checkpoints_written"] == 3
     assert row["checkpoint_mb"] > 0
     # No speedup assertion at toy sizes: restore wins only when the

@@ -136,7 +136,7 @@ def test_bench_sweep_smoke(benchmark, bench_seed):
     row = benchmark.pedantic(
         measure_sweep,
         args=(500, 250, 4, 2, bench_seed),
-        kwargs={"backend": None},  # respect REPRO_BACKEND in the matrix
+        kwargs={"backend": None},  # the spec default: the array backend
         rounds=1,
         iterations=1,
     )

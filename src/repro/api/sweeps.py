@@ -40,11 +40,11 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.core.backend import resolve_backend_name
 from repro.errors import SweepError
 from repro.sweep.artifact import (
     ARTIFACT_FORMAT,
     SweepResult,
-    resolve_backend,
     submitted_spec_path,
     sweep_key,
 )
@@ -120,25 +120,20 @@ class SweepStatus:
         return self.done == self.total
 
 
-def submit_sweep(
-    sweep: SweepSpec,
-    store: str | Path,
-    backend: str | None = None,
-) -> SweepSubmission:
+def submit_sweep(sweep: SweepSpec, store: str | Path) -> SweepSubmission:
     """Register *sweep* against *store* and return its submission.
 
-    Resolves the topology backend (argument, else the spec's, else the
-    process default — the runner's exact order, so every executor
-    computes the same cell keys), derives the sweep key, and durably
-    writes the spec document under ``sweeps/<key>.spec.json``.
+    Derives the sweep key and durably writes the spec document under
+    ``sweeps/<key>.spec.json``; the document records the backend
+    (``"array"``) every cell key carries.
     Submission is idempotent: the document is content-addressed by the
     key, so re-submitting the same sweep is a no-op and two hosts
     racing the submission write identical bytes.
     """
     from repro.sweep.measurements import get_measurement
 
-    resolved = resolve_backend(sweep, backend)
-    key = sweep_key(sweep, resolved)
+    resolved = resolve_backend_name(sweep.base.backend)
+    key = sweep_key(sweep)
     measure_module = get_measurement(sweep.measure).module
     path = submitted_spec_path(store, key)
     if not path.exists():
@@ -170,8 +165,9 @@ def load_submission(store: str | Path, key: str) -> SweepSubmission:
             f"no readable submitted sweep {key!r} under {store!s}: {error}"
         ) from error
     sweep = SweepSpec.from_dict(data["sweep"])
-    backend = str(data["backend"])
-    recomputed = sweep_key(sweep, backend)
+    # Only "array" loads: a store keyed "dict" raises, naming the oracle.
+    backend = resolve_backend_name(str(data["backend"]))
+    recomputed = sweep_key(sweep)
     if recomputed != key:
         raise SweepError(
             f"submitted sweep {key!r} does not verify: this library "
@@ -190,15 +186,13 @@ def load_submission(store: str | Path, key: str) -> SweepSubmission:
 
 
 def _resolve_submission(
-    store: str | Path,
-    sweep: SweepSpec | SweepSubmission | str,
-    backend: str | None = None,
+    store: str | Path, sweep: SweepSpec | SweepSubmission | str
 ) -> SweepSubmission:
     """Accept a spec, a submission, or a bare key; return the submission."""
     if isinstance(sweep, SweepSubmission):
         return sweep
     if isinstance(sweep, SweepSpec):
-        return submit_sweep(sweep, store, backend)
+        return submit_sweep(sweep, store)
     if isinstance(sweep, str):
         return load_submission(store, sweep)
     raise SweepError(
@@ -213,7 +207,6 @@ DEFAULT_CLAIM_BATCH = 16
 def run_worker(
     store: str | Path,
     sweep: SweepSpec | SweepSubmission | str,
-    backend: str | None = None,
     host: str | None = None,
     ttl: float = DEFAULT_CLAIM_TTL,
     max_cells: int | None = None,
@@ -251,7 +244,7 @@ def run_worker(
     meter work.
     """
     start = time.perf_counter()
-    submission = _resolve_submission(store, sweep, backend)
+    submission = _resolve_submission(store, sweep)
     rstore = ResultStore(submission.store)
     me = host or default_host()
     tasks = submission.tasks()
@@ -359,10 +352,9 @@ def run_worker(
 def sweep_status(
     store: str | Path,
     sweep: SweepSpec | SweepSubmission | str,
-    backend: str | None = None,
 ) -> SweepStatus:
     """A read-only census: done / claimed / pending cells of *sweep*."""
-    submission = _resolve_submission(store, sweep, backend)
+    submission = _resolve_submission(store, sweep)
     rstore = ResultStore(submission.store)
     done = 0
     claimed = 0
@@ -389,7 +381,6 @@ def sweep_status(
 def collect(
     store: str | Path,
     sweep: SweepSpec | SweepSubmission | str,
-    backend: str | None = None,
     timeout: float | None = None,
     poll: float = 0.5,
     host: str | None = None,
@@ -406,7 +397,7 @@ def collect(
     canonical core: whoever reduces, whatever the worker schedule, the
     core bytes (and digest) come out identical.
     """
-    submission = _resolve_submission(store, sweep, backend)
+    submission = _resolve_submission(store, sweep)
     rstore = ResultStore(submission.store)
     tasks = submission.tasks()
     deadline = (
@@ -604,7 +595,6 @@ def run_fleet(
     sweep: SweepSpec,
     store: str | Path,
     workers: int = 2,
-    backend: str | None = None,
     ttl: float = DEFAULT_CLAIM_TTL,
     timeout: float | None = None,
     claim_batch: int = DEFAULT_CLAIM_BATCH,
@@ -620,7 +610,7 @@ def run_fleet(
     """
     if workers < 1:
         raise SweepError(f"fleet needs workers >= 1, got {workers}")
-    submission = submit_sweep(sweep, store, backend)
+    submission = submit_sweep(sweep, store)
     reports, died = drain_locally(submission, workers, ttl, claim_batch)
     if died is not None:
         raise SweepError(died)

@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 
-from repro.core.backend import BACKEND_NAMES
 from repro.experiments.registry import all_experiments, run_experiment
 
 
@@ -46,13 +45,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument(
-        "--backend",
-        choices=list(BACKEND_NAMES),
-        default=None,
-        help="topology backend for every simulated network "
-        "(default: REPRO_BACKEND env var, else dict)",
-    )
-    parser.add_argument(
         "--csv",
         metavar="DIR",
         default=None,
@@ -71,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="run a JSON-defined parameter sweep (a SweepSpec document, "
         "see repro.sweep) and print its cell values as JSON; honors "
-        "--jobs/--store and --backend",
+        "--jobs/--store",
     )
     parser.add_argument(
         "--jobs",
@@ -163,7 +155,6 @@ def main(argv: list[str] | None = None) -> int:
         return run_scenario_file(
             args.scenario,
             seed=args.seed,
-            backend=args.backend,
             checkpoint_every=args.checkpoint_every,
             checkpoint_dir=args.checkpoint_dir,
         )
@@ -176,7 +167,6 @@ def main(argv: list[str] | None = None) -> int:
             )
         return run_sweep_file(
             args.sweep,
-            backend=args.backend,
             jobs=args.jobs,
             store=args.store,
         )
@@ -200,7 +190,6 @@ def main(argv: list[str] | None = None) -> int:
             experiment_id,
             quick=not args.full,
             seed=args.seed,
-            backend=args.backend,
             jobs=args.jobs,
             store=args.store,
             checkpoint_every=args.checkpoint_every,
@@ -220,19 +209,15 @@ def main(argv: list[str] | None = None) -> int:
 
 def run_sweep_file(
     path: str,
-    backend: str | None = None,
     jobs: int | None = None,
     store: str | None = None,
 ) -> int:
     """Run one JSON sweep document and print its cell values as JSON."""
-    from dataclasses import replace
     from pathlib import Path
 
     from repro.sweep import SweepSpec, run_sweep
 
     sweep = SweepSpec.from_json(Path(path).read_text(encoding="utf-8"))
-    if backend is not None:
-        sweep = replace(sweep, base=sweep.base.with_(backend=backend))
 
     result = run_sweep(sweep, jobs=jobs, store=store)
     failures = result.failures
@@ -258,7 +243,6 @@ def run_sweep_file(
 def run_scenario_file(
     path: str,
     seed: int | None = None,
-    backend: str | None = None,
     checkpoint_every: int | None = None,
     checkpoint_dir: str | None = None,
 ) -> int:
@@ -267,8 +251,6 @@ def run_scenario_file(
 
     document = load_scenario_document(path)
     spec = document.spec
-    if backend is not None:
-        spec = spec.with_(backend=backend)
     # The file's own seed wins; the CLI seed fills in when absent.
     if spec.seed is None and seed is not None:
         spec = spec.with_(seed=seed)

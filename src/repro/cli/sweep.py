@@ -51,8 +51,7 @@ from repro.api import (
     run_worker,
     sweep_status,
 )
-from repro.core.backend import BACKEND_NAMES
-from repro.errors import SweepError
+from repro.errors import ConfigurationError, SweepError
 from repro.sweep import DEFAULT_CLAIM_TTL, SweepSpec
 from repro.sweep.artifact import artifact_path
 
@@ -83,13 +82,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         metavar="DIR",
         required=True,
         help="shared content-addressed result store (all hosts point here)",
-    )
-    sub.add_argument(
-        "--backend",
-        choices=list(BACKEND_NAMES),
-        default=None,
-        help="topology backend (default: the spec's, else REPRO_BACKEND, "
-        "else dict) — every host of one sweep must agree",
     )
 
 
@@ -196,22 +188,17 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_gc(args)
         spec = _resolve_spec(args.spec)
         return _COMMANDS[args.command](args, spec)
-    except SweepError as error:
+    except (SweepError, ConfigurationError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 
 
 def _cmd_run(args: argparse.Namespace, spec: SweepSpec | str) -> int:
-    if isinstance(spec, str):
-        submission = load_submission(args.store, spec)
-        sweep, backend = submission.sweep, submission.backend
-    else:
-        sweep, backend = spec, args.backend
+    sweep = load_submission(args.store, spec).sweep if isinstance(spec, str) else spec
     result = run_fleet(
         sweep,
         args.store,
         workers=args.workers,
-        backend=backend,
         ttl=args.ttl,
         claim_batch=args.claim_batch,
     )
@@ -241,7 +228,6 @@ def _cmd_worker(args: argparse.Namespace, spec: SweepSpec | str) -> int:
     report = run_worker(
         args.store,
         spec,
-        backend=args.backend,
         host=args.host,
         ttl=args.ttl,
         max_cells=args.max_cells,
@@ -264,7 +250,6 @@ def _cmd_reduce(args: argparse.Namespace, spec: SweepSpec | str) -> int:
     result = collect(
         args.store,
         spec,
-        backend=args.backend,
         timeout=args.timeout,
         poll=args.poll,
     )
@@ -283,7 +268,7 @@ def _cmd_reduce(args: argparse.Namespace, spec: SweepSpec | str) -> int:
 
 
 def _cmd_status(args: argparse.Namespace, spec: SweepSpec | str) -> int:
-    status = sweep_status(args.store, spec, backend=args.backend)
+    status = sweep_status(args.store, spec)
     if args.as_json:
         print(
             json.dumps(

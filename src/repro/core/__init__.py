@@ -1,19 +1,12 @@
 """Dynamic-graph core: node registry, slot-based topology, snapshots, policies.
 
-Topology storage is pluggable (see :mod:`repro.core.backend`): the
-dict-based reference backend and the vectorized array backend implement the
-same :class:`GraphBackend` interface and produce bit-identical seeded
-trajectories on the per-event path.
+Topology storage is the vectorized :class:`ArraySlotBackend`, built by
+:func:`create_backend` on the shared :class:`GraphBackend` base (see
+:mod:`repro.core.backend`).
 """
 
 from repro.core.array_backend import ArraySlotBackend
-from repro.core.backend import (
-    BACKEND_NAMES,
-    GraphBackend,
-    create_backend,
-    default_backend_name,
-    use_backend,
-)
+from repro.core.backend import GraphBackend, create_backend
 from repro.core.edge_policy import (
     BoundedInDegreePolicy,
     CappedRegenerationPolicy,
@@ -22,16 +15,13 @@ from repro.core.edge_policy import (
     RAESPolicy,
     RegenerationPolicy,
 )
-from repro.core.graph import DictBackend
 from repro.core.node import NodeRecord
 from repro.core.snapshot import Snapshot
 
 __all__ = [
     "ArraySlotBackend",
-    "BACKEND_NAMES",
     "BoundedInDegreePolicy",
     "CappedRegenerationPolicy",
-    "DictBackend",
     "EdgePolicy",
     "GraphBackend",
     "NodeRecord",
@@ -40,6 +30,4 @@ __all__ = [
     "RegenerationPolicy",
     "Snapshot",
     "create_backend",
-    "default_backend_name",
-    "use_backend",
 ]

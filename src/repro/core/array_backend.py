@@ -5,10 +5,11 @@
 
 * **free-list row recycling** — dead nodes return their row to a free
   list, so memory stays O(alive nodes) even though ids grow forever;
-* **alive-mask bookkeeping** — a boolean row mask plus the same
-  :class:`~repro.util.sampling.IndexedSet` alive set the dict backend
-  uses, so uniform sampling consumes the RNG identically (seeded
-  trajectories are bit-identical across backends on the per-event path);
+* **alive-mask bookkeeping** — a boolean row mask plus the
+  :class:`~repro.util.sampling.IndexedSet` alive set every
+  :class:`~repro.core.backend.GraphBackend` keeps, so uniform sampling
+  consumes the RNG exactly like the dict reference backend of the test
+  oracles (seeded churn trajectories are bit-identical to it);
 * **a lazily rebuilt CSR adjacency** — distinct-neighbour queries
   (snapshots, degree vectors, edge counts) rebuild a CSR structure at
   most once per topology version, entirely in vectorized NumPy;
@@ -25,13 +26,12 @@ An assigned slot always points at an alive row: when a node dies all slots
 pointing at it are cleared (they are the returned orphans), so no stale
 row reference can survive recycling.
 
-This backend is the fast path behind ``backend="array"``; the dict backend
-remains the readable reference implementation.
+This is the library's only topology backend; the readable dict-of-dicts
+reference it is checked against lives in ``tests/oracles/dict_backend.py``.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -47,23 +47,14 @@ from repro.errors import SimulationError
 _INT32_MAX = np.iinfo(np.int32).max
 
 
-def _compact_default() -> bool:
-    """The ``REPRO_COMPACT_CSR`` environment default for new backends."""
-    value = os.environ.get("REPRO_COMPACT_CSR", "").strip().lower()
-    return value not in ("", "0", "false", "no")
-
-
 class ArraySlotBackend(GraphBackend):
     """Vectorized slot store with free-list node recycling."""
-
-    supports_vectorized_frontier = True
-    supports_bulk_placement = True
 
     def __init__(
         self,
         initial_capacity: int = 1024,
         slot_width: int = 4,
-        compact_csr: bool | None = None,
+        compact_csr: bool = False,
     ) -> None:
         super().__init__()
         self._cap = max(int(initial_capacity), 1)
@@ -72,11 +63,8 @@ class ArraySlotBackend(GraphBackend):
         # hottest arrays (CSR indptr/indices and the id column) by
         # storing them as int32 — valid while capacity, node ids, and
         # directed edge counts stay below 2^31 (guarded at the growth
-        # and id-assignment sites).  Opt-in: ``compact_csr=True`` or the
-        # REPRO_COMPACT_CSR environment variable.
-        self.compact_csr = (
-            _compact_default() if compact_csr is None else bool(compact_csr)
-        )
+        # and id-assignment sites).  Opt-in: ``compact_csr=True``.
+        self.compact_csr = bool(compact_csr)
         self._id_dtype = np.int32 if self.compact_csr else np.int64
         self._slots = np.full((self._cap, self._width), -1, dtype=np.int64)
         self._num_slots = np.zeros(self._cap, dtype=np.int32)
@@ -303,9 +291,10 @@ class ArraySlotBackend(GraphBackend):
         """Point each ``(source, slot)`` pair at its target in one pass.
 
         The only checked slot write of this backend (:meth:`assign_slot`
-        is a one-pair call).  Same checks, errors and epoch count as the
-        per-pair loop of :meth:`GraphBackend.assign_slots`: a failing pair
-        raises with the pairs before it applied and counted.  Scalars are
+        is a one-pair call).  Every assigned slot advances
+        :meth:`mutation_epoch` by one (the epoch is written into
+        checkpoints), and a failing pair raises with the pairs before it
+        applied and counted, like a per-pair loop.  Scalars are
         read with ``.item()`` through local aliases, and the touched ids
         are collected only while :meth:`track_mutations` is on.
         """
@@ -321,10 +310,10 @@ class ArraySlotBackend(GraphBackend):
             for (source, slot_index), target in zip(pairs, targets):
                 srow = row_of[source]
                 if not 0 <= slot_index < num_slots.item(srow):
-                    # Matches the dict backend's list IndexError; without
-                    # this the write would land in a padding column,
-                    # visible to the CSR but not to neighbors() or
-                    # out_slots_of().
+                    # An IndexError, as a list of slots would raise;
+                    # without this the write would land in a padding
+                    # column, visible to the CSR but not to neighbors()
+                    # or out_slots_of().
                     raise IndexError(
                         f"slot index {slot_index} out of range for node {source}"
                     )
@@ -393,8 +382,8 @@ class ArraySlotBackend(GraphBackend):
                     touched.append(id_of.item(trow))
         slots[row] = -1
 
-        # Orphan the requests of others pointing here (sorted, matching the
-        # dict backend so regeneration repairs in the same RNG order).
+        # Orphan the requests of others pointing here, in ascending
+        # (source, slot) order: the order regeneration repairs them in.
         orphaned = sorted(in_refs[row])
         for source, slot_index in orphaned:
             slots[row_of[source], slot_index] = -1
@@ -423,9 +412,8 @@ class ArraySlotBackend(GraphBackend):
         """Register a batch of newborns in a few vectorized writes.
 
         Advances the epoch by one per newborn, like the :meth:`add_node`
-        loop.  Returns the assigned rows in batch order (used by the
-        batched birth paths; the :class:`GraphBackend` contract only
-        promises the registration itself).
+        loop.  Returns the assigned rows in batch order (the bounded
+        policies' bulk births pass them on to :meth:`place_slots_capped`).
         """
         rows = self._register_rows(node_ids, times, num_slots)
         if rows.size:
@@ -555,8 +543,6 @@ class ArraySlotBackend(GraphBackend):
     # fused streaming rounds (death → regeneration → birth per round)
     # ------------------------------------------------------------------
 
-    supports_round_batch = True
-
     def apply_round_batch(
         self,
         base: int,
@@ -566,7 +552,20 @@ class ArraySlotBackend(GraphBackend):
         plan,
         regenerate: bool,
     ) -> None:
-        """Fused streaming-round kernel (see :class:`GraphBackend` contract).
+        """Execute *rounds* fused streaming rounds in one pass.
+
+        Precondition: the alive set is exactly the contiguous id range
+        ``[base, base + n)`` (``n`` = ``plan.n``), every alive node has
+        ``num_slots`` slots, and ids ``base + n .. base + n + rounds - 1``
+        are already allocated.  Round ``k`` (1-based) at time
+        ``start_time + k``: node ``base + k - 1`` dies, each orphaned
+        slot re-targets via ``plan.take_regen`` when *regenerate* (else
+        stays empty), then node ``base + n + k - 1`` is born with
+        ``num_slots`` requests addressed by ``plan.birth_offsets[k-1]``
+        (offset ``v`` = the ``v``-th oldest post-death survivor).  The
+        plan is consumed in the documented orphan order (see
+        :mod:`repro.core.round_batch` for the draw law), and the window
+        leaves the alive set in ascending id order.
 
         Works in a *local-id* coordinate system over the window's node
         universe (``local = id − base``, length ``L = n + W``): the whole
@@ -684,8 +683,8 @@ class ArraySlotBackend(GraphBackend):
 
         self.alive = IndexedSet.from_unique_list(final_ids.tolist())
         self._in_refs_stale = True
-        # Count like the dict kernel: one per death, newborn, birth slot
-        # and regenerated slot.
+        # Count like a per-round loop of the mutation primitives: one per
+        # death, newborn, birth slot and regenerated slot.
         self._note_mutation(
             range(base, base + n + W) if self._touched is not None else (),
             count=W * (2 + d) + regenerated,

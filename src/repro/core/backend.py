@@ -1,59 +1,34 @@
-"""Pluggable topology backends.
+"""The topology backend base class and its one constructor.
 
 A :class:`GraphBackend` owns the mutable node/slot/adjacency state of one
-dynamic network.  Two implementations ship with the library:
+dynamic network.  :class:`~repro.core.array_backend.ArraySlotBackend` — a
+dense NumPy slot store with free-list row recycling, batched births, the
+fused streaming-round kernel and a vectorized flooding frontier — is the
+only implementation in the library.  This base class holds what any
+backend shares: the alive set as an
+:class:`~repro.util.sampling.IndexedSet` (so uniform sampling consumes
+the RNG identically on every implementation), the mutation epoch and
+touched-node tracking, id allocation, ``sample_*``, ``apply_deaths`` and
+``youngest_alive``.
 
-* :class:`~repro.core.graph.DictBackend` — the original dict-of-dicts
-  state; simple, fully introspectable, and the reference implementation
-  for invariant checking;
-* :class:`~repro.core.array_backend.ArraySlotBackend` — a dense NumPy
-  slot store with free-list row recycling, batched births, and a
-  vectorized flooding frontier; the same seeded churn trajectory as the
-  dict backend on the per-event path, and ~10–20× faster end-to-end on
-  the batched churn+flooding hot loop.
-
-Both backends keep the alive set in the same
-:class:`~repro.util.sampling.IndexedSet` structure, so uniform sampling
-consumes the RNG identically: seeded *churn trajectories* (births, deaths,
-regenerated edges, snapshots) and the :func:`flood_discrete` /
-:func:`flood_discretized` processes are bit-identical on either backend
-(the cross-backend parity property tests rely on this).  Processes that
-draw randomness per *neighbour list* (push/pull gossip, lossy flooding,
-token walks) are distribution-equivalent but not trajectory-identical,
-because the backends enumerate neighbours in different orders.
-
-Backend selection: pass ``backend="dict"`` / ``"array"`` to any driver, or
-set the ``REPRO_BACKEND`` environment variable to change the default for a
-whole process (this is how CI runs the suite on both backends), or use the
-:func:`use_backend` context manager to override the default temporarily
-(this is how the experiment registry threads the choice through runners
-without changing every experiment signature).
+The readable dict-of-dicts reference backend the library started from
+lives in ``tests/oracles/dict_backend.py``: the parity suites build
+networks on it by passing an instance as ``backend=`` (which
+:func:`create_backend` returns unchanged) and check that seeded churn
+trajectories match the array backend's.
 """
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.csr import CSRView, csr_view_from_adjacency
 from repro.core.node import NodeRecord
 from repro.core.snapshot import Snapshot
 from repro.errors import ConfigurationError
 from repro.util.sampling import IndexedSet
-
-#: Names accepted by :func:`create_backend` / ``REPRO_BACKEND``.
-BACKEND_NAMES = ("dict", "array")
-
-_ENV_VAR = "REPRO_BACKEND"
-# A ContextVar (not a module global) so concurrent use_backend scopes —
-# threads or asyncio tasks running experiments in parallel — cannot leak
-# their override into each other.
-_override: ContextVar[str | None] = ContextVar("repro_backend_override", default=None)
 
 
 class GraphBackend(ABC):
@@ -124,7 +99,7 @@ class GraphBackend(ABC):
             self._touched.update(ids)
 
     # ------------------------------------------------------------------
-    # basic queries (shared: both backends keep `alive` as an IndexedSet)
+    # basic queries (shared: every backend keeps `alive` as an IndexedSet)
     # ------------------------------------------------------------------
 
     def num_alive(self) -> int:
@@ -167,28 +142,6 @@ class GraphBackend(ABC):
         self._next_id = max(self._next_id, int(next_id))
 
     # ------------------------------------------------------------------
-    # state serialization (service plane)
-    # ------------------------------------------------------------------
-
-    def dump_state(self) -> dict:
-        """Serialize the full mutable backend state to a JSON-able dict.
-
-        The payload must capture everything that influences future
-        seeded trajectories — including iteration orders that feed RNG
-        draws (alive-set order, adjacency order) — so that
-        :meth:`restore_state` reproduces the run bit-identically.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support checkpointing"
-        )
-
-    def restore_state(self, payload: dict) -> None:
-        """Restore state previously produced by :meth:`dump_state`."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support checkpointing"
-        )
-
-    # ------------------------------------------------------------------
     # abstract topology interface
     # ------------------------------------------------------------------
 
@@ -228,21 +181,6 @@ class GraphBackend(ABC):
     def assign_slot(self, source: int, slot_index: int, target: int) -> None:
         """Point ``source``'s slot *slot_index* at *target* (must be empty)."""
 
-    def assign_slots(
-        self, pairs: Sequence[tuple[int, int]], targets: Sequence[int]
-    ) -> None:
-        """Apply :meth:`assign_slot` to each ``(source, slot)`` pair in order.
-
-        ``pairs[i]`` is pointed at ``targets[i]``.  A pair that fails a
-        check raises the error :meth:`assign_slot` would, with the pairs
-        before it already applied.  Every assigned slot advances
-        :meth:`mutation_epoch` by one (the epoch is written into
-        checkpoints, so an override must keep this count).  This loop is
-        the reference; the array backend overrides it with one pass.
-        """
-        for (source, slot_index), target in zip(pairs, targets):
-            self.assign_slot(source, slot_index, target)
-
     @abstractmethod
     def clear_slot(self, source: int, slot_index: int) -> int | None:
         """Empty ``source``'s slot *slot_index*; returns the old target."""
@@ -254,23 +192,6 @@ class GraphBackend(ABC):
     @abstractmethod
     def snapshot(self, time: float) -> Snapshot:
         """Freeze the current topology into an immutable :class:`Snapshot`."""
-
-    def csr_view(self, time: float) -> CSRView:
-        """Export the current topology as a :class:`~repro.core.csr.CSRView`.
-
-        The analysis-plane counterpart of :meth:`snapshot`: a compact CSR
-        adjacency plus id/birth arrays that the vectorized analyses run
-        on.  The generic implementation builds the arrays in one pass
-        over :meth:`neighbors`; the array backend overrides it with a
-        zero-copy export of its dense row arrays.  A view aliases live
-        state — it is valid only until the next topology mutation.
-        """
-        return csr_view_from_adjacency(
-            time=time,
-            ids=self.alive_ids(),
-            neighbors_fn=self.neighbors,
-            birth_fn=self.birth_time,
-        )
 
     @abstractmethod
     def check_invariants(self) -> None:
@@ -296,21 +217,8 @@ class GraphBackend(ABC):
         return self.alive.sample(rng)
 
     # ------------------------------------------------------------------
-    # derived queries with generic implementations
+    # shared derived queries and batch deaths
     # ------------------------------------------------------------------
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Whether the undirected edge {u, v} currently exists."""
-        return v in set(self.neighbors(u))
-
-    def random_neighbor(
-        self, node_id: int, rng: np.random.Generator
-    ) -> int | None:
-        """Uniformly random current neighbour, or None if isolated."""
-        keys = list(self.neighbors(node_id))
-        if not keys:
-            return None
-        return keys[int(rng.integers(0, len(keys)))]
 
     def youngest_alive(self) -> int:
         """The most recently born alive node (flooding's default source)."""
@@ -318,73 +226,6 @@ class GraphBackend(ABC):
         if not alive:
             raise ConfigurationError("network has no alive nodes")
         return max(alive, key=self.birth_time)
-
-    def degree_vector(self) -> np.ndarray:
-        """Undirected degrees aligned with :meth:`alive_ids` order."""
-        return np.array([self.degree(u) for u in self.alive_ids()], dtype=np.int64)
-
-    def boundary_of(self, nodes: Iterable[int]) -> set[int]:
-        """``∂out(S)``: alive nodes outside *nodes* adjacent to it."""
-        inside = set(nodes)
-        boundary: set[int] = set()
-        for u in inside:
-            boundary.update(self.neighbors(u))
-        return boundary - inside
-
-    # ------------------------------------------------------------------
-    # batched churn (generic per-node fallback; array backend vectorizes)
-    # ------------------------------------------------------------------
-
-    #: True when :func:`flood_discrete` should use the mask-based frontier.
-    supports_vectorized_frontier: bool = False
-
-    #: True when the backend implements ``place_slots_capped`` — the bulk
-    #: accept/reject sampler the bounded-degree edge policies batch onto.
-    supports_bulk_placement: bool = False
-
-    def add_nodes(
-        self,
-        node_ids: Sequence[int],
-        times: Sequence[float] | float,
-        num_slots: int,
-    ) -> None:
-        """Register a batch of newborns with empty out-slots (no sampling).
-
-        The generic implementation loops :meth:`add_node`; the array
-        backend registers the whole batch in a few vectorized writes.
-        The bounded policies' bulk ``handle_births`` builds on this.
-        """
-        times_list = self.birth_times_list(node_ids, times)
-        for node_id, birth_time in zip(node_ids, times_list):
-            self.add_node(node_id, birth_time=birth_time, num_slots=num_slots)
-
-    def apply_birth_slots(
-        self,
-        node_ids: Sequence[int],
-        times: Sequence[float] | float,
-        targets: np.ndarray,
-    ) -> None:
-        """Apply a pure-birth batch with *pre-drawn* target ids.
-
-        ``targets`` is a ``(len(node_ids), d)`` array of destination node
-        ids (−1 = leave the slot empty); row ``k`` may reference earlier
-        newborns of the same batch.  No randomness is consumed here —
-        the caller drew the targets from a canonical plan, which is what
-        makes every pure-birth batch bit-identical across backends.  The generic implementation loops
-        :meth:`add_node`/:meth:`assign_slot`, so each newborn and each
-        written slot advances :meth:`mutation_epoch` by one; the array
-        backend scatters the batch in vectorized writes with the same
-        count (the epoch is written into checkpoints).
-        """
-        targets = np.asarray(targets, dtype=np.int64)
-        times_list = self.birth_times_list(node_ids, times)
-        num_slots = targets.shape[1] if targets.ndim == 2 else 0
-        for k, (node_id, birth_time) in enumerate(zip(node_ids, times_list)):
-            self.add_node(node_id, birth_time=birth_time, num_slots=num_slots)
-            for slot_index in range(num_slots):
-                target = int(targets[k, slot_index])
-                if target >= 0:
-                    self.assign_slot(node_id, slot_index, target)
 
     def apply_deaths(
         self, node_ids: Sequence[int], death_time: float
@@ -400,45 +241,6 @@ class GraphBackend(ABC):
             orphans.extend(self.remove_node(node_id, death_time=death_time))
         return [(s, j) for s, j in orphans if self.is_alive(s)]
 
-    # ------------------------------------------------------------------
-    # fused streaming rounds (death → regeneration → birth per round)
-    # ------------------------------------------------------------------
-
-    #: True when the backend implements :meth:`apply_round_batch` — the
-    #: fused streaming-round kernel behind ``fast_rounds``.
-    supports_round_batch: bool = False
-
-    def apply_round_batch(
-        self,
-        base: int,
-        rounds: int,
-        num_slots: int,
-        start_time: float,
-        plan,
-        regenerate: bool,
-    ) -> None:
-        """Execute *rounds* fused streaming rounds in one pass.
-
-        Precondition: the alive set is exactly the contiguous id range
-        ``[base, base + n)`` (``n`` = ``plan.n``), every alive node has
-        ``num_slots`` slots, and ids ``base + n .. base + n + rounds - 1``
-        are already allocated.  Round ``k`` (1-based) at time
-        ``start_time + k``: node ``base + k - 1`` dies, each orphaned
-        slot re-targets via ``plan.take_regen`` when *regenerate* (else
-        stays empty), then node ``base + n + k - 1`` is born with
-        ``num_slots`` requests addressed by ``plan.birth_offsets[k-1]``
-        (offset ``v`` = the ``v``-th oldest post-death survivor).
-
-        After the window both backends leave the alive set in ascending
-        id order, so subsequent per-event draws stay bit-identical across
-        backends too.  See :mod:`repro.core.round_batch` for the draw
-        law; implementations must consume the plan in the documented
-        orphan order.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} has no fused streaming-round kernel"
-        )
-
     @staticmethod
     def birth_times_list(
         node_ids: Sequence[int], times: Sequence[float] | float
@@ -453,64 +255,34 @@ class GraphBackend(ABC):
         return times_list
 
 
-# ----------------------------------------------------------------------
-# backend selection
-# ----------------------------------------------------------------------
+def resolve_backend_name(name: str | None) -> str:
+    """The backend a recorded or requested name stands for: ``"array"``.
 
-
-def default_backend_name() -> str:
-    """The process-wide default backend name.
-
-    Resolution order: :func:`use_backend` override, then the
-    ``REPRO_BACKEND`` environment variable, then ``"dict"``.
+    ``None`` (the default) and ``"array"`` resolve to ``"array"``; any
+    other name — ``"dict"`` in specs, sweep stores and checkpoints
+    written when the library shipped two backends — raises a
+    :class:`~repro.errors.ConfigurationError`.
     """
-    override = _override.get()
-    if override is not None:
-        return override
-    name = os.environ.get(_ENV_VAR, "dict").strip() or "dict"
-    return name
-
-
-def _validate_name(name: str) -> str:
-    if name not in BACKEND_NAMES:
-        raise ConfigurationError(
-            f"unknown graph backend {name!r}; choose from {BACKEND_NAMES}"
-        )
-    return name
-
-
-@contextmanager
-def use_backend(name: str | None) -> Iterator[None]:
-    """Temporarily make *name* the default backend (no-op for ``None``)."""
-    if name is None:
-        yield
-        return
-    _validate_name(name)
-    token = _override.set(name)
-    try:
-        yield
-    finally:
-        _override.reset(token)
+    if name is None or name == "array":
+        return "array"
+    raise ConfigurationError(
+        f"unknown backend {name!r}: the library has one graph backend, "
+        "'array'; the dict backend is now a test oracle in tests/oracles/"
+    )
 
 
 def create_backend(backend: str | GraphBackend | None = None) -> GraphBackend:
-    """Instantiate a topology backend.
+    """Instantiate the topology backend.
 
     Args:
-        backend: a backend *instance* (returned unchanged, allowing callers
-            to inject a pre-built or custom backend), a name from
-            :data:`BACKEND_NAMES`, or ``None`` for the process default
-            (``REPRO_BACKEND`` environment variable, else ``"dict"``).
+        backend: a backend *instance* (returned unchanged — the seam
+            through which tests inject the dict oracle), ``"array"``, or
+            ``None`` for a fresh
+            :class:`~repro.core.array_backend.ArraySlotBackend`.
     """
     if isinstance(backend, GraphBackend):
         return backend
-    name = _validate_name(
-        default_backend_name() if backend is None else str(backend)
-    )
-    if name == "array":
-        from repro.core.array_backend import ArraySlotBackend
+    resolve_backend_name(backend)
+    from repro.core.array_backend import ArraySlotBackend
 
-        return ArraySlotBackend()
-    from repro.core.graph import DictBackend
-
-    return DictBackend()
+    return ArraySlotBackend()

@@ -14,10 +14,9 @@ analysis is converted once, at entry, by :func:`as_view`.
 On the :class:`~repro.core.array_backend.ArraySlotBackend` a view is
 **zero-copy**: ``indptr``/``indices`` are the backend's lazily rebuilt
 CSR and ``vert_ids``/``birth`` alias its dense row arrays, so building a
-view costs one alive-row argsort instead of an O(n·d) dict freeze.  On
-the dict backend (or from a snapshot) the arrays are built in one pass;
-a snapshot memoizes its view, so repeated analyses of one snapshot pay
-the conversion once.
+view costs one alive-row argsort instead of an O(n·d) dict freeze.  From
+a snapshot the arrays are built in one pass; a snapshot memoizes its
+view, so repeated analyses of one snapshot pay the conversion once.
 
 **Lifetime contract:** a view aliases live backend storage, so it is
 only valid until the next topology mutation — use it within the
@@ -34,7 +33,7 @@ produced it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -277,9 +276,8 @@ class CSRView:
 def csr_view_from_adjacency(
     time: float,
     ids: list[int],
-    neighbors_of: dict[int, Iterable[int]] | None = None,
-    neighbors_fn=None,
-    birth_fn=None,
+    neighbors_of: Mapping[int, Iterable[int]],
+    birth_fn: Callable[[int], float],
 ) -> CSRView:
     """Build a compact view (verts = ascending-id positions) in one pass."""
     ids = sorted(ids)
@@ -288,8 +286,7 @@ def csr_view_from_adjacency(
     counts = np.zeros(n, dtype=np.int64)
     flat: list[int] = []
     for i, u in enumerate(ids):
-        nbrs = neighbors_of[u] if neighbors_of is not None else neighbors_fn(u)
-        row = [vert_of[v] for v in nbrs]
+        row = [vert_of[v] for v in neighbors_of[u]]
         counts[i] = len(row)
         flat.extend(row)
     indptr = np.zeros(n + 1, dtype=np.int64)

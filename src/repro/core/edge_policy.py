@@ -26,9 +26,9 @@ open question about fully-random dynamics with bounded degrees:
 
 Both share :class:`BoundedInDegreePolicy`: a readable sequential
 rejection loop on the per-event path (bit-identical seeded trajectories
-on every backend), and a vectorized batch path that places whole birth
-batches and death-repair waves through the array backend's bulk
-accept/reject sampler
+on every backend, the test oracle included), and a vectorized batch path
+that places whole birth batches and death-repair waves through the array
+backend's bulk accept/reject sampler
 (:meth:`~repro.core.array_backend.ArraySlotBackend.place_slots_capped`).
 """
 
@@ -315,8 +315,7 @@ class BoundedInDegreePolicy(EdgePolicy):
       ``sample_targets`` exactly like the unbounded policies, so seeded
       trajectories are bit-identical across backends;
     * **batched** (:meth:`handle_births` / :meth:`repair_orphans_batched`)
-      — on a backend advertising ``supports_bulk_placement`` every
-      pending slot of the batch is placed through one vectorized
+      — every pending slot of the batch is placed through one vectorized
       accept/reject pass
       (:meth:`~repro.core.array_backend.ArraySlotBackend.place_slots_capped`);
       same placement law, different RNG stream consumption, exactly like
@@ -396,11 +395,8 @@ class BoundedInDegreePolicy(EdgePolicy):
             record.edges_created.append(EdgeCreated(source=source, target=target))
 
     # ------------------------------------------------------------------
-    # batched path (vectorized accept/reject on capable backends)
+    # batched path (vectorized accept/reject)
     # ------------------------------------------------------------------
-
-    def _use_bulk(self, state: GraphBackend) -> bool:
-        return self.bulk and getattr(state, "supports_bulk_placement", False)
 
     def handle_births(
         self,
@@ -409,7 +405,7 @@ class BoundedInDegreePolicy(EdgePolicy):
         times: list[float] | float,
         rng: np.random.Generator,
     ) -> None:
-        """Apply a pure-birth batch, placing all slots in bulk when possible.
+        """Apply a pure-birth batch, placing all slots in one bulk pass.
 
         By default mirrors the pool semantics of the base
         :meth:`EdgePolicy.handle_births` — newborn ``k`` only targets the
@@ -418,7 +414,7 @@ class BoundedInDegreePolicy(EdgePolicy):
         Policies setting :attr:`bulk_birth_full_pool` instead let every
         request draw from the whole post-batch population.
         """
-        if not self._use_bulk(state):
+        if not self.bulk:
             self.handle_birth_prefix(state, node_ids, times, rng)
             return
         m0 = state.num_alive()
@@ -433,7 +429,7 @@ class BoundedInDegreePolicy(EdgePolicy):
         state.place_slots_capped(
             sources, slots, self.max_in_degree, self.max_attempts, rng,
             highs=highs,
-            source_rows=None if rows is None else np.repeat(rows, self.d),
+            source_rows=np.repeat(rows, self.d),
         )
 
     def repair_orphans_batched(
@@ -445,7 +441,7 @@ class BoundedInDegreePolicy(EdgePolicy):
         record: EventRecord,
     ) -> None:
         """Repair a whole death batch's orphans in one accept/reject pass."""
-        if not self._use_bulk(state):
+        if not self.bulk:
             self.repair_orphans(state, orphaned, time, rng, record)
             return
         if not orphaned:

@@ -14,7 +14,6 @@ from typing import Callable, Protocol
 
 from pathlib import Path
 
-from repro.core.backend import use_backend
 from repro.errors import ExperimentError
 from repro.experiments.common import ExperimentResult
 from repro.sweep import use_sweep_options
@@ -78,7 +77,6 @@ def run_experiment(
     experiment_id: str,
     quick: bool = True,
     seed: int = 0,
-    backend: str | None = None,
     jobs: int | None = None,
     store: str | Path | None = None,
     checkpoint_every: int | None = None,
@@ -86,24 +84,19 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one experiment by id.
 
-    *backend* overrides the topology backend for every network the runner
-    builds (via :func:`repro.core.backend.use_backend`, so experiment
-    signatures stay unchanged); ``None`` keeps the process default.
-    *jobs* and *store* configure the ambient sweep options the same way
-    (:func:`repro.sweep.use_sweep_options`): every replication sweep the
-    runner declares executes on *jobs* worker processes against the
-    content-addressed result store at *store*, which serves the cells it
-    already holds.  *checkpoint_every* and
-    *checkpoint_dir* set the ambient service options
+    *jobs* and *store* configure the ambient sweep options
+    (:func:`repro.sweep.use_sweep_options`, so experiment signatures stay
+    unchanged): every replication sweep the runner declares executes on
+    *jobs* worker processes against the content-addressed result store
+    at *store*, which serves the cells it already holds.
+    *checkpoint_every* and *checkpoint_dir* set the ambient service options
     (:func:`repro.service.use_service_options`), so every scenario
     session the runner builds dumps resumable checkpoints at that
     cadence.
     """
     from repro.service import use_service_options
 
-    with use_backend(backend), use_sweep_options(
-        jobs=jobs, store=store
-    ), use_service_options(
+    with use_sweep_options(jobs=jobs, store=store), use_service_options(
         checkpoint_every=checkpoint_every, checkpoint_dir=checkpoint_dir
     ):
         return get_experiment(experiment_id).runner(quick=quick, seed=seed)

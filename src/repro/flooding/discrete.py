@@ -11,17 +11,17 @@ continuous time), but for those the paper's Definition 4.3 semantics are
 implemented separately in :mod:`repro.flooding.discretized`.
 
 The round loop is :func:`repro.flooding.frontier.spread`; the proposal is
-the frontier's boundary.  The informed set is a set of ids on the dict
-backend and a row mask with vectorized boundary expansion on the array
-backend.  Both compute the same informed set each round, so trajectories
-are backend-independent.
+the frontier's boundary.  The informed set is a
+:class:`~repro.flooding.frontier.MaskFrontier`, a row mask with
+vectorized boundary expansion; it computes the same informed set each
+round as the set-of-ids reference frontier.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from repro.flooding.frontier import initial_informed, make_frontier, spread
+from repro.flooding.frontier import MaskFrontier, initial_informed, spread
 from repro.flooding.result import FloodingResult
 from repro.models.base import DynamicNetwork
 
@@ -51,7 +51,7 @@ def flood_discrete(
         A :class:`FloodingResult` with the full trajectory.
     """
     source, informed = initial_informed(network, source, sources)
-    frontier = make_frontier(network.state, informed)
+    frontier = MaskFrontier(network.state, informed)
     # Only this process checks completion before the first round: a lone
     # source is every alive node.
     lone = network.state.num_alive() == 1

@@ -16,21 +16,24 @@ The informed set is one of three frontiers:
 
 * :class:`SetFrontier` — the reference implementation: a Python set of
   node ids, boundary via per-node neighbour unions, gossip/lossy contact
-  draws per node.  Works on every backend.
+  draws per node.  Gossip and lossy flooding use it by default; it only
+  needs the :class:`~repro.core.backend.GraphBackend` queries, so it also
+  floods the dict oracle of the test suite.
 * :class:`MaskFrontier` — a boolean mask over the array backend's rows;
   boundary expansion is ``informed-mask × slot-matrix`` in NumPy
   (see :meth:`~repro.core.array_backend.ArraySlotBackend.boundary_rows`),
   and the gossip/lossy proposals draw all of a round's contacts in a
-  handful of array operations over the lazy CSR adjacency.
-  Requires ``supports_vectorized_frontier``.
+  handful of array operations over the lazy CSR adjacency.  Plain
+  flooding always uses it; gossip and lossy flooding with
+  ``vectorized=True``.
 * :class:`IntervalFrontier` — Definition 4.3's set: the proposal freezes
   the informed nodes' neighbour lists at the interval start, and only
   informers that survive the interval pass the rumour along them.
 
 For the deterministic boundary (plain flooding) the set and mask
 frontiers compute the identical informed set each round — only the
-representation differs — so seeded flooding trajectories match across
-backends (the cross-backend parity tests assert exactly this).  The
+representation differs — so seeded flooding trajectories match (the
+parity tests run the set frontier on the dict oracle).  The
 randomized proposals (:meth:`~SetFrontier.gossip_proposal`,
 :meth:`~SetFrontier.lossy_proposal`) draw the same *distribution* on
 either frontier but consume the RNG in different orders, so mask-based
@@ -256,35 +259,6 @@ class MaskFrontier:
                 mask[row] = False
         mask &= state.alive_row_mask()
         self.mask = mask
-
-
-def make_frontier(state: GraphBackend, informed: Iterable[int]) -> SetFrontier | MaskFrontier:
-    """Pick the fastest frontier representation the backend supports."""
-    if getattr(state, "supports_vectorized_frontier", False):
-        return MaskFrontier(state, informed)
-    return SetFrontier(state, informed)
-
-
-def resolve_spreading_frontier(
-    network: DynamicNetwork, informed: Iterable[int], vectorized: bool
-) -> SetFrontier | MaskFrontier:
-    """Pick the frontier for a randomized spreading process (gossip/lossy).
-
-    Unlike plain flooding (where the mask frontier computes the identical
-    boundary and is therefore always safe to auto-select), the randomized
-    proposals consume the RNG differently per representation, so the
-    vectorized path is opt-in.
-    """
-    state = network.state
-    if not vectorized:
-        return SetFrontier(state, informed)
-    if not getattr(state, "supports_vectorized_frontier", False):
-        raise ConfigurationError(
-            "vectorized=True needs a backend with vectorized-frontier "
-            "support (the array backend); this network runs on "
-            f"{type(state).__name__}"
-        )
-    return MaskFrontier(state, informed)
 
 
 def initial_informed(

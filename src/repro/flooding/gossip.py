@@ -13,11 +13,10 @@ The rounds run on :func:`repro.flooding.frontier.spread`, the loop
 the snapshot ``G_{t-1}``, then churn is applied and dead nodes drop out of
 the informed set; the run always stops on extinction.  The informed set
 lives in a :mod:`repro.flooding.frontier` strategy: the per-node
-:class:`~repro.flooding.frontier.SetFrontier` reference (the default, on
-any backend), or the mask-based vectorized proposal on the array backend
-when ``vectorized=True`` — same contact distribution, different RNG
-stream, so vectorized runs are statistically equivalent but not
-bit-identical to the reference.
+:class:`~repro.flooding.frontier.SetFrontier` reference (the default),
+or the mask-based vectorized proposal when ``vectorized=True`` — same
+contact distribution, different RNG stream, so vectorized runs are
+statistically equivalent but not bit-identical to the reference.
 """
 
 from __future__ import annotations
@@ -26,8 +25,9 @@ from functools import partial
 
 from repro.errors import ConfigurationError
 from repro.flooding.frontier import (
+    MaskFrontier,
+    SetFrontier,
     initial_informed,
-    resolve_spreading_frontier,
     spread,
 )
 from repro.flooding.result import FloodingResult
@@ -61,7 +61,11 @@ def gossip_push_pull(
         raise ConfigurationError("enable at least one of push/pull")
     rng = make_rng(seed)
     source, informed = initial_informed(network, source)
-    frontier = resolve_spreading_frontier(network, informed, vectorized)
+    # The representations consume the RNG differently, so the mask
+    # frontier is opt-in here (plain flooding always uses it).
+    frontier = (MaskFrontier if vectorized else SetFrontier)(
+        network.state, informed
+    )
     return spread(
         network,
         frontier,

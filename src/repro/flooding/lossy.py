@@ -22,8 +22,9 @@ from functools import partial
 
 from repro.errors import ConfigurationError
 from repro.flooding.frontier import (
+    MaskFrontier,
+    SetFrontier,
     initial_informed,
-    resolve_spreading_frontier,
     spread,
 )
 from repro.flooding.result import FloodingResult
@@ -51,7 +52,11 @@ def flood_lossy(
         raise ConfigurationError(f"loss must be in [0, 1), got {loss}")
     rng = make_rng(seed)
     source, informed = initial_informed(network, source)
-    frontier = resolve_spreading_frontier(network, informed, vectorized)
+    # The representations consume the RNG differently, so the mask
+    # frontier is opt-in here (plain flooding always uses it).
+    frontier = (MaskFrontier if vectorized else SetFrontier)(
+        network.state, informed
+    )
     return spread(
         network,
         frontier,

@@ -53,10 +53,10 @@ class DynamicNetwork(ABC):
     Args:
         policy: edge policy deciding birth/death edge consequences.
         seed: RNG seed.
-        backend: topology backend — a name from
-            :data:`repro.core.backend.BACKEND_NAMES`, a ready-made
-            :class:`~repro.core.backend.GraphBackend` instance, or
-            ``None`` for the process default (``REPRO_BACKEND``).
+        backend: ``None`` or ``"array"`` for a fresh
+            :class:`~repro.core.array_backend.ArraySlotBackend`, or a
+            ready-made :class:`~repro.core.backend.GraphBackend` instance
+            (see :func:`repro.core.backend.create_backend`).
     """
 
     def __init__(

@@ -43,7 +43,7 @@ class StreamingNetwork(DynamicNetwork):
             bit-identical to ``n`` per-event rounds (same targets, alive
             order, mutation epoch and RNG state) on every backend; a
             policy overriding the birth hook runs it per birth.
-        backend: topology backend name/instance (None = process default).
+        backend: topology backend (see :class:`~repro.models.base.DynamicNetwork`).
         fast_warm: draw the ``n`` warm-up births in one call instead
             (:meth:`~repro.core.edge_policy.EdgePolicy.handle_births`).
             Same distribution as the exact warm-up, but a *different
@@ -124,9 +124,9 @@ class StreamingNetwork(DynamicNetwork):
         trajectory than the per-event path — like ``fast_warm``).
 
         Falls back to per-event rounds whenever the law is not the plain
-        uniform one (bounded-degree policies) or the backend lacks the
-        kernel.  Churn is reported as one coalesced ``NodesDied`` plus
-        one ``NodesBorn`` record per window, not per round.
+        uniform one (bounded-degree policies).  Churn is reported as one
+        coalesced ``NodesDied`` plus one ``NodesBorn`` record per window,
+        not per round.
         """
         rounds = self._window_rounds(target)
         if rounds <= 0:
@@ -152,12 +152,7 @@ class StreamingNetwork(DynamicNetwork):
             if rounds <= 0:
                 return
         regenerate = self.policy.round_batch_regenerate
-        fused_ok = (
-            regenerate is not None
-            and getattr(self.state, "supports_round_batch", False)
-            and (self.n >= 3 or not regenerate)
-        )
-        if not fused_ok:
+        if regenerate is None or (regenerate and self.n < 3):
             self._per_event_rounds(rounds, report)
             return
         first_dead = self.round_number - self.n

@@ -92,7 +92,7 @@ class ThresholdStreamingNetwork(DynamicNetwork):
         warm: apply the ``n`` warm-up birth rounds immediately
             (default), as one batch bit-identical to ``n`` per-event
             births — exactly like the streaming driver's warm-up.
-        backend: topology backend name/instance (None = process default).
+        backend: topology backend (see :class:`~repro.models.base.DynamicNetwork`).
         fast_warm: draw the warm-up births in one call instead (same
             distribution, a different RNG stream that is the same on
             every backend — exactly like the other drivers' fast_warm).

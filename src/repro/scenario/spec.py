@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.core.backend import BACKEND_NAMES
+from repro.core.backend import resolve_backend_name
 from repro.errors import ConfigurationError
 from repro.flooding.protocols import get_protocol
 from repro.scenario.registry import (
@@ -81,7 +81,8 @@ class ScenarioSpec:
         horizon: unit-time rounds the session advances between warm-up
             and measurement (:meth:`Simulation.run`'s default).
         seed: default RNG seed (overridable per run for sweeps).
-        backend: topology backend name, or None for the process default.
+        backend: ``"array"`` or None (the same backend); any other
+            name is rejected.  Kept so stored specs stay loadable.
         checkpoint_every: service-plane checkpoint cadence in completed
             rounds; ``0`` (the default) disables cadence checkpoints.
         checkpoint_dir: directory for cadence checkpoints (required when
@@ -146,10 +147,8 @@ class ScenarioSpec:
             raise ConfigurationError(
                 f"horizon must be non-negative, got {self.horizon}"
             )
-        if self.backend is not None and self.backend not in BACKEND_NAMES:
-            raise ConfigurationError(
-                f"unknown backend {self.backend!r}; choose from {BACKEND_NAMES}"
-            )
+        if self.backend is not None:
+            resolve_backend_name(self.backend)
         if not isinstance(self.checkpoint_every, int):
             if float(self.checkpoint_every).is_integer():
                 object.__setattr__(

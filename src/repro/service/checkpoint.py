@@ -16,10 +16,10 @@ plus its partially filled observation window.  NumPy arrays are embedded
 as base64 blobs with dtype/shape, so the file is plain JSON end to end.
 
 The restore contract (enforced by ``tests/test_service_checkpoint.py``
-as a hypothesis property over random checkpoint times, on both
-backends): a run restored at time T and advanced to the horizon is
-**bit-identical** — events, observer reports, flood results, final RNG
-state — to the same seeded run left uninterrupted.
+as a hypothesis property over random checkpoint times): a run restored
+at time T and advanced to the horizon is **bit-identical** — events,
+observer reports, flood results, final RNG state — to the same seeded
+run left uninterrupted.
 
 The content hash is verified on load; a flipped byte or truncated file
 raises :class:`~repro.errors.CheckpointError` instead of silently
@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.core.backend import resolve_backend_name
 from repro.errors import CheckpointError
 from repro.models.adversarial import AdversarialStreamingNetwork
 from repro.models.base import DynamicNetwork, RoundReport
@@ -291,15 +292,12 @@ def _driver_codec(network: DynamicNetwork) -> tuple[str, Any, Any]:
     return codec
 
 
-def _skeleton_spec(spec: ScenarioSpec, backend_kind: str) -> ScenarioSpec:
+def _skeleton_spec(spec: ScenarioSpec) -> ScenarioSpec:
     """The spec used to rebuild an *empty, unwarmed* driver skeleton.
 
     Restore overwrites the backend, RNG, clock, and driver bookkeeping
     afterwards, so warm-up must be disabled — it would burn RNG draws
-    and wall-clock for state that is discarded.  The backend is pinned to
-    the recorded kind: a checkpoint taken under ``REPRO_BACKEND=array``
-    restores as an array backend regardless of the restoring process's
-    environment.
+    and wall-clock for state that is discarded.
     """
     params = dict(spec.churn_params)
     if spec.churn in ("streaming", "threshold", "adversarial"):
@@ -308,7 +306,7 @@ def _skeleton_spec(spec: ScenarioSpec, backend_kind: str) -> ScenarioSpec:
     elif spec.churn in ("poisson", "general"):
         params["warm_time"] = 0.0
         params.pop("fast_warm", None)
-    return spec.with_(churn_params=params, backend=backend_kind)
+    return spec.with_(churn_params=params)
 
 
 # ----------------------------------------------------------------------
@@ -521,9 +519,9 @@ def rebuild_network(checkpoint: Checkpoint) -> DynamicNetwork:
     spec = checkpoint.spec
     driver = checkpoint.payload["driver"]
     backend_payload = checkpoint.payload["backend"]
-    network = build_network(
-        _skeleton_spec(spec, str(backend_payload["kind"])), seed=0
-    )
+    # Only "array" state restores: a "dict" kind raises, naming the oracle.
+    resolve_backend_name(str(backend_payload["kind"]))
+    network = build_network(_skeleton_spec(spec), seed=0)
     kind, _, restore = _driver_codec(network)
     if kind != driver["kind"]:
         raise CheckpointError(

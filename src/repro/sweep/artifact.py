@@ -4,7 +4,8 @@ Cell results live in the content-addressed :class:`~repro.sweep.store.
 ResultStore`; this module adds the *sweep-level* unit above them:
 
 * :func:`sweep_key` — the sha256 content address of a whole sweep
-  (spec + library version + resolved topology backend), mirroring
+  (spec + library version + the fixed ``"array"`` backend component),
+  mirroring
   :func:`~repro.sweep.store.cell_key` one level up;
 * :class:`SweepResult` — the aggregated artifact a reducer writes to
   ``<store>/sweeps/<key>.json`` once every cell has a result: the
@@ -32,7 +33,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro import __version__ as _REPRO_VERSION
-from repro.core.backend import default_backend_name
+from repro.core.backend import resolve_backend_name
 from repro.errors import SweepError
 from repro.sweep.store import atomic_write_text, canonical_json
 
@@ -55,28 +56,19 @@ def submitted_spec_path(root: str | Path, key: str) -> Path:
     return sweeps_dir(root) / f"{key}.spec.json"
 
 
-def resolve_backend(sweep: Any, backend: str | None = None) -> str:
-    """The topology backend a sweep's cells will realize.
-
-    Explicit *backend* wins, then the spec's own ``base.backend``, then
-    the process default — the same resolution order the runner applies,
-    so submitters and workers agree on every cell key.
-    """
-    return backend or sweep.base.backend or default_backend_name()
-
-
-def sweep_key(sweep: Any, backend: str | None = None) -> str:
+def sweep_key(sweep: Any) -> str:
     """The content address of one sweep: sha256 over spec + version.
 
-    Like :func:`~repro.sweep.store.cell_key`, the resolved backend is
-    part of the identity (trajectories are backend-specific), and the
-    library version fences artifacts across releases.
+    Like :func:`~repro.sweep.store.cell_key`, the identity carries a
+    ``"backend"`` component; it is always ``"array"`` (the only
+    backend) and stays in the identity so existing keys do not change.
+    The library version fences artifacts across releases.
     """
     identity = {
         "format": ARTIFACT_FORMAT,
         "version": _REPRO_VERSION,
         "sweep": sweep.to_dict(),
-        "backend": resolve_backend(sweep, backend),
+        "backend": resolve_backend_name(sweep.base.backend),
     }
     return hashlib.sha256(canonical_json(identity).encode("utf-8")).hexdigest()
 
@@ -88,7 +80,7 @@ class SweepResult:
     Attributes:
         key: the sweep's content address (:func:`sweep_key`).
         sweep: the sweep spec as a plain dict (``SweepSpec.to_dict()``).
-        backend: the resolved topology backend every cell ran on.
+        backend: the topology backend every cell ran on (``"array"``).
         cell_keys: per-cell store keys, in canonical grid order.
         values: per-cell measurement values, in canonical grid order.
         elapsed: per-cell execution seconds (provenance).

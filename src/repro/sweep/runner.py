@@ -22,15 +22,14 @@ store when none is configured — and drains it with ``jobs`` workers
 (:func:`repro.api.sweeps.run_worker`; in-process for one, a process pool
 for more), exactly as ``sweep run`` does.  A configured store therefore
 always serves the cells it already holds.  Each cell runs under
-:func:`execute_cell`, which pins the task's resolved topology backend.
-A cell that raises is *isolated*: its traceback is captured on the cell
-result, the remaining cells complete, and the failure surfaces — naming
-the cell — when the caller reads :meth:`SweepRunResult.values`.
+:func:`execute_cell`.  A cell that raises is *isolated*: its traceback
+is captured on the cell result, the remaining cells complete, and the
+failure surfaces — naming the cell — when the caller reads
+:meth:`SweepRunResult.values`.
 
 **Ambient options.**  ``--jobs/--store`` travel from the CLI to the
-experiment runners through :func:`use_sweep_options`, mirroring how
-``use_backend`` threads the topology backend, so experiment signatures
-stay ``run(quick, seed)``.
+experiment runners through :func:`use_sweep_options`, so experiment
+signatures stay ``run(quick, seed)``.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.core.backend import use_backend
+from repro.core.backend import resolve_backend_name
 from repro.errors import SweepError
 from repro.scenario.spec import ScenarioSpec
 from repro.sweep.measurements import get_measurement
@@ -138,8 +137,10 @@ def cell_tasks(
     store keys are computed (uncached runs skip the hashing);
     *measure_module* overrides the registry lookup for workers that
     received the module name out-of-band (e.g. from a submitted sweep
-    document) without the measurement registered locally.
+    document) without the measurement registered locally.  *backend* is
+    recorded in every task and key; only ``"array"`` is accepted.
     """
+    backend = resolve_backend_name(backend)
     if measure_module is None:
         measure_module = get_measurement(sweep.measure).module
     tasks: list[CellTask] = []
@@ -198,8 +199,7 @@ def execute_cell(task: CellTask) -> tuple[int, Any, str | None, float]:
         spec = ScenarioSpec.from_dict(task.spec_dict)
         measure = get_measurement(task.measure, task.measure_module)
         seed = derive_seed(task.seed, task.stream, task.index)
-        with use_backend(task.backend):
-            value = measure.fn(spec, seed, **task.measure_params)
+        value = measure.fn(spec, seed, **task.measure_params)
         value = _normalize_value(value)
     except Exception:
         return task.index, None, traceback.format_exc(), (

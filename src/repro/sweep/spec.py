@@ -297,16 +297,12 @@ class SweepSpec:
         """The named-stream seed of cell *index* (O(1), worker-safe)."""
         return derive_seed(int(self.seed), self.stream, index)
 
-    def sweep_key(self, backend: str | None = None) -> str:
-        """The sweep's content address (sha256 over spec + version).
-
-        *backend* resolves exactly as at run time (argument, else the
-        base scenario's backend, else the process default) and is part
-        of the identity — see :func:`repro.sweep.artifact.sweep_key`.
-        """
+    def sweep_key(self) -> str:
+        """The sweep's content address (sha256 over spec + version) —
+        see :func:`repro.sweep.artifact.sweep_key`."""
         from repro.sweep.artifact import sweep_key
 
-        return sweep_key(self, backend)
+        return sweep_key(self)
 
     # ------------------------------------------------------------------
     # JSON / dict round trip

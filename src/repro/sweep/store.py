@@ -1,9 +1,9 @@
 """Content-addressed result store: sweep cells cached by what they *are*.
 
 A cell's identity is everything that determines its result: the realized
-scenario (with the topology backend resolved), the measurement name and
-parameters, the sweep's master seed / stream name / cell index (which
-together pin the cell's RNG stream), and the library version.
+scenario, the measurement name and parameters, the sweep's master seed /
+stream name / cell index (which together pin the cell's RNG stream), and
+the library version.
 :func:`cell_key` hashes that identity into a sha256 hex digest; the
 store maps digests to small JSON files under a two-level fan-out
 (``<root>/<k[:2]>/<k>.json``).
@@ -168,10 +168,9 @@ def cell_key(
 ) -> str:
     """The content address of one sweep cell result.
 
-    *scenario* is the cell's realized ``ScenarioSpec.to_dict()`` and
-    *backend* the resolved (never ``None``) topology backend name —
-    batched-churn trajectories are backend-specific, so the resolved
-    name is part of the identity even when the spec leaves it implicit.
+    *scenario* is the cell's realized ``ScenarioSpec.to_dict()``.
+    *backend* is always ``"array"``, the only backend; the component
+    stays in the identity so existing keys do not change.
     """
     identity = {
         "format": STORE_FORMAT,

@@ -1,44 +1,45 @@
 """Shared fixtures and helpers for the test suite.
 
-The whole suite runs against whichever topology backend the
-``REPRO_BACKEND`` environment variable selects (``dict`` by default,
-``array`` for the vectorized backend) — every driver resolves its default
-backend through :func:`repro.core.backend.create_backend`, so no test
-needs to thread the choice explicitly.  CI runs the suite once per
-backend; seeded churn trajectories (and flood_discrete/discretized)
-are bit-identical across the two runs, while neighbour-order-sensitive
-processes (gossip, lossy flooding) agree only in distribution.
+The library has one topology backend, ``ArraySlotBackend``; every driver
+builds it by default.  Parity suites check it against the readable dict
+reference, ``tests.oracles.dict_backend.DictBackend``: the ``backend_cls``
+fixture hands a test either class to pass as ``backend=`` to a driver,
+and the ``driver_backend`` fixture puts every driver a test builds —
+spec-built sessions included — on one or the other.
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
-from repro.core.backend import BACKEND_NAMES, default_backend_name
+from repro.core.backend import GraphBackend
 from repro.core.snapshot import Snapshot
+from tests.oracles.dict_backend import BACKENDS, build_drivers_on_oracle
 
 
 def pytest_configure(config: pytest.Config) -> None:
     config.addinivalue_line(
         "markers", "slow: long-running test (full experiment configurations)"
     )
-    name = os.environ.get("REPRO_BACKEND")
-    if name and name not in BACKEND_NAMES:
-        raise pytest.UsageError(
-            f"REPRO_BACKEND={name!r} is not one of {BACKEND_NAMES}"
-        )
 
 
-def pytest_report_header(config: pytest.Config) -> str:
-    del config
-    return f"repro topology backend: {default_backend_name()}"
+@pytest.fixture(params=list(BACKENDS))
+def backend_cls(request: pytest.FixtureRequest) -> type[GraphBackend]:
+    """Backend class, for tests that run on the oracle and the array backend.
+
+    Pass an instance to a driver (``SDGR(..., backend=backend_cls())``).
+    """
+    return BACKENDS[request.param]
 
 
-@pytest.fixture(params=list(BACKEND_NAMES))
-def backend_name(request: pytest.FixtureRequest) -> str:
-    """Parametrized backend name, for tests that must cover both."""
+@pytest.fixture(params=list(BACKENDS))
+def driver_backend(
+    request: pytest.FixtureRequest, monkeypatch: pytest.MonkeyPatch
+) -> str:
+    """Backend name every driver of the test is built on, for
+    session-level parity tests (see :func:`build_drivers_on_oracle`)."""
+    if request.param == "dict":
+        build_drivers_on_oracle(monkeypatch)
     return request.param
 
 

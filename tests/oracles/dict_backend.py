@@ -1,9 +1,20 @@
-"""Dict-based reference topology backend.
+"""Dict-based reference topology backend, kept as an exact-parity oracle.
 
-The original mutable dynamic-graph state shared by all four models, now one
-of two :class:`~repro.core.backend.GraphBackend` implementations (the other
-is :class:`~repro.core.array_backend.ArraySlotBackend`).  It tracks,
-incrementally and in O(1) amortised per operation:
+The library's original mutable dynamic-graph state.  ``repro`` ships one
+backend, :class:`~repro.core.array_backend.ArraySlotBackend`; this
+readable :class:`~repro.core.backend.GraphBackend` is the second,
+independent implementation the parity suites check it against.  Tests
+inject it with ``backend=DictBackend()`` (``create_backend`` returns an
+instance unchanged).  Seeded churn — per-event, exact warm-up, fast
+pure-birth batches and fused windows — is bit-identical to the array
+backend; the dict lists a node's neighbours in insertion order, so
+consumers that spend RNG along a neighbour list (set-frontier gossip and
+lossy flooding, token walks) diverge.  It has no vectorized frontier
+(flood it through ``spread`` with a ``SetFrontier``, as
+:func:`flood_discrete_reference` does) and no bulk capped placement
+(bounded-degree policies run on it with ``bulk=False``).
+
+It tracks, incrementally and in O(1) amortised per operation:
 
 * the set of alive nodes (with O(1) uniform sampling, via
   :class:`~repro.util.sampling.IndexedSet`);
@@ -24,14 +35,20 @@ maintains invariants (checkable via :meth:`DictBackend.check_invariants`).
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
+import repro.models.base
+from repro.core.array_backend import ArraySlotBackend
 from repro.core.backend import GraphBackend
+from repro.core.csr import CSRView, csr_view_from_adjacency
 from repro.core.node import NodeRecord
 from repro.core.snapshot import Snapshot
 from repro.errors import SimulationError
+from repro.flooding.frontier import SetFrontier, initial_informed, spread
+from repro.flooding.result import FloodingResult
+from repro.util.sampling import IndexedSet
 
 
 class DictBackend(GraphBackend):
@@ -95,6 +112,14 @@ class DictBackend(GraphBackend):
             [len(self.adj[u]) for u in self.alive_ids()], dtype=np.int64
         )
 
+    def boundary_of(self, nodes: Iterable[int]) -> set[int]:
+        """``∂out(S)``: alive nodes outside *nodes* adjacent to it."""
+        inside = set(nodes)
+        boundary: set[int] = set()
+        for u in inside:
+            boundary.update(self.neighbors(u))
+        return boundary - inside
+
     # ------------------------------------------------------------------
     # topology mutation (used by edge policies and network drivers)
     # ------------------------------------------------------------------
@@ -130,6 +155,42 @@ class DictBackend(GraphBackend):
         self.in_refs[target].add((source, slot_index))
         self._adj_increment(source, target)
         self._note_mutation((source, target))
+
+    def assign_slots(
+        self, pairs: Sequence[tuple[int, int]], targets: Sequence[int]
+    ) -> None:
+        """:meth:`assign_slot` for each ``(source, slot)`` pair in order."""
+        for (source, slot_index), target in zip(pairs, targets):
+            self.assign_slot(source, slot_index, target)
+
+    def add_nodes(
+        self,
+        node_ids: Sequence[int],
+        times: Sequence[float] | float,
+        num_slots: int,
+    ) -> None:
+        """Register a batch of newborns with empty out-slots (no sampling)."""
+        times_list = self.birth_times_list(node_ids, times)
+        for node_id, birth_time in zip(node_ids, times_list):
+            self.add_node(node_id, birth_time=birth_time, num_slots=num_slots)
+
+    def apply_birth_slots(
+        self,
+        node_ids: Sequence[int],
+        times: Sequence[float] | float,
+        targets: np.ndarray,
+    ) -> None:
+        """A pure-birth batch with pre-drawn target ids (−1 = empty slot),
+        as an :meth:`add_node`/:meth:`assign_slot` loop."""
+        targets = np.asarray(targets, dtype=np.int64)
+        times_list = self.birth_times_list(node_ids, times)
+        num_slots = targets.shape[1] if targets.ndim == 2 else 0
+        for k, (node_id, birth_time) in enumerate(zip(node_ids, times_list)):
+            self.add_node(node_id, birth_time=birth_time, num_slots=num_slots)
+            for slot_index in range(num_slots):
+                target = int(targets[k, slot_index])
+                if target >= 0:
+                    self.assign_slot(node_id, slot_index, target)
 
     def clear_slot(self, source: int, slot_index: int) -> int | None:
         """Empty ``source``'s slot *slot_index*; returns the old target."""
@@ -190,8 +251,6 @@ class DictBackend(GraphBackend):
     # fused streaming rounds (reference implementation)
     # ------------------------------------------------------------------
 
-    supports_round_batch = True
-
     def apply_round_batch(
         self,
         base: int,
@@ -247,8 +306,6 @@ class DictBackend(GraphBackend):
                 self.assign_slot(birth_id, slot_index, lo + v)
         # Canonical post-window alive order (ascending ids), matching the
         # array kernel's write-back so later per-event draws agree too.
-        from repro.util.sampling import IndexedSet
-
         self.alive = IndexedSet.from_unique_list(
             list(range(base + rounds, base + rounds + n))
         )
@@ -290,8 +347,6 @@ class DictBackend(GraphBackend):
 
     def restore_state(self, payload: dict) -> None:
         """Restore state previously produced by :meth:`dump_state`."""
-        from repro.util.sampling import IndexedSet
-
         self.records = {}
         self.in_refs = {}
         self.adj = {}
@@ -330,6 +385,15 @@ class DictBackend(GraphBackend):
             adjacency=adjacency,
             birth_times=birth_times,
             out_slots=out_slots,
+        )
+
+    def csr_view(self, time: float) -> CSRView:
+        """The current topology as a :class:`CSRView`, built in one pass."""
+        return csr_view_from_adjacency(
+            time=time,
+            ids=self.alive_ids(),
+            neighbors_of=self.adj,
+            birth_fn=self.birth_time,
         )
 
     def check_invariants(self) -> None:
@@ -401,3 +465,60 @@ class DictBackend(GraphBackend):
                 del row[b]
                 if a == u:
                     self._edge_count -= 1
+
+
+def flood_discrete_reference(
+    network,
+    source: int | None = None,
+    max_rounds: int = 10_000,
+    stop_when_extinct: bool = True,
+    sources: Iterable[int] | None = None,
+) -> FloodingResult:
+    """:func:`~repro.flooding.discrete.flood_discrete` on a ``SetFrontier``.
+
+    The library floods through the array backend's ``MaskFrontier``; this
+    is the same Definition 3.3 run on the set-of-ids reference frontier,
+    which needs only the :class:`GraphBackend` queries — so it floods a
+    network built on :class:`DictBackend` too.  Same result, round for
+    round, as ``flood_discrete`` on an identical array network.
+    """
+    source, informed = initial_informed(network, source, sources)
+    frontier = SetFrontier(network.state, informed)
+    lone = network.state.num_alive() == 1
+    result = spread(
+        network,
+        frontier,
+        frontier.boundary,
+        source,
+        0 if lone else max_rounds,
+        stop_when_extinct,
+    )
+    if lone:
+        result.completed = True
+        result.completion_round = 0
+    return result
+
+
+#: The backends a parity test runs on, by test id: the oracle and the
+#: library's.
+BACKENDS: dict[str, type[GraphBackend]] = {
+    "dict": DictBackend,
+    "array": ArraySlotBackend,
+}
+
+
+def build_drivers_on_oracle(monkeypatch) -> None:
+    """Make every driver built from here on run on a fresh :class:`DictBackend`.
+
+    Drivers built from a ``ScenarioSpec`` (sessions, experiments) always
+    get the array backend; this patches the drivers' backend factory
+    (``pytest``'s *monkeypatch* undoes it after the test).  An instance
+    passed as ``backend=`` still wins.
+    """
+    monkeypatch.setattr(
+        repro.models.base,
+        "create_backend",
+        lambda backend=None: backend
+        if isinstance(backend, GraphBackend)
+        else DictBackend(),
+    )

@@ -2,8 +2,9 @@
 
 The contract under test (see ``docs/architecture.md``): every analysis
 has one implementation, on a :class:`CSRView` — built zero-copy from the
-array backend, one-shot from the dict backend, or converted from a
-snapshot — and returns results *identical* to the set-based reference in
+array backend, one-shot from the dict oracle
+(:mod:`tests.oracles.dict_backend`), or converted from a snapshot — and
+returns results *identical* to the set-based reference in
 :mod:`tests.oracles.analysis`, whichever way the view was built and on
 either topology backend.  Degree, isolated and component censuses are
 checked against the :class:`Snapshot` methods directly.  For the
@@ -45,7 +46,7 @@ from repro.analysis.incremental import ProbeCache
 from repro.analysis.isolated import count_isolated, isolated_fraction
 from repro.analysis.temporal import snapshot_jaccard
 from repro.analysis.spectral import cheeger_bounds, normalized_laplacian_lambda2
-from repro.core.backend import create_backend
+from repro.core.array_backend import ArraySlotBackend
 from repro.core.csr import (
     as_view,
     candidate_key,
@@ -68,18 +69,19 @@ from repro.scenario import (
 )
 from tests.conftest import cycle_snapshot, path_snapshot, snapshot_from_edges
 from tests.oracles import analysis as oracle
+from tests.oracles.dict_backend import BACKENDS, DictBackend
 
 
 def seeded_networks(backend: str):
     """The seeded graph menagerie the parity contract is asserted on."""
-    sdg = SDG(n=90, d=2, seed=3, backend=backend)  # isolated nodes + ties
+    sdg = SDG(n=90, d=2, seed=3, backend=BACKENDS[backend]())  # isolated nodes + ties
     sdg.run_rounds(90)
-    sdgr = SDGR(n=110, d=6, seed=7, backend=backend)  # expander
+    sdgr = SDGR(n=110, d=6, seed=7, backend=BACKENDS[backend]())  # expander
     sdgr.run_rounds(110)
-    pdg = PDG(n=70, d=3, seed=5, backend=backend)
+    pdg = PDG(n=70, d=3, seed=5, backend=BACKENDS[backend]())
     pdg.run_rounds(50)
     raes = StreamingNetwork(
-        60, RAESPolicy(d=3, c=2), seed=11, backend=backend
+        60, RAESPolicy(d=3, c=2), seed=11, backend=BACKENDS[backend]()
     )
     raes.run_rounds(60)
     return [("SDG", sdg), ("SDGR", sdgr), ("PDG", pdg), ("RAES", raes)]
@@ -112,14 +114,14 @@ def reference_components(snapshot) -> ComponentSummary:
     )
 
 
-def tied_giants(backend: str, triangle: bool = False):
+def tied_giants(backend_cls, triangle: bool = False):
     """Two equal-size components whose storage rows invert their id order.
 
     Ids 0-3 die and ids 8-11 are born after them, so on the array backend
     ids 8-11 reuse the freed rows below those of ids 4-7.  A path is then
     built on {4, 5, 6} and a second path (or a triangle) on {8, 9, 10}.
     """
-    state = create_backend(backend)
+    state = backend_cls()
     for u in range(8):
         state.add_node(u, 0.0, 1)
     for u in range(4):
@@ -160,7 +162,7 @@ class TestViewConstruction:
     def test_backends_export_identical_views(self):
         views = []
         for backend in ("dict", "array"):
-            net = SDGR(n=60, d=4, seed=2, backend=backend)
+            net = SDGR(n=60, d=4, seed=2, backend=BACKENDS[backend]())
             net.run_rounds(60)
             views.append(net.state.csr_view(net.now))
         a, b = views
@@ -182,8 +184,8 @@ class TestViewConstruction:
         assert view.vert_ids is state._id_of
         assert view.birth is state._birth
 
-    def test_snapshot_conversion_matches_backend_view(self, backend_name):
-        net = SDG(n=50, d=3, seed=4, backend=backend_name)
+    def test_snapshot_conversion_matches_backend_view(self, backend_cls):
+        net = SDG(n=50, d=3, seed=4, backend=backend_cls())
         net.run_rounds(50)
         direct = net.state.csr_view(net.now)
         converted = csr_view_from_snapshot(net.snapshot())
@@ -193,15 +195,13 @@ class TestViewConstruction:
         assert converted.num_edges() == direct.num_edges()
 
     def test_view_of_empty_graph(self):
-        from repro.core.graph import DictBackend
-
         view = DictBackend().csr_view(0.0)
         assert view.n == 0
         assert view.num_edges() == 0
         assert degree_summary(view).num_nodes == 0
 
-    def test_vert_id_round_trip(self, backend_name):
-        net = SDGR(n=30, d=2, seed=9, backend=backend_name)
+    def test_vert_id_round_trip(self, backend_cls):
+        net = SDGR(n=30, d=2, seed=9, backend=backend_cls())
         net.run_rounds(30)
         view = net.state.csr_view(net.now)
         for node_id in view.ids.tolist():
@@ -269,16 +269,16 @@ class TestGiantRule:
     """One giant-component rule: among equal-size components the one
     holding the smallest node id wins, never the lowest storage row."""
 
-    def test_tie_breaks_on_node_id_not_row(self, backend_name):
-        state = tied_giants(backend_name)
+    def test_tie_breaks_on_node_id_not_row(self, backend_cls):
+        state = tied_giants(backend_cls)
         view = state.csr_view(1.0)
-        if backend_name == "array":  # rows really invert the id order
+        if backend_cls is ArraySlotBackend:  # rows really invert the id order
             assert view.vert_of(8) < view.vert_of(4)
         for graph in (view, state.snapshot(1.0).csr_view()):
             assert graph.vert_ids[giant_verts(graph)].tolist() == [4, 5, 6]
 
-    def test_distances_and_spectra_share_the_giant(self, backend_name):
-        state = tied_giants(backend_name, triangle=True)
+    def test_distances_and_spectra_share_the_giant(self, backend_cls):
+        state = tied_giants(backend_cls, triangle=True)
         view, snap = state.csr_view(1.0), state.snapshot(1.0)
         assert oracle.giant_ids(snap) == [4, 5, 6]
         # The path P3 has normalized-Laplacian spectrum {0, 1, 2}; the
@@ -387,7 +387,7 @@ class TestProbeParity:
     def test_probes_identical_across_backends(self):
         probes = []
         for backend in ("dict", "array"):
-            net = SDG(n=80, d=2, seed=6, backend=backend)
+            net = SDG(n=80, d=2, seed=6, backend=BACKENDS[backend]())
             net.run_rounds(80)
             view = net.state.csr_view(net.now)
             probes.append(
@@ -399,8 +399,8 @@ class TestProbeParity:
         assert_probe_equal(probes[0][0], probes[1][0])
         assert_probe_equal(probes[0][1], probes[1][1])
 
-    def test_probe_network_expansion_is_view_path(self, backend_name):
-        net = SDGR(n=70, d=5, seed=8, backend=backend_name)
+    def test_probe_network_expansion_is_view_path(self, backend_cls):
+        net = SDGR(n=70, d=5, seed=8, backend=backend_cls())
         net.run_rounds(70)
         assert_probe_equal(
             probe_network_expansion(net, seed=1),
@@ -450,7 +450,7 @@ class TestProbeParity:
         # is a genuine set), and an isolated node is always found.
         for model, n, d, seed in ((SDG, 14, 2, 1), (SDGR, 16, 3, 4),
                                   (PDG, 12, 2, 6)):
-            net = model(n=n, d=d, seed=seed, backend=backend)
+            net = model(n=n, d=d, seed=seed, backend=BACKENDS[backend]())
             net.run_rounds(n)
             snap = net.snapshot()
             if snap.num_nodes() > 22:
@@ -605,7 +605,7 @@ class TestIncrementalParity:
 
     @pytest.mark.parametrize("backend", ["dict", "array"])
     def test_incremental_equals_cold_across_windows(self, backend):
-        net = SDGR(n=200, d=4, seed=7, backend=backend)
+        net = SDGR(n=200, d=4, seed=7, backend=BACKENDS[backend]())
         net.run_rounds(200)
         cache = ProbeCache(net.state, **self.PARAMS)
         replayed_any = False

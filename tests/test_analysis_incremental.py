@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 from repro.analysis.expansion import adversarial_expansion_upper_bound
 from repro.analysis.incremental import ProbeCache
 from repro.core.array_backend import ArraySlotBackend
-from repro.core.graph import DictBackend
 from repro.errors import ConfigurationError
 from repro.models import SDGR
 from repro.models.streaming import StreamingNetwork
 from repro.core.edge_policy import RAESPolicy
+from tests.oracles.dict_backend import BACKENDS, DictBackend
 
 
 def assert_probe_equal(a, b):
@@ -85,7 +85,7 @@ class TestProbeCacheProperty:
         probes = []
         for backend in ("dict", "array"):
             net = StreamingNetwork(
-                80, RAESPolicy(d=3, c=2), seed=seed, backend=backend
+                80, RAESPolicy(d=3, c=2), seed=seed, backend=BACKENDS[backend]()
             )
             net.run_rounds(80)
             cache = ProbeCache(

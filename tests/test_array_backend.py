@@ -1,6 +1,6 @@
 """Unit tests for the array slot-store backend.
 
-Parity with the dict backend is covered by test_backend_parity; these
+Parity with the dict oracle is covered by test_backend_parity; these
 tests exercise the array backend's own machinery — row recycling, array
 growth, the lazy CSR, the vectorized boundary, and the batched churn
 paths — including the corners the parity traces may not hit.
@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from repro.core.array_backend import ArraySlotBackend
-from repro.core.backend import create_backend, default_backend_name, use_backend
+from repro.core.backend import create_backend
 from repro.core.edge_policy import CappedRegenerationPolicy, RegenerationPolicy
-from repro.core.graph import DictBackend
 from repro.errors import ConfigurationError, SimulationError
 from repro.models.streaming import SDGR
+from tests.oracles.dict_backend import DictBackend
 
 
 def build_triangle() -> ArraySlotBackend:
@@ -70,8 +70,8 @@ class TestBasics:
         with pytest.raises(SimulationError):
             state.remove_node(99, death_time=0.0)
 
-    def test_out_slots_of_returns_a_copy(self, backend_name):
-        state = create_backend(backend_name)
+    def test_out_slots_of_returns_a_copy(self, backend_cls):
+        state = backend_cls()
         state.add_node(0, birth_time=0.0, num_slots=1)
         state.add_node(1, birth_time=0.0, num_slots=1)
         state.assign_slot(0, 0, 1)
@@ -140,9 +140,10 @@ class TestVectorizedReads:
         net = SDGR(n=40, d=3, seed=2, backend="array")
         ids = net.state.alive_ids()
         for subset in (ids[:1], ids[:7], ids[: len(ids) // 2], ids):
-            # Generic set-union implementation from the base class.
-            generic = super(ArraySlotBackend, net.state).boundary_of(subset)
-            assert net.state.boundary_of(subset) == generic
+            # The oracle's set-union implementation, over this backend's
+            # neighbour sets.
+            reference = DictBackend.boundary_of(net.state, subset)
+            assert net.state.boundary_of(subset) == reference
 
     def test_csr_is_rebuilt_lazily(self):
         state = build_triangle()
@@ -330,15 +331,15 @@ class TestBatchedChurn:
 
 
 class TestBackendAnalysis:
-    def test_live_degree_summary_matches_snapshot_summary(self, backend_name):
+    def test_live_degree_summary_matches_snapshot_summary(self, backend_cls):
         from repro.analysis.degrees import degree_summary, live_degree_summary
 
-        net = SDGR(n=50, d=3, seed=8, backend=backend_name)
+        net = SDGR(n=50, d=3, seed=8, backend=backend_cls())
         live = live_degree_summary(net.state)
         snap = degree_summary(net.snapshot())
         assert live == snap
 
-    def test_probe_network_expansion_matches_snapshot_probe(self, backend_name):
+    def test_probe_network_expansion_matches_snapshot_probe(self, backend_cls):
         from repro.analysis.expansion import (
             adversarial_expansion_upper_bound,
             probe_network_expansion,
@@ -347,7 +348,7 @@ class TestBackendAnalysis:
         # d=2 produces heavy degree ties, stressing the (degree, id)
         # tie-break contract shared by the two paths.
         for n, d in [(60, 6), (80, 2)]:
-            net = SDGR(n=n, d=d, seed=9, backend=backend_name)
+            net = SDGR(n=n, d=d, seed=9, backend=backend_cls())
             fast = probe_network_expansion(net, seed=1)
             reference = adversarial_expansion_upper_bound(net.snapshot(), seed=1)
             # Same candidate portfolio scored either way: identical minimum.
@@ -373,28 +374,33 @@ class TestFactory:
             net.state.check_invariants()
 
     def test_create_backend_names(self):
-        assert isinstance(create_backend("dict"), DictBackend)
+        assert isinstance(create_backend(), ArraySlotBackend)
         assert isinstance(create_backend("array"), ArraySlotBackend)
         with pytest.raises(ConfigurationError):
             create_backend("bogus")
 
+    def test_dict_name_points_at_the_oracle(self):
+        with pytest.raises(ConfigurationError, match="tests/oracles/"):
+            create_backend("dict")
+
     def test_instance_passthrough(self):
         state = ArraySlotBackend()
         assert create_backend(state) is state
-
-    def test_use_backend_override(self):
-        base = default_backend_name()
-        with use_backend("array"):
-            assert default_backend_name() == "array"
-            assert isinstance(create_backend(), ArraySlotBackend)
-            with use_backend(None):
-                assert default_backend_name() == "array"
-        assert default_backend_name() == base
+        oracle = DictBackend()
+        assert create_backend(oracle) is oracle
 
     def test_env_var_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "array")
-        assert default_backend_name() == "array"
-        assert isinstance(create_backend(), ArraySlotBackend)
-        monkeypatch.setenv("REPRO_BACKEND", "bogus")
-        with pytest.raises(ConfigurationError):
-            create_backend()
+        # The environment no longer selects a backend: an old
+        # REPRO_BACKEND or REPRO_COMPACT_CSR setting changes nothing.
+        monkeypatch.setenv("REPRO_BACKEND", "dict")
+        monkeypatch.setenv("REPRO_COMPACT_CSR", "1")
+        state = create_backend()
+        assert isinstance(state, ArraySlotBackend)
+        assert not state.compact_csr
+
+    def test_bare_driver_and_default_spec_build_the_array_backend(self):
+        from repro.scenario import ScenarioSpec, Simulation
+
+        assert isinstance(SDGR(20, 3, seed=0).state, ArraySlotBackend)
+        sim = Simulation(ScenarioSpec(n=20, d=3, seed=0, backend=None))
+        assert isinstance(sim.network.state, ArraySlotBackend)

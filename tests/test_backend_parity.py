@@ -1,5 +1,6 @@
-"""Cross-backend parity: dict and array backends must produce identical
-seeded trajectories.
+"""Oracle parity: the array backend and the dict oracle
+(``tests/oracles/dict_backend.py``) must produce identical seeded
+trajectories.
 
 Both backends keep the alive set in the same IndexedSet structure and
 sample through it, so a seeded run consumes the RNG identically — every
@@ -7,7 +8,7 @@ snapshot, degree vector, and flooding trajectory must match *exactly*
 (not just statistically).  These tests drive both backends through the
 same churn traces (streaming and Poisson, with and without regeneration)
 and assert bit-identical outcomes; they are the safety net that lets the
-array backend's vectorized reads replace the dict backend's loops.
+array backend's vectorized reads replace the oracle's loops.
 """
 
 from __future__ import annotations
@@ -26,18 +27,18 @@ from repro.core.edge_policy import (
     RAESPolicy,
     RegenerationPolicy,
 )
-from repro.core.graph import DictBackend
 from repro.errors import SimulationError
 from repro.flooding.discrete import flood_discrete
 from repro.flooding.discretized import flood_discretized
 from repro.models.adversarial import AdversarialStreamingNetwork
 from repro.models.poisson import PDG, PDGR
 from repro.models.streaming import SDG, SDGR
+from tests.oracles.dict_backend import DictBackend, flood_discrete_reference
 
 
 def both_backends(factory):
-    """Build the same seeded network on each backend."""
-    return factory(backend="dict"), factory(backend="array")
+    """Build the same seeded network on the oracle and the array backend."""
+    return factory(backend=DictBackend()), factory(backend=ArraySlotBackend())
 
 
 def assert_states_identical(a, b):
@@ -105,14 +106,19 @@ def test_adversarial_trace_parity():
 
 
 @pytest.mark.parametrize(
-    "model,flood",
-    [(SDGR, flood_discrete), (SDG, flood_discrete), (PDGR, flood_discretized)],
+    "model,flood,reference",
+    [
+        (SDGR, flood_discrete, flood_discrete_reference),
+        (SDG, flood_discrete, flood_discrete_reference),
+        (PDGR, flood_discretized, flood_discretized),
+    ],
+    ids=["SDGR-flood_discrete", "SDG-flood_discrete", "PDGR-flood_discretized"],
 )
-def test_flooding_trajectory_parity(model, flood):
+def test_flooding_trajectory_parity(model, flood, reference):
     """The vectorized mask frontier computes the same informed set as the
-    reference set frontier, round for round."""
+    reference set frontier on the oracle, round for round."""
     a, b = both_backends(lambda backend: model(n=60, d=4, seed=3, backend=backend))
-    ra = flood(a, max_rounds=150)
+    ra = reference(a, max_rounds=150)
     rb = flood(b, max_rounds=150)
     assert ra.informed_sizes == rb.informed_sizes
     assert ra.network_sizes == rb.network_sizes

@@ -118,23 +118,6 @@ class TestSweepRun:
         assert len(values) == 4
         assert [v["d"] for v in values] == [2, 2, 3, 3]
 
-    def test_backend_flag_changes_the_key(self, tmp_path, sweep_file, capsys):
-        assert cli_main(
-            [
-                "sweep", "run", str(sweep_file),
-                "--store", str(tmp_path / "d"), "--backend", "dict",
-            ]
-        ) == 0
-        dict_key = _last_json(capsys.readouterr().out)["key"]
-        assert cli_main(
-            [
-                "sweep", "run", str(sweep_file),
-                "--store", str(tmp_path / "a"), "--backend", "array",
-            ]
-        ) == 0
-        array_key = _last_json(capsys.readouterr().out)["key"]
-        assert dict_key != array_key
-
 
 class TestWorkerReduceStatus:
     def test_two_terminal_flow(self, tmp_path, sweep_file, capsys):

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.edge_policy import NoRegenerationPolicy, RegenerationPolicy
-from repro.core.graph import DictBackend
 from repro.errors import SimulationError
 from repro.util.rng import make_rng
+from tests.oracles.dict_backend import DictBackend
 
 
 def build_triangle() -> DictBackend:

@@ -12,9 +12,9 @@ from repro.core.edge_policy import (
     RAESPolicy,
     RegenerationPolicy,
 )
-from repro.core.graph import DictBackend
 from repro.errors import ConfigurationError
 from repro.util.rng import make_rng
+from tests.oracles.dict_backend import DictBackend
 
 
 def seeded_state(policy, num_nodes: int, seed: int = 0) -> DictBackend:

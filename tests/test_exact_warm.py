@@ -11,11 +11,12 @@ payload; then the event records of the first 10 per-event rounds.
 The digests were computed with the per-birth warm-up loop (one
 ``handle_birth`` call per round), so they pin the batch to it.  A
 second table pins the fast streams (``fast_warm``, ``fast_rounds``) on
-the array backend and checks their epoch against the dict backend's.
+the array backend and checks their epoch against the dict oracle's
+(``tests/oracles/dict_backend.py``).
 The other tests pin what that batch relies on: a policy overriding the
 birth hook still runs it once per birth, and ``apply_birth_slots``
 counts the epoch like the loop of ``add_node`` + ``assign_slots`` it
-replaces, on both backends.
+replaces, on both backends.  The "dict" cases run on the oracle.
 """
 
 from __future__ import annotations
@@ -32,12 +33,16 @@ from repro.core.edge_policy import (
     RAESPolicy,
     RegenerationPolicy,
 )
-from repro.core.graph import DictBackend
 from repro.errors import SimulationError
 from repro.models.streaming import StreamingNetwork
 from repro.models.threshold import ThresholdStreamingNetwork
 from repro.scenario import ScenarioSpec, Simulation
 from repro.service.checkpoint import build_payload, encode_value
+from tests.oracles.dict_backend import (
+    BACKENDS,
+    DictBackend,
+    build_drivers_on_oracle,
+)
 
 _CAPPED = {"max_in_degree": 5, "max_attempts": 4}
 
@@ -188,8 +193,10 @@ FAST_GOLDEN = {
 
 
 def warm_transcript(
-    churn: str, policy: str, backend: str, n: int, d: int
+    churn: str, policy: str, backend: str, n: int, d: int, monkeypatch
 ) -> dict:
+    if backend == "dict":
+        build_drivers_on_oracle(monkeypatch)
     spec = ScenarioSpec(
         churn=churn,
         policy=policy,
@@ -197,19 +204,24 @@ def warm_transcript(
         n=n,
         d=d,
         seed=2025,
-        backend=backend,
+        backend="array" if backend == "array" else None,
     )
-    return session_transcript(Simulation(spec))
+    return session_transcript(Simulation(spec), backend=backend)
 
 
-def session_transcript(sim: Simulation, epoch: bool = True) -> dict:
+def session_transcript(
+    sim: Simulation, epoch: bool = True, backend: str | None = None
+) -> dict:
     """The state of *sim* now, then 10 per-event rounds' records; with
     ``epoch=False`` the mutation epoch is left out of both the state and
-    the checkpoint payload."""
+    the checkpoint payload.  *backend* is written into the payload's spec
+    (an oracle session's spec cannot name the backend it runs on)."""
     network = sim.network
     state = network.state
     alive = state.alive_ids()
     checkpoint = encode_value(build_payload(sim))
+    if backend is not None:
+        checkpoint["spec"]["backend"] = backend
     if not epoch:
         del checkpoint["backend"]["mutation_epoch"]
     payload = json.dumps(checkpoint, sort_keys=True, separators=(",", ":"))
@@ -244,22 +256,26 @@ def digest(transcript: dict) -> str:
 
 
 @pytest.mark.parametrize("churn,policy,backend,n,d", sorted(GOLDEN))
-def test_warm_state_matches_golden_digest(churn, policy, backend, n, d):
-    transcript = warm_transcript(churn, policy, backend, n, d)
+def test_warm_state_matches_golden_digest(
+    churn, policy, backend, n, d, monkeypatch
+):
+    transcript = warm_transcript(churn, policy, backend, n, d, monkeypatch)
     assert digest(transcript) == GOLDEN[(churn, policy, backend, n, d)]
 
 
-def fast_session(backend: str, fields: dict) -> Simulation:
-    return Simulation(ScenarioSpec(seed=2025, backend=backend, **fields)).run()
+def fast_session(fields: dict) -> Simulation:
+    return Simulation(ScenarioSpec(seed=2025, backend="array", **fields)).run()
 
 
 @pytest.mark.parametrize("label", sorted(FAST_GOLDEN))
-def test_array_fast_stream_matches_golden_digest(label):
+def test_array_fast_stream_matches_golden_digest(label, monkeypatch):
     fields, expected = FAST_GOLDEN[label]
-    array = fast_session("array", fields)
+    array = fast_session(fields)
     epoch = array.network.state.mutation_epoch()
     assert digest(session_transcript(array, epoch=False)) == expected
-    reference = fast_session("dict", fields).network.state
+    build_drivers_on_oracle(monkeypatch)
+    reference = fast_session(fields).network.state
+    assert isinstance(reference, DictBackend)
     assert epoch == reference.mutation_epoch()
 
 
@@ -283,7 +299,7 @@ POLICIES = {
 }
 
 
-@pytest.mark.parametrize("backend", ["dict", "array"])
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
 @pytest.mark.parametrize("policy", sorted(POLICIES))
 @pytest.mark.parametrize("driver", ["streaming", "threshold"])
 def test_overridden_birth_hooks_run_once_per_warm_birth(
@@ -295,35 +311,33 @@ def test_overridden_birth_hooks_run_once_per_warm_birth(
     hooked = POLICIES[policy]()
     assert not hooked.supports_batch_birth
     if driver == "streaming":
-        net = StreamingNetwork(n, hooked, seed=3, backend=backend)
+        net = StreamingNetwork(n, hooked, seed=3, backend=BACKENDS[backend]())
     else:
         net = ThresholdStreamingNetwork(
-            n, hooked, threshold=1, seed=3, backend=backend
+            n, hooked, threshold=1, seed=3, backend=BACKENDS[backend]()
         )
     assert hooked.births == n
     assert net.round_number == n and net.now == n and net.num_alive() == n
     net.state.check_invariants()
 
 
-def test_fused_prefix_epoch_matches_across_backends():
+def test_fused_prefix_epoch_matches_across_backends(monkeypatch):
     """A fused session's warm prefix (``warm=False``, applied through
-    ``apply_birth_slots``) counts the epoch like the dict backend's
+    ``apply_birth_slots``) counts the epoch like the dict oracle's
     per-slot loop; the epoch is written into checkpoints."""
-    epochs = []
-    for backend in ("dict", "array"):
-        spec = ScenarioSpec(
-            churn="streaming",
-            policy="regen",
-            n=200,
-            d=4,
-            horizon=50,
-            fast_rounds=True,
-            churn_params={"warm": False},
-            backend=backend,
-            seed=7,
-        )
-        sim = Simulation(spec).run()
-        epochs.append(sim.network.state.mutation_epoch())
+    spec = ScenarioSpec(
+        churn="streaming",
+        policy="regen",
+        n=200,
+        d=4,
+        horizon=50,
+        fast_rounds=True,
+        churn_params={"warm": False},
+        seed=7,
+    )
+    epochs = [Simulation(spec).run().network.state.mutation_epoch()]
+    build_drivers_on_oracle(monkeypatch)
+    epochs.append(Simulation(spec).run().network.state.mutation_epoch())
     assert epochs == [50 + 49 * 4] * 2
 
 

@@ -1,8 +1,8 @@
 """Failure-injection tests: corrupted state must be *detected*, not ignored.
 
-`DictBackend.check_invariants` is the safety net behind every
-experiment; these tests corrupt each index it guards and assert the
-corruption is caught.
+`DictBackend.check_invariants` (the dict oracle's) is the safety net
+behind every parity suite; these tests corrupt each index it guards and
+assert the corruption is caught.
 """
 
 from __future__ import annotations
@@ -10,9 +10,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.edge_policy import RegenerationPolicy
-from repro.core.graph import DictBackend
 from repro.errors import SimulationError
 from repro.util.rng import make_rng
+from tests.oracles.dict_backend import DictBackend
 
 
 def healthy_state(num_nodes: int = 6, d: int = 2, seed: int = 0) -> DictBackend:

@@ -5,8 +5,9 @@ hashes the full :class:`~repro.flooding.result.FloodingResult` (source,
 start time, both size series, the completion and extinction fields and
 ``max_informed``) together with the network's clock, population and RNG
 state afterwards.  The grid covers the four round processes and
-asynchronous flooding on SDG/SDGR/PDG/PDGR, on the dict and the array
-backend (so the set and the mask frontier), mask gossip/lossy,
+asynchronous flooding on SDG/SDGR/PDG/PDGR, on the dict oracle
+(``tests/oracles/dict_backend.py``, discrete flooding through the set
+frontier) and the array backend (the mask frontier), mask gossip/lossy,
 multi-source seeding, ``sources=`` all alive nodes, runs that keep going
 after extinction, round caps and one-node networks.
 
@@ -31,6 +32,7 @@ from repro.flooding import (
     gossip_push_pull,
 )
 from repro.models import PDG, PDGR, SDG, SDGR
+from tests.oracles.dict_backend import BACKENDS, flood_discrete_reference
 
 MODELS = {"SDG": SDG, "SDGR": SDGR, "PDG": PDG, "PDGR": PDGR}
 PROCESSES = {
@@ -40,6 +42,9 @@ PROCESSES = {
     "gossip": gossip_push_pull,
     "lossy": flood_lossy,
 }
+#: Processes whose library path needs the array backend, and the
+#: reference path the same case takes on the dict oracle.
+ORACLE_PROCESSES = {**PROCESSES, "discrete": flood_discrete_reference}
 SEED = 2026
 
 
@@ -88,12 +93,13 @@ CASES = _cases()
 
 
 def build_network(model: str, backend: str, n: int, d: int):
+    state = BACKENDS[backend]()
     if model == "one-node":
         # Round 1 of a cold streaming session: node 0 is the only alive node.
-        network = SDGR(n=n, d=d, seed=SEED, warm=False, backend=backend)
+        network = SDGR(n=n, d=d, seed=SEED, warm=False, backend=state)
         network.run_rounds(1)
         return network
-    return MODELS[model](n=n, d=d, seed=SEED, backend=backend)
+    return MODELS[model](n=n, d=d, seed=SEED, backend=state)
 
 
 def run_case(label: str):
@@ -106,7 +112,8 @@ def run_case(label: str):
         params = {**params, "sources": alive[::25]}
     elif seeding == "all":
         params = {**params, "sources": alive}
-    return network, PROCESSES[process](network, **params)
+    processes = ORACLE_PROCESSES if backend == "dict" else PROCESSES
+    return network, processes[process](network, **params)
 
 
 def digest(network, result) -> str:

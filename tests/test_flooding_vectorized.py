@@ -16,10 +16,11 @@ from repro.flooding import (
     protocol_names,
 )
 from repro.models import PDGR, SDGR
+from tests.oracles.dict_backend import BACKENDS
 
 
 def _warm_sdgr(n=120, d=6, seed=0, backend="array"):
-    net = SDGR(n=n, d=d, seed=seed, backend=backend)
+    net = SDGR(n=n, d=d, seed=seed, backend=BACKENDS[backend]())
     net.run_rounds(n)
     return net
 
@@ -37,11 +38,6 @@ class TestVectorizedLossy:
         assert set_path.informed_sizes == reference.informed_sizes
         assert mask_path.informed_sizes == reference.informed_sizes
         assert mask_path.completion_round == reference.completion_round
-
-    def test_vectorized_needs_array_backend(self):
-        net = _warm_sdgr(backend="dict")
-        with pytest.raises(ConfigurationError, match="vectorized"):
-            flood_lossy(net, loss=0.1, seed=0, vectorized=True)
 
     def test_vectorized_completes_under_loss(self):
         result = flood_lossy(_warm_sdgr(seed=5), loss=0.3, seed=2, vectorized=True)
@@ -79,11 +75,6 @@ class TestVectorizedGossip:
         )
         assert push.completed and pull.completed
 
-    def test_vectorized_needs_array_backend(self):
-        net = _warm_sdgr(backend="dict")
-        with pytest.raises(ConfigurationError, match="vectorized"):
-            gossip_push_pull(net, seed=0, vectorized=True)
-
     def test_distributionally_close_to_set_path(self):
         set_rounds, mask_rounds = [], []
         for seed in range(6):
@@ -108,13 +99,11 @@ class TestProtocolRegistry:
         with pytest.raises(ConfigurationError, match="unknown flooding protocol"):
             get_protocol("smoke-signals")
 
-    def test_registry_run_matches_function(self, backend_name):
+    def test_registry_run_matches_function(self):
         via_registry = get_protocol("discrete")(
-            _warm_sdgr(seed=7, backend=backend_name), max_rounds=100
+            _warm_sdgr(seed=7), max_rounds=100
         )
-        direct = flood_discrete(
-            _warm_sdgr(seed=7, backend=backend_name), max_rounds=100
-        )
+        direct = flood_discrete(_warm_sdgr(seed=7), max_rounds=100)
         assert via_registry.informed_sizes == direct.informed_sizes
 
     def test_asynchronous_requires_poisson(self):

@@ -5,9 +5,10 @@ threshold drivers) executes W death→regeneration→birth rounds with one
 batched backend write.  Its contract, tested here:
 
 * **Bit-identity across backends** — a seeded fused run produces the
-  same topology on the dict and array backends (the DictBackend
-  `apply_round_batch` is the reference implementation, consuming the
-  RNG draw-for-draw identically).
+  same topology on the array backend and the dict oracle (the oracle's
+  `apply_round_batch` in ``tests/oracles/dict_backend.py`` is the
+  reference implementation, consuming the RNG draw-for-draw
+  identically).
 * **Partition invariance** (streaming only) — the trajectory depends
   only on the round sequence, never on how rounds are grouped into
   windows: W=1 == W=7 == one window covering everything.  This is what
@@ -38,6 +39,7 @@ from repro.models.streaming import SDG, SDGR
 from repro.models.threshold import TSDG
 from repro.sim.events import NodesBorn, NodesDied
 from repro.util.rng import make_rng
+from tests.oracles.dict_backend import BACKENDS
 
 
 def snap_key(net):
@@ -50,13 +52,13 @@ def snap_key(net):
 
 
 def fused(factory, n, d, seed, rounds, backend="array", window=None):
-    net = factory(n, d, seed=seed, backend=backend)
+    net = factory(n, d, seed=seed, backend=BACKENDS[backend]())
     net.advance_to_time_batched(net.now + rounds, window=window)
     return net
 
 
 def per_event(factory, n, d, seed, rounds, backend="array"):
-    net = factory(n, d, seed=seed, backend=backend)
+    net = factory(n, d, seed=seed, backend=BACKENDS[backend]())
     net.run_rounds(rounds)
     return net
 
@@ -93,7 +95,7 @@ class TestCrossBackendIdentity:
         slot.  The epoch is written into checkpoints."""
         epochs = []
         for backend in ("dict", "array"):
-            net = factory(200, 4, seed=3, backend=backend)
+            net = factory(200, 4, seed=3, backend=BACKENDS[backend]())
             net.advance_to_time_batched(net.now + 350, window=100)
             epochs.append(net.state.mutation_epoch())
         assert epochs[0] == epochs[1]
@@ -101,7 +103,7 @@ class TestCrossBackendIdentity:
     def test_threshold_fused_is_bit_identical_across_backends(self):
         nets = []
         for backend in ("array", "dict"):
-            net = TSDG(50, 4, seed=7, backend=backend)
+            net = TSDG(50, 4, seed=7, backend=BACKENDS[backend]())
             net.run_rounds(1)  # establish the first full sweep per-event
             net.advance_to_time_batched(net.now + 200)
             net.check_threshold_invariant()
@@ -315,17 +317,18 @@ class TestFastRoundsSimulation:
         assert again == spec and again.fast_rounds is True
         assert ScenarioSpec().fast_rounds is False
 
-    def test_fast_rounds_runs_fused(self, backend_name):
+    def test_fast_rounds_runs_fused(self, driver_backend):
         from repro.scenario import Simulation
 
-        sim = Simulation(self._spec(backend=backend_name))
+        sim = Simulation(self._spec())
+        assert type(sim.state) is BACKENDS[driver_backend]
         assert sim._fast_rounds_active()
         sim.run()
         assert sim.rounds_completed == 16
         assert sim.network.num_alive() == 40
         sim.state.check_invariants()
 
-    def test_environment_cannot_change_a_cell(self, backend_name, monkeypatch):
+    def test_environment_cannot_change_a_cell(self, driver_backend, monkeypatch):
         # A sweep cell's value is a function of its spec (and so of its
         # content-addressed key): no environment variable may switch its
         # stepping path behind the key's back.
@@ -338,7 +341,7 @@ class TestFastRoundsSimulation:
             ),
             stream="fast-rounds-env",
         )
-        (task,) = cell_tasks(sweep, backend_name)
+        (task,) = cell_tasks(sweep, "array")
         _, plain, error, _ = execute_cell(task)
         assert error is None
         monkeypatch.setenv("REPRO_FAST_ROUNDS", "1")
@@ -356,7 +359,7 @@ class TestFastRoundsSimulation:
             self._spec(churn="poisson", churn_params=churn_params)
 
     @pytest.mark.parametrize("fast_rounds", [False, True])
-    def test_fractional_horizon_rejected(self, backend_name, fast_rounds):
+    def test_fractional_horizon_rejected(self, driver_backend, fast_rounds):
         # Both stepping paths count whole rounds: a fractional horizon is
         # rejected before any churn is applied.
         from repro.scenario import Simulation
@@ -365,7 +368,6 @@ class TestFastRoundsSimulation:
             self._spec(
                 churn="poisson",
                 horizon=20.5,
-                backend=backend_name,
                 fast_rounds=fast_rounds,
             )
         )
@@ -389,16 +391,14 @@ class TestFastRoundsSimulation:
         sim.run()
         assert sim.rounds_completed == 16
 
-    def test_checkpoint_mid_window_restore_parity(
-        self, backend_name, tmp_path
-    ):
+    def test_checkpoint_mid_window_restore_parity(self, tmp_path):
         # Partition invariance makes a checkpoint taken at any round
         # boundary exact: restore + finish is bit-identical to the
         # uninterrupted fused run.
         from repro.scenario import Simulation
 
         observers = ("size", {"name": "degrees", "params": {"every": 4}})
-        spec = self._spec(backend=backend_name)
+        spec = self._spec()
         baseline = Simulation(spec, observers=observers).run()
         partial = Simulation(spec, observers=observers)
         partial._run_batched(7.0)  # not a multiple of any cadence

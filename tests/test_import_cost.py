@@ -24,8 +24,6 @@ import sys
 import textwrap
 from pathlib import Path
 
-import pytest
-
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 ENTRY_POINTS = (
@@ -93,10 +91,9 @@ class TestNothingLoaded:
 
 
 class TestBlockedDependencies:
-    @pytest.mark.parametrize("backend", ["dict", "array"])
-    def test_session_sweep_cell_and_deferred_failure(self, backend):
+    def test_session_sweep_cell_and_deferred_failure(self):
         out = _run_fresh(
-            f"""
+            """
             import json
             from repro.analysis.spectral import normalized_laplacian_lambda2
             from repro.scenario import ScenarioSpec, Simulation
@@ -105,22 +102,22 @@ class TestBlockedDependencies:
 
             spec = ScenarioSpec(
                 churn="streaming", policy="regen", n=200, d=4, horizon=20,
-                protocol="discrete", backend={backend!r}, seed=3,
+                protocol="discrete", seed=3,
             )
             sim = Simulation(spec, observers=[
-                {{"name": "degrees", "params": {{"every": 10}}}},
-                {{"name": "isolated", "params": {{"every": 10}}}},
-                {{"name": "expansion", "params": {{
+                {"name": "degrees", "params": {"every": 10}},
+                {"name": "isolated", "params": {"every": 10}},
+                {"name": "expansion", "params": {
                     "every": 10, "seed": 1, "max_size": 8,
                     "num_random_sets": 5, "greedy_restarts": 1,
-                }}}},
+                }},
             ])
             sim.run()
             flood = sim.flood()
             results = sim.results()
 
             sweep = SweepSpec(base=spec, replicas=1, measure="flood_stats")
-            (task,) = cell_tasks(sweep, {backend!r})
+            (task,) = cell_tasks(sweep, "array")
             _, value, error, _ = execute_cell(task)
 
             try:
@@ -129,14 +126,14 @@ class TestBlockedDependencies:
             except ImportError as exc:
                 spectral = type(exc).__name__
 
-            print(json.dumps({{
+            print(json.dumps({
                 "completed": flood.completed,
                 "windows": [len(results[name]["series"])
                             for name in ("degrees", "isolated", "expansion")],
                 "cell_error": error,
                 "cell_completed": value["completed"] if value else None,
                 "spectral": spectral,
-            }}))
+            }))
             """,
             blocked=True,
         )

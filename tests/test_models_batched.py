@@ -49,8 +49,8 @@ class TestRoundReportFlattening:
 
 
 class TestPoissonBatched:
-    def test_batched_reaches_target_time(self, backend_name):
-        net = PDG(n=50, d=2, seed=0, warm_time=0, backend=backend_name)
+    def test_batched_reaches_target_time(self, backend_cls):
+        net = PDG(n=50, d=2, seed=0, warm_time=0, backend=backend_cls())
         report = net.advance_to_time_batched(120.0)
         assert net.now == pytest.approx(120.0)
         assert report.end_time == pytest.approx(120.0)
@@ -100,8 +100,8 @@ class TestPoissonBatched:
             slow_means.append(float(np.mean(slow.state.degree_vector())))
         assert abs(np.mean(fast_means) - np.mean(slow_means)) < 1.0
 
-    def test_fast_warm_invariants_both_backends(self, backend_name):
-        net = PDGR(n=100, d=3, seed=5, fast_warm=True, backend=backend_name)
+    def test_fast_warm_invariants_both_backends(self, backend_cls):
+        net = PDGR(n=100, d=3, seed=5, fast_warm=True, backend=backend_cls())
         net.state.check_invariants()
         assert 50 < net.num_alive() < 150
         # the warmed network keeps evolving normally on the per-event path
@@ -132,10 +132,10 @@ class TestGeneralBatched:
             per_event.append(slow.num_alive())
         assert abs(np.mean(batched) - np.mean(per_event)) < 12.0
 
-    def test_fast_warm_invariants(self, backend_name):
+    def test_fast_warm_invariants(self, backend_cls):
         net = GDGR(
             WeibullLifetime(60.0, shape=0.5), d=3, seed=4,
-            fast_warm=True, backend=backend_name,
+            fast_warm=True, backend=backend_cls(),
         )
         net.state.check_invariants()
         assert net.num_alive() > 10

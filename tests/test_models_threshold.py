@@ -9,6 +9,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.models import TSDG
 from repro.models.threshold import ThresholdStreamingNetwork
 from repro.scenario import ScenarioSpec, load_scenario_document, simulate
+from tests.oracles.dict_backend import BACKENDS
 
 
 class TestConstruction:
@@ -35,7 +36,8 @@ class TestDynamics:
     @pytest.mark.parametrize("backend", ["dict", "array"])
     def test_invariant_holds_after_every_round(self, backend):
         net = ThresholdStreamingNetwork(
-            60, NoRegenerationPolicy(4), threshold=4, seed=3, backend=backend
+            60, NoRegenerationPolicy(4), threshold=4, seed=3,
+            backend=BACKENDS[backend](),
         )
         for _ in range(80):
             net.advance_round()
@@ -44,7 +46,8 @@ class TestDynamics:
     @pytest.mark.parametrize("backend", ["dict", "array"])
     def test_invariant_holds_under_regeneration(self, backend):
         net = ThresholdStreamingNetwork(
-            60, RegenerationPolicy(4), threshold=5, seed=3, backend=backend
+            60, RegenerationPolicy(4), threshold=5, seed=3,
+            backend=BACKENDS[backend](),
         )
         for _ in range(80):
             net.advance_round()
@@ -100,7 +103,7 @@ class TestDynamics:
         nets = [
             ThresholdStreamingNetwork(
                 80, NoRegenerationPolicy(3), threshold=3, seed=11,
-                backend=backend,
+                backend=BACKENDS[backend](),
             )
             for backend in ("dict", "array")
         ]

@@ -1,12 +1,13 @@
 """Golden digests of seeded per-event sessions.
 
-The cross-backend parity tests compare the dict backend with the array
-backend, so a change to *shared* sampling or policy code would pass them
-while shifting every seeded output.  These digests pin the RNG stream
-itself: each one hashes a seeded per-event session's per-round event
-records (``edges_created`` / ``edges_destroyed`` in order), its final
-alive order and out-slots, the completion round of a flood run on it,
-and the backend's final ``mutation_epoch``.  A digest changes exactly
+The parity tests compare the array backend with the dict oracle
+(``tests/oracles/dict_backend.py``), so a change to *shared* sampling
+or policy code would pass them while shifting every seeded output.
+These digests pin the RNG stream itself: each one hashes a seeded
+per-event session's per-round event records (``edges_created`` /
+``edges_destroyed`` in order), its final alive order and out-slots, the
+completion round of a flood run on it, and the backend's final
+``mutation_epoch``.  A digest changes exactly
 when the per-event trajectory does.
 
 Each configuration runs at ``d = 3`` and ``d = 5``, so births (``d``
@@ -25,12 +26,17 @@ from repro.flooding.discrete import flood_discrete
 from repro.flooding.discretized import flood_discretized
 from repro.scenario import ScenarioSpec
 from repro.scenario.registry import build_network
+from tests.oracles.dict_backend import (
+    build_drivers_on_oracle,
+    flood_discrete_reference,
+)
 
 _CAPPED = {"max_in_degree": 5, "max_attempts": 4}
 
 #: (churn, policy, backend, d) -> sha256 of the session transcript.  The
-#: backends differ only in ``edges_destroyed`` order (each enumerates a
-#: dying node's neighbour set in its own order).
+#: "dict" sessions run on the oracle.  The backends differ only in
+#: ``edges_destroyed`` order (each enumerates a dying node's neighbour
+#: set in its own order).
 GOLDEN = {
     ("general", "capped", "dict", 3): (
         "b19c520c63ea298657b51f76400c7b06"
@@ -179,7 +185,9 @@ GOLDEN = {
 }
 
 
-def session_transcript(churn: str, policy: str, backend: str, d: int) -> dict:
+def session_transcript(
+    churn: str, policy: str, backend: str, d: int, monkeypatch
+) -> dict:
     spec = ScenarioSpec(
         churn=churn,
         policy=policy,
@@ -187,8 +195,9 @@ def session_transcript(churn: str, policy: str, backend: str, d: int) -> dict:
         n=40,
         d=d,
         seed=2021,
-        backend=backend,
     )
+    if backend == "dict":
+        build_drivers_on_oracle(monkeypatch)
     network = build_network(spec, seed=spec.seed)
     rounds = [
         [
@@ -204,7 +213,12 @@ def session_transcript(churn: str, policy: str, backend: str, d: int) -> dict:
     ]
     state = network.state
     slots = [[u, state.out_slots_of(u)] for u in state.alive_ids()]
-    flood = flood_discrete if churn == "streaming" else flood_discretized
+    if churn != "streaming":
+        flood = flood_discretized
+    elif backend == "dict":
+        flood = flood_discrete_reference
+    else:
+        flood = flood_discrete
     result = flood(network, max_rounds=200)
     return {
         "rounds": rounds,
@@ -220,6 +234,8 @@ def digest(transcript: dict) -> str:
 
 
 @pytest.mark.parametrize("churn,policy,backend,d", sorted(GOLDEN))
-def test_per_event_session_matches_golden_digest(churn, policy, backend, d):
-    transcript = session_transcript(churn, policy, backend, d)
+def test_per_event_session_matches_golden_digest(
+    churn, policy, backend, d, monkeypatch
+):
+    transcript = session_transcript(churn, policy, backend, d, monkeypatch)
     assert digest(transcript) == GOLDEN[(churn, policy, backend, d)]

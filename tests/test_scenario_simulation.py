@@ -15,38 +15,46 @@ from repro.scenario import (
     Simulation,
     simulate,
 )
+from tests.oracles.dict_backend import (
+    BACKENDS,
+    build_drivers_on_oracle,
+    flood_discrete_reference,
+)
 
 
 class TestBitIdentity:
     """A scenario-built session must replay the hand-wired construction."""
 
-    def test_streaming_matches_direct(self, backend_name):
+    def test_streaming_matches_direct(self, driver_backend):
         spec = ScenarioSpec(
-            churn="streaming", policy="none", n=80, d=3, horizon=80,
-            backend=backend_name,
+            churn="streaming", policy="none", n=80, d=3, horizon=80
         )
         sim = simulate(spec, seed=11)
-        net = SDG(n=80, d=3, seed=11, backend=backend_name)
+        net = SDG(n=80, d=3, seed=11)
         net.run_rounds(80)
         assert sim.snapshot() == net.snapshot()
 
-    def test_poisson_matches_direct(self, backend_name):
-        spec = ScenarioSpec(
-            churn="poisson", policy="regen", n=60, d=4, backend=backend_name
-        )
+    def test_poisson_matches_direct(self, driver_backend):
+        spec = ScenarioSpec(churn="poisson", policy="regen", n=60, d=4)
         sim = simulate(spec, seed=5)
-        assert sim.snapshot() == PDGR(n=60, d=4, seed=5, backend=backend_name).snapshot()
+        assert type(sim.state) is BACKENDS[driver_backend]
+        assert sim.snapshot() == PDGR(n=60, d=4, seed=5).snapshot()
 
-    def test_flood_matches_direct(self, backend_name):
+    def test_flood_matches_direct(self, driver_backend):
         spec = ScenarioSpec(
             churn="streaming", policy="regen", n=100, d=8, horizon=100,
             protocol="discrete", protocol_params={"max_rounds": 200},
-            backend=backend_name,
         )
-        via_scenario = simulate(spec, seed=3).flood()
-        net = SDGR(n=100, d=8, seed=3, backend=backend_name)
+        sim = simulate(spec, seed=3)
+        net = SDGR(n=100, d=8, seed=3)
         net.run_rounds(100)
-        direct = flood_discrete(net, max_rounds=200)
+        if driver_backend == "dict":
+            # The oracle floods through the set frontier.
+            via_scenario = flood_discrete_reference(sim.network, max_rounds=200)
+            direct = flood_discrete_reference(net, max_rounds=200)
+        else:
+            via_scenario = sim.flood()
+            direct = flood_discrete(net, max_rounds=200)
         assert via_scenario.informed_sizes == direct.informed_sizes
         assert via_scenario.completion_round == direct.completion_round
 
@@ -175,12 +183,15 @@ class TestObserverPipeline:
 
 
 class TestPortedExperimentParity:
-    """Cross-backend seeded parity for ported experiments: the scenario
-    layer preserves the bit-identical dict/array guarantee end to end."""
+    """Oracle seeded parity for ported experiments: the scenario layer
+    preserves the bit-identical dict/array guarantee end to end.  The
+    dict run builds every driver on the oracle
+    (``tests/oracles/dict_backend.py``)."""
 
     @pytest.mark.parametrize("experiment_id", ["EXP-01", "EXP-02", "EXP-11"])
-    def test_dict_array_identical(self, experiment_id):
-        on_dict = run_experiment(experiment_id, quick=True, seed=0, backend="dict")
-        on_array = run_experiment(experiment_id, quick=True, seed=0, backend="array")
+    def test_dict_array_identical(self, experiment_id, monkeypatch):
+        on_array = run_experiment(experiment_id, quick=True, seed=0)
+        build_drivers_on_oracle(monkeypatch)
+        on_dict = run_experiment(experiment_id, quick=True, seed=0)
         assert [dict(r) for r in on_dict.rows] == [dict(r) for r in on_array.rows]
         assert on_dict.verdict == on_array.verdict

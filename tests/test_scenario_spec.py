@@ -93,6 +93,16 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="unknown backend"):
             ScenarioSpec(backend="gpu")
 
+    def test_dict_backend_points_at_the_oracle(self):
+        # Specs written when the dict backend shipped fail loudly, from
+        # code and from JSON alike.
+        with pytest.raises(ConfigurationError, match="tests/oracles/"):
+            ScenarioSpec(backend="dict")
+        document = ScenarioSpec(backend="array").to_dict()
+        document["backend"] = "dict"
+        with pytest.raises(ConfigurationError, match="tests/oracles/"):
+            ScenarioSpec.from_dict(document)
+
     def test_unknown_spec_field(self):
         with pytest.raises(ConfigurationError, match="unknown scenario field"):
             ScenarioSpec.from_dict({"churn": "streaming", "colour": "red"})

@@ -1,7 +1,7 @@
 """Tests for the service plane's checkpoint/restore (repro.service.checkpoint).
 
 The headline property, enforced as a hypothesis property over random
-checkpoint rounds on both topology backends: a run checkpointed at round
+checkpoint rounds: a run checkpointed at round
 k and restored is **bit-identical** — events, observer reports, final
 topology, final RNG state, flood results — to the same seeded run left
 uninterrupted.
@@ -22,6 +22,7 @@ from repro.scenario import ScenarioSpec, Simulation
 from repro.scenario.observers import Observer, register_observer
 from repro.service import checkpoint as checkpoint_io
 from repro.service import use_service_options
+from tests.oracles.dict_backend import build_drivers_on_oracle
 
 HORIZON = 16
 
@@ -34,7 +35,7 @@ DRIVER_PARAMS = [
 ]
 
 
-def _spec(churn, params, backend, **overrides):
+def _spec(churn, params, **overrides):
     defaults = dict(
         churn=churn,
         policy="regen",
@@ -42,7 +43,6 @@ def _spec(churn, params, backend, **overrides):
         d=3,
         horizon=HORIZON,
         churn_params=dict(params),
-        backend=backend,
         seed=13,
     )
     defaults.update(overrides)
@@ -83,13 +83,10 @@ class TestRestoreParityProperty:
     @given(
         checkpoint_round=st.integers(min_value=1, max_value=HORIZON - 1),
         driver=st.sampled_from(DRIVER_PARAMS),
-        backend=st.sampled_from(["dict", "array"]),
     )
-    def test_restored_run_is_bit_identical(
-        self, checkpoint_round, driver, backend
-    ):
+    def test_restored_run_is_bit_identical(self, checkpoint_round, driver):
         churn, params = driver
-        spec = _spec(churn, params, backend)
+        spec = _spec(churn, params)
         baseline = _run_uninterrupted(spec)
         restored = _run_interrupted(spec, checkpoint_round)
         _assert_sessions_identical(restored, baseline)
@@ -99,13 +96,13 @@ class TestRestoreParityDeterministic:
     """Pinned (non-hypothesis) parity cases CI can bisect on."""
 
     @pytest.mark.parametrize("churn,params", DRIVER_PARAMS)
-    def test_mid_run_restore(self, backend_name, churn, params):
-        spec = _spec(churn, params, backend_name)
+    def test_mid_run_restore(self, churn, params):
+        spec = _spec(churn, params)
         baseline = _run_uninterrupted(spec)
         restored = _run_interrupted(spec, HORIZON // 2)
         _assert_sessions_identical(restored, baseline)
 
-    def test_trace_driver_restores(self, backend_name):
+    def test_trace_driver_restores(self):
         events = [{"t": float(t), "op": "join", "id": t} for t in range(12)]
         events += [
             {"t": 12.0 + t, "op": "leave", "id": t} for t in range(4)
@@ -117,17 +114,14 @@ class TestRestoreParityDeterministic:
             d=2,
             horizon=HORIZON,
             churn_params={"events": events},
-            backend=backend_name,
             seed=4,
         )
         baseline = _run_uninterrupted(spec)
         restored = _run_interrupted(spec, 7)
         _assert_sessions_identical(restored, baseline)
 
-    def test_batched_restore_parity(self, backend_name):
-        spec = _spec(
-            "poisson", {}, backend_name, n=60, horizon=20, fast_rounds=True
-        )
+    def test_batched_restore_parity(self):
+        spec = _spec("poisson", {}, n=60, horizon=20, fast_rounds=True)
         baseline = _run_uninterrupted(spec)
         with tempfile.TemporaryDirectory() as scratch:
             cadenced = Simulation(
@@ -148,13 +142,13 @@ class TestRestoreParityDeterministic:
             ).run()
         _assert_sessions_identical(restored, baseline)
 
-    def test_mixed_cadence_observer_restore(self, backend_name, tmp_path):
+    def test_mixed_cadence_observer_restore(self, tmp_path):
         # Regression: feeds exist only for every>0 observers, so the
         # checkpoint must record observer-list indices, not feed-list
         # positions.  With a cadence-0 observer *ahead* of a cadenced one
         # the buggy encoding re-attached the feed to the wrong observer
         # and the cadenced observer lost every post-restore window.
-        spec = _spec("streaming", {}, backend_name)
+        spec = _spec("streaming", {})
         mixed = ("coverage", {"name": "size", "params": {"every": 1}})
         baseline = Simulation(spec, observers=mixed).run()
         partial = Simulation(spec, observers=mixed)
@@ -167,11 +161,10 @@ class TestRestoreParityDeterministic:
         assert restored.snapshot() == baseline.snapshot()
         assert len(restored.results()["size"]["sizes"]) == HORIZON
 
-    def test_flood_after_restore_matches(self, backend_name):
+    def test_flood_after_restore_matches(self):
         spec = _spec(
             "streaming",
             {},
-            backend_name,
             protocol="discrete",
             protocol_params={"max_rounds": 100},
         )
@@ -185,7 +178,7 @@ class TestRestoreParityDeterministic:
 
 class TestCheckpointFiles:
     def test_directory_restore_picks_most_advanced(self, tmp_path):
-        spec = _spec("streaming", {}, "dict")
+        spec = _spec("streaming", {})
         sim = Simulation(
             spec,
             observers=OBSERVERS,
@@ -205,7 +198,7 @@ class TestCheckpointFiles:
     def test_directory_restore_falls_back_past_corrupt_latest(self, tmp_path):
         # A damaged most-advanced file must not make the directory
         # unrestorable: load_checkpoint warns and uses the next one.
-        spec = _spec("streaming", {}, "dict")
+        spec = _spec("streaming", {})
         Simulation(
             spec,
             observers=OBSERVERS,
@@ -227,7 +220,7 @@ class TestCheckpointFiles:
                 checkpoint_io.load_checkpoint(tmp_path)
 
     def test_checkpoint_envelope_shape(self, tmp_path):
-        sim = Simulation(_spec("streaming", {}, "dict"), observers=OBSERVERS)
+        sim = Simulation(_spec("streaming", {}), observers=OBSERVERS)
         sim._run_per_event(3)
         path = sim.save_checkpoint(tmp_path / "ck.json")
         envelope = json.loads(path.read_text())
@@ -245,7 +238,7 @@ class TestCheckpointFiles:
         }
 
     def test_corrupted_payload_rejected(self, tmp_path):
-        sim = Simulation(_spec("streaming", {}, "dict"))
+        sim = Simulation(_spec("streaming", {}))
         sim._run_per_event(2)
         path = sim.save_checkpoint(tmp_path / "ck.json")
         envelope = json.loads(path.read_text())
@@ -255,7 +248,7 @@ class TestCheckpointFiles:
             checkpoint_io.load_checkpoint(path)
 
     def test_truncated_file_rejected(self, tmp_path):
-        sim = Simulation(_spec("streaming", {}, "dict"))
+        sim = Simulation(_spec("streaming", {}))
         sim._run_per_event(2)
         path = sim.save_checkpoint(tmp_path / "ck.json")
         path.write_text(path.read_text()[: 100])
@@ -263,7 +256,7 @@ class TestCheckpointFiles:
             checkpoint_io.load_checkpoint(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
-        sim = Simulation(_spec("streaming", {}, "dict"))
+        sim = Simulation(_spec("streaming", {}))
         sim._run_per_event(2)
         path = sim.save_checkpoint(tmp_path / "ck.json")
         envelope = json.loads(path.read_text())
@@ -283,14 +276,27 @@ class TestCheckpointFiles:
             checkpoint_io.load_checkpoint(tmp_path)
 
     def test_backend_pinned_to_recorded_kind(self, tmp_path):
-        # A checkpoint taken on the array backend restores as array even
-        # when the restoring process defaults to dict.
-        spec = _spec("streaming", {}, "array")
+        # A checkpoint whose spec names the array backend restores as one.
+        spec = _spec("streaming", {}, backend="array")
         sim = Simulation(spec, observers=OBSERVERS)
         sim._run_per_event(4)
         path = sim.save_checkpoint(tmp_path / "ck.json")
         restored = Simulation.restore(path)
         assert type(restored.state).__name__ == "ArraySlotBackend"
+
+    def test_dict_checkpoint_rejected(self, tmp_path, monkeypatch):
+        # A checkpoint of the removed dict backend (here: the oracle's
+        # dump_state, recorded kind "dict") fails loudly on restore.
+        build_drivers_on_oracle(monkeypatch)
+        sim = Simulation(_spec("streaming", {}), observers=OBSERVERS)
+        sim._run_per_event(4)
+        path = sim.save_checkpoint(tmp_path / "ck.json")
+        monkeypatch.undo()
+        assert checkpoint_io.load_checkpoint(path).payload["backend"][
+            "kind"
+        ] == "dict"
+        with pytest.raises(ConfigurationError, match="tests/oracles/"):
+            Simulation.restore(path)
 
 
 class TestObserverRestore:
@@ -307,7 +313,7 @@ class TestObserverRestore:
                 self.ticks += 1
 
         sim = Simulation(
-            _spec("streaming", {}, "dict"), observers=[Custom()]
+            _spec("streaming", {}), observers=[Custom()]
         )
         sim._run_per_event(6)
         path = sim.save_checkpoint(tmp_path / "ck.json")
@@ -317,7 +323,7 @@ class TestObserverRestore:
         assert restored.observers[0].ticks == 3
 
     def test_declaration_name_mismatch_rejected(self, tmp_path):
-        sim = Simulation(_spec("streaming", {}, "dict"), observers=["size"])
+        sim = Simulation(_spec("streaming", {}), observers=["size"])
         sim._run_per_event(2)
         path = sim.save_checkpoint(tmp_path / "ck.json")
         with pytest.raises(CheckpointError, match="do not match"):
@@ -329,7 +335,7 @@ class TestCli:
     restore from the mid-run file, and get the identical final report."""
 
     def _scenario_file(self, tmp_path):
-        spec = _spec("poisson", {}, "array", n=50, fast_rounds=True)
+        spec = _spec("poisson", {}, backend="array", n=50, fast_rounds=True)
         document = {
             "scenario": spec.to_dict(),
             "observers": ["size"],
@@ -389,13 +395,12 @@ class TestCli:
 class TestConfiguration:
     def test_cadence_without_directory_rejected(self):
         with pytest.raises(ConfigurationError, match="checkpoint directory"):
-            Simulation(_spec("streaming", {}, "dict"), checkpoint_every=4)
+            Simulation(_spec("streaming", {}), checkpoint_every=4)
 
     def test_spec_carries_service_settings(self, tmp_path):
         spec = _spec(
             "streaming",
             {},
-            "dict",
             checkpoint_every=8,
             checkpoint_dir=str(tmp_path),
         )
@@ -406,20 +411,20 @@ class TestConfiguration:
 
     def test_ambient_service_options(self, tmp_path):
         with use_service_options(checkpoint_every=8, checkpoint_dir=tmp_path):
-            sim = Simulation(_spec("streaming", {}, "dict")).run()
+            sim = Simulation(_spec("streaming", {})).run()
         assert sim.checkpoint_every == 8
         files = [f for f in os.listdir(tmp_path) if f.startswith("ckpt-")]
         assert len(files) == 2
 
     def test_spec_and_restore_mutually_exclusive(self, tmp_path):
-        sim = Simulation(_spec("streaming", {}, "dict"))
+        sim = Simulation(_spec("streaming", {}))
         sim._run_per_event(2)
         path = sim.save_checkpoint(tmp_path / "ck.json")
         with pytest.raises(ConfigurationError, match="not both"):
-            Simulation(_spec("streaming", {}, "dict"), restore_from=path)
+            Simulation(_spec("streaming", {}), restore_from=path)
 
     def test_run_twice_is_idempotent_at_horizon(self):
-        sim = Simulation(_spec("streaming", {}, "dict"), observers=OBSERVERS)
+        sim = Simulation(_spec("streaming", {}), observers=OBSERVERS)
         sim.run()
         results = sim.results()
         sim.run()  # nothing left to the horizon: a no-op for the feeds

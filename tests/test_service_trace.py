@@ -85,7 +85,7 @@ class TestTraceChurnModel:
                 churn="trace", n=10, d=2, churn_params={"events": [_leave(0, 1)]}
             )
 
-    def test_replay_from_path(self, tmp_path, backend_name):
+    def test_replay_from_path(self, tmp_path, driver_backend):
         path = tmp_path / "trace.jsonl"
         ChurnTrace.from_dicts([_join(t, t) for t in range(8)]).save(path)
         spec = ScenarioSpec(
@@ -95,14 +95,13 @@ class TestTraceChurnModel:
             d=2,
             horizon=8,
             churn_params={"path": str(path)},
-            backend=backend_name,
             seed=0,
         )
         sim = Simulation(spec).run()
         assert sim.network.num_alive() == 8
         assert sim.network.exhausted
 
-    def test_replay_population_trajectory(self, backend_name):
+    def test_replay_population_trajectory(self, driver_backend):
         events = [_join(t, t) for t in range(6)] + [
             _leave(6, 0),
             _leave(7, 3),
@@ -115,7 +114,6 @@ class TestTraceChurnModel:
             d=2,
             horizon=8,
             churn_params={"events": events},
-            backend=backend_name,
             seed=1,
         )
         sim = Simulation(spec, observers=["size"])
@@ -128,7 +126,7 @@ class TestTraceChurnModel:
         assert sizes == [2, 3, 4, 5, 6, 5, 5, 5]
         assert sorted(sim.network.state.alive_ids()) == [1, 2, 4, 5, 10]
 
-    def test_ids_beyond_trace_do_not_collide(self, backend_name):
+    def test_ids_beyond_trace_do_not_collide(self, driver_backend):
         # Policies may allocate nodes after the trace's ids; the floor
         # guarantees fresh ids never collide with replayed ones.
         events = [_join(0, 100)]
@@ -139,7 +137,6 @@ class TestTraceChurnModel:
             d=1,
             horizon=1,
             churn_params={"events": events},
-            backend=backend_name,
         )
         network = build_network(spec, seed=0)
         assert network.state.allocate_id() > 100
@@ -155,7 +152,7 @@ class TestRecordReplay:
         ],
     )
     def test_recorded_trace_replays_population_exactly(
-        self, backend_name, churn, params
+        self, driver_backend, churn, params
     ):
         spec = ScenarioSpec(
             churn=churn,
@@ -164,7 +161,6 @@ class TestRecordReplay:
             d=3,
             horizon=12,
             churn_params=params,
-            backend=backend_name,
             seed=21,
         )
         recorder = TraceRecorder()
@@ -181,7 +177,6 @@ class TestRecordReplay:
             d=3,
             horizon=original.network.now,
             churn_params={"events": trace.to_dicts()},
-            backend=backend_name,
             seed=99,  # different seed: wiring differs, population must not
         )
         replay = Simulation(replay_spec)

@@ -6,6 +6,7 @@ must leave the store consistent and its claim takeoverable."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -15,17 +16,18 @@ from types import SimpleNamespace
 
 import pytest
 
+import repro
 import repro.api.sweeps as sweeps_api
 from repro.api import (
     collect,
+    gc_store,
     load_submission,
     run_fleet,
     run_worker,
     submit_sweep,
     sweep_status,
 )
-from repro.core.backend import use_backend
-from repro.errors import SweepError
+from repro.errors import ConfigurationError, SweepError
 from repro.scenario import ScenarioSpec
 from repro.sweep import (
     ResultStore,
@@ -34,7 +36,13 @@ from repro.sweep import (
     measurement,
     run_sweep,
 )
-from repro.sweep.artifact import artifact_path, submitted_spec_path, sweep_key
+from repro.sweep.artifact import (
+    ARTIFACT_FORMAT,
+    artifact_path,
+    submitted_spec_path,
+    sweep_key,
+)
+from repro.sweep.store import canonical_json
 from repro.util.rng import SeedLike, make_rng
 
 BASE = ScenarioSpec(churn="streaming", policy="none", n=40, d=2, horizon=10)
@@ -85,16 +93,15 @@ def fleet_sweep(**changes) -> SweepSpec:
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("backend", ["dict", "array"])
-    def test_all_execution_shapes_reduce_identically(self, tmp_path, backend):
+    def test_all_execution_shapes_reduce_identically(self, tmp_path):
         sweep = fleet_sweep()
-        sequential = run_fleet(sweep, tmp_path / "s1", workers=1, backend=backend)
-        parallel = run_fleet(sweep, tmp_path / "s2", workers=2, backend=backend)
+        sequential = run_fleet(sweep, tmp_path / "s1", workers=1)
+        parallel = run_fleet(sweep, tmp_path / "s2", workers=2)
         assert sequential.core_bytes() == parallel.core_bytes()
         assert sequential.digest == parallel.digest
         # Warm resume: reducing the already-complete store again, with no
         # workers at all, yields the same core.
-        warm = collect(tmp_path / "s2", sweep, backend=backend, timeout=0)
+        warm = collect(tmp_path / "s2", sweep, timeout=0)
         assert warm.core_bytes() == sequential.core_bytes()
         # And the artifact on disk round-trips to the same core.
         loaded = SweepResult.load(tmp_path / "s1", sequential.key)
@@ -105,9 +112,8 @@ class TestByteIdentity:
         # store, and a stored run leaves the same artifact core.
         for jobs in (1, 2):
             store = tmp_path / f"run-sweep-{jobs}"
-            with use_backend(backend):
-                ephemeral = run_sweep(sweep, jobs=jobs)
-                stored = run_sweep(sweep, jobs=jobs, store=store)
+            ephemeral = run_sweep(sweep, jobs=jobs)
+            stored = run_sweep(sweep, jobs=jobs, store=store)
             assert ephemeral.values() == list(sequential.values)
             assert stored.values() == list(sequential.values)
             artifact = SweepResult.load(store, sequential.key)
@@ -138,9 +144,36 @@ class TestByteIdentity:
         assert shared.core_bytes() == solo.core_bytes()
 
     def test_backend_is_part_of_sweep_identity(self):
+        # The identity keeps a fixed "array" backend component, so keys
+        # of stores written with the array backend do not change.
         sweep = fleet_sweep()
-        assert sweep_key(sweep, "dict") != sweep_key(sweep, "array")
-        assert sweep.sweep_key("dict") == sweep_key(sweep, "dict")
+        identity = {
+            "format": ARTIFACT_FORMAT,
+            "version": repro.__version__,
+            "sweep": sweep.to_dict(),
+            "backend": "array",
+        }
+        expected = hashlib.sha256(
+            canonical_json(identity).encode("utf-8")
+        ).hexdigest()
+        assert sweep_key(sweep) == sweep.sweep_key() == expected
+
+    def test_dict_store_fails_loudly(self, tmp_path):
+        # A store submitted when the dict backend existed records
+        # "backend": "dict"; opening it names where that backend went.
+        sweep = fleet_sweep()
+        submission = submit_sweep(sweep, tmp_path)
+        path = submitted_spec_path(tmp_path, submission.key)
+        document = json.loads(path.read_text())
+        document["backend"] = "dict"
+        path.write_text(json.dumps(document))
+        for open_store in (
+            lambda: load_submission(tmp_path, submission.key),
+            lambda: run_worker(tmp_path, submission.key),
+            lambda: gc_store(tmp_path),
+        ):
+            with pytest.raises(ConfigurationError, match="tests/oracles/"):
+                open_store()
 
 
 class TestLifecycle:

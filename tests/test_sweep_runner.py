@@ -70,15 +70,13 @@ class TestBitIdentity:
             sweep, jobs=2
         ).values()
 
-    @pytest.mark.parametrize("backend", ["dict", "array"])
-    def test_parallel_equals_sequential_real_simulations(self, backend):
-        # Full churn + flooding cells on each topology backend: the
-        # acceptance bar of the sweep plane.  Workers resolve *backend*
-        # through the shipped cell payload / REPRO_BACKEND.
+    def test_parallel_equals_sequential_real_simulations(self):
+        # Full churn + flooding cells: the acceptance bar of the sweep
+        # plane.
         sweep = SweepSpec(
             base=ScenarioSpec(
                 churn="streaming", policy="regen", n=50, d=4, horizon=50,
-                protocol="discrete", backend=backend,
+                protocol="discrete",
             ),
             axes=[("d", (3, 4))],
             replicas=2,
@@ -89,7 +87,7 @@ class TestBitIdentity:
         sequential = run_sweep(sweep, jobs=1)
         parallel = run_sweep(sweep, jobs=2)
         assert sequential.values() == parallel.values()
-        assert sequential.backend == parallel.backend == backend
+        assert sequential.backend == parallel.backend == "array"
 
     def test_results_in_canonical_order(self):
         sweep = small_sweep()
