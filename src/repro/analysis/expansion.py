@@ -16,9 +16,12 @@ so the module offers three tools:
   age-extreme sets (oldest-k, youngest-k) that are the natural worst cases
   in models without regeneration.
 
-Both probes run on a :class:`~repro.core.csr.CSRView` — mask frontiers
-for the multi-source BFS balls, gather/`np.bincount` boundary counts, a
-vectorized greedy sweep, and batched random-set ratios; a frozen
+Both probes run on a :class:`~repro.core.csr.CSRView` — flat-key mask
+frontiers for the multi-source BFS balls, whose candidate stream is
+recorded and then scored in one vectorized pass (the same
+:meth:`_CSRProbe.score_recorded` the incremental plane uses), a greedy
+growth that keeps each boundary vert's count up to date in a heap, and
+batched random-set ratios; a frozen
 :class:`~repro.core.snapshot.Snapshot` argument is converted once at
 entry.  Candidates are ordered canonically (ascending node id), ties
 break on ``(ratio, |S|, sorted ids)``, and duplicates are removed with
@@ -34,13 +37,20 @@ upper bound on ``h_out``.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
-from repro.core.csr import CSRView, as_view, candidate_key, candidate_key_array
+from repro.core.csr import (
+    CSRView,
+    as_view,
+    candidate_key,
+    candidate_key_array,
+    concat_ranges,
+)
 from repro.core.snapshot import Snapshot
 from repro.errors import AnalysisError
 from repro.util.rng import SeedLike, make_rng
@@ -67,12 +77,15 @@ _ball_visited: np.ndarray | None = None
 
 
 def _ball_scratch(chunk: int, space: int) -> np.ndarray:
+    """Flat view of the first *chunk* rows: row r's vert v is ``r*space + v``."""
     global _ball_visited
     buf = _ball_visited
     if buf is None or buf.shape[0] < chunk or buf.shape[1] != space:
         buf = np.zeros((chunk, space), dtype=bool)
         _ball_visited = buf
-    return buf[:chunk]
+    # A leading row slice of a C-contiguous buffer is contiguous, so this
+    # reshape is a view: writes through it land in the shared scratch.
+    return buf[:chunk].reshape(-1)
 
 
 def _drop_ball_scratch() -> None:
@@ -148,31 +161,43 @@ class _BestCandidate:
     makes the winner independent of evaluation order — the property that
     lets the vectorized sweeps batch candidates in any schedule (and the
     incremental plane replay cached ones) while producing the identical
-    witness.  ``members_fn`` is only invoked when a candidate actually
-    contends, so batch paths never materialise losing sets.
+    witness.  ``members_fn`` is only invoked when a tie on ``(ratio,
+    size)`` needs the ids, or when :attr:`members` is read, so a sweep
+    whose minimum keeps improving (the greedy growth) never materialises
+    a set it later beats; it must therefore close over data that no
+    later candidate mutates.
     """
 
     def __init__(self) -> None:
         self.ratio = float("inf")
         self.size = 0
-        self.members: tuple[int, ...] = ()
+        self._members: tuple[int, ...] = ()
+        self._members_fn: Callable[[], Iterable[int]] | None = None
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        """Sorted ids of the current minimiser."""
+        if self._members_fn is not None:
+            self._members = tuple(self._members_fn())
+            self._members_fn = None
+        return self._members
 
     def offer(
         self,
         ratio: float,
         size: int,
-        members_fn: Callable[[], tuple[int, ...]],
+        members_fn: Callable[[], Iterable[int]],
     ) -> None:
         if ratio > self.ratio:
             return
-        if ratio < self.ratio:
-            self.ratio, self.size, self.members = ratio, size, tuple(members_fn())
+        if ratio < self.ratio or size < self.size:
+            self.ratio, self.size, self._members_fn = ratio, size, members_fn
             return
         if size > self.size:
             return
         members = tuple(members_fn())
-        if size < self.size or members < self.members:
-            self.size, self.members = size, members
+        if members < self.members:
+            self._members, self._members_fn = members, None
 
 
 # ----------------------------------------------------------------------
@@ -218,6 +243,7 @@ def adversarial_expansion_upper_bound(
     rng = make_rng(seed)
     probe = _CSRProbe(view, min_size, max_size)
     probe.ball_phase()
+    probe.score_recorded(*probe.recorder.entries())
     probe.greedy_phase(greedy_restarts)
     probe.random_phase(rng, num_random_sets)
     return probe.result()
@@ -292,17 +318,17 @@ def _large_set_sizes(min_size: int, max_size: int) -> list[int]:
 
 
 class BallRecorder:
-    """Raw ball-phase candidate stream, recorded instead of scored inline.
+    """Raw ball-phase candidate stream: the one way balls get scored.
 
-    Attached to a :class:`_CSRProbe`, the ball kernels append every
-    ``(root id, radius, |B_r|, xor, ratio)`` entry the inline path would
-    have offered — *before* dedupe, because deduplication context changes
-    between observation windows — plus each root's final kept-ball
-    radius.  The incremental plane
-    (:mod:`repro.analysis.incremental`) caches these per root, replays
-    the entries of balls churn did not reach, and scores the merged
-    stream with :meth:`_CSRProbe.score_recorded`, reproducing the cold
-    probe bit for bit.
+    Every :class:`_CSRProbe` carries one; the ball kernels append every
+    in-window ``(root id, radius, |B_r|, xor, ratio)`` entry — *before*
+    dedupe, because deduplication context changes between observation
+    windows — plus each root's final kept-ball radius.  A cold probe
+    scores the stream with :meth:`_CSRProbe.score_recorded` right after
+    the ball phase.  The incremental plane
+    (:mod:`repro.analysis.incremental`) caches the entries per root,
+    replays those of balls churn did not reach, and scores the merged
+    stream the same way, reproducing the cold probe bit for bit.
     """
 
     def __init__(self) -> None:
@@ -382,22 +408,15 @@ class _CSRProbe:
         self.best = _BestCandidate()
         self.seen: set[int] = set()
         self.checked = 0
-        # With a recorder attached, ball kernels record their candidate
-        # stream instead of scoring it; score_recorded() later registers
-        # the deduplicated keys here so the greedy/random phases skip
-        # (and count) exactly what the inline path would have.
-        self.recorder = recorder
-        self._ball_keys: np.ndarray | None = None
+        # The ball kernels record their candidate stream here;
+        # score_recorded() later adds its deduplicated keys to `seen`, so
+        # the greedy/random phases skip every ball they re-find.
+        self.recorder = BallRecorder() if recorder is None else recorder
 
     def _register(self, key: int) -> bool:
         """Dedupe one candidate key; True when it is fresh (and counted)."""
         if key in self.seen:
             return False
-        keys = self._ball_keys
-        if keys is not None:
-            pos = int(np.searchsorted(keys, np.uint64(key)))
-            if pos < keys.size and int(keys[pos]) == key:
-                return False
         self.seen.add(key)
         self.checked += 1
         return True
@@ -437,8 +456,15 @@ class _CSRProbe:
         beyond the BFS itself.  Sources advance in lockstep chunks over
         one shared, selectively-cleared ``visited`` mask; the chunk
         shrinks at large vert spaces so the mask stays within
-        :data:`_BALL_SCRATCH_BYTES`.  Chunking cannot change results:
-        dedupe keys and the tie-break are evaluation-order independent.
+        :data:`_BALL_SCRATCH_BYTES`.  Each shell step works on flat keys
+        ``row*space + vert``: one gather builds them, one sort dedupes
+        them, and a ``searchsorted`` against the row bounds counts each
+        source's shell.
+
+        The phase only *records* the candidate stream (into
+        :attr:`recorder`); :meth:`score_recorded` scores it afterwards.
+        Chunking cannot change results: dedupe keys and the tie-break are
+        evaluation-order independent.
 
         *sources* defaults to every alive vert; the incremental plane
         passes only the roots whose cached balls churn invalidated.
@@ -463,15 +489,15 @@ class _CSRProbe:
     def _ball_chunk(self, src_verts: np.ndarray, visited: np.ndarray) -> None:
         view = self.view
         space = view.space
-        mixv = view.mix
+        indptr, indices, mixv = view.indptr, view.indices, view.mix
         recorder = self.recorder
         count = src_verts.size
-        rows = np.arange(count, dtype=np.int64)
+        row_bounds = np.arange(count + 1, dtype=np.int64) * space
 
-        visited[rows, src_verts] = True
-        marks: list[tuple[np.ndarray, np.ndarray]] = [(rows, src_verts)]
-        frontier_src = rows
+        frontier_base = row_bounds[:-1]
         frontier_vert = src_verts
+        marks = [frontier_base + src_verts]
+        visited[marks[0]] = True
         ball_size = np.ones(count, dtype=np.int64)
         ball_xor = mixv[src_verts].copy()
         # Pending candidate per source: the current ball, awaiting its
@@ -486,60 +512,37 @@ class _CSRProbe:
         radius = 0
 
         while frontier_vert.size:
-            # Next shell: unvisited distinct neighbours, per source.
-            flat, owner_pos = view.gather_neighbors(frontier_vert)
-            src_rep = frontier_src[owner_pos]
-            fresh = ~visited[src_rep, flat]
-            pair_keys = src_rep[fresh] * space + flat[fresh]
-            pair_keys.sort()  # sort-based dedupe (np.unique's hash is slower)
-            if pair_keys.size:
-                distinct = np.empty(pair_keys.size, dtype=bool)
+            # Next shell: unvisited distinct neighbours, per source, as
+            # sorted flat keys row*space + vert.
+            starts = indptr[frontier_vert]
+            degrees = indptr[frontier_vert + 1] - starts
+            keys = np.repeat(frontier_base, degrees)
+            keys += indices[concat_ranges(starts, degrees)]
+            keys = keys[~visited[keys]]
+            keys.sort()  # sort-based dedupe (np.unique's hash is slower)
+            if keys.size:
+                distinct = np.empty(keys.size, dtype=bool)
                 distinct[0] = True
-                np.not_equal(pair_keys[1:], pair_keys[:-1], out=distinct[1:])
-                pair_keys = pair_keys[distinct]
-            shell_src = pair_keys // space
-            shell_vert = pair_keys % space
-            shell_count = np.bincount(shell_src, minlength=count)
+                np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+                keys = keys[distinct]
+            row_start = np.searchsorted(keys, row_bounds)
+            shell_count = np.diff(row_start)
 
-            # Score pending balls: ratio = |shell_{r+1}| / |B_r|.
+            # Record pending balls: ratio = |shell_{r+1}| / |B_r|.
             pending = np.nonzero(pend_active)[0]
             if pending.size:
-                if recorder is not None:
-                    # Incremental mode: hand the raw (pre-dedupe) stream
-                    # to the recorder; score_recorded() evaluates the
-                    # merged cached+fresh stream later.
-                    recorder.add_entries(
-                        view.vert_ids[src_verts[pending]],
-                        pend_radius[pending],
-                        pend_size[pending],
-                        pend_xor[pending],
-                        shell_count[pending] / pend_size[pending],
-                    )
-                else:
-                    keys = candidate_key_array(
-                        pend_size[pending].astype(np.uint64),
-                        pend_xor[pending],
-                    )
-                    ratios = shell_count[pending] / pend_size[pending]
-                    for local, key, ratio in zip(
-                        pending.tolist(), keys.tolist(), ratios.tolist()
-                    ):
-                        if not self._register(key):
-                            continue
-                        self.best.offer(
-                            ratio,
-                            int(pend_size[local]),
-                            lambda local=local: view.ids_sorted(
-                                self._ball_members(
-                                    int(src_verts[local]),
-                                    int(pend_radius[local]),
-                                )
-                            ),
-                        )
+                recorder.add_entries(
+                    view.vert_ids[src_verts[pending]],
+                    pend_radius[pending],
+                    pend_size[pending],
+                    pend_xor[pending],
+                    shell_count[pending] / pend_size[pending],
+                )
 
             # Continuation: a source keeps its frontier while it still
             # grows (|B| < max) or the grown ball needs one more shell
-            # for scoring (|B_{r+1}| == max exactly).
+            # for scoring (|B_{r+1}| == max exactly).  Every kept source
+            # has a non-empty shell.
             growing = grow & (shell_count > 0)
             new_size = ball_size + shell_count
             pend_active = growing & (new_size >= self.min_size) & (
@@ -547,27 +550,32 @@ class _CSRProbe:
             )
             grow = growing & (new_size < self.max_size)
             keep = pend_active | grow
-            if not keep.any():
+            kept_rows = np.nonzero(keep)[0]
+            if kept_rows.size == 0:
                 break
-            keep_entry = keep[shell_src]
-            shell_src = shell_src[keep_entry]
-            shell_vert = shell_vert[keep_entry]
-            visited[shell_src, shell_vert] = True
-            marks.append((shell_src, shell_vert))
-            np.bitwise_xor.at(ball_xor, shell_src, mixv[shell_vert])
-            ball_size = np.where(keep, new_size, ball_size)
+            kept_count = shell_count[kept_rows]
+            if kept_rows.size < count:
+                keys = keys[concat_ranges(row_start[kept_rows], kept_count)]
+            visited[keys] = True
+            marks.append(keys)
+            frontier_base = np.repeat(kept_rows * space, kept_count)
+            frontier_vert = keys - frontier_base
+            # Kept rows' shells are contiguous, non-empty runs of keys.
+            run_start = np.zeros(kept_rows.size, dtype=np.int64)
+            np.cumsum(kept_count[:-1], out=run_start[1:])
+            ball_xor[kept_rows] ^= np.bitwise_xor.reduceat(
+                mixv[frontier_vert], run_start
+            )
+            ball_size[kept_rows] += kept_count
             radius += 1
-            kept_radius = np.where(keep, radius, kept_radius)
+            kept_radius[kept_rows] = radius
             pend_size = np.where(pend_active, ball_size, pend_size)
             pend_xor = np.where(pend_active, ball_xor, pend_xor)
             pend_radius = np.where(pend_active, radius, pend_radius)
-            frontier_src, frontier_vert = shell_src, shell_vert
 
-        if recorder is not None:
-            recorder.add_roots(view.vert_ids[src_verts], kept_radius)
-
-        for mark_src, mark_vert in marks:
-            visited[mark_src, mark_vert] = False
+        recorder.add_roots(view.vert_ids[src_verts], kept_radius)
+        for mark in marks:
+            visited[mark] = False
 
     def _ball_members(self, source_vert: int, radius: int) -> np.ndarray:
         """Recompute one ball's member verts (only for contending balls)."""
@@ -594,49 +602,54 @@ class _CSRProbe:
         xors: np.ndarray,
         ratios: np.ndarray,
     ) -> None:
-        """Score a merged ball-candidate stream in one vectorized pass.
+        """Score a ball-candidate stream in one vectorized pass.
 
-        The incremental counterpart of the inline scoring loop: the
-        stream mixes freshly-recorded entries with entries replayed from
-        a previous window's cache, in arbitrary order — dedupe keys, the
-        distinct-candidate count, and the ``(ratio, size, members)``
-        tie-break are all evaluation-order independent, so the outcome
-        is bit-identical to the cold inline path.  Must run before the
-        greedy/random phases (their dedupe consults the registered ball
-        keys); only candidates achieving the stream's minimal
-        ``(ratio, size)`` are offered, with members recomputed by a
-        per-root BFS exactly as the inline path does for contenders.
+        The stream is what :meth:`ball_phase` recorded — on a cold probe
+        the whole of it, in the incremental plane freshly recorded
+        entries merged with entries replayed from a previous window's
+        cache, in arbitrary order.  Dedupe keys, the distinct-candidate
+        count, and the ``(ratio, size, members)`` tie-break are all
+        evaluation-order independent, so both give the same probe.  Must
+        run before the greedy/random phases (their dedupe consults the
+        registered ball keys); only candidates achieving the stream's
+        minimal ``(ratio, size)`` are offered, with members recomputed
+        by a per-root BFS.
         """
         if roots.size == 0:
             return
         keys = candidate_key_array(sizes.astype(np.uint64), xors)
         uniq, first = np.unique(keys, return_index=True)
-        self._ball_keys = uniq
+        self.seen.update(uniq.tolist())
         self.checked += int(uniq.size)
         rep_ratio = ratios[first]
         sel = first[rep_ratio == rep_ratio.min()]
         sel_sizes = sizes[sel]
         sel = sel[sel_sizes == sel_sizes.min()]
         view = self.view
-        for i in sel.tolist():
-            root, radius = int(roots[i]), int(radii[i])
+        root_verts = view.alive_verts[np.searchsorted(view.ids, roots[sel])]
+        for i, root_vert in zip(sel.tolist(), root_verts.tolist()):
+            radius = int(radii[i])
             self.best.offer(
                 float(ratios[i]),
                 int(sizes[i]),
-                lambda root=root, radius=radius: view.ids_sorted(
-                    self._ball_members(view.vert_of(root), radius)
+                lambda root_vert=root_vert, radius=radius: view.ids_sorted(
+                    self._ball_members(root_vert, radius)
                 ),
             )
 
-    # -- vectorized greedy boundary-minimising sweep -------------------
+    # -- incremental greedy boundary-minimising growth -----------------
 
     def greedy_phase(self, restarts: int) -> None:
         """Greedy growth from the lowest-``(degree, id)`` seeds.
 
-        Each step scores every boundary vert's absorption in one
-        gather + ``np.bincount`` pass (how many of its neighbours lie
-        outside the set and its boundary), absorbs the ``(delta, id)``
-        minimiser, and offers the grown set.
+        Each step absorbs the boundary vert with the fewest neighbours
+        outside the set and its boundary (``new_out``, ties on node id)
+        and offers the grown set.  ``new_out`` is kept up to date rather
+        than regathered: a vert entering the boundary counts its outside
+        neighbours once, and each boundary vert adjacent to it loses one.
+        A heap with lazy deletion yields the ``(new_out, id)`` minimiser,
+        so one restart costs O(m log m) instead of a boundary regather
+        per absorption.
         """
         view = self.view
         order = np.lexsort((view.ids, view.degrees))
@@ -646,48 +659,68 @@ class _CSRProbe:
 
     def _greedy_grow_csr(self, seed_vert: int) -> None:
         view = self.view
-        mixv = view.mix
-        vert_ids = view.vert_ids
-        current = np.zeros(view.space, dtype=bool)
-        boundary = np.zeros(view.space, dtype=bool)
-        current[seed_vert] = True
+        indptr, indices = view.indptr, view.indices
+        mixv, vert_ids = view.mix, view.vert_ids
+        # Per-vert state: outside, boundary, entering (this step), member.
+        state = bytearray(view.space)
+        outside, boundary, entering, member = 0, 1, 2, 3
+        new_out: dict[int, int] = {}
+        heap: list[tuple[int, int, int]] = []
+        members = [seed_vert]
         size = 1
         xor = int(mixv[seed_vert])
-        bverts = view.neighbors_of_vert(seed_vert).copy()
-        boundary[bverts] = True
-        self._consider_tracked(size, xor, bverts.size, current)
-        while size < self.max_size and bverts.size:
-            flat, owner_pos = view.gather_neighbors(bverts)
-            outside = ~(current[flat] | boundary[flat])
-            new_out = np.bincount(owner_pos[outside], minlength=bverts.size)
-            lowest = np.nonzero(new_out == new_out.min())[0]
-            pick = lowest[np.argmin(vert_ids[bverts[lowest]])]
-            vert = int(bverts[pick])
-            current[vert] = True
-            boundary[vert] = False
+        bsize = 0
+        vert = seed_vert
+        while True:
+            state[vert] = member
+            fresh = [
+                w
+                for w in indices[indptr[vert] : indptr[vert + 1]].tolist()
+                if state[w] == outside
+            ]
+            for w in fresh:
+                state[w] = entering
+            bsize += len(fresh)
+            lowered = set()
+            for w in fresh:
+                out = 0
+                for x in indices[indptr[w] : indptr[w + 1]].tolist():
+                    mark = state[x]
+                    if mark == outside:
+                        out += 1
+                    elif mark == boundary:
+                        new_out[x] -= 1
+                        lowered.add(x)
+                new_out[w] = out
+            for w in fresh:
+                state[w] = boundary
+                heapq.heappush(heap, (new_out[w], int(vert_ids[w]), w))
+            for x in lowered:
+                heapq.heappush(heap, (new_out[x], int(vert_ids[x]), x))
+            self._consider_tracked(size, xor, bsize, members)
+            if size >= self.max_size or not bsize:
+                return
+            while True:
+                out, _, vert = heapq.heappop(heap)
+                if state[vert] == boundary and new_out[vert] == out:
+                    break
+            members.append(vert)
             size += 1
+            bsize -= 1
             xor ^= int(mixv[vert])
-            nbrs = view.neighbors_of_vert(vert)
-            entering = nbrs[~(current[nbrs] | boundary[nbrs])]
-            boundary[entering] = True
-            bverts = np.concatenate(
-                [bverts[np.arange(bverts.size) != pick], entering]
-            )
-            self._consider_tracked(size, xor, bverts.size, current)
 
     def _consider_tracked(
-        self, size: int, xor: int, boundary_size: int, current: np.ndarray
+        self, size: int, xor: int, boundary_size: int, members: list[int]
     ) -> None:
-        """Score a set whose boundary size is maintained incrementally."""
+        """Score a greedy prefix ``members[:size]`` (boundary size known)."""
         if not (self.min_size <= size <= self.max_size):
             return
         if not self._register(candidate_key(size, xor)):
             return
-        ratio = boundary_size / size
         self.best.offer(
-            ratio,
+            boundary_size / size,
             size,
-            lambda: self.view.ids_sorted(np.nonzero(current)[0]),
+            lambda: self.view.ids_sorted(np.asarray(members[:size])),
         )
 
     # -- batched random sets -------------------------------------------

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.expansion import BallRecorder, ExpansionProbe, _CSRProbe
+from repro.analysis.expansion import ExpansionProbe, _CSRProbe
 from repro.core.backend import GraphBackend
 from repro.core.csr import CSRView
 from repro.errors import AnalysisError
@@ -207,12 +207,11 @@ class ProbeCache:
         fresh_ids = np.setdiff1d(ids, valid_roots, assume_unique=True)
         fresh_verts = view.alive_verts[np.searchsorted(ids, fresh_ids)]
 
-        recorder = BallRecorder()
-        probe = _CSRProbe(view, self.min_size, max_size, recorder=recorder)
+        probe = _CSRProbe(view, self.min_size, max_size)
         probe.ball_phase(fresh_verts)
 
-        new_roots, new_radii = recorder.roots()
-        new_entries = recorder.entries()
+        new_roots, new_radii = probe.recorder.roots()
+        new_entries = probe.recorder.entries()
         keep_entry = np.repeat(valid, np.diff(self._eoff))
         merged = tuple(
             np.concatenate([old[keep_entry], new])
