@@ -15,8 +15,15 @@
   most once per topology version, entirely in vectorized NumPy;
 * **batched births** — :meth:`apply_birth_slots` writes thousands of
   pre-drawn births in a handful of array operations;
-* **a dense in-degree counter** — ``_in_count`` mirrors
-  ``len(_in_refs[row])`` as an ``int32`` array, so capacity checks in the
+* **a lazy reverse index** — ``_in_refs`` maps a row to the set of
+  ``(source id, slot)`` pairs pointing at it.  Batch writes (fused
+  windows, whole-population births, checkpoint restore) drop it; the
+  next per-event operation takes one sorted snapshot of the slot matrix
+  and each row's set is built from it when first touched, in the
+  row-major insertion order an eager rebuild would give;
+* **a dense in-degree counter** — ``_in_count`` holds each row's
+  in-slot count as an ``int32`` array, valid at all times (batch writes
+  recompute it with one bincount), so capacity checks in the
   bounded-degree policies (and the bulk accept/reject sampler
   :meth:`place_slots_capped`) never touch the per-row Python sets.
 
@@ -47,6 +54,44 @@ from repro.errors import SimulationError
 _INT32_MAX = np.iinfo(np.int32).max
 
 
+class _ReverseIndex(dict):
+    """Row -> set of ``(source id, slot)`` pairs whose slot targets the row.
+
+    Built from one snapshot of the slot matrix: the assigned slots in
+    row-major order, stably sorted by target row.  A row's set is made
+    from its run of the snapshot on first lookup (:meth:`__missing__`)
+    and kept, so later mutations edit it in place.  Every set thus has
+    the insertion order of an eager row-major rebuild followed by the
+    same edits, which keeps ``neighbors()`` order, ``edges_destroyed``
+    order and checkpoints unchanged.  Rows beyond the snapshot (grown
+    later) start empty.
+    """
+
+    __slots__ = ("_starts", "_sources", "_cols")
+
+    def __init__(self, slots: np.ndarray, id_of: np.ndarray) -> None:
+        super().__init__()
+        cap, width = slots.shape
+        flat_slots = slots.reshape(-1)
+        flat = np.flatnonzero(flat_slots >= 0)
+        targets = flat_slots[flat]
+        # Sort by target with the row-major flat index as the tie-break:
+        # one integer sort, several times faster than a stable argsort.
+        flat = np.sort(targets * flat_slots.size + flat) % flat_slots.size
+        rows, self._cols = np.divmod(flat, width)
+        self._sources = id_of[rows]
+        self._starts = np.zeros(cap + 1, dtype=np.int64)
+        np.cumsum(np.bincount(targets, minlength=cap), out=self._starts[1:])
+
+    def __missing__(self, row: int) -> set[tuple[int, int]]:
+        bounds = self._starts[row : row + 2].tolist()
+        lo, hi = bounds if len(bounds) == 2 else (0, 0)
+        refs = self[row] = set(
+            zip(self._sources[lo:hi].tolist(), self._cols[lo:hi].tolist())
+        )
+        return refs
+
+
 class ArraySlotBackend(GraphBackend):
     """Vectorized slot store with free-list node recycling."""
 
@@ -71,14 +116,11 @@ class ArraySlotBackend(GraphBackend):
         self._birth = np.zeros(self._cap, dtype=np.float64)
         self._id_of = np.full(self._cap, -1, dtype=self._id_dtype)
         self._alive_rows = np.zeros(self._cap, dtype=bool)
-        self._in_refs: list[set[tuple[int, int]]] = [set() for _ in range(self._cap)]
-        # The fused round kernel (apply_round_batch) rewrites the whole
-        # slot matrix without maintaining the per-row reverse sets — it
-        # marks them stale instead, and _ensure_in_refs() rebuilds them
-        # from the slot matrix on the next per-event mutation or
-        # neighbour query.  _in_count stays valid at all times (the
-        # kernel recomputes it with one bincount).
-        self._in_refs_stale = False
+        # The reverse index; None when a batch write dropped it.
+        # _ensure_in_refs() snapshots the slot matrix on the next
+        # per-event mutation or neighbour query, and rows build lazily.
+        # _in_count stays valid at all times.
+        self._in_refs: _ReverseIndex | None = None
         self._in_count = np.zeros(self._cap, dtype=np.int32)
         self._row_of: dict[int, int] = {}
         self._free: list[int] = []
@@ -159,7 +201,6 @@ class ArraySlotBackend(GraphBackend):
         alive_grown = np.zeros(new_cap, dtype=bool)
         alive_grown[:old_cap] = self._alive_rows
         self._alive_rows = alive_grown
-        self._in_refs.extend(set() for _ in range(new_cap - old_cap))
         in_count_grown = np.zeros(new_cap, dtype=np.int32)
         in_count_grown[:old_cap] = self._in_count
         self._in_count = in_count_grown
@@ -169,24 +210,13 @@ class ArraySlotBackend(GraphBackend):
         self._slots = np.hstack([self._slots, extra])
         self._width = new_width
 
-    def _ensure_in_refs(self) -> None:
-        """Refill the per-row reverse-reference sets if a batch left them
-        stale (the sets are cleared in place, then one vectorized scan of
-        the slot matrix plus a Python insert per assigned slot)."""
-        if not self._in_refs_stale:
-            return
-        self._in_refs_stale = False
-        in_refs = self._in_refs
-        for refs in in_refs:
-            refs.clear()
-        rows, cols = np.nonzero(self._slots >= 0)
-        if rows.size:
-            targets = self._slots[rows, cols]
-            sources = self._id_of[rows]
-            for source, col, trow in zip(
-                sources.tolist(), cols.tolist(), targets.tolist()
-            ):
-                in_refs[trow].add((source, col))
+    def _ensure_in_refs(self) -> _ReverseIndex:
+        """The reverse index, snapshotted from the slot matrix if a batch
+        write dropped it (rows build on first touch).  Call it before
+        any slot write that must be reflected in the index."""
+        if self._in_refs is None:
+            self._in_refs = _ReverseIndex(self._slots, self._id_of)
+        return self._in_refs
 
     # ------------------------------------------------------------------
     # basic queries
@@ -194,12 +224,12 @@ class ArraySlotBackend(GraphBackend):
 
     def neighbors(self, node_id: int) -> set[int]:
         """Current undirected neighbours of *node_id* (distinct ids)."""
-        self._ensure_in_refs()
+        in_refs = self._ensure_in_refs()
         row = self._row_of[node_id]
         id_of = self._id_of
         out = self._slots[row, : self._num_slots.item(row)].tolist()
         result = {id_of.item(t) for t in out if t >= 0}
-        result.update(source for source, _ in self._in_refs[row])
+        result.update(source for source, _ in in_refs[row])
         return result
 
     def degree(self, node_id: int) -> int:
@@ -273,7 +303,6 @@ class ArraySlotBackend(GraphBackend):
         self._birth[row] = birth_time
         self._id_of[row] = node_id
         self._alive_rows[row] = True
-        self._in_refs[row] = set()
         self._in_count[row] = 0
         row_of[node_id] = row
         self.alive.add(node_id)
@@ -298,11 +327,10 @@ class ArraySlotBackend(GraphBackend):
         read with ``.item()`` through local aliases, and the touched ids
         are collected only while :meth:`track_mutations` is on.
         """
-        self._ensure_in_refs()
+        in_refs = self._ensure_in_refs()
         row_of = self._row_of
         slots = self._slots
         num_slots = self._num_slots
-        in_refs = self._in_refs
         in_count = self._in_count
         touched: list[int] | None = [] if self._touched is not None else None
         applied = 0
@@ -338,7 +366,7 @@ class ArraySlotBackend(GraphBackend):
                 self._note_mutation(touched or (), applied)
 
     def clear_slot(self, source: int, slot_index: int) -> int | None:
-        self._ensure_in_refs()
+        in_refs = self._ensure_in_refs()
         srow = self._row_of[source]
         if not 0 <= slot_index < self._num_slots.item(srow):
             raise IndexError(
@@ -349,7 +377,7 @@ class ArraySlotBackend(GraphBackend):
         if trow < 0:
             return None
         slots[srow, slot_index] = -1
-        self._in_refs[trow].discard((source, slot_index))
+        in_refs[trow].discard((source, slot_index))
         in_count = self._in_count
         in_count[trow] = in_count.item(trow) - 1
         target = self._id_of.item(trow)
@@ -359,12 +387,11 @@ class ArraySlotBackend(GraphBackend):
     def remove_node(self, node_id: int, death_time: float) -> list[tuple[int, int]]:
         """Kill *node_id*; its row returns to the free list for recycling."""
         del death_time  # recycled rows keep no tombstone
-        self._ensure_in_refs()
+        in_refs = self._ensure_in_refs()
         if node_id not in self.alive:
             raise SimulationError(f"cannot remove node {node_id}: not alive")
         row_of = self._row_of
         slots = self._slots
-        in_refs = self._in_refs
         in_count = self._in_count
         id_of = self._id_of
         row = row_of.pop(node_id)
@@ -487,9 +514,9 @@ class ArraySlotBackend(GraphBackend):
         same batch.  Targets among the newborns resolve to rows through
         one sorted map of the batch's ids, older targets through the id
         map.  When the batch is the whole population on
-        ascending rows, the reverse index is marked stale instead of
-        built: :meth:`_ensure_in_refs` rebuilds it row-major, which is
-        exactly the loop's insertion order.  No RNG is consumed.
+        ascending rows, the reverse index is dropped instead of built:
+        :meth:`_ensure_in_refs` snapshots it row-major, which is exactly
+        the loop's insertion order.  No RNG is consumed.
         """
         count = len(node_ids)
         if count == 0:
@@ -504,7 +531,7 @@ class ArraySlotBackend(GraphBackend):
         if np.any(tgt == src_ids):
             raise SimulationError("self-loop in pre-drawn birth targets")
         whole = self.num_alive() == 0
-        self._ensure_in_refs()
+        in_refs = self._ensure_in_refs()
         rows = self._register_rows(node_ids, times, num_slots)
         order = np.argsort(ids, kind="stable")
         pos = np.minimum(np.searchsorted(ids[order], tgt), count - 1)
@@ -525,9 +552,8 @@ class ArraySlotBackend(GraphBackend):
             np.int32
         )
         if whole and np.all(rows[1:] > rows[:-1]):
-            self._in_refs_stale = True
+            self._in_refs = None
         else:
-            in_refs = self._in_refs
             for source, col, trow in zip(
                 src_ids.tolist(), src_cols.tolist(), trows.tolist()
             ):
@@ -569,18 +595,18 @@ class ArraySlotBackend(GraphBackend):
 
         Works in a *local-id* coordinate system over the window's node
         universe (``local = id − base``, length ``L = n + W``): the whole
-        out-slot state becomes one ``(L, d)`` int64 matrix and per-round
-        work reduces to orphan regeneration plus one birth-row scatter —
-        a handful of small-array ops per round (driven by a tombstoned
-        in-edge log, ``entry = source_local·d + slot``).  Without
+        out-slot state becomes one ``(L, d)`` int64 matrix.  With
+        regeneration, :meth:`_fused_regen_rounds` runs the rounds as a
+        plain Python loop over in-lists of the locals that die inside the
+        window and writes the matrix once at the end.  Without
         regeneration there is no per-round work at all: the window's
         births pre-scatter in one vectorized take (a birth at round ``j``
         only targets locals ``≥ j``, so it can never point at a node that
-        dies before it exists) and dead targets are masked wholesale.  The write-back relabels
-        the ``n`` final survivors into rows ``0..n-1`` in ascending id
-        order and marks the reverse-reference sets stale
-        (:meth:`_ensure_in_refs` rebuilds them only if a per-event
-        operation needs them — steady fused streaming with CSR observers
+        dies before it exists) and dead targets are masked wholesale.
+        The write-back relabels the ``n`` final survivors into rows
+        ``0..n-1`` in ascending id order and drops the reverse index
+        (:meth:`_ensure_in_refs` snapshots it only if a per-event
+        operation needs it — steady fused streaming with CSR observers
         never does).
         """
         n = int(plan.n)
@@ -603,7 +629,7 @@ class ArraySlotBackend(GraphBackend):
         row_of = self._row_of
         try:
             rows0 = np.fromiter(
-                (row_of[i] for i in range(base, base + n)),
+                map(row_of.__getitem__, range(base, base + n)),
                 dtype=np.int64,
                 count=n,
             )
@@ -682,7 +708,7 @@ class ArraySlotBackend(GraphBackend):
         from repro.util.sampling import IndexedSet
 
         self.alive = IndexedSet.from_unique_list(final_ids.tolist())
-        self._in_refs_stale = True
+        self._in_refs = None
         # Count like a per-round loop of the mutation primitives: one per
         # death, newborn, birth slot and regenerated slot.
         self._note_mutation(
@@ -696,77 +722,52 @@ class ArraySlotBackend(GraphBackend):
         """Per-round regeneration + birth over the local out-slot matrix;
         returns the number of regenerated slots.
 
-        Maintains a tombstoned in-edge log: ``in_list[t, :in_cnt[t]]``
-        holds every entry (``source_local·d + slot``) that *ever* pointed
-        at local ``t``; an entry is live iff its slot still targets ``t``
-        and its source outlives ``t`` (targets of one slot strictly
-        increase over the window, so no entry can be re-created — the
-        liveness test has no ABA case).  The log is seeded with one
-        stable argsort over the prefilled entries; regeneration rewrites
-        and each round's birth append to it.  Draws consume in the plan's
+        Keeps an in-list of entries (``source_local·d + slot``) only for
+        the locals ``t < W`` that die inside the window, as Python int
+        lists.  They are seeded with one stable argsort over the
+        prefilled entries with ``target < W``; each regeneration or
+        birth aimed at such a local appends to its list.  Round ``k``'s
+        orphans are the entries of local ``k - 1`` whose source is still
+        alive (``source_local ≥ k``), sorted ascending.  No liveness
+        check on the slot is needed: a slot's target changes only when
+        that target dies, so every listed entry still points at ``t``
+        when ``t`` dies, and each new target is at least the current
+        round and so greater than ``t`` — no entry is listed twice.
+        Births and the final regeneration targets are written into
+        *out_flat* once after the loop.  Draws consume in the plan's
         canonical per-round order — the round's regenerations, then its
         birth.
         """
-        L = n + W
-        entries = np.nonzero(out_flat[: n * d] >= 0)[0]
-        idx_dtype = np.int64 if L * d > _INT32_MAX else np.int32
-        if entries.size:
-            tgts = out_flat[entries]
-            counts = np.bincount(tgts, minlength=L)
-            width = int(counts.max()) + 8
-        else:
-            counts = np.zeros(L, dtype=np.int64)
-            width = 8
-        in_list = np.zeros((L, width), dtype=idx_dtype)
-        in_cnt = counts.astype(np.int64)
-        if entries.size:
-            order = np.argsort(tgts, kind="stable")
-            sorted_entries = entries[order].astype(idx_dtype)
-            sorted_tgts = tgts[order]
-            starts = np.nonzero(
-                np.r_[True, sorted_tgts[1:] != sorted_tgts[:-1]]
-            )[0]
-            slot_pos = np.arange(sorted_tgts.size) - np.repeat(
-                starts, np.diff(np.r_[starts, sorted_tgts.size])
-            )
-            in_list[sorted_tgts, slot_pos] = sorted_entries
+        seeded = np.flatnonzero((out_flat[: n * d] >= 0) & (out_flat[: n * d] < W))
+        targets = out_flat[seeded]
+        order = np.argsort(targets, kind="stable")
+        ends = np.cumsum(np.bincount(targets, minlength=W)).tolist()
+        entries = seeded[order].tolist()
+        in_lists = [entries[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
 
-        def append(entry_list: list[int], target_list: list[int]) -> None:
-            nonlocal in_list, width
-            for entry, target in zip(entry_list, target_list):
-                pos = in_cnt[target]
-                if pos == width:
-                    grown = np.zeros((L, 2 * width), dtype=idx_dtype)
-                    grown[:, :width] = in_list
-                    in_list = grown
-                    width *= 2
-                in_list[target, pos] = entry
-                in_cnt[target] = pos + 1
-
+        final: dict[int, int] = {}  # entry -> last regenerated target
+        births = []
         regenerated = 0
         for k in range(1, W + 1):
-            dying = k - 1
-            cnt = in_cnt[dying]
-            if cnt:
-                cand = in_list[dying, :cnt]
-                sources = cand // d
-                live = (sources > dying) & (out_flat[cand] == dying)
-                orphans = np.sort(cand[live])  # ascending (source, slot)
-                if orphans.size:
-                    regenerated += int(orphans.size)
-                    draws = plan.take_regen(int(orphans.size))
-                    # Skip trick: draw v over the n-2 survivors other
-                    # than the orphan's own source (post-death range
-                    # [k, k+n-1)).
-                    rel = orphans // d - k
-                    new_targets = k + draws + (draws >= rel)
-                    out_flat[orphans] = new_targets
-                    append(orphans.tolist(), new_targets.tolist())
+            # Entries >= k·d belong to sources alive this round.
+            orphans = sorted(e for e in in_lists[k - 1] if e >= k * d)
+            if orphans:
+                regenerated += len(orphans)
+                # Skip trick: draw v over the n-2 survivors other than
+                # the orphan's own source (post-death range [k, k+n-1)).
+                for e, v in zip(orphans, plan.take_regen(len(orphans)).tolist()):
+                    t = k + v + (v >= e // d - k)
+                    final[e] = t
+                    if t < W:
+                        in_lists[t].append(e)
             # Birth: local n+k-1 targets local k+v.
-            birth_targets = k + plan.take_birth(1)[0]
-            row0 = (n + dying) * d
-            out_flat[row0 : row0 + d] = birth_targets
-            append(list(range(row0, row0 + d)), birth_targets.tolist())
+            births.append([k + v for v in plan.take_birth(1)[0].tolist()])
+            for e, t in enumerate(births[-1], (n + k - 1) * d):
+                if t < W:
+                    in_lists[t].append(e)
+        out_flat[n * d :] = np.array(births, dtype=np.int64).reshape(-1)
+        if final:
+            out_flat[list(final)] = list(final.values())
         return regenerated
 
     # ------------------------------------------------------------------
@@ -827,7 +828,7 @@ class ArraySlotBackend(GraphBackend):
             per-slot loop, different RNG stream consumption — this is a
             batch path, not a per-event path.
         """
-        self._ensure_in_refs()
+        in_refs = self._ensure_in_refs()
         source_ids = np.asarray(sources, dtype=np.int64)
         slot_cols = np.asarray(slot_indices, dtype=np.int64)
         count = len(source_ids)
@@ -867,7 +868,6 @@ class ArraySlotBackend(GraphBackend):
                 )
 
         in_count = self._in_count
-        in_refs = self._in_refs
         pending = np.nonzero(bounds > 0)[0]
         for _ in range(max_attempts):
             if not pending.size:
@@ -1057,23 +1057,16 @@ class ArraySlotBackend(GraphBackend):
         self._id_of[:high] = np.asarray(payload["id_of"], dtype=self._id_dtype)
         self._alive_rows[:high] = np.asarray(payload["alive_rows"], dtype=bool)
         self._free = [int(row) for row in payload["free"]]
-        # Derived indices: _row_of from the id column, _in_refs/_in_count
-        # from the slot matrix (sets carry no RNG-visible order).
+        # Derived indices: _row_of from the id column, _in_count from the
+        # slot matrix; the reverse index is snapshotted lazily, in the
+        # same row-major order as after any other batch write.
         self._row_of = {
             int(self._id_of[row]): int(row)
             for row in np.nonzero(self._alive_rows)[0]
         }
-        self._in_refs = [set() for _ in range(self._cap)]
-        self._in_refs_stale = False
-        self._in_count = np.zeros(self._cap, dtype=np.int32)
-        rows, slot_cols = np.nonzero(self._slots >= 0)
-        for row, col in zip(rows.tolist(), slot_cols.tolist()):
-            target = int(self._slots[row, col])
-            self._in_refs[target].add((int(self._id_of[row]), col))
-        if len(rows):
-            self._in_count[: self._high] = np.bincount(
-                self._slots[rows, slot_cols], minlength=self._high
-            ).astype(np.int32)[: self._high]
+        self._in_refs = None
+        targets = self._slots[self._slots >= 0]
+        self._in_count = np.bincount(targets, minlength=self._cap).astype(np.int32)
         self.alive = IndexedSet(payload["alive"])
         self._next_id = int(payload["next_id"])
         self._mutation_epoch = int(payload["mutation_epoch"])
@@ -1145,8 +1138,10 @@ class ArraySlotBackend(GraphBackend):
             on every used row;
           * free rows are fully cleared (no stale slots or reverse refs);
           * CSR degrees and the cached edge count match a recount.
+
+        Builds every row of the reverse index.
         """
-        self._ensure_in_refs()
+        in_refs = self._ensure_in_refs()
         for node_id, row in self._row_of.items():
             if self._id_of[row] != node_id:
                 raise SimulationError(f"row map corrupt for node {node_id}")
@@ -1165,19 +1160,19 @@ class ArraySlotBackend(GraphBackend):
                     raise SimulationError(
                         f"slot ({node_id},{slot_index}) points at dead row {trow}"
                     )
-                if (node_id, slot_index) not in self._in_refs[trow]:
+                if (node_id, slot_index) not in in_refs[trow]:
                     raise SimulationError(
                         f"slot ({node_id},{slot_index}) missing from in_refs"
                     )
                 target = int(self._id_of[trow])
                 pairs.add((min(node_id, target), max(node_id, target)))
         for row in range(self._high):
-            if self._in_count[row] != len(self._in_refs[row]):
+            if self._in_count[row] != len(in_refs[row]):
                 raise SimulationError(
                     f"in_count[{row}] = {self._in_count[row]} but "
-                    f"{len(self._in_refs[row])} reverse refs are registered"
+                    f"{len(in_refs[row])} reverse refs are registered"
                 )
-            for source, slot_index in self._in_refs[row]:
+            for source, slot_index in in_refs[row]:
                 srow = self._row_of.get(source)
                 if srow is None or self._slots[srow, slot_index] != row:
                     raise SimulationError(
@@ -1187,7 +1182,7 @@ class ArraySlotBackend(GraphBackend):
             if (
                 self._id_of[row] != -1
                 or self._alive_rows[row]
-                or self._in_refs[row]
+                or in_refs[row]
                 or self._in_count[row]
                 or np.any(self._slots[row] >= 0)
             ):

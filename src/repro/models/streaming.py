@@ -101,9 +101,10 @@ class StreamingNetwork(DynamicNetwork):
 
     supports_batched_advance = True
 
-    #: Per-window cap on the fused kernel's chunk size, bounding the
-    #: transient in-edge log to O(n + chunk) rows (~int32 · max in-degree
-    #: columns).  Windows larger than a chunk loop over chunks.
+    #: Per-window cap on the fused kernel's chunk size.  The kernel's
+    #: local slot matrix has n + chunk rows; its transient in-lists cover
+    #: only the chunk's dying nodes, O(chunk · d) entries on average.
+    #: Windows larger than a chunk loop over chunks.
     _FUSED_CHUNK_CAP = 262144
 
     def _window_rounds(self, target: float) -> int:

@@ -412,3 +412,124 @@ class TestFastRoundsSimulation:
             restored.network.rng.bit_generator.state
             == baseline.network.rng.bit_generator.state
         )
+
+
+def _free_slots(state, count):
+    """*count* empty ``(node, slot)`` pairs, clearing slots of the
+    newest nodes when the window left too few empty."""
+    alive = sorted(state.alive_ids())
+    pairs = [
+        (u, j)
+        for u in alive
+        for j, t in enumerate(state.out_slots_of(u))
+        if t is None
+    ][:count]
+    for u in alive[len(alive) - (count - len(pairs)) :]:
+        state.clear_slot(u, 0)
+        pairs.append((u, 0))
+    return pairs
+
+
+def _mutate(state, site, time):
+    alive = sorted(state.alive_ids())
+    if site == "assign_slots":
+        pairs = _free_slots(state, 3)
+        state.assign_slots(pairs, [alive[len(alive) // 2]] * len(pairs))
+    elif site == "clear_slot":
+        state.clear_slot(alive[-1], 1)
+    elif site == "remove_node":
+        state.remove_node(alive[0], time)
+    elif site == "add_node":
+        node = state.allocate_ids(1)[0]
+        state.add_node(node, time, 3)
+        state.assign_slots([(node, 0), (node, 1)], [alive[0], alive[3]])
+    elif site == "apply_birth_slots":
+        ids = state.allocate_ids(4)
+        targets = np.array(alive[:12], dtype=np.int64).reshape(4, 3)
+        targets[3, 0] = ids[0]  # a target among the batch's newborns
+        state.apply_birth_slots(ids, time, targets)
+    elif site == "place_slots_capped":
+        pairs = _free_slots(state, 6)
+        state.place_slots_capped(
+            [u for u, _ in pairs], [j for _, j in pairs], 4, 8, make_rng(5)
+        )
+    elif site == "grow_rows":
+        cap = state.row_capacity()
+        ids = state.allocate_ids(cap - state.num_alive() + 5)
+        state.add_nodes(ids, time, 3)
+        assert state.row_capacity() > cap
+        state.assign_slots([(ids[-1], 0), (ids[-1], 1)], [alive[0], alive[-1]])
+        state.remove_node(alive[1], time)
+
+
+MUTATION_SITES = [
+    "assign_slots",
+    "clear_slot",
+    "remove_node",
+    "add_node",
+    "apply_birth_slots",
+    "place_slots_capped",
+    "grow_rows",
+]
+
+
+class TestLazyReverseIndex:
+    """After a fused window the reverse index builds a row only when a
+    per-event operation first touches it.  Every mutation site must
+    leave the same topology and the same set iteration order as the
+    same mutation applied after building every row eagerly."""
+
+    @staticmethod
+    def _run(factory, site, eager, restore):
+        net = factory(60, 3, seed=9)
+        net.advance_to_time_batched(net.now + 80)
+        state = net.state
+        if restore:
+            # A restored index is dropped too; freeing the lowest row
+            # first lets a later birth take a row before the others.
+            state.remove_node(min(state.alive_ids()), net.now)
+            state.restore_state(state.dump_state())
+        if eager:
+            state.check_invariants()  # builds every row
+        _mutate(state, site, net.now)
+        built = len(state._in_refs)
+        state.check_invariants()
+        in_refs = [
+            list(state._in_refs[row]) for row in range(state.row_capacity())
+        ]
+        return net, built, in_refs
+
+    @pytest.mark.parametrize("restore", [False, True], ids=["window", "restore"])
+    @pytest.mark.parametrize("site", MUTATION_SITES)
+    @pytest.mark.parametrize("factory", [SDG, SDGR], ids=["SDG", "SDGR"])
+    def test_lazy_rows_match_eager_rebuild(self, factory, site, restore):
+        lazy, lazy_built, lazy_refs = self._run(factory, site, False, restore)
+        eager, _, eager_refs = self._run(factory, site, True, restore)
+        assert lazy_built < lazy.state.num_alive()  # rows stayed unbuilt
+        assert lazy_refs == eager_refs
+        assert snap_key(lazy) == snap_key(eager)
+        assert lazy.state.dump_state()["free"] == eager.state.dump_state()["free"]
+        assert lazy.state.mutation_epoch() == eager.state.mutation_epoch()
+
+    def test_restore_snapshots_rows_in_row_major_order(self):
+        from repro.core.array_backend import ArraySlotBackend
+
+        net = SDGR(60, 3, seed=9)
+        net.advance_to_time_batched(net.now + 80)
+        net.run_rounds(3)
+        payload = net.state.dump_state()
+        restored = ArraySlotBackend()
+        restored.restore_state(payload)
+        assert restored._in_refs is None  # nothing built until needed
+        # Reference: an eager rebuild inserting the slots row-major.
+        slots, id_of = payload["slots"], payload["id_of"]
+        expected = [set() for _ in range(restored.row_capacity())]
+        for row, col in np.argwhere(slots >= 0).tolist():
+            expected[slots[row, col]].add((int(id_of[row]), col))
+        restored.check_invariants()
+        assert [
+            list(restored._in_refs[row])
+            for row in range(restored.row_capacity())
+        ] == [list(refs) for refs in expected]
+        for u in net.state.alive_ids():
+            assert restored.neighbors(u) == net.state.neighbors(u)
