@@ -21,7 +21,9 @@ frontiers for the multi-source BFS balls, whose candidate stream is
 recorded and then scored in one vectorized pass (the same
 :meth:`_CSRProbe.score_recorded` the incremental plane uses), a greedy
 growth that keeps each boundary vert's count up to date in a heap, and
-batched random-set ratios; a frozen
+batched random-set and age/degree-prefix ratios (every set of a phase
+is drawn first, then all are scored in one flat-key pass,
+:meth:`~repro.core.csr.CSRView.boundary_counts`); a frozen
 :class:`~repro.core.snapshot.Snapshot` argument is converted once at
 entry.  Candidates are ordered canonically (ascending node id), ties
 break on ``(ratio, |S|, sorted ids)``, and duplicates are removed with
@@ -50,6 +52,8 @@ from repro.core.csr import (
     candidate_key,
     candidate_key_array,
     concat_ranges,
+    flat_key_dtype,
+    sorted_distinct,
 )
 from repro.core.snapshot import Snapshot
 from repro.errors import AnalysisError
@@ -61,8 +65,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 #: Hard cap for exhaustive enumeration (sum of binomials stays ~ 3M).
 EXACT_ENUMERATION_LIMIT = 22
 
-#: Sources per vectorized multi-source BFS chunk (bounds the mask buffer).
-_BALL_CHUNK = 512
+#: Sources per vectorized multi-source BFS chunk.  Each shell step's key
+#: arrays grow with it: at d = 8 (mean distinct degree about 16) a
+#: 512-source chunk gathers about 130k keys at radius 1, which overflows
+#: cache.  256 cut the ball phase of an n = 2000, ``max_size=32`` SDGR
+#: probe from 22 to 17 ms on its own (2 vCPUs, best of 30); 128 and 256
+#: tie at full range.
+_BALL_CHUNK = 256
 
 #: Byte budget of the chunked BFS ``visited`` mask: at large vert spaces
 #: the chunk shrinks so the mask never exceeds this (a (512, 2M) boolean
@@ -431,18 +440,31 @@ class _CSRProbe:
             candidates_checked=self.checked,
         )
 
-    # -- one-off candidates (random sets, age/degree prefixes) ---------
+    # -- explicit candidates (random sets, age/degree prefixes) --------
 
-    def consider_verts(self, verts: np.ndarray) -> None:
-        """Score one explicit candidate (distinct verts)."""
-        size = int(verts.size)
-        if not (self.min_size <= size <= self.max_size):
-            return
-        xor = int(np.bitwise_xor.reduce(self.view.mix[verts]))
-        if not self._register(candidate_key(size, xor)):
-            return
-        ratio = self.view.boundary_count(verts) / size
-        self.best.offer(ratio, size, lambda: self.view.ids_sorted(verts))
+    def consider_sets(self, sets: list[np.ndarray]) -> None:
+        """Score explicit candidates (each of distinct verts) in one pass.
+
+        Keys are registered in list order, so dedupe and ``checked`` are
+        those of scoring the sets one at a time; the fresh in-window
+        sets' boundaries then come from one
+        :meth:`~repro.core.csr.CSRView.boundary_counts` call.
+        """
+        view = self.view
+        fresh = []
+        for verts in sets:
+            size = int(verts.size)
+            if not (self.min_size <= size <= self.max_size):
+                continue
+            xor = int(np.bitwise_xor.reduce(view.mix[verts]))
+            if self._register(candidate_key(size, xor)):
+                fresh.append(verts)
+        for verts, boundary in zip(fresh, view.boundary_counts(fresh).tolist()):
+            self.best.offer(
+                boundary / verts.size,
+                int(verts.size),
+                lambda verts=verts: view.ids_sorted(verts),
+            )
 
     # -- multi-source BFS balls (covers singletons + neighbourhoods) ---
 
@@ -456,10 +478,13 @@ class _CSRProbe:
         beyond the BFS itself.  Sources advance in lockstep chunks over
         one shared, selectively-cleared ``visited`` mask; the chunk
         shrinks at large vert spaces so the mask stays within
-        :data:`_BALL_SCRATCH_BYTES`.  Each shell step works on flat keys
-        ``row*space + vert``: one gather builds them, one sort dedupes
-        them, and a ``searchsorted`` against the row bounds counts each
-        source's shell.
+        :data:`_BALL_SCRATCH_BYTES`; :data:`_BALL_CHUNK` says why 256.
+        Each shell step works on flat keys ``row*space + vert`` (int32
+        while they fit, see :func:`~repro.core.csr.flat_key_dtype`): one
+        gather builds them, one sort dedupes them, and a
+        ``searchsorted`` against the row bounds counts each source's
+        shell.  The radius-0 shell is the source's own CSR row, already
+        distinct, so that step skips the sort.
 
         The phase only *records* the candidate stream (into
         :attr:`recorder`); :meth:`score_recorded` scores it afterwards.
@@ -492,7 +517,8 @@ class _CSRProbe:
         indptr, indices, mixv = view.indptr, view.indices, view.mix
         recorder = self.recorder
         count = src_verts.size
-        row_bounds = np.arange(count + 1, dtype=np.int64) * space
+        row_bounds = np.arange(count + 1, dtype=flat_key_dtype(count, space))
+        row_bounds *= space
 
         frontier_base = row_bounds[:-1]
         frontier_vert = src_verts
@@ -513,18 +539,19 @@ class _CSRProbe:
 
         while frontier_vert.size:
             # Next shell: unvisited distinct neighbours, per source, as
-            # sorted flat keys row*space + vert.
+            # flat keys row*space + vert (sorted from radius 1 on).
             starts = indptr[frontier_vert]
             degrees = indptr[frontier_vert + 1] - starts
             keys = np.repeat(frontier_base, degrees)
             keys += indices[concat_ranges(starts, degrees)]
             keys = keys[~visited[keys]]
-            keys.sort()  # sort-based dedupe (np.unique's hash is slower)
-            if keys.size:
-                distinct = np.empty(keys.size, dtype=bool)
-                distinct[0] = True
-                np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
-                keys = keys[distinct]
+            if radius:
+                keys = sorted_distinct(keys)
+            # At radius 0 each row's shell is its source's own CSR row,
+            # already distinct by the CSRView contract, so the visited
+            # filter alone yields it.  Its keys are unsorted within a row,
+            # but rows come in ascending order, so ``key < row bound`` is
+            # still monotone along the array and the row search holds.
             row_start = np.searchsorted(keys, row_bounds)
             shell_count = np.diff(row_start)
 
@@ -558,7 +585,7 @@ class _CSRProbe:
                 keys = keys[concat_ranges(row_start[kept_rows], kept_count)]
             visited[keys] = True
             marks.append(keys)
-            frontier_base = np.repeat(kept_rows * space, kept_count)
+            frontier_base = np.repeat(row_bounds[kept_rows], kept_count)
             frontier_vert = keys - frontier_base
             # Kept rows' shells are contiguous, non-empty runs of keys.
             run_start = np.zeros(kept_rows.size, dtype=np.int64)
@@ -727,13 +754,19 @@ class _CSRProbe:
 
     def random_phase(self, rng: np.random.Generator, count: int) -> None:
         """Uniformly random sets (index draws over the ascending-id node
-        order, so RNG consumption is backend-independent)."""
+        order, so RNG consumption is backend-independent).
+
+        Every set is drawn first, with the same generator calls in the
+        same order as drawing and scoring them one by one, and then the
+        whole batch is scored in one pass.
+        """
         view = self.view
         n = view.n
+        sets = []
         for _ in range(count):
             size = int(rng.integers(self.min_size, self.max_size + 1))
-            chosen = rng.choice(n, size=size, replace=False)
-            self.consider_verts(view.alive_verts[chosen])
+            sets.append(view.alive_verts[rng.choice(n, size=size, replace=False)])
+        self.consider_sets(sets)
 
     # -- age/degree extreme prefixes (large-set portfolio) -------------
 
@@ -742,7 +775,7 @@ class _CSRProbe:
         ages = view.time - view.birth[view.alive_verts]
         by_age = view.alive_verts[np.lexsort((view.ids, ages))]
         by_degree = view.alive_verts[np.lexsort((view.ids, view.degrees))]
+        sets = []
         for size in sizes:
-            self.consider_verts(by_age[:size])  # youngest
-            self.consider_verts(by_age[-size:])  # oldest
-            self.consider_verts(by_degree[:size])
+            sets += [by_age[:size], by_age[-size:], by_degree[:size]]
+        self.consider_sets(sets)  # youngest, oldest, lowest degree

@@ -1,0 +1,178 @@
+"""Chunking and key-width invariance of the expansion probe, and the
+batched boundary scorer :meth:`CSRView.boundary_counts`.
+
+The golden views (``tests/test_expansion_golden.py``) have 240 nodes, so
+their ball phase runs as one chunk with int32 flat keys.  Here 600-node
+SDGR views (on the default int64 CSR, on the compact int32 CSR, and
+converted from a snapshot, whose CSR rows are unsorted) run the cold probe with the ball chunk shrunk to 7 and to 64 and,
+separately, with the int64 key fallback forced.  The probe result, the
+``seen`` keys and ``checked`` must equal the default run's, and so must
+the recorded ball stream once sorted by ``(root, radius)`` (chunking
+changes only the order it is recorded in).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.analysis import expansion
+from repro.analysis.expansion import _CSRProbe, large_set_expansion_probe
+from repro.core import csr
+from repro.core.array_backend import ArraySlotBackend
+from repro.core.csr import csr_view_from_snapshot, flat_key_dtype
+from repro.models import SDGR
+from repro.util.rng import make_rng
+from tests.conftest import snapshot_from_edges
+
+N = 600
+WINDOWS = ((1, 32), (1, None), (20, 40))
+VARIANTS = ("chunk-7", "chunk-64", "int64-keys")
+
+
+@pytest.fixture(scope="module", params=["int64-csr", "compact-csr", "snapshot"])
+def view(request):
+    compact = request.param == "compact-csr"
+    network = SDGR(n=N, d=8, seed=7, backend=ArraySlotBackend(compact_csr=compact))
+    network.run_rounds(6)
+    if request.param == "snapshot":
+        return csr_view_from_snapshot(network.snapshot())
+    return network.state.csr_view(network.now)
+
+
+def _cold_probe(view, window) -> tuple:
+    """Everything a cold probe leaves behind, recorder stream in
+    ``(root, radius)`` order."""
+    lo, hi = window
+    hi = view.n // 2 if hi is None else min(hi, view.n // 2)
+    probe = _CSRProbe(view, lo, hi)
+    probe.ball_phase()
+    roots, radii = probe.recorder.roots()
+    entries = probe.recorder.entries()
+    probe.score_recorded(*entries)
+    probe.greedy_phase(8)
+    probe.random_phase(make_rng(3), 25)
+    by_root = np.argsort(roots, kind="stable")
+    by_root_radius = np.lexsort((entries[1], entries[0]))
+    return (
+        probe.result(),
+        sorted(probe.seen),
+        probe.checked,
+        roots[by_root].tolist(),
+        radii[by_root].tolist(),
+        [array[by_root_radius].tolist() for array in entries],
+        large_set_expansion_probe(view, lo, hi, seed=3, num_random_sets=25),
+    )
+
+
+def _apply(variant: str, monkeypatch) -> None:
+    if variant == "int64-keys":
+        monkeypatch.setattr(csr, "_INT32_KEYS_BELOW", 0)
+    else:
+        monkeypatch.setattr(expansion, "_BALL_CHUNK", int(variant.split("-")[1]))
+
+
+def test_default_run_is_chunked_with_int32_keys(view):
+    assert view.n > expansion._BALL_CHUNK
+    assert flat_key_dtype(expansion._BALL_CHUNK, view.space) == np.int32
+
+
+@pytest.mark.parametrize("window", WINDOWS, ids=str)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_probe_invariant_to_chunk_and_key_width(view, window, variant, monkeypatch):
+    default = _cold_probe(view, window)
+    _apply(variant, monkeypatch)
+    assert _cold_probe(view, window) == default
+
+
+def test_int64_fallback_really_widens(monkeypatch):
+    monkeypatch.setattr(csr, "_INT32_KEYS_BELOW", 0)
+    assert flat_key_dtype(1, 1) == np.int64
+
+
+def test_int32_limit_counts_the_top_row_bound():
+    space = 1 << 20
+    assert flat_key_dtype((1 << 11) - 2, space) == np.int32
+    assert flat_key_dtype((1 << 11) - 1, space) == np.int64
+
+
+# ----------------------------------------------------------------------
+# CSRView.boundary_counts
+# ----------------------------------------------------------------------
+
+
+def _reference(snapshot, view, sets) -> list[int]:
+    return [
+        len(snapshot.outer_boundary(view.vert_ids[verts].tolist())) for verts in sets
+    ]
+
+
+def _check(snapshot, view, sets) -> None:
+    batched = view.boundary_counts(sets)
+    assert batched.dtype == np.int64
+    assert batched.tolist() == [view.boundary_count(verts) for verts in sets]
+    assert batched.tolist() == _reference(snapshot, view, sets)
+
+
+def _crafted():
+    """Two triangles joined by an edge, a pendant path, and isolated 9, 10."""
+    edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5), (6, 7), (7, 8)]
+    snapshot = snapshot_from_edges(11, edges)
+    return snapshot, csr_view_from_snapshot(snapshot)
+
+
+def test_boundary_counts_on_crafted_sets():
+    snapshot, view = _crafted()
+    sets = [
+        view.verts_for([9]),  # isolated singleton
+        view.verts_for([9, 10]),  # isolated members only
+        view.verts_for([9, 2]),  # an isolated member beside a cut vertex
+        view.verts_for([3]),  # singleton
+        view.verts_for([6, 7, 8]),  # a whole component: empty boundary
+        view.verts_for([0, 1, 2, 3, 4, 5]),  # the other component
+        view.verts_for([2, 0]),  # unsorted members
+        view.verts_for([]),  # the empty set
+        view.verts_for([7]),
+    ]
+    _check(snapshot, view, sets)
+    assert view.boundary_counts(sets).tolist() == [0, 0, 3, 3, 0, 0, 2, 0, 2]
+
+
+def test_boundary_counts_of_no_sets():
+    _, view = _crafted()
+    assert view.boundary_counts([]).tolist() == []
+
+
+@pytest.fixture(scope="module")
+def snapshot_view():
+    """A seeded SDGR snapshot and its converted view (unsorted CSR rows)."""
+    network = SDGR(n=300, d=4, seed=5, backend="array")
+    network.run_rounds(4)
+    snapshot = network.snapshot()
+    view = csr_view_from_snapshot(snapshot)
+    rows = [view.neighbors_of_vert(v) for v in range(view.space)]
+    assert any((np.diff(row) < 0).any() for row in rows)
+    return snapshot, view
+
+
+def _random_sets(view, count: int, seed: int) -> list[np.ndarray]:
+    rng = make_rng(seed)
+    sizes = rng.integers(1, view.n // 2, size=count)
+    return [view.alive_verts[rng.choice(view.n, size=s, replace=False)] for s in sizes]
+
+
+def test_boundary_counts_on_snapshot_view(snapshot_view):
+    snapshot, view = snapshot_view
+    _check(snapshot, view, _random_sets(view, 40, seed=1))
+
+
+@pytest.mark.parametrize("limit", ["int64-keys", "batch-of-50"])
+def test_boundary_counts_batching_and_key_width(snapshot_view, limit, monkeypatch):
+    snapshot, view = snapshot_view
+    sets = _random_sets(view, 40, seed=2)
+    expected = _reference(snapshot, view, sets)
+    if limit == "int64-keys":
+        monkeypatch.setattr(csr, "_INT32_KEYS_BELOW", 0)
+    else:
+        monkeypatch.setattr(csr, "_BOUNDARY_BATCH_MEMBERS", 50)
+    assert view.boundary_counts(sets).tolist() == expected
