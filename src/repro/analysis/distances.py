@@ -33,7 +33,7 @@ def _bfs_levels(view: CSRView, source_vert: int) -> np.ndarray:
     frontier = np.asarray([source_vert], dtype=np.int64)
     level = 0
     while frontier.size:
-        flat, _ = view.gather_neighbors(frontier)
+        flat = view.gather_neighbors(frontier)
         if flat.size == 0:
             break
         flat = np.unique(flat)

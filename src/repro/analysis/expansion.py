@@ -16,9 +16,12 @@ so the module offers three tools:
   age-extreme sets (oldest-k, youngest-k) that are the natural worst cases
   in models without regeneration.
 
-Both probes run on a :class:`~repro.core.csr.CSRView` — flat-key mask
-frontiers for the multi-source BFS balls, whose candidate stream is
-recorded and then scored in one vectorized pass (the same
+Both probes run on a :class:`~repro.core.csr.CSRView` — multi-source
+BFS balls from one of two kernels (flat-key mask frontiers, whose cost
+follows the sources and the window, or bitset levels that grow every
+vert's ball at once, whose cost follows the view; a cost model picks
+one per call, see :meth:`_CSRProbe.ball_phase`), whose candidate stream
+is recorded and then scored in one vectorized pass (the same
 :meth:`_CSRProbe.score_recorded` the incremental plane uses), a greedy
 growth that keeps each boundary vert's count up to date in a heap, and
 batched random-set and age/degree-prefix ratios (every set of a phase
@@ -40,6 +43,7 @@ upper bound on ``h_out``.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Iterable
@@ -101,6 +105,181 @@ def _drop_ball_scratch() -> None:
     """Discard the shared mask (it may hold stale bits after an error)."""
     global _ball_visited
     _ball_visited = None
+
+
+#: Byte budget of one block of the bitset kernel's ball-XOR lookups
+#: (:meth:`_BitsetBalls.level_xors`): pending balls are keyed this many
+#: lookup bytes at a time (at least one ball per block).
+_BITSET_BLOCK_BYTES = 1 << 20
+
+
+def _bitset_working_set(n: int, nnz: int, space: int) -> int:
+    """Peak bytes the bitset kernel allocates on a view of *n* alive
+    verts, *nnz* arcs and *space* verts: the level, the byte table, one
+    word row's gather and reduction, the XOR lookup blocks, and the
+    compact CSR with its set-up temporaries."""
+    words = (n + 63) >> 6
+    return (
+        8 * words * n
+        + 16384 * words
+        + 48 * nnz
+        + 128 * n
+        + 8 * space
+        + 3 * _BITSET_BLOCK_BYTES
+    )
+
+
+#: Cost model of :func:`_choose_ball_kernel`: seconds per flat key
+#: gathered, per bitset word touched, and the bitset kernel's set-up.
+#: Fitted (non-negative least squares on relative error) to 156 timed
+#: ball phases on SDGR, SDG, PDG and PDGR views: d = 2 to 8, n = 300 to
+#: 1e4, windows [1, 1], [1, 32], [1, 150-300] and the full range, with
+#: all, a tenth and a hundredth of the alive verts as sources (2 vCPUs,
+#: NumPy 2.4).  Over the 147 phases timed on both kernels, picking by
+#: the model took 5 ms longer in total than always picking the faster.
+_FLAT_KEY_SECONDS = 2.1e-8
+_BITSET_WORD_SECONDS = 5.1e-9
+_BITSET_SETUP_SECONDS = 2.0e-4
+
+
+def _choose_ball_kernel(view: CSRView, sources: int, max_size: int) -> str:
+    """``"bitset"`` or ``"flat-key"``: the kernel :meth:`_CSRProbe.ball_phase`
+    runs, from the view's size, the source count and the size window.
+
+    The bitset kernel is used only when its working set fits
+    :data:`_BALL_SCRATCH_BYTES` and the cost model expects it to win.
+    Both kernels record the same stream, so the choice never changes a
+    result.  A ball of ``d``-regular growth outgrows the window after
+    about ``steps = log(max_size) / log(d)`` radii.  The flat-key kernel
+    gathers about ``max_size * d`` keys per source, plus a per-step
+    overhead worth about 20 keys; the bitset kernel touches
+    ``ceil(n / 64)`` words per vert and arc at each step, plus
+    ``8 * ceil(n / 64)`` byte-table lookups per source and radius from
+    2 on.
+    """
+    n = view.n
+    nnz = int(view.degrees.sum())
+    if n < 2 or nnz == 0:
+        return "flat-key"
+    if _bitset_working_set(n, nnz, view.space) > _BALL_SCRATCH_BYTES:
+        return "flat-key"
+    mean_degree = nnz / n
+    reach = min(max_size, n)
+    steps = math.log(reach) / math.log(max(mean_degree, 1.5)) if reach > 1 else 0.0
+    words = (n + 63) >> 6
+    flat = _FLAT_KEY_SECONDS * sources * (reach * mean_degree + 20 * (steps + 1))
+    bitset = _BITSET_SETUP_SECONDS + _BITSET_WORD_SECONDS * words * (
+        steps * (nnz + n) + 8 * sources * max(steps - 1, 0.0)
+    )
+    return "bitset" if bitset < flat else "flat-key"
+
+
+class _BitsetBalls:
+    """Every alive vert's BFS ball as a bitset, one radius at a time.
+
+    Verts are renumbered to their positions in :attr:`CSRView.alive_verts`
+    (``0 .. n-1``), so dead rows cost nothing.  The level is stored
+    word-major, ``(ceil(n/64), n)`` little-endian uint64: column ``v``
+    holds ``B_r(v)``, word row ``w`` its members ``64w .. 64w+63``.  A
+    level step ``B_{r+1}(v) = B_r(v) | OR_{u in N(v)} B_r(u)`` reads
+    and writes each word row on its own, so it runs in place, one
+    contiguous row at a time: a gather of the row's neighbour words and
+    a ``bitwise_or.reduceat`` over the CSR rows.  Ball sizes are column
+    popcounts.  (Blocks of several word rows gathered and reduced at
+    once ran about 10 % slower than single rows on SDGR d = 8 and SDG
+    d = 2 views at n = 2000.)
+    """
+
+    def __init__(self, view: CSRView) -> None:
+        alive = view.alive_verts
+        n = alive.size
+        self.n = n
+        self.words = (n + 63) >> 6
+        self.pos = np.zeros(view.space, dtype=np.int64)
+        self.pos[alive] = np.arange(n, dtype=np.int64)
+        self.degrees = view.degrees
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self.degrees, out=self.indptr[1:])
+        self.indices = self.pos[view.gather_neighbors(alive)]
+        self.mix = view.mix[alive]
+        # reduceat reads an empty row as its next element: reduce over
+        # the verts with neighbours only.
+        self.linked = np.nonzero(self.degrees)[0]
+        self.starts = self.indptr[self.linked]
+        self.isolated = self.linked.size < n
+        self.level: np.ndarray | None = None
+        self._table: np.ndarray | None = None
+
+    def first_level(self) -> None:
+        """Set the level to ``B_1``: each vert and its CSR row."""
+        n = self.n
+        level = np.zeros((self.words, n), dtype="<u8")
+        flat = level.reshape(-1)
+        verts = np.arange(n, dtype=np.int64)
+        owners = np.repeat(verts, self.degrees)
+        members = np.concatenate([verts, self.indices])
+        np.bitwise_or.at(
+            flat,
+            (members >> 6) * n + np.concatenate([verts, owners]),
+            np.left_shift(np.uint64(1), (members & 63).astype(np.uint64)),
+        )
+        self.level = level
+
+    def advance(self, cols: np.ndarray) -> np.ndarray:
+        """Advance the level one radius; the new ball sizes of *cols*."""
+        sizes = np.zeros(cols.size, dtype=np.int64)
+        for row in self.level:
+            reach = np.bitwise_or.reduceat(row[self.indices], self.starts)
+            if self.isolated:
+                row[self.linked] |= reach
+            else:
+                row |= reach
+            sizes += np.bitwise_count(row[cols])
+        return sizes
+
+    def closed_row_xors(self, cols: np.ndarray) -> np.ndarray:
+        """XOR of ``mix`` over ``B_1`` of each of *cols*."""
+        out = self.mix[cols].copy()
+        has = np.nonzero(self.degrees[cols])[0]
+        if has.size:
+            # reduceat reads an empty row as its next element: skip them.
+            counts = self.degrees[cols[has]]
+            rows = concat_ranges(self.indptr[cols[has]], counts)
+            run_start = np.zeros(has.size, dtype=np.int64)
+            np.cumsum(counts[:-1], out=run_start[1:])
+            out[has] ^= np.bitwise_xor.reduceat(self.mix[self.indices[rows]], run_start)
+        return out
+
+    def level_xors(self, cols: np.ndarray) -> np.ndarray:
+        """XOR of ``mix`` over the current level's balls of *cols*.
+
+        ``table[j, p]`` holds the XOR of ``mix[8j + i]`` over the bits
+        ``i`` set in the byte value ``p``, so a ball's XOR is one lookup
+        per byte of its bitset and an XOR-reduce.
+        """
+        if cols.size == 0:
+            return np.empty(0, dtype=np.uint64)
+        if self._table is None:
+            nbytes = 8 * self.words
+            mix = np.zeros(8 * nbytes, dtype=np.uint64)
+            mix[: self.n] = self.mix
+            mix = mix.reshape(nbytes, 8)
+            table = np.zeros((nbytes, 256), dtype=np.uint64)
+            for bit in range(8):
+                width = 1 << bit
+                table[:, width : 2 * width] = table[:, :width] ^ mix[:, bit, None]
+            self._table = table
+        table = self._table
+        nbytes = table.shape[0]
+        base = np.arange(nbytes, dtype=np.int64) * 256
+        flat_table = table.reshape(-1)
+        out = np.empty(cols.size, dtype=np.uint64)
+        rows = max(1, _BITSET_BLOCK_BYTES // (8 * nbytes))
+        for c0 in range(0, cols.size, rows):
+            balls = np.ascontiguousarray(self.level[:, cols[c0 : c0 + rows]].T)
+            lookup = flat_table[base + balls.view(np.uint8)]
+            out[c0 : c0 + rows] = np.bitwise_xor.reduce(lookup, axis=1)
+        return out
 
 
 @dataclass(frozen=True)
@@ -247,6 +426,7 @@ def adversarial_expansion_upper_bound(
     if max_size is None:
         max_size = n // 2
     max_size = min(max_size, n // 2)
+    min_size = max(1, min_size)
     if min_size > max_size:
         raise AnalysisError(f"empty size window [{min_size}, {max_size}]")
     rng = make_rng(seed)
@@ -421,6 +601,8 @@ class _CSRProbe:
         # score_recorded() later adds its deduplicated keys to `seen`, so
         # the greedy/random phases skip every ball they re-find.
         self.recorder = BallRecorder() if recorder is None else recorder
+        # Which kernel the last ball_phase() ran (diagnostics only).
+        self.ball_kernel: str | None = None
 
     def _register(self, key: int) -> bool:
         """Dedupe one candidate key; True when it is fresh (and counted)."""
@@ -469,26 +651,47 @@ class _CSRProbe:
     # -- multi-source BFS balls (covers singletons + neighbourhoods) ---
 
     def ball_phase(self, sources: np.ndarray | None = None) -> None:
-        """Balls of every radius around every node, via mask frontiers.
+        """Balls of every radius around every node.
 
         Covers portfolio phases 1+2: the radius-0 ball is the
-        singleton, radius 1 the closed neighbourhood.  Each
-        ball ``B_r`` is scored with ``|∂B_r| = |shell_{r+1}|`` — the next
-        BFS shell *is* the outer boundary — so scoring costs nothing
-        beyond the BFS itself.  Sources advance in lockstep chunks over
-        one shared, selectively-cleared ``visited`` mask; the chunk
-        shrinks at large vert spaces so the mask stays within
-        :data:`_BALL_SCRATCH_BYTES`; :data:`_BALL_CHUNK` says why 256.
-        Each shell step works on flat keys ``row*space + vert`` (int32
-        while they fit, see :func:`~repro.core.csr.flat_key_dtype`): one
-        gather builds them, one sort dedupes them, and a
-        ``searchsorted`` against the row bounds counts each source's
-        shell.  The radius-0 shell is the source's own CSR row, already
-        distinct, so that step skips the sort.
+        singleton, radius 1 the closed neighbourhood.  Each ball ``B_r``
+        is scored with ``|∂B_r| = |shell_{r+1}|`` — the next BFS shell
+        *is* the outer boundary — so scoring costs nothing beyond the
+        BFS itself.  Every source runs the same state machine: its ball
+        is recorded while its size lies in the window, and it stops
+        growing once the ball reaches ``max_size`` (one more shell
+        scores a ball of exactly that size).
+
+        Two kernels compute the shells; :func:`_choose_ball_kernel`
+        picks one from the view's size, the source count and the window,
+        and :attr:`ball_kernel` says which ran:
+
+        * ``"flat-key"`` — sources advance in lockstep chunks over one
+          shared, selectively-cleared ``visited`` mask; the chunk
+          shrinks at large vert spaces so the mask stays within
+          :data:`_BALL_SCRATCH_BYTES`; :data:`_BALL_CHUNK` says why 256.
+          Each shell step works on flat keys ``row*space + vert`` (int32
+          while they fit, see :func:`~repro.core.csr.flat_key_dtype`):
+          one gather builds them, one sort dedupes them, and a
+          ``searchsorted`` against the row bounds counts each source's
+          shell.  The radius-0 shell is the source's own CSR row,
+          already distinct, so that step skips the sort.  Its cost
+          grows with the sources and the window, not the view, so it
+          serves large views, small windows on small views, and the
+          incremental plane's few invalidated roots.
+        * ``"bitset"`` — every alive vert's ball is a bitset row
+          (:class:`_BitsetBalls`), and one OR-reduce over the CSR per
+          radius grows them all; shell sizes are popcount differences.
+          It needs no sort and no per-root mask, but a level costs
+          ``n**2 / 8`` bytes, so it runs only where that fits
+          :data:`_BALL_SCRATCH_BYTES`.
 
         The phase only *records* the candidate stream (into
-        :attr:`recorder`); :meth:`score_recorded` scores it afterwards.
-        Chunking cannot change results: dedupe keys and the tie-break are
+        :attr:`recorder`), in the same order under either kernel:
+        chunk by chunk of ``min(_BALL_CHUNK, sources, budget rows)``
+        sources, each chunk radius by radius, then the chunk's roots.
+        :meth:`score_recorded` scores it afterwards.  Chunking cannot
+        change results: dedupe keys and the tie-break are
         evaluation-order independent.
 
         *sources* defaults to every alive vert; the incremental plane
@@ -502,14 +705,82 @@ class _CSRProbe:
         space = max(view.space, 1)
         budget_rows = max(_BALL_SCRATCH_BYTES // space, 16)
         chunk = int(min(_BALL_CHUNK, sources.size, budget_rows))
-        visited = _ball_scratch(chunk, view.space)
+        self.ball_kernel = _choose_ball_kernel(view, sources.size, self.max_size)
         try:
+            if self.ball_kernel == "bitset":
+                self._ball_bitset(sources, chunk)
+                return
+            visited = _ball_scratch(chunk, view.space)
             for start in range(0, sources.size, chunk):
                 self._ball_chunk(sources[start : start + chunk], visited)
         except BaseException:
             # The mask may hold uncleared bits mid-sweep; never reuse it.
             _drop_ball_scratch()
             raise
+
+    def _ball_bitset(self, sources: np.ndarray, chunk: int) -> None:
+        """The bitset kernel: :meth:`_ball_chunk`'s state machine run on
+        every source at once, its stream emitted in chunk order."""
+        view = self.view
+        balls = _BitsetBalls(view)
+        cols = balls.pos[sources]
+        count = sources.size
+        ball_size = np.ones(count, dtype=np.int64)
+        pend_active = np.full(count, self.min_size <= 1 <= self.max_size)
+        grow = np.full(count, 1 < self.max_size)
+        kept_radius = np.zeros(count, dtype=np.int64)
+        steps = []  # per radius: (pending rows, sizes, xors, ratios)
+        radius = 0
+        while True:
+            pending = np.nonzero(pend_active)[0]
+            # The pending balls are B_radius: key them before the level
+            # moves on.
+            if radius == 0:
+                xors = balls.mix[cols[pending]]
+                shell_count = balls.degrees[cols]
+            else:
+                if radius == 1:
+                    xors = balls.closed_row_xors(cols[pending])
+                    balls.first_level()
+                else:
+                    xors = balls.level_xors(cols[pending])
+                shell_count = balls.advance(cols) - ball_size
+            steps.append(
+                (
+                    pending,
+                    ball_size[pending],
+                    xors,
+                    shell_count[pending] / ball_size[pending],
+                )
+            )
+            growing = grow & (shell_count > 0)
+            new_size = ball_size + shell_count
+            pend_active = growing & (new_size >= self.min_size) & (
+                new_size <= self.max_size
+            )
+            grow = growing & (new_size < self.max_size)
+            keep = pend_active | grow
+            if not keep.any():
+                break
+            ball_size = np.where(keep, new_size, ball_size)
+            radius += 1
+            kept_radius[keep] = radius
+
+        recorder = self.recorder
+        root_ids = view.vert_ids[sources]
+        for start in range(0, count, chunk):
+            stop = start + chunk
+            for step, (pending, sizes, xors, ratios) in enumerate(steps):
+                lo, hi = np.searchsorted(pending, (start, stop))
+                if lo < hi:
+                    recorder.add_entries(
+                        root_ids[pending[lo:hi]],
+                        np.full(hi - lo, step, dtype=np.int64),
+                        sizes[lo:hi],
+                        xors[lo:hi],
+                        ratios[lo:hi],
+                    )
+            recorder.add_roots(root_ids[start:stop], kept_radius[start:stop])
 
     def _ball_chunk(self, src_verts: np.ndarray, visited: np.ndarray) -> None:
         view = self.view

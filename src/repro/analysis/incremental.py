@@ -63,7 +63,10 @@ class ProbeCache:
 
     Use one cache per (backend, portfolio-parameter) combination and
     call :meth:`probe` once per observation window.  ``last_stats``
-    reports the replay/recompute split of the most recent probe.
+    reports the replay/recompute split of the most recent probe and,
+    under ``"ball_kernel"``, which ball kernel recomputed the fresh
+    roots (``None`` when every root replayed); it is a diagnostic and
+    never part of a probe's result.
     """
 
     def __init__(
@@ -79,7 +82,7 @@ class ProbeCache:
         self.greedy_restarts = int(greedy_restarts)
         self.min_size = int(min_size)
         self.max_size = None if max_size is None else int(max_size)
-        self.last_stats: dict[str, int] = {}
+        self.last_stats: dict[str, int | str | None] = {}
         backend.track_mutations()
         # Drain anything recorded before this cache existed: the first
         # probe is cold regardless.
@@ -148,7 +151,7 @@ class ProbeCache:
         dist[frontier] = 0
         level = 0
         while frontier.size and level < r_max:
-            flat, _ = view.gather_neighbors(frontier)
+            flat = view.gather_neighbors(frontier)
             if flat.size == 0:
                 break
             flat = np.unique(flat)
@@ -241,5 +244,6 @@ class ProbeCache:
             "dirty": len(dirty),
             "replayed": int(valid_roots.size),
             "recomputed": int(fresh_ids.size),
+            "ball_kernel": probe.ball_kernel,
         }
         return result

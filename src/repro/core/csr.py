@@ -269,18 +269,11 @@ class CSRView:
     # bulk sweeps
     # ------------------------------------------------------------------
 
-    def gather_neighbors(
-        self, verts: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened neighbour verts of *verts* plus their owner positions.
-
-        Returns ``(flat, owner_pos)`` where ``flat[k]`` is a neighbour of
-        ``verts[owner_pos[k]]``; owner positions are non-decreasing.
-        """
+    def gather_neighbors(self, verts: np.ndarray) -> np.ndarray:
+        """Flattened neighbour verts of *verts*, row after row (with
+        repeats where rows share a neighbour)."""
         counts = self.degrees_of_verts(verts)
-        owner_pos = np.repeat(np.arange(verts.size, dtype=np.int64), counts)
-        flat = self.indices[concat_ranges(self.indptr[verts], counts)]
-        return flat, owner_pos
+        return self.indices[concat_ranges(self.indptr[verts], counts)]
 
     def boundary_count(self, member_verts: np.ndarray) -> int:
         """``|∂out(S)|`` of the distinct vert set *member_verts*."""

@@ -91,6 +91,15 @@ class TestAdversarial:
         with pytest.raises(AnalysisError):
             adversarial_expansion_upper_bound(cycle_snapshot(10), min_size=9, max_size=2)
 
+    def test_zero_min_size_is_clamped_to_one(self):
+        """No set is empty: a window from 0 probes the same sets as from 1."""
+        net = SDGR(n=60, d=4, seed=1)
+        net.run_rounds(3)
+        view = net.state.csr_view(net.now)
+        assert adversarial_expansion_upper_bound(
+            view, seed=1, min_size=0, max_size=3
+        ) == adversarial_expansion_upper_bound(view, seed=1, min_size=1, max_size=3)
+
     def test_static_d3_graph_expands(self):
         """Lemma B.1: static 3-out graphs expand; probe stays above 0.1."""
         snap = static_d_out_snapshot(300, 3, seed=5)

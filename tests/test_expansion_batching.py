@@ -9,25 +9,41 @@ separately, with the int64 key fallback forced.  The probe result, the
 ``seen`` keys and ``checked`` must equal the default run's, and so must
 the recorded ball stream once sorted by ``(root, radius)`` (chunking
 changes only the order it is recorded in).
+
+The ball phase has two kernels, flat-key shells and bitset levels
+(:func:`~repro.analysis.expansion._choose_ball_kernel` picks one).  The
+variants ``flat-key``, ``bitset`` and ``bitset-blocks`` (bitset with a
+one-ball XOR lookup block) force one; forced runs must also match each
+other *unsorted*, on these views, on the 30 golden cases, and through a
+:class:`ProbeCache` over churn windows.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.analysis import expansion
-from repro.analysis.expansion import _CSRProbe, large_set_expansion_probe
+from repro.analysis.expansion import (
+    _CSRProbe,
+    adversarial_expansion_upper_bound,
+    large_set_expansion_probe,
+)
+from repro.analysis.incremental import ProbeCache
 from repro.core import csr
 from repro.core.array_backend import ArraySlotBackend
 from repro.core.csr import csr_view_from_snapshot, flat_key_dtype
 from repro.models import SDGR
 from repro.util.rng import make_rng
+from tests import test_expansion_golden as golden
 from tests.conftest import snapshot_from_edges
 
 N = 600
-WINDOWS = ((1, 32), (1, None), (20, 40))
-VARIANTS = ("chunk-7", "chunk-64", "int64-keys")
+WINDOWS = ((1, 32), (1, None), (20, 40), (1, 1))
+KERNELS = ("flat-key", "bitset", "bitset-blocks")
+VARIANTS = ("chunk-7", "chunk-64", "int64-keys") + KERNELS
 
 
 @pytest.fixture(scope="module", params=["int64-csr", "compact-csr", "snapshot"])
@@ -65,9 +81,21 @@ def _cold_probe(view, window) -> tuple:
     )
 
 
+def _force(kernel: str, monkeypatch) -> None:
+    """Make every ball phase run *kernel* (a :data:`KERNELS` entry)."""
+    if kernel == "bitset-blocks":
+        monkeypatch.setattr(expansion, "_BITSET_BLOCK_BYTES", 1)
+    name = kernel.removesuffix("-blocks")
+    monkeypatch.setattr(
+        expansion, "_choose_ball_kernel", lambda view, sources, max_size: name
+    )
+
+
 def _apply(variant: str, monkeypatch) -> None:
     if variant == "int64-keys":
         monkeypatch.setattr(csr, "_INT32_KEYS_BELOW", 0)
+    elif variant in KERNELS:
+        _force(variant, monkeypatch)
     else:
         monkeypatch.setattr(expansion, "_BALL_CHUNK", int(variant.split("-")[1]))
 
@@ -94,6 +122,127 @@ def test_int32_limit_counts_the_top_row_bound():
     space = 1 << 20
     assert flat_key_dtype((1 << 11) - 2, space) == np.int32
     assert flat_key_dtype((1 << 11) - 1, space) == np.int64
+
+
+# ----------------------------------------------------------------------
+# the two ball kernels
+# ----------------------------------------------------------------------
+
+
+def _raw_probe(view, window) -> tuple[str, tuple]:
+    """The kernel a cold probe ran, and its result, ``seen`` keys,
+    ``checked`` and raw recorder stream (recording order, dtypes kept)."""
+    lo, hi = window
+    hi = view.n // 2 if hi is None else min(hi, view.n // 2)
+    probe = _CSRProbe(view, lo, hi)
+    probe.ball_phase()
+    roots, radii = probe.recorder.roots()
+    entries = probe.recorder.entries()
+    stream = [(array.dtype.str, array.tobytes()) for array in (roots, radii, *entries)]
+    probe.score_recorded(*entries)
+    probe.greedy_phase(8)
+    probe.random_phase(make_rng(3), 25)
+    return probe.ball_kernel, (
+        probe.result(),
+        sorted(probe.seen),
+        probe.checked,
+        stream,
+    )
+
+
+@pytest.mark.parametrize("window", WINDOWS, ids=str)
+def test_kernels_record_identical_streams(view, window, monkeypatch):
+    runs = {}
+    for kernel in KERNELS:
+        with monkeypatch.context() as patch:
+            _force(kernel, patch)
+            ran, runs[kernel] = _raw_probe(view, window)
+        assert ran == kernel.removesuffix("-blocks")
+    assert runs["bitset"] == runs["flat-key"]
+    assert runs["bitset-blocks"] == runs["flat-key"]
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize(
+    "case", golden.CASES, ids=[f"{v}-{w[0]}-{w[1]}-s{s}" for v, w, s in golden.CASES]
+)
+def test_golden_digests_under_each_kernel(case, kernel, monkeypatch):
+    _force(kernel, monkeypatch)
+    chosen = []
+    forced = expansion._choose_ball_kernel
+    monkeypatch.setattr(
+        expansion,
+        "_choose_ball_kernel",
+        lambda *args: chosen.append(forced(*args)) or chosen[-1],
+    )
+    assert golden.compute(*case) == golden.GOLDEN[case]
+    assert set(chosen) == {kernel.removesuffix("-blocks")}
+
+
+def test_probe_cache_windows_agree_across_kernels(monkeypatch):
+    params = dict(num_random_sets=25, max_size=40)
+    runs = {}
+    for kernel in KERNELS:
+        with monkeypatch.context() as patch:
+            _force(kernel, patch)
+            net = SDGR(n=N, d=8, seed=11, backend="array")
+            net.run_rounds(6)
+            cache = ProbeCache(net.state, **params)
+            runs[kernel] = []
+            for window in range(3):
+                view = net.state.csr_view(net.now)
+                probe = cache.probe(view, seed=5)
+                stats = cache.last_stats
+                assert stats["ball_kernel"] == kernel.removesuffix("-blocks")
+                assert (stats["replayed"] > 0) == (window > 0)
+                cold = adversarial_expansion_upper_bound(view, seed=5, **params)
+                assert probe == cold
+                runs[kernel].append(probe)
+                net.run_rounds(2)
+    assert runs["bitset"] == runs["flat-key"] == runs["bitset-blocks"]
+
+
+@pytest.mark.parametrize("kernel", KERNELS[:2])
+def test_error_in_either_kernel_drops_the_mask(view, kernel, monkeypatch):
+    with monkeypatch.context() as patch:
+        _force("flat-key", patch)
+        _CSRProbe(view, 1, 32).ball_phase()
+    assert expansion._ball_visited is not None
+    _force(kernel, monkeypatch)
+    probe = _CSRProbe(view, 1, 32, recorder=golden._FailingRecorder())
+    with pytest.raises(RuntimeError, match="recorder failure"):
+        probe.ball_phase()
+    assert expansion._ball_visited is None
+
+
+def test_selector_follows_the_source_count(view):
+    assert expansion._choose_ball_kernel(view, view.n, 32) == "bitset"
+    assert expansion._choose_ball_kernel(view, view.n, view.n // 2) == "bitset"
+    assert expansion._choose_ball_kernel(view, 3, 32) == "flat-key"
+
+
+def test_selector_keeps_bitset_within_scratch_budget(view, monkeypatch):
+    need = expansion._bitset_working_set(
+        view.n, int(view.degrees.sum()), view.space
+    )
+    monkeypatch.setattr(expansion, "_BALL_SCRATCH_BYTES", need)
+    assert expansion._choose_ball_kernel(view, view.n, view.n // 2) == "bitset"
+    monkeypatch.setattr(expansion, "_BALL_SCRATCH_BYTES", need - 1)
+    assert expansion._choose_ball_kernel(view, view.n, view.n // 2) == "flat-key"
+
+
+def test_working_set_bounds_the_bitset_peak(view, monkeypatch):
+    _force("bitset", monkeypatch)
+    probe = _CSRProbe(view, 1, view.n // 2)
+    tracemalloc.start()
+    try:
+        probe.ball_phase()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= expansion._bitset_working_set(
+        view.n, int(view.degrees.sum()), view.space
+    )
 
 
 # ----------------------------------------------------------------------
