@@ -36,8 +36,8 @@ The acceptance bars tracked here, on the array backend: at n = 1e5
 probe ≥ 5×, census ≥ 10×, incremental ≥ 3× over the cold CSR probe; at
 n = 1e6 the full stock observer portfolio (expansion + degrees +
 isolated) must complete a dense-cadence window in seconds, not minutes
-(int32 compact CSR mode, no dict plane — a dict probe at that scale
-takes tens of minutes).
+(int32 CSR indices, no dict plane — a dict probe at that scale takes
+tens of minutes).
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 # The reference plane lives with the test suite; make the repository
@@ -277,17 +278,17 @@ def incremental_compare(
 def portfolio_row(n: int, seed: int) -> dict:
     """The million-node row: the full stock observer portfolio per window.
 
-    Runs on the array backend in int32 compact-CSR mode with the
-    incremental probe cache — no dict plane anywhere.  The recorded
+    Runs on the array backend, whose CSR indices are int32 at this size,
+    with the incremental probe cache — no dict plane anywhere.  The
+    ``compact_csr`` field records whether the view's indices were int32.
+    The recorded
     ``portfolio_seconds`` is one dense-cadence window: CSR rebuild +
     degree summary + isolated census + incremental expansion probe.
     A single cold CSR probe supplies the in-kernel parity assertion and
     the cold baseline the incremental speedup divides.
     """
-    from repro.core.array_backend import ArraySlotBackend
-
     build_start = time.perf_counter()
-    net = build_network(n, seed, ArraySlotBackend(compact_csr=True))
+    net = build_network(n, seed, None)
     build_seconds = time.perf_counter() - build_start
     state = net.state
     probe_seed = PROBE_PARAMS["seed"]
@@ -317,7 +318,7 @@ def portfolio_row(n: int, seed: int) -> dict:
 
     return {
         "n": n,
-        "compact_csr": True,
+        "compact_csr": bool(view.indices.dtype == np.int32),
         "build_seconds": round(build_seconds, 3),
         "fill_seconds": round(fill_seconds, 3),
         "portfolio_seconds": round(portfolio_seconds, 3),

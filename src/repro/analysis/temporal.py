@@ -164,8 +164,8 @@ def _edge_keys(view: CSRView) -> np.ndarray:
     owner = np.repeat(
         np.arange(view.space, dtype=np.int64), np.diff(view.indptr)
     )
-    u = view.vert_ids[owner].astype(np.int64)
-    v = view.vert_ids[view.indices].astype(np.int64)
+    u = view.vert_ids[owner]
+    v = view.vert_ids[view.indices]
     keep = u < v
     u, v = u[keep], v[keep]
     if u.size and int(v.max()) >= 1 << 32:

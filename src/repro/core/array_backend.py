@@ -12,7 +12,9 @@
   oracles (seeded churn trajectories are bit-identical to it);
 * **a lazily rebuilt CSR adjacency** — distinct-neighbour queries
   (snapshots, degree vectors, edge counts) rebuild a CSR structure at
-  most once per topology version, entirely in vectorized NumPy;
+  most once per topology version, entirely in vectorized NumPy, with
+  int32 ``indptr``/``indices`` while the row capacity and the directed
+  entry count fit (:func:`~repro.core.csr.csr_index_dtype`);
 * **batched births** — :meth:`apply_birth_slots` writes thousands of
   pre-drawn births in a handful of array operations;
 * **a lazy reverse index** — ``_in_refs`` maps a row to the set of
@@ -44,14 +46,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core.backend import GraphBackend
-from repro.core.csr import CSRView
+from repro.core.csr import CSRView, csr_index_dtype
 from repro.core.node import NodeRecord
 from repro.core.snapshot import Snapshot
 from repro.errors import SimulationError
-
-
-#: Largest node id / CSR offset representable in the compact (int32) mode.
-_INT32_MAX = np.iinfo(np.int32).max
 
 
 class _ReverseIndex(dict):
@@ -99,22 +97,14 @@ class ArraySlotBackend(GraphBackend):
         self,
         initial_capacity: int = 1024,
         slot_width: int = 4,
-        compact_csr: bool = False,
     ) -> None:
         super().__init__()
         self._cap = max(int(initial_capacity), 1)
         self._width = max(int(slot_width), 1)
-        # Compact mode halves the footprint of the analysis plane's
-        # hottest arrays (CSR indptr/indices and the id column) by
-        # storing them as int32 — valid while capacity, node ids, and
-        # directed edge counts stay below 2^31 (guarded at the growth
-        # and id-assignment sites).  Opt-in: ``compact_csr=True``.
-        self.compact_csr = bool(compact_csr)
-        self._id_dtype = np.int32 if self.compact_csr else np.int64
         self._slots = np.full((self._cap, self._width), -1, dtype=np.int64)
         self._num_slots = np.zeros(self._cap, dtype=np.int32)
         self._birth = np.zeros(self._cap, dtype=np.float64)
-        self._id_of = np.full(self._cap, -1, dtype=self._id_dtype)
+        self._id_of = np.full(self._cap, -1, dtype=np.int64)
         self._alive_rows = np.zeros(self._cap, dtype=bool)
         # The reverse index; None when a batch write dropped it.
         # _ensure_in_refs() snapshots the slot matrix on the next
@@ -179,11 +169,6 @@ class ArraySlotBackend(GraphBackend):
         return row
 
     def _grow_rows(self, new_cap: int) -> None:
-        if self.compact_csr and new_cap > _INT32_MAX:
-            raise SimulationError(
-                f"compact (int32) mode cannot grow to {new_cap} rows; "
-                "rebuild the backend with compact_csr=False"
-            )
         old_cap = self._cap
         self._cap = new_cap
         grown = np.full((new_cap, self._width), -1, dtype=np.int64)
@@ -195,7 +180,7 @@ class ArraySlotBackend(GraphBackend):
         birth_grown = np.zeros(new_cap, dtype=np.float64)
         birth_grown[:old_cap] = self._birth
         self._birth = birth_grown
-        id_grown = np.full(new_cap, -1, dtype=self._id_dtype)
+        id_grown = np.full(new_cap, -1, dtype=np.int64)
         id_grown[:old_cap] = self._id_of
         self._id_of = id_grown
         alive_grown = np.zeros(new_cap, dtype=bool)
@@ -291,10 +276,6 @@ class ArraySlotBackend(GraphBackend):
         row_of = self._row_of
         if node_id in row_of:
             raise SimulationError(f"node id {node_id} already exists")
-        if self.compact_csr and node_id > _INT32_MAX:
-            raise SimulationError(
-                f"node id {node_id} does not fit the compact (int32) id store"
-            )
         if num_slots > self._width:
             self._grow_cols(num_slots)
         row = self._take_row()
@@ -485,11 +466,6 @@ class ArraySlotBackend(GraphBackend):
         self._high += fresh
 
         ids = np.asarray(node_ids, dtype=np.int64)
-        if self.compact_csr and ids.size and int(ids.max()) > _INT32_MAX:
-            raise SimulationError(
-                "birth batch contains node ids beyond the compact "
-                "(int32) id store"
-            )
         self._slots[rows, :] = -1
         self._num_slots[rows] = num_slots
         self._birth[rows] = np.asarray(times_list, dtype=np.float64)
@@ -621,11 +597,6 @@ class ArraySlotBackend(GraphBackend):
                 f"fused window needs exactly {n} alive nodes, "
                 f"found {self.num_alive()}"
             )
-        if self.compact_csr and base + W + n - 1 > _INT32_MAX:
-            raise SimulationError(
-                "fused window would allocate node ids beyond the compact "
-                "(int32) id store"
-            )
         row_of = self._row_of
         try:
             rows0 = np.fromiter(
@@ -653,7 +624,7 @@ class ArraySlotBackend(GraphBackend):
         valid0 = current >= 0
         if np.any(valid0):
             out[:n][valid0] = (
-                self._id_of[current[valid0]].astype(np.int64) - base
+                self._id_of[current[valid0]] - base
             )
         out_flat = out.reshape(-1)
 
@@ -694,7 +665,7 @@ class ArraySlotBackend(GraphBackend):
         self._birth[:] = 0.0
         self._birth[:n] = birth
         self._id_of[:] = -1
-        self._id_of[:n] = final_ids.astype(self._id_dtype)
+        self._id_of[:n] = final_ids
         self._alive_rows[:] = False
         self._alive_rows[:n] = True
         self._in_count[:] = 0
@@ -940,21 +911,11 @@ class ArraySlotBackend(GraphBackend):
         uu = keys // cap
         vv = keys % cap
         counts = np.bincount(uu, minlength=cap)
-        indptr = np.zeros(cap + 1, dtype=np.int64)
+        index_dtype = csr_index_dtype(cap, len(keys))
+        indptr = np.zeros(cap + 1, dtype=index_dtype)
         np.cumsum(counts, out=indptr[1:])
-        if self.compact_csr:
-            # Row capacity is int32-guarded at growth time; directed
-            # entries (2·edges ≤ capacity·width) therefore fit too once
-            # the total is checked here.
-            if len(keys) > _INT32_MAX:
-                raise SimulationError(
-                    "compact (int32) mode cannot index "
-                    f"{len(keys)} directed CSR entries"
-                )
-            indptr = indptr.astype(np.int32)
-            vv = vv.astype(np.int32)
         self._csr_indptr = indptr
-        self._csr_indices = vv
+        self._csr_indices = vv.astype(index_dtype, copy=False)
         self._csr_edge_count = len(keys) // 2
         self._csr_epoch = self._mutation_epoch
 
@@ -1026,7 +987,6 @@ class ArraySlotBackend(GraphBackend):
             "capacity": self._cap,
             "width": self._width,
             "high": high,
-            "compact_csr": self.compact_csr,
             "free": [int(row) for row in self._free],
             "alive": [int(u) for u in self.alive],
             "slots": self._slots[:high],
@@ -1037,24 +997,27 @@ class ArraySlotBackend(GraphBackend):
         }
 
     def restore_state(self, payload: dict) -> None:
-        """Restore state previously produced by :meth:`dump_state`."""
+        """Restore state previously produced by :meth:`dump_state`.
+
+        Payloads from before the CSR index width was worked out from sizes
+        carry one more flag and may hold an int32 id column: the flag is
+        ignored and the ids widen to int64.
+        """
         from repro.util.sampling import IndexedSet
 
         self._cap = int(payload["capacity"])
         self._width = int(payload["width"])
-        self.compact_csr = bool(payload["compact_csr"])
-        self._id_dtype = np.int32 if self.compact_csr else np.int64
         high = int(payload["high"])
         self._high = high
         self._slots = np.full((self._cap, self._width), -1, dtype=np.int64)
         self._num_slots = np.zeros(self._cap, dtype=np.int32)
         self._birth = np.zeros(self._cap, dtype=np.float64)
-        self._id_of = np.full(self._cap, -1, dtype=self._id_dtype)
+        self._id_of = np.full(self._cap, -1, dtype=np.int64)
         self._alive_rows = np.zeros(self._cap, dtype=bool)
         self._slots[:high] = np.asarray(payload["slots"], dtype=np.int64)
         self._num_slots[:high] = np.asarray(payload["num_slots"], dtype=np.int32)
         self._birth[:high] = np.asarray(payload["birth"], dtype=np.float64)
-        self._id_of[:high] = np.asarray(payload["id_of"], dtype=self._id_dtype)
+        self._id_of[:high] = np.asarray(payload["id_of"], dtype=np.int64)
         self._alive_rows[:high] = np.asarray(payload["alive_rows"], dtype=bool)
         self._free = [int(row) for row in payload["free"]]
         # Derived indices: _row_of from the id column, _in_count from the

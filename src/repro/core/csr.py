@@ -17,6 +17,9 @@ CSR and ``vert_ids``/``birth`` alias its dense row arrays, so building a
 view costs one alive-row argsort instead of an O(n·d) dict freeze.  From
 a snapshot the arrays are built in one pass; a snapshot memoizes its
 view, so repeated analyses of one snapshot pay the conversion once.
+Both builders size ``indptr``/``indices`` with :func:`csr_index_dtype`:
+int32 while the vert space and the directed entry count fit below 2^31,
+int64 beyond.  Node ids stay int64.
 
 **Lifetime contract:** a view aliases live backend storage, so it is
 only valid until the next topology mutation — use it within the
@@ -122,8 +125,9 @@ def sorted_distinct(keys: np.ndarray) -> np.ndarray:
 _BOUNDARY_BATCH_MEMBERS = 1 << 12
 
 
-#: Flat keys ``row*space + vert`` are int32 while every key and row bound
-#: stays below this, and int64 beyond it (see :func:`flat_key_dtype`).
+#: Flat keys and CSR indices are int32 while every value they hold stays
+#: below this, and int64 beyond it (see :func:`flat_key_dtype` and
+#: :func:`csr_index_dtype`).
 _INT32_KEYS_BELOW = 1 << 31
 
 
@@ -135,6 +139,17 @@ def flat_key_dtype(rows: int, space: int) -> type:
     test keeps one more row of headroom.
     """
     return np.int32 if (rows + 1) * space < _INT32_KEYS_BELOW else np.int64
+
+
+def csr_index_dtype(rows: int, entries: int) -> type:
+    """Narrowest dtype of ``indptr``/``indices`` over *rows* verts holding
+    *entries* directed entries.
+
+    ``indices`` hold verts below *rows* and ``indptr`` offsets up to
+    *entries*, so int32 serves while both fit; it halves the bytes every
+    neighbour gather moves.
+    """
+    return np.int32 if max(rows, entries) < _INT32_KEYS_BELOW else np.int64
 
 
 class CSRView:
@@ -228,8 +243,7 @@ class CSRView:
         """Bytes addressed by the view's arrays (lazy caches once built).
 
         Aliased backend storage is counted as-is: the hook reports what
-        the analysis plane actually touches per window, which is what
-        the array backend's compact (int32) mode shrinks.
+        the analysis plane actually touches per window.
         """
         total = (
             self.indptr.nbytes
@@ -344,9 +358,10 @@ def csr_view_from_adjacency(
         row = [vert_of[v] for v in neighbors_of[u]]
         counts[i] = len(row)
         flat.extend(row)
-    indptr = np.zeros(n + 1, dtype=np.int64)
+    index_dtype = csr_index_dtype(n, len(flat))
+    indptr = np.zeros(n + 1, dtype=index_dtype)
     np.cumsum(counts, out=indptr[1:])
-    indices = np.asarray(flat, dtype=np.int64)
+    indices = np.asarray(flat, dtype=index_dtype)
     birth = np.fromiter(
         (birth_fn(u) for u in ids), dtype=np.float64, count=n
     )

@@ -1,10 +1,14 @@
 """Immutable topology snapshots.
 
-A :class:`Snapshot` is the object all analysis code operates on: it freezes
-the node set, adjacency, birth times, and out-slots of a dynamic graph at
-one instant (the paper's ``G_t``).  Snapshots convert to :mod:`networkx`
-graphs for interoperability, and expose the handful of graph queries the
-analyses need (boundaries, degrees, components) without the conversion cost.
+A :class:`Snapshot` freezes the node set, adjacency, birth times, and
+out-slots of a dynamic graph at one instant (the paper's ``G_t``), for
+topology that must outlive the window it was taken in.  Analyses run on
+a :class:`~repro.core.csr.CSRView`: a snapshot handed to one converts
+once, through its memoized :meth:`Snapshot.csr_view`.  Only the few
+analyses that need what a view does not carry (out-slots, ages, the
+exhaustive expansion) read the snapshot's dicts.  Snapshots also convert
+to :mod:`networkx` graphs and answer small graph queries (boundaries,
+degrees, components) directly.
 """
 
 from __future__ import annotations

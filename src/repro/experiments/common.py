@@ -19,6 +19,8 @@ class ExperimentResult:
         experiment_id: registry id (e.g. ``"EXP-01"``).
         title: human-readable experiment name.
         paper_reference: the theorem/lemma/table the experiment reproduces.
+            Runners leave both empty: ``run_experiment`` fills them in
+            from the registration, their one source.
         columns: column order for the result table.
         rows: one dict per table row.
         verdict: headline comparisons (measured vs paper, pass/fail flags).
@@ -27,9 +29,9 @@ class ExperimentResult:
     """
 
     experiment_id: str
-    title: str
-    paper_reference: str
-    columns: Sequence[str]
+    title: str = ""
+    paper_reference: str = ""
+    columns: Sequence[str] = ()
     rows: list[Mapping[str, Any]] = field(default_factory=list)
     verdict: dict[str, Any] = field(default_factory=dict)
     notes: str = ""

@@ -116,8 +116,6 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
 
     result = ExperimentResult(
         experiment_id="EXP-01",
-        title="Isolated nodes without edge regeneration",
-        paper_reference="Lemma 3.5 (SDG), Lemma 4.10 (PDG)",
         columns=COLUMNS,
         rows=rows,
         verdict={

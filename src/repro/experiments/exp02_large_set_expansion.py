@@ -92,8 +92,6 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
 
     return ExperimentResult(
         experiment_id="EXP-02",
-        title="Θ(1)-expansion of large subsets (no regeneration)",
-        paper_reference="Lemma 3.6 (SDG), Lemma 4.11 (PDG)",
         columns=COLUMNS,
         rows=rows,
         verdict={

@@ -142,8 +142,6 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
     regen_rows = [r for r in rows if "control" not in r["model"]]
     return ExperimentResult(
         experiment_id="EXP-03",
-        title="Θ(1)-expansion with edge regeneration",
-        paper_reference="Theorem 3.15 (SDGR), Theorem 4.16 (PDGR)",
         columns=COLUMNS,
         rows=rows,
         verdict={

@@ -141,8 +141,6 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
 
     return ExperimentResult(
         experiment_id="EXP-04",
-        title="Flooding may not complete without regeneration",
-        paper_reference="Theorem 3.7 (SDG), Theorem 4.12 (PDG)",
         columns=COLUMNS,
         rows=rows,
         verdict={

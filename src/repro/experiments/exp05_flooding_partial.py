@@ -260,8 +260,6 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
     d_rows = [r for r in rows if r["sweep"] == "d"]
     return ExperimentResult(
         experiment_id="EXP-05",
-        title="Flooding informs 1−exp(−Ω(d)) of nodes in O(log n) rounds",
-        paper_reference="Theorem 3.8 (SDG), Theorem 4.13 (PDG)",
         columns=COLUMNS + ["rounds_to_90pct", "rounds_over_log_n"],
         rows=rows,
         verdict={

@@ -112,8 +112,6 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
 
     return ExperimentResult(
         experiment_id="EXP-06",
-        title="Complete flooding in O(log n) with regeneration",
-        paper_reference="Theorem 3.16 (SDGR), Theorem 4.20 (PDGR)",
         columns=COLUMNS,
         rows=rows,
         verdict={

@@ -127,8 +127,6 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
 
     return ExperimentResult(
         experiment_id="EXP-07",
-        title="Degree structure",
-        paper_reference="Lemma 6.1; §5 max-degree remark",
         columns=COLUMNS,
         rows=rows,
         verdict={

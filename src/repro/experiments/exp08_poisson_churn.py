@@ -177,8 +177,6 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
 
     return ExperimentResult(
         experiment_id="EXP-08",
-        title="Poisson churn properties",
-        paper_reference="Lemmas 4.4, 4.6, 4.7, 4.8",
         columns=COLUMNS,
         rows=rows,
         verdict={

@@ -111,8 +111,6 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
 
     return ExperimentResult(
         experiment_id="EXP-09",
-        title="Edge-destination probabilities under regeneration",
-        paper_reference="Lemma 3.14 (SDGR), Lemma 4.15 (PDGR)",
         columns=COLUMNS,
         rows=rows,
         verdict={

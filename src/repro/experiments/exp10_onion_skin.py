@@ -117,8 +117,6 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
 
     return ExperimentResult(
         experiment_id="EXP-10",
-        title="Onion-skin process growth and success probability",
-        paper_reference="Claims 3.10/3.11, Lemmas 3.9/7.8",
         columns=COLUMNS,
         rows=rows,
         verdict={

@@ -83,8 +83,6 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
     sdg_rows = [r for r in rows if r["graph"] != "static d-out"]
     return ExperimentResult(
         experiment_id="EXP-11",
-        title="Static d-out baseline vs dynamic SDG",
-        paper_reference="Lemma B.1; contrast with Lemma 3.5",
         columns=COLUMNS,
         rows=rows,
         verdict={

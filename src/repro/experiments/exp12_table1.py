@@ -225,8 +225,6 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
 
     return ExperimentResult(
         experiment_id="EXP-12",
-        title="Table 1 — full summary with measured values",
-        paper_reference="Table 1",
         columns=COLUMNS,
         rows=rows,
         verdict={

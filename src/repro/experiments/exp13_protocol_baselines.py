@@ -88,8 +88,6 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
     by_name = {r["network"]: r for r in rows}
     return ExperimentResult(
         experiment_id="EXP-13",
-        title="Protocol baselines vs the paper's models",
-        paper_reference="§2: [23] central cache, [8] random-walk tokens",
         columns=COLUMNS,
         rows=rows,
         verdict={

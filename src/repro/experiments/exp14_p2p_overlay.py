@@ -117,8 +117,6 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
     p2p_rows = [r for r in rows if r["network"] == "bitcoin-like"]
     return ExperimentResult(
         experiment_id="EXP-14",
-        title="Bitcoin-like overlay vs the PDGR abstraction",
-        paper_reference="§1.1 / §5",
         columns=COLUMNS,
         rows=rows,
         verdict={

@@ -157,8 +157,6 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
     uncapped = rows[0]
     return ExperimentResult(
         experiment_id="EXP-15",
-        title="Extension: bounded-degree dynamics (uncapped vs capped vs RAES)",
-        paper_reference="§5 open question",
         columns=COLUMNS,
         rows=rows,
         verdict={

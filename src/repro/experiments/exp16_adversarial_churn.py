@@ -118,8 +118,6 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
     )
     return ExperimentResult(
         experiment_id="EXP-16",
-        title="Extension: adversarial victim selection",
-        paper_reference="§2 vs adversarial-churn work",
         columns=COLUMNS,
         rows=rows,
         verdict={

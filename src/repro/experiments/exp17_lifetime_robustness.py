@@ -164,8 +164,6 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
     log2n = math.log2(n)
     return ExperimentResult(
         experiment_id="EXP-17",
-        title="Extension: robustness to the node-lifetime distribution",
-        paper_reference="§1 robustness claim",
         columns=COLUMNS,
         rows=rows,
         verdict={

@@ -92,14 +92,19 @@ def run_experiment(
     *checkpoint_every* and *checkpoint_dir* set the ambient service options
     (:func:`repro.service.use_service_options`), so every scenario
     session the runner builds dumps resumable checkpoints at that
-    cadence.
+    cadence.  The result carries the registered title and paper
+    reference.
     """
     from repro.service import use_service_options
 
+    experiment = get_experiment(experiment_id)
     with use_sweep_options(jobs=jobs, store=store), use_service_options(
         checkpoint_every=checkpoint_every, checkpoint_dir=checkpoint_dir
     ):
-        return get_experiment(experiment_id).runner(quick=quick, seed=seed)
+        result = experiment.runner(quick=quick, seed=seed)
+    result.title = experiment.title
+    result.paper_reference = experiment.paper_reference
+    return result
 
 
 def _ensure_loaded() -> None:

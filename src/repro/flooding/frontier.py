@@ -328,8 +328,9 @@ def spread(
             result.completion_round = round_index
             return result
         if not informed_count:
-            result.extinct = True
-            result.extinction_round = round_index
+            if not result.extinct:
+                result.extinct = True
+                result.extinction_round = round_index
             if stop_when_extinct:
                 return result
     return result

@@ -1,28 +1,23 @@
 """Composable observers for scenario sessions.
 
 An :class:`Observer` watches a running :class:`~repro.scenario.simulation.Simulation`
-through its hooks — ``on_round(report, snapshot)`` / ``on_view(report,
-view)`` at its configured round cadence, ``on_flood(result)`` after each
-protocol run, and ``on_finish(snapshot)`` (plus a final ``on_view``) when
-the session's horizon completes — and exposes what it measured through
-``result()``.  Observers are composable: a session runs any number of
-them in one pass over the trajectory, which is how one simulation serves
-several measurements without re-running the churn.
+through its hooks — ``on_round(report)`` / ``on_view(report, view)`` at
+its configured round cadence, ``on_flood(result)`` after each protocol
+run, and ``on_finish()`` (plus a final ``on_view``) when the session's
+horizon completes — and exposes what it measured through ``result()``.
+Observers are composable: a session runs any number of them in one pass
+over the trajectory, which is how one simulation serves several
+measurements without re-running the churn.
 
-Topology access comes in two flavours, each built **at most once per
-observation window** and shared by every due observer:
-
-* ``needs_view`` — a :class:`~repro.core.csr.CSRView`, the vectorized
-  analysis plane (zero-copy on the array backend).  All stock analysis
-  observers use this; it is the cheap path.
-* ``needs_snapshot`` — a frozen dict :class:`Snapshot`, for observers
-  that must outlive the window or want the dict representation.  This
-  freeze is O(n·d) Python work; prefer the view for hot cadences.
-
-Observers that only need live counters set both flags ``False`` and the
-session skips both builds.  Observers with ``every = 0`` observe only the
-final state, which keeps the hot loop eligible for the batched
-``advance_to_time`` windows.
+Observers that set ``needs_view`` get the topology as a
+:class:`~repro.core.csr.CSRView` (zero-copy on the array backend), built
+**at most once per observation window** and shared by every due
+observer.  The view is valid only within its window; an observer that
+must keep the topology longer can freeze one with
+``self.simulation.snapshot()``.  Observers that only need live counters
+leave ``needs_view`` off, and the session builds no view for them.
+Observers with ``every = 0`` observe only the final state, which keeps
+the hot loop eligible for the batched ``advance_to_time`` windows.
 
 Stock observers (registry names in parentheses): network size
 (``size``), degree statistics (``degrees``), vertex-expansion probes
@@ -41,7 +36,6 @@ from repro.analysis.expansion import adversarial_expansion_upper_bound
 from repro.analysis.incremental import ProbeCache
 from repro.analysis.isolated import count_isolated
 from repro.core.csr import CSRView
-from repro.core.snapshot import Snapshot
 from repro.errors import ConfigurationError
 from repro.flooding.result import FloodingResult
 from repro.models.base import RoundReport
@@ -56,8 +50,6 @@ class Observer:
     """
 
     name: str = "observer"
-    #: Whether this observer's hooks want a frozen dict :class:`Snapshot`.
-    needs_snapshot: bool = True
     #: Whether this observer's hooks want a :class:`CSRView` (the
     #: vectorized analysis plane).  Views are shared per window.
     needs_view: bool = False
@@ -76,9 +68,8 @@ class Observer:
         """Whether this observer should fire after this many rounds."""
         return self.every > 0 and rounds_completed % self.every == 0
 
-    def on_round(self, report: RoundReport, snapshot: Snapshot | None) -> None:
-        """One observation window ended (*snapshot* is None when
-        ``needs_snapshot`` is False)."""
+    def on_round(self, report: RoundReport) -> None:
+        """One observation window ended; *report* covers all its rounds."""
 
     def on_view(self, report: RoundReport | None, view: CSRView) -> None:
         """The window's shared analysis view (only when ``needs_view``).
@@ -90,7 +81,7 @@ class Observer:
     def on_flood(self, result: FloodingResult) -> None:
         """A protocol run finished on the session's network."""
 
-    def on_finish(self, snapshot: Snapshot | None) -> None:
+    def on_finish(self) -> None:
         """The session's run() horizon completed."""
 
     def result(self) -> dict[str, Any]:
@@ -124,7 +115,6 @@ class SizeObserver(Observer):
     """Alive-node counts and cumulative churn volume over time."""
 
     name = "size"
-    needs_snapshot = False
 
     def __init__(self, every: int = 1) -> None:
         super().__init__(every=every)
@@ -138,14 +128,12 @@ class SizeObserver(Observer):
         self.times.append(network.now)
         self.sizes.append(network.num_alive())
 
-    def on_round(self, report: RoundReport, snapshot: Snapshot | None) -> None:
-        del snapshot
+    def on_round(self, report: RoundReport) -> None:
         self.total_births += len(report.births)
         self.total_deaths += len(report.deaths)
         self._record()
 
-    def on_finish(self, snapshot: Snapshot | None) -> None:
-        del snapshot
+    def on_finish(self) -> None:
         self._record()
 
     def result(self) -> dict[str, Any]:
@@ -162,7 +150,6 @@ class DegreeStatsObserver(Observer):
     """Mean/min/max degree from the shared per-window analysis view."""
 
     name = "degrees"
-    needs_snapshot = False
     needs_view = True
 
     def __init__(self, every: int = 0) -> None:
@@ -202,7 +189,6 @@ class ExpansionObserver(Observer):
     """
 
     name = "expansion"
-    needs_snapshot = False
     needs_view = True
 
     def __init__(
@@ -271,7 +257,6 @@ class IsolatedNodesObserver(Observer):
     """Isolated-node counts and fractions (the Lemma 3.5/4.10 quantity)."""
 
     name = "isolated"
-    needs_snapshot = False
     needs_view = True
 
     def __init__(self, every: int = 0) -> None:
@@ -301,7 +286,6 @@ class CoverageObserver(Observer):
     """Informed-set coverage of the session's protocol runs."""
 
     name = "coverage"
-    needs_snapshot = False
 
     def __init__(self) -> None:
         super().__init__(every=0)

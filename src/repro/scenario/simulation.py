@@ -29,9 +29,8 @@ Both paths step whole rounds only.
 
 Observation windows build topology access **at most once each**: one
 :class:`~repro.core.csr.CSRView` shared by every due ``needs_view``
-observer (zero-copy on the array backend — this is the cheap analysis
-plane) and, only when a due observer still asks for it, one frozen dict
-:class:`Snapshot`.  Neither is built when no due observer wants it.
+observer (zero-copy on the array backend), and none when no due
+observer wants it.
 
 Service plane (see :mod:`repro.service`): a session checkpoints itself
 every ``checkpoint_every`` rounds into ``checkpoint_dir`` (resolved from
@@ -82,13 +81,8 @@ class _ObserverFeed:
         self.window.events.extend(report.events)
         self.window.end_time = report.end_time
 
-    def flush(
-        self,
-        snapshot: Snapshot | None,
-        view: CSRView | None,
-        rounds_completed: int,
-    ) -> None:
-        self.observer.on_round(self.window, snapshot)
+    def flush(self, view: CSRView | None, rounds_completed: int) -> None:
+        self.observer.on_round(self.window)
         if self.observer.needs_view:
             self.observer.on_view(self.window, view)
         self.window = RoundReport(
@@ -360,20 +354,15 @@ class Simulation:
             if feed.observer.due(self.rounds_completed):
                 due.append(feed)
         if due:
-            # One window, one build of each representation, shared by
-            # every due observer; skipped entirely when nobody asks.
+            # One window, one view, shared by every due observer;
+            # skipped entirely when nobody asks.
             view = (
                 self.csr_view()
                 if any(f.observer.needs_view for f in due)
                 else None
             )
-            snapshot = (
-                self.snapshot()
-                if any(f.observer.needs_snapshot for f in due)
-                else None
-            )
             for feed in due:
-                feed.flush(snapshot, view, self.rounds_completed)
+                feed.flush(view, self.rounds_completed)
 
     def _run_per_event(self, rounds: int) -> None:
         for _ in range(rounds):
@@ -419,13 +408,8 @@ class Simulation:
             if any(o.needs_view for o in finishing)
             else None
         )
-        snapshot = (
-            self.snapshot()
-            if any(o.needs_snapshot for o in finishing)
-            else None
-        )
         for observer in finishing:
-            observer.on_finish(snapshot)
+            observer.on_finish()
             if observer.needs_view:
                 observer.on_view(None, view)
 

@@ -29,7 +29,6 @@ from typing import IO, Any, Mapping
 
 from repro.analysis.expansion import adversarial_expansion_upper_bound
 from repro.core.csr import CSRView
-from repro.core.snapshot import Snapshot
 from repro.errors import ConfigurationError
 from repro.flooding.result import FloodingResult
 from repro.models.base import RoundReport
@@ -57,7 +56,6 @@ class MetricsSink(Observer):
     """
 
     name = "metrics"
-    needs_snapshot = False
     needs_view = False  # instance-overridden when probe=True
 
     def __init__(
@@ -106,8 +104,7 @@ class MetricsSink(Observer):
             self._fh.flush()
         self._last_wall = time.perf_counter() if self.wallclock else None
 
-    def on_round(self, report: RoundReport, snapshot: Snapshot | None) -> None:
-        del snapshot
+    def on_round(self, report: RoundReport) -> None:
         network = self.simulation.network
         births = len(report.births)
         deaths = len(report.deaths)
@@ -166,8 +163,7 @@ class MetricsSink(Observer):
             }
         )
 
-    def on_finish(self, snapshot: Snapshot | None) -> None:
-        del snapshot
+    def on_finish(self) -> None:
         network = self.simulation.network
         self._emit(
             {

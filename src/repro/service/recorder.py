@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Any, IO
 
 from repro.churn.trace import ChurnTrace
-from repro.core.snapshot import Snapshot
 from repro.errors import ConfigurationError
 from repro.models.base import RoundReport
 from repro.scenario.observers import Observer, register_observer
@@ -35,7 +34,6 @@ class TraceRecorder(Observer):
     """
 
     name = "record_trace"
-    needs_snapshot = False
 
     def __init__(self, path: str | None = None, every: int = 1) -> None:
         if int(every) < 1:
@@ -71,8 +69,7 @@ class TraceRecorder(Observer):
                     }
                 )
 
-    def on_round(self, report: RoundReport, snapshot: Snapshot | None) -> None:
-        del snapshot
+    def on_round(self, report: RoundReport) -> None:
         for event in report.events:
             if event.is_birth:
                 op = "join"

@@ -10,8 +10,10 @@ spec-built sessions included — on one or the other.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.core.array_backend import ArraySlotBackend
 from repro.core.backend import GraphBackend
 from repro.core.snapshot import Snapshot
 from tests.oracles.dict_backend import BACKENDS, build_drivers_on_oracle
@@ -41,6 +43,19 @@ def driver_backend(
     if request.param == "dict":
         build_drivers_on_oracle(monkeypatch)
     return request.param
+
+
+class Int64CSRBackend(ArraySlotBackend):
+    """The array backend with its CSR arrays widened to int64 after each
+    rebuild: the int64 side of the index-width parity tests.  At test
+    scale the production backend always builds int32 ``indptr``/``indices``
+    (:func:`~repro.core.csr.csr_index_dtype`), so views, floods and
+    gossip on this backend run the wide paths on the same topology."""
+
+    def _ensure_csr(self) -> None:
+        super()._ensure_csr()
+        self._csr_indptr = self._csr_indptr.astype(np.int64, copy=False)
+        self._csr_indices = self._csr_indices.astype(np.int64, copy=False)
 
 
 def snapshot_from_edges(

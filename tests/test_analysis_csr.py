@@ -711,7 +711,7 @@ class TestObserverSharing:
             snap.isolated_nodes()
         )
 
-    def test_legacy_snapshot_observer_still_fed(self):
+    def test_observer_freezes_a_snapshot_from_the_session(self, monkeypatch):
         class SnapshotEcho(Observer):
             name = "snapshot_echo"
 
@@ -719,19 +719,24 @@ class TestObserverSharing:
                 super().__init__(every=4)
                 self.snapshots = []
 
-            def on_round(self, report, snapshot):
-                self.snapshots.append(snapshot)
+            def on_round(self, report):
+                self.snapshots.append(self.simulation.snapshot())
 
-            def on_finish(self, snapshot):
-                self.snapshots.append(snapshot)
+            def on_finish(self):
+                self.snapshots.append(self.simulation.snapshot())
 
         echo = SnapshotEcho()
         spec = ScenarioSpec(churn="streaming", policy="regen", n=30, d=3, horizon=8)
-        Simulation(spec, observers=[echo], seed=2).run()
+        sim = Simulation(spec, observers=[echo], seed=2)
+        # The session itself builds no topology for an observer that
+        # asks for no view.
+        monkeypatch.setattr(sim, "csr_view", None)
+        sim.run()
         # Cadence windows at rounds 4 and 8; round 8 is the horizon, so
         # on_finish is suppressed for this already-flushed observer.
         assert len(echo.snapshots) == 2
-        assert all(s is not None and s.num_nodes() == 30 for s in echo.snapshots)
+        assert echo.snapshots[1].time - echo.snapshots[0].time == 4
+        assert all(s.num_nodes() == 30 for s in echo.snapshots)
 
     def test_no_builds_when_nobody_asks(self):
         spec = ScenarioSpec(churn="streaming", policy="regen", n=30, d=3, horizon=6)

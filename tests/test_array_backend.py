@@ -396,7 +396,6 @@ class TestFactory:
         monkeypatch.setenv("REPRO_COMPACT_CSR", "1")
         state = create_backend()
         assert isinstance(state, ArraySlotBackend)
-        assert not state.compact_csr
 
     def test_bare_driver_and_default_spec_build_the_array_backend(self):
         from repro.scenario import ScenarioSpec, Simulation

@@ -49,28 +49,28 @@ _CAPPED = {"max_in_degree": 5, "max_attempts": 4}
 #: (churn, policy, backend, n, d) -> sha256 of the warm-state transcript.
 GOLDEN = {
     ("streaming", "none", "array", 2000, 8): (
-        "1c1055b9dfa5118a177521e95fe07989"
-        "d72c8a4282e326f1fdc4549553863d9b"
+        "36afb96fae1d794665515e606d054a83"
+        "964117af672fcf6f0189b238bf25ade5"
     ),
     ("streaming", "none", "dict", 2000, 8): (
         "d7fd22a26a36055812c1525391c59f1f"
         "72622c82c9c3a08ba810aea6f777046b"
     ),
     ("streaming", "regen", "array", 2000, 8): (
-        "2dfec12d21b6a11a869e9e956a8282fb"
-        "18ff0807b307556e54bfe47baae7a717"
+        "306335e358bf93585e79fcf49408019b"
+        "1f2d4a292e065a9c2db6ff0c1e2558f0"
     ),
     ("streaming", "regen", "dict", 2000, 8): (
         "d00912f6dd0344e73f3a39b701feef5b"
         "ef42f5178d87aaa5b335991a0e8d9bf2"
     ),
     ("threshold", "capped", "array", 300, 3): (
-        "fd1e0ef0f5571abd5cfbaf9076bf66ce"
-        "7234e6922dbce9c16352208c4455d3e2"
+        "4f565fff0a828ad8393eac006832f4a6"
+        "7832bec5580b02236bf0c094830e2de2"
     ),
     ("threshold", "capped", "array", 300, 5): (
-        "0a5af28f203a4181ea10bd4d5040153b"
-        "2c39d861135cddb7138d0fa7690cd285"
+        "aa4a562c96f162fe669943fca03d7207"
+        "cbe33aec3ee1f5ca56eded738f4a3d5f"
     ),
     ("threshold", "capped", "dict", 300, 3): (
         "6787f9584a36cc548e9a0f1b1dd98f52"
@@ -81,12 +81,12 @@ GOLDEN = {
         "ff2200e29d82be9dc2cca3710ee14892"
     ),
     ("threshold", "regen", "array", 300, 3): (
-        "796606668b46979356db9a2646fc9a29"
-        "66a469a61e5c278d306eb448019c5d77"
+        "4e383e7bc178e1196dc62f7298118bf7"
+        "948283f3b77c656cacb34814b5262b04"
     ),
     ("threshold", "regen", "array", 300, 5): (
-        "4df6c98b235c322d3c36a458edd19c29"
-        "c1a066c666b102bb4b707a6e35717691"
+        "20fc7030ddfbc63c8c740cf188935ffa"
+        "016cc62e3b962e3a0adf5876c7b81e92"
     ),
     ("threshold", "regen", "dict", 300, 3): (
         "07f2a318f986d06abed6aaf07f4fadbf"
@@ -115,78 +115,78 @@ FAST_GOLDEN = {
         {"churn": "poisson", "n": 300, "d": 4, "horizon": 40,
          "fast_rounds": True},
         (
-            "6a5ebff48f7d4d0249f963d97bc8fbf8"
-            "9e182c2535e5289674f42d2711e1aedc"
+            "6d286790a26fd37368c8e82f203b83f4"
+            "5f0c4cc2e8f26cbc0f16f7beeb2bed4a"
         ),
     ),
     "pdgr-fast-warm": (
         {"churn": "poisson", "n": 300, "d": 4,
          "churn_params": {"fast_warm": True}},
         (
-            "007277c35759af3db45efc75f1a265dc"
-            "ff43771dfc0a71ce444b9025653484a8"
+            "dbffe04c1990742aaf3bf315d3327525"
+            "38c945b41826389bb2aef6bd06feaa1c"
         ),
     ),
     "sdg-fast-warm": (
         {"policy": "none", "n": 2000, "d": 8,
          "churn_params": {"fast_warm": True}},
         (
-            "b1b72a326bdec02c45ef40f162f0cd4b"
-            "c52728f689b0a3b33a0b7a0a4359a044"
+            "06407fd9e4001a6149b779e81e784d1c"
+            "cb2faf8428792860d891d484ac89f1ba"
         ),
     ),
     "sdgr-fast-warm": (
         {"n": 2000, "d": 8, "churn_params": {"fast_warm": True}},
         (
-            "2f602dfc1edddbfada78b8f685008744"
-            "93183084ad8b95199bedd4927854933c"
+            "71cef1aded97a6666aa2069bd12ba43c"
+            "1fa1cf6c9bbde01874effc605b2f6c7c"
         ),
     ),
     "sdgr-fast-warm-n3": (
         {"n": 3, "d": 4, "churn_params": {"fast_warm": True}},
         (
-            "4b28d758761e5de3578d9f8d46b700f2"
-            "3e103083cf8d9b3c89ede278c9cf5515"
+            "9a52e32f76f67461a564dc967a7879d5"
+            "fd673a6f2ed5149a1ef6df1fa83ff06d"
         ),
     ),
     "sdg-cold-fast-rounds-steady": (
         {"policy": "none", "n": 200, "d": 4, "horizon": 350,
          "fast_rounds": True, "churn_params": {"warm": False}},
         (
-            "cb6fae1ca6c4a25b934c2be517e17398"
-            "c0dd21a7769d96ba523c56ce63cadf96"
+            "f5794b569fecca2748af78a2c11a2b56"
+            "471bfd48d524beccea090c4e0018dbd6"
         ),
     ),
     "sdgr-cold-fast-rounds": (
         {"n": 300, "d": 4, "horizon": 250, "fast_rounds": True,
          "churn_params": {"warm": False}},
         (
-            "f07f019626a7efe1c52b270826016f73"
-            "b02e8e92740b38e9c117b389e4e82ab8"
+            "a4bf29f1b9686506054deb2ef62a9dbe"
+            "e1bd547192896753c73cfede3b436d3f"
         ),
     ),
     "sdgr-cold-fast-rounds-steady": (
         {"n": 200, "d": 4, "horizon": 350, "fast_rounds": True,
          "churn_params": {"warm": False}},
         (
-            "464fa566f2aaeae9a1a219cc4187f539"
-            "156fdcc77c87a0ee1851263b5051e7dd"
+            "67ab66924026077b77da07f0c0da574b"
+            "2543e88b46f0c31e5ad5d7141806c036"
         ),
     ),
     "tsdg-fast-rounds": (
         {"churn": "threshold", "policy": "none", "n": 300, "d": 4,
          "horizon": 60, "fast_rounds": True},
         (
-            "e6ba0c815ae9f3be255fa7d3c890cf74"
-            "5e13663209762f6188eab44639437a26"
+            "23074220e280efaac08ec402aa846904"
+            "5c535323afdf4aa92c4cfa980585e0fc"
         ),
     ),
     "tsdg-fast-warm": (
         {"churn": "threshold", "policy": "none", "n": 300, "d": 4,
          "churn_params": {"fast_warm": True}},
         (
-            "8f2776dbb1bd7ca844bba2347a0b4c12"
-            "c864fb9886d6571c15a37216a55fa5c4"
+            "b24086cbfb90e3ce2d1bbf3bd01c16a5"
+            "7d35d2e0b05d2f78bb557a90b720335b"
         ),
     ),
 }

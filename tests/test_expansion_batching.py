@@ -3,8 +3,9 @@ batched boundary scorer :meth:`CSRView.boundary_counts`.
 
 The golden views (``tests/test_expansion_golden.py``) have 240 nodes, so
 their ball phase runs as one chunk with int32 flat keys.  Here 600-node
-SDGR views (on the default int64 CSR, on the compact int32 CSR, and
-converted from a snapshot, whose CSR rows are unsorted) run the cold probe with the ball chunk shrunk to 7 and to 64 and,
+SDGR views (on the backend's int32 CSR, on the same CSR widened to int64,
+and converted from a snapshot, whose CSR rows are unsorted) run the cold
+probe with the ball chunk shrunk to 7 and to 64 and,
 separately, with the int64 key fallback forced.  The probe result, the
 ``seen`` keys and ``checked`` must equal the default run's, and so must
 the recorded ball stream once sorted by ``(root, radius)`` (chunking
@@ -33,12 +34,11 @@ from repro.analysis.expansion import (
 )
 from repro.analysis.incremental import ProbeCache
 from repro.core import csr
-from repro.core.array_backend import ArraySlotBackend
 from repro.core.csr import csr_view_from_snapshot, flat_key_dtype
 from repro.models import SDGR
 from repro.util.rng import make_rng
 from tests import test_expansion_golden as golden
-from tests.conftest import snapshot_from_edges
+from tests.conftest import Int64CSRBackend, snapshot_from_edges
 
 N = 600
 WINDOWS = ((1, 32), (1, None), (20, 40), (1, 1))
@@ -48,8 +48,8 @@ VARIANTS = ("chunk-7", "chunk-64", "int64-keys") + KERNELS
 
 @pytest.fixture(scope="module", params=["int64-csr", "compact-csr", "snapshot"])
 def view(request):
-    compact = request.param == "compact-csr"
-    network = SDGR(n=N, d=8, seed=7, backend=ArraySlotBackend(compact_csr=compact))
+    wide = request.param == "int64-csr"
+    network = SDGR(n=N, d=8, seed=7, backend=Int64CSRBackend() if wide else None)
     network.run_rounds(6)
     if request.param == "snapshot":
         return csr_view_from_snapshot(network.snapshot())

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments import all_experiments, get_experiment, run_experiment
 from repro.cli.main import main as cli_main
+from repro.experiments import registry
 from repro.experiments.common import ExperimentResult, Stopwatch
 from repro.util.rng import derive_seeds
 
@@ -27,6 +30,22 @@ class TestRegistry:
     def test_paper_references_present(self):
         for exp in all_experiments():
             assert exp.paper_reference
+
+    def test_result_carries_the_registered_strings(self, monkeypatch):
+        exp = get_experiment("EXP-01")
+        monkeypatch.setitem(
+            registry._REGISTRY,
+            "EXP-01",
+            dataclasses.replace(
+                exp, runner=lambda quick, seed: ExperimentResult("EXP-01")
+            ),
+        )
+        result = run_experiment("EXP-01")
+        assert result.title == exp.title
+        assert result.paper_reference == exp.paper_reference
+        assert result.to_text().startswith(
+            f"[EXP-01] {exp.title}\nreproduces: {exp.paper_reference}"
+        )
 
 
 class TestCommon:

@@ -135,12 +135,12 @@ GOLDEN = {
     "PDG-array-discrete-all": "fc3538c9ec09a417fa3a46e5c41dd34c",
     "PDG-array-discrete-cap": "05e7a1e617879fdf4457f325c6c89e0d",
     "PDG-array-discrete-multi": "9b3a3abf67eee8e571ed2a6c77608a15",
-    "PDG-array-discrete-nostop": "0e59c742cab8db65fd2a57675043b6dc",
+    "PDG-array-discrete-nostop": "6827a319251ced7125a1c343d91b56de",
     "PDG-array-discretized": "be9ba5a58efe734ef31fc8e45308e078",
     "PDG-array-discretized-all": "fc3538c9ec09a417fa3a46e5c41dd34c",
     "PDG-array-discretized-cap": "05e7a1e617879fdf4457f325c6c89e0d",
     "PDG-array-discretized-multi": "9b3a3abf67eee8e571ed2a6c77608a15",
-    "PDG-array-discretized-nostop": "0e59c742cab8db65fd2a57675043b6dc",
+    "PDG-array-discretized-nostop": "6827a319251ced7125a1c343d91b56de",
     "PDG-array-gossip": "61c93b70de9d78669500429e887a2f9a",
     "PDG-array-gossip-cap": "34b6c08d18c72bdc1db1c4f78a25b2eb",
     "PDG-array-gossip-mask": "fde00fe77fa6ce09d6ab199ab3df4afb",
@@ -155,12 +155,12 @@ GOLDEN = {
     "PDG-dict-discrete-all": "fc3538c9ec09a417fa3a46e5c41dd34c",
     "PDG-dict-discrete-cap": "05e7a1e617879fdf4457f325c6c89e0d",
     "PDG-dict-discrete-multi": "9b3a3abf67eee8e571ed2a6c77608a15",
-    "PDG-dict-discrete-nostop": "0e59c742cab8db65fd2a57675043b6dc",
+    "PDG-dict-discrete-nostop": "6827a319251ced7125a1c343d91b56de",
     "PDG-dict-discretized": "be9ba5a58efe734ef31fc8e45308e078",
     "PDG-dict-discretized-all": "fc3538c9ec09a417fa3a46e5c41dd34c",
     "PDG-dict-discretized-cap": "05e7a1e617879fdf4457f325c6c89e0d",
     "PDG-dict-discretized-multi": "9b3a3abf67eee8e571ed2a6c77608a15",
-    "PDG-dict-discretized-nostop": "0e59c742cab8db65fd2a57675043b6dc",
+    "PDG-dict-discretized-nostop": "6827a319251ced7125a1c343d91b56de",
     "PDG-dict-gossip": "1eb71c42e573a5e1184644a71dd4cadc",
     "PDG-dict-gossip-cap": "4d10b523d56ff6df12c9af7c43e07cf0",
     "PDG-dict-gossip-pull": "f987823ed3fca32d5f0e10341bf73d89",
@@ -214,7 +214,7 @@ GOLDEN = {
     "SDG-array-discretized-all": "1f85276151b0197dc0ff773bd1966229",
     "SDG-array-discretized-cap": "8980ccd4a738f97e9c204b32e1785008",
     "SDG-array-discretized-multi": "7c70a3da397d465e852158ccbb73327c",
-    "SDG-array-discretized-nostop": "ec1142494e93f6b883d3c2dcd3fa4a0f",
+    "SDG-array-discretized-nostop": "f0c5ca3a0e427e87aefe212613bf6cca",
     "SDG-array-gossip": "4542312097b4dfad84386eb3c5fc0f13",
     "SDG-array-gossip-cap": "22ec788d0ca60ec09b3ed0eed4717404",
     "SDG-array-gossip-mask": "e2f13387007b706fa0e600fc93a3946c",
@@ -232,7 +232,7 @@ GOLDEN = {
     "SDG-dict-discretized-all": "1f85276151b0197dc0ff773bd1966229",
     "SDG-dict-discretized-cap": "8980ccd4a738f97e9c204b32e1785008",
     "SDG-dict-discretized-multi": "7c70a3da397d465e852158ccbb73327c",
-    "SDG-dict-discretized-nostop": "ec1142494e93f6b883d3c2dcd3fa4a0f",
+    "SDG-dict-discretized-nostop": "f0c5ca3a0e427e87aefe212613bf6cca",
     "SDG-dict-gossip": "6d2ecbe423b983806a23d31a2b6e378a",
     "SDG-dict-gossip-cap": "2d7a3f4c96e70343f7868c81b08f63be",
     "SDG-dict-gossip-pull": "72a9e902c844745d858f96e3c23e0159",
@@ -248,7 +248,7 @@ GOLDEN = {
     "SDGR-array-discretized-all": "65165a933344055381a84cc940f0ee0b",
     "SDGR-array-discretized-cap": "aba1ddb77078e3cc897d6a39c386c420",
     "SDGR-array-discretized-multi": "46787dedb4c2a2e74b11140f6bdce12b",
-    "SDGR-array-discretized-nostop": "88767ec51da2b191b9517ca83468ad0a",
+    "SDGR-array-discretized-nostop": "4a2728f32dde938791fe8e50d2298b3e",
     "SDGR-array-gossip": "4651ba565813aea9c6356a7ea98707a9",
     "SDGR-array-gossip-cap": "8fff5bbb5561a9f1b710f6f96b767093",
     "SDGR-array-gossip-mask": "673bfaa14fa541a51dd5d78f8b8c905f",
@@ -266,7 +266,7 @@ GOLDEN = {
     "SDGR-dict-discretized-all": "65165a933344055381a84cc940f0ee0b",
     "SDGR-dict-discretized-cap": "aba1ddb77078e3cc897d6a39c386c420",
     "SDGR-dict-discretized-multi": "46787dedb4c2a2e74b11140f6bdce12b",
-    "SDGR-dict-discretized-nostop": "88767ec51da2b191b9517ca83468ad0a",
+    "SDGR-dict-discretized-nostop": "4a2728f32dde938791fe8e50d2298b3e",
     "SDGR-dict-gossip": "ffd8f9c482705358224b202f6e94063f",
     "SDGR-dict-gossip-cap": "b3b1d8d6abc46d248111099cbf4f79b8",
     "SDGR-dict-gossip-pull": "4de32b3574987ad9d885a332cf74c90d",
@@ -301,3 +301,21 @@ def test_grid_reaches_the_edge_cases(backend):
     assert alone.completed and alone.completion_round == 0
     _, kept = run_case(f"SDG-{backend}-discretized-nostop")
     assert kept.extinct and kept.rounds_run == 30
+
+
+@pytest.mark.parametrize("backend", ["dict", "array"])
+@pytest.mark.parametrize("process", ["discrete", "discretized"])
+def test_extinction_round_is_the_first_extinct_round(backend, process):
+    """A run that keeps going after extinction reports the round at
+    which the informed set first emptied, not its last round."""
+    network = PDG(n=20, d=1, seed=1, backend=BACKENDS[backend]())
+    processes = ORACLE_PROCESSES if backend == "dict" else PROCESSES
+    result = processes[process](
+        network,
+        source=min(network.state.alive_ids()),
+        max_rounds=30,
+        stop_when_extinct=False,
+    )
+    assert result.extinct and result.rounds_run == 30
+    assert result.informed_sizes.index(0) == 21
+    assert result.extinction_round == 21

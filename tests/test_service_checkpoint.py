@@ -303,13 +303,12 @@ class TestObserverRestore:
     def test_custom_observer_needs_declaration(self, tmp_path):
         class Custom(Observer):
             name = "custom_probe_for_restore"
-            needs_snapshot = False
 
             def __init__(self):
                 super().__init__(every=2)
                 self.ticks = 0
 
-            def on_round(self, report, snapshot):
+            def on_round(self, report):
                 self.ticks += 1
 
         sim = Simulation(
