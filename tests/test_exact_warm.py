@@ -3,16 +3,19 @@
 Every streaming-cadence session starts with Definition 3.2's ``n`` pure
 births (``N_0 = ∅``).  The per-event warm-up (``fast_warm=False``) must
 leave exactly the state a loop of ``EdgePolicy.handle_birth`` calls
-leaves — however the driver applies it.  Each digest hashes, right after
-warm-up: the alive order and every out-slot, every ``in_slot_count``, the
-backend's ``mutation_epoch``, the RNG state and a full checkpoint
-payload; then the event records of the first 10 per-event rounds.
+leaves — however the driver applies it.  Each trajectory digest hashes,
+right after warm-up: the alive order and every out-slot, every
+``in_slot_count``, the backend's ``mutation_epoch`` and the RNG state;
+then the event records of the first 10 per-event rounds.  The checkpoint
+payload at the same point is pinned in its own table, keyed the same
+way, so a change to the checkpoint format moves only the payload pins.
 
-The digests were computed with the per-birth warm-up loop (one
-``handle_birth`` call per round), so they pin the batch to it.  A
-second table pins the fast streams (``fast_warm``, ``fast_rounds``) on
-the array backend and checks their epoch against the dict oracle's
-(``tests/oracles/dict_backend.py``).
+The trajectories were first pinned with the per-birth warm-up loop (one
+``handle_birth`` call per round), so the digests pin the batch to it;
+the two tables were split out of those combined digests on a tree that
+still matched them.  A second pair of tables pins the fast streams
+(``fast_warm``, ``fast_rounds``) on the array backend and checks their
+epoch against the dict oracle's (``tests/oracles/dict_backend.py``).
 The other tests pin what that batch relies on: a policy overriding the
 birth hook still runs it once per birth, and ``apply_birth_slots``
 counts the epoch like the loop of ``add_node`` + ``assign_slots`` it
@@ -46,67 +49,68 @@ from tests.oracles.dict_backend import (
 
 _CAPPED = {"max_in_degree": 5, "max_attempts": 4}
 
-#: (churn, policy, backend, n, d) -> sha256 of the warm-state transcript.
+#: (churn, policy, backend, n, d) -> sha256 of the warm-state transcript
+#: (:func:`session_transcript`).
 GOLDEN = {
     ("streaming", "none", "array", 2000, 8): (
-        "36afb96fae1d794665515e606d054a83"
-        "964117af672fcf6f0189b238bf25ade5"
+        "937ce6c81cf1a0c27c8fc7a37426a703"
+        "c17ead5a2deb8d8d3fee05a2056b1684"
     ),
     ("streaming", "none", "dict", 2000, 8): (
-        "d7fd22a26a36055812c1525391c59f1f"
-        "72622c82c9c3a08ba810aea6f777046b"
+        "f6a77bcda536e8f294a1bedc8522db87"
+        "f0dac33721454ab2518fde7731afc8f8"
     ),
     ("streaming", "regen", "array", 2000, 8): (
-        "306335e358bf93585e79fcf49408019b"
-        "1f2d4a292e065a9c2db6ff0c1e2558f0"
+        "3a4e23d68d6b5893bb62af567adb2078"
+        "92617c5b51691481f35b898462e94aba"
     ),
     ("streaming", "regen", "dict", 2000, 8): (
-        "d00912f6dd0344e73f3a39b701feef5b"
-        "ef42f5178d87aaa5b335991a0e8d9bf2"
+        "2f43aa442bb542c7b5f414bbdebdb612"
+        "0683630e706db7f2193e6fb12fc33cd9"
     ),
     ("threshold", "capped", "array", 300, 3): (
-        "4f565fff0a828ad8393eac006832f4a6"
-        "7832bec5580b02236bf0c094830e2de2"
+        "0dc9fa8839fe2d8ca347e21da3f076ad"
+        "379a80abe58c9dbc284455b1788c117d"
     ),
     ("threshold", "capped", "array", 300, 5): (
-        "aa4a562c96f162fe669943fca03d7207"
-        "cbe33aec3ee1f5ca56eded738f4a3d5f"
+        "e30422af0df73e7812358df571af76a5"
+        "2cdf2d2ca7907d0cab90f211553abf22"
     ),
     ("threshold", "capped", "dict", 300, 3): (
-        "6787f9584a36cc548e9a0f1b1dd98f52"
-        "b0b55194a9bda7d224a28dbf850aacdd"
+        "0dc9fa8839fe2d8ca347e21da3f076ad"
+        "379a80abe58c9dbc284455b1788c117d"
     ),
     ("threshold", "capped", "dict", 300, 5): (
-        "9267be6a96713c56372399843281d139"
-        "ff2200e29d82be9dc2cca3710ee14892"
+        "e30422af0df73e7812358df571af76a5"
+        "2cdf2d2ca7907d0cab90f211553abf22"
     ),
     ("threshold", "regen", "array", 300, 3): (
-        "4e383e7bc178e1196dc62f7298118bf7"
-        "948283f3b77c656cacb34814b5262b04"
+        "4ffe798899bf1f10a56223bb510e142d"
+        "7fd0f7085e3a687016b32f724be13a14"
     ),
     ("threshold", "regen", "array", 300, 5): (
-        "20fc7030ddfbc63c8c740cf188935ffa"
-        "016cc62e3b962e3a0adf5876c7b81e92"
+        "fac2c956d663d7365893e1acf4401a3f"
+        "c923eb989dec3b45ead712e036ee9ac1"
     ),
     ("threshold", "regen", "dict", 300, 3): (
-        "07f2a318f986d06abed6aaf07f4fadbf"
-        "7ccc51b7cfb54b437a1c31b10d99d719"
+        "4ffe798899bf1f10a56223bb510e142d"
+        "7fd0f7085e3a687016b32f724be13a14"
     ),
     ("threshold", "regen", "dict", 300, 5): (
-        "a0c8fcbe30b660261b56df8b965b7c1e"
-        "a5b3cfeb526eb5f7492ebc5180966898"
+        "fac2c956d663d7365893e1acf4401a3f"
+        "c923eb989dec3b45ead712e036ee9ac1"
     ),
 }
 
 
 #: Fast streams on the array backend: label -> (spec fields, sha256 of
-#: the transcript without the epoch).  ``fast_warm`` warm-ups and
+#: the trajectory transcript without the epoch).  ``fast_warm`` warm-ups and
 #: ``fast_rounds`` sessions (the fused warm prefix of ``warm=False``
-#: included) draw every pure-birth batch in one call; these digests were
-#: computed with the array backend's earlier batch implementation, so
+#: included) draw every pure-birth batch in one call; these streams were
+#: first pinned with the array backend's earlier batch implementation, so
 #: they pin the one batch path to it.  The two ``-steady`` cases run past
 #: the warm prefix into fused steady-state windows (horizon > n); their
-#: digests were computed before ``apply_round_batch`` counted the epoch
+#: streams were first pinned before ``apply_round_batch`` counted the epoch
 #: like the dict backend, so they pin that count's fix to the old stream.
 #: The epoch is compared with the dict backend's instead, which counts
 #: like the per-birth loop.
@@ -115,86 +119,186 @@ FAST_GOLDEN = {
         {"churn": "poisson", "n": 300, "d": 4, "horizon": 40,
          "fast_rounds": True},
         (
-            "6d286790a26fd37368c8e82f203b83f4"
-            "5f0c4cc2e8f26cbc0f16f7beeb2bed4a"
+            "56f240cd1c9f969aeb8b1b37ecf6696d"
+            "bdbbe3a38df838660bb21aca94ba9372"
         ),
     ),
     "pdgr-fast-warm": (
         {"churn": "poisson", "n": 300, "d": 4,
          "churn_params": {"fast_warm": True}},
         (
-            "dbffe04c1990742aaf3bf315d3327525"
-            "38c945b41826389bb2aef6bd06feaa1c"
+            "35f5cf3fdd519dc846e5a80fda076541"
+            "5539a90a6fde68d4435b00e2c26b7b6f"
         ),
     ),
     "sdg-fast-warm": (
         {"policy": "none", "n": 2000, "d": 8,
          "churn_params": {"fast_warm": True}},
         (
-            "06407fd9e4001a6149b779e81e784d1c"
-            "cb2faf8428792860d891d484ac89f1ba"
+            "b14a572d523b1f593cc88c15807c17df"
+            "5b8991b87a59d9d0bdf42eb7fc29546d"
         ),
     ),
     "sdgr-fast-warm": (
         {"n": 2000, "d": 8, "churn_params": {"fast_warm": True}},
         (
-            "71cef1aded97a6666aa2069bd12ba43c"
-            "1fa1cf6c9bbde01874effc605b2f6c7c"
+            "72117bb83c2f34b69b6279a92da4e3a6"
+            "12c9371ccfc380dcce493dbc58758303"
         ),
     ),
     "sdgr-fast-warm-n3": (
         {"n": 3, "d": 4, "churn_params": {"fast_warm": True}},
         (
-            "9a52e32f76f67461a564dc967a7879d5"
-            "fd673a6f2ed5149a1ef6df1fa83ff06d"
+            "d57b2cdc79735c83a7d725f8b902d5fe"
+            "ce9cc253af192c670854d45a5bb533a7"
         ),
     ),
     "sdg-cold-fast-rounds-steady": (
         {"policy": "none", "n": 200, "d": 4, "horizon": 350,
          "fast_rounds": True, "churn_params": {"warm": False}},
         (
-            "f5794b569fecca2748af78a2c11a2b56"
-            "471bfd48d524beccea090c4e0018dbd6"
+            "e3f55442bb3c90b03f90def50958fc57"
+            "6f46428b2c85a42625373fd6cf74188c"
         ),
     ),
     "sdgr-cold-fast-rounds": (
         {"n": 300, "d": 4, "horizon": 250, "fast_rounds": True,
          "churn_params": {"warm": False}},
         (
-            "a4bf29f1b9686506054deb2ef62a9dbe"
-            "e1bd547192896753c73cfede3b436d3f"
+            "8dc24d85064ec2cd69f12598dcec07c8"
+            "2e0859a7661f9ac45c988d35c6968ff3"
         ),
     ),
     "sdgr-cold-fast-rounds-steady": (
         {"n": 200, "d": 4, "horizon": 350, "fast_rounds": True,
          "churn_params": {"warm": False}},
         (
-            "67ab66924026077b77da07f0c0da574b"
-            "2543e88b46f0c31e5ad5d7141806c036"
+            "e6acc13eb8e36e387f4b786892ea4b99"
+            "045177577da69bd341d25b4fb8660231"
         ),
     ),
     "tsdg-fast-rounds": (
         {"churn": "threshold", "policy": "none", "n": 300, "d": 4,
          "horizon": 60, "fast_rounds": True},
         (
-            "23074220e280efaac08ec402aa846904"
-            "5c535323afdf4aa92c4cfa980585e0fc"
+            "d3b6b57973d4f239b977723bbdd45c75"
+            "8d413cf1663242675f723f58ac621eeb"
         ),
     ),
     "tsdg-fast-warm": (
         {"churn": "threshold", "policy": "none", "n": 300, "d": 4,
          "churn_params": {"fast_warm": True}},
         (
-            "b24086cbfb90e3ce2d1bbf3bd01c16a5"
-            "7d35d2e0b05d2f78bb557a90b720335b"
+            "5885cc2331a618da3d1e2626fb3f9ef0"
+            "501f2bdd3d182175cf209daeb9fb4b44"
         ),
     ),
 }
 
 
-def warm_transcript(
+#: The same keys -> sha256 of the canonical checkpoint payload right after
+#: warm-up (spec backend set to the key's backend).
+PAYLOAD_GOLDEN = {
+    ("streaming", "none", "array", 2000, 8): (
+        "d3f834d7a8598e050b1688b2ff3304e2"
+        "5feacbbb1e6f057e94dd159d3177072b"
+    ),
+    ("streaming", "none", "dict", 2000, 8): (
+        "ae21d8448ba5f4ae3329142844ea78ce"
+        "804abe3fe04e8427f0abe2682bf41502"
+    ),
+    ("streaming", "regen", "array", 2000, 8): (
+        "d2d07a78d29099c2edf3baeda80d185e"
+        "a68f1d6409217bdbbf556790d3c19ceb"
+    ),
+    ("streaming", "regen", "dict", 2000, 8): (
+        "2d314d688eba122d8b941c03ce2eb629"
+        "34eb88df683c482567bbb8c163a8d7a7"
+    ),
+    ("threshold", "capped", "array", 300, 3): (
+        "e9df7ea9c02e3f6dee628b035500633f"
+        "9400ab6ad8cf940730358d26fb37a6b8"
+    ),
+    ("threshold", "capped", "array", 300, 5): (
+        "600d20df788c1e5355ebd81ca6dcd5a4"
+        "5c514414ba45a265dfd421f30394a01a"
+    ),
+    ("threshold", "capped", "dict", 300, 3): (
+        "59362cce51c78fe95f18c7d1b3ee0974"
+        "516fcdbf486a02573f1499aeccf3436f"
+    ),
+    ("threshold", "capped", "dict", 300, 5): (
+        "1a6d3ceb6a06baea6bb4313e5953fe2c"
+        "ec9e9fc3170d719b7b45dbb217b4036e"
+    ),
+    ("threshold", "regen", "array", 300, 3): (
+        "f48d4a39aad4ab2c4fc518adb1702574"
+        "1cbaf48b6ccfe8fe9a984ca90c19d6db"
+    ),
+    ("threshold", "regen", "array", 300, 5): (
+        "b89adaa72721cc8d6f6bfde20ad18279"
+        "3589710e17eb707a3d76404c225a77dc"
+    ),
+    ("threshold", "regen", "dict", 300, 3): (
+        "28d533132561a79cdcdea56e7c30c5b1"
+        "f4ddaa1ea3091c2a94d278e8e73f1077"
+    ),
+    ("threshold", "regen", "dict", 300, 5): (
+        "91eb3fec2186bccd842a543b170016f0"
+        "9f7a759da956daf5d965626294f84a28"
+    ),
+}
+
+
+#: The same labels -> sha256 of the canonical checkpoint payload after the
+#: session's run, without the mutation epoch.
+FAST_PAYLOAD_GOLDEN = {
+    "pdgr-fast-rounds": (
+        "e613a995e8f2a3e77143bca3777bd5ca"
+        "d77839203cdec17651c108475f7b60ae"
+    ),
+    "pdgr-fast-warm": (
+        "664b4b4ff01016647de65d39381a1b06"
+        "6c71a44768939572f3c3b8d8b42a2a46"
+    ),
+    "sdg-cold-fast-rounds-steady": (
+        "e6ffe6abb605902303afeb58b700ecce"
+        "4b5996b239f867c5df565eb521f34b3e"
+    ),
+    "sdg-fast-warm": (
+        "797cb40ac4f6658570d902a9609f8749"
+        "ae2483eee6246ef6c94b3591fd5ba8e4"
+    ),
+    "sdgr-cold-fast-rounds": (
+        "f3291e4016d82fc8123ceea7afbb51ca"
+        "c485f59f10a083f538490a50ec515b29"
+    ),
+    "sdgr-cold-fast-rounds-steady": (
+        "d7873476ffb80e25f82f1e82ebe0e97d"
+        "4921878ef5f3e38ac28f18d2897a092a"
+    ),
+    "sdgr-fast-warm": (
+        "fe3e64d8fa5b34c10d0ca9b55063a3b1"
+        "bd9cbbc685921e1cf69f4b47568dfefa"
+    ),
+    "sdgr-fast-warm-n3": (
+        "53d67ad2b3411f888e1d623c5077ac6b"
+        "e9ed4884e5acb8b67b056bc75cbe26c9"
+    ),
+    "tsdg-fast-rounds": (
+        "8ab3d2a80ea640867212e6a11b2da85a"
+        "45536e57e70921f83f1af7c3e08441d3"
+    ),
+    "tsdg-fast-warm": (
+        "354e5cd135a218db3d1d6815469feb4c"
+        "d5d6efedd4990729001a0e84de009783"
+    ),
+}
+
+
+def warm_session(
     churn: str, policy: str, backend: str, n: int, d: int, monkeypatch
-) -> dict:
+) -> Simulation:
     if backend == "dict":
         build_drivers_on_oracle(monkeypatch)
     spec = ScenarioSpec(
@@ -206,32 +310,21 @@ def warm_transcript(
         seed=2025,
         backend="array" if backend == "array" else None,
     )
-    return session_transcript(Simulation(spec), backend=backend)
+    return Simulation(spec)
 
 
-def session_transcript(
-    sim: Simulation, epoch: bool = True, backend: str | None = None
-) -> dict:
+def session_transcript(sim: Simulation, epoch: bool = True) -> dict:
     """The state of *sim* now, then 10 per-event rounds' records; with
-    ``epoch=False`` the mutation epoch is left out of both the state and
-    the checkpoint payload.  *backend* is written into the payload's spec
-    (an oracle session's spec cannot name the backend it runs on)."""
+    ``epoch=False`` the mutation epoch is left out."""
     network = sim.network
     state = network.state
     alive = state.alive_ids()
-    checkpoint = encode_value(build_payload(sim))
-    if backend is not None:
-        checkpoint["spec"]["backend"] = backend
-    if not epoch:
-        del checkpoint["backend"]["mutation_epoch"]
-    payload = json.dumps(checkpoint, sort_keys=True, separators=(",", ":"))
     warm = {
         "alive": alive,
         "slots": [state.out_slots_of(u) for u in alive],
         "in_counts": [state.in_slot_count(u) for u in alive],
         "epoch": state.mutation_epoch(),
         "rng": network.rng.bit_generator.state,
-        "checkpoint": hashlib.sha256(payload.encode()).hexdigest(),
     }
     if not epoch:
         del warm["epoch"]
@@ -250,6 +343,22 @@ def session_transcript(
     return {"warm": warm, "rounds": rounds}
 
 
+def payload_digest(
+    sim: Simulation, epoch: bool = True, backend: str | None = None
+) -> str:
+    """sha256 of *sim*'s canonical checkpoint payload now; with
+    ``epoch=False`` the backend's mutation epoch is left out.  *backend*
+    is written into the payload's spec (an oracle session's spec cannot
+    name the backend it runs on)."""
+    checkpoint = encode_value(build_payload(sim))
+    if backend is not None:
+        checkpoint["spec"]["backend"] = backend
+    if not epoch:
+        del checkpoint["backend"]["mutation_epoch"]
+    payload = json.dumps(checkpoint, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 def digest(transcript: dict) -> str:
     blob = json.dumps(transcript, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -259,8 +368,17 @@ def digest(transcript: dict) -> str:
 def test_warm_state_matches_golden_digest(
     churn, policy, backend, n, d, monkeypatch
 ):
-    transcript = warm_transcript(churn, policy, backend, n, d, monkeypatch)
-    assert digest(transcript) == GOLDEN[(churn, policy, backend, n, d)]
+    sim = warm_session(churn, policy, backend, n, d, monkeypatch)
+    assert digest(session_transcript(sim)) == GOLDEN[(churn, policy, backend, n, d)]
+
+
+@pytest.mark.parametrize("churn,policy,backend,n,d", sorted(PAYLOAD_GOLDEN))
+def test_warm_checkpoint_payload_matches_golden_digest(
+    churn, policy, backend, n, d, monkeypatch
+):
+    sim = warm_session(churn, policy, backend, n, d, monkeypatch)
+    expected = PAYLOAD_GOLDEN[(churn, policy, backend, n, d)]
+    assert payload_digest(sim, backend=backend) == expected
 
 
 def fast_session(fields: dict) -> Simulation:
@@ -277,6 +395,13 @@ def test_array_fast_stream_matches_golden_digest(label, monkeypatch):
     reference = fast_session(fields).network.state
     assert isinstance(reference, DictBackend)
     assert epoch == reference.mutation_epoch()
+
+
+@pytest.mark.parametrize("label", sorted(FAST_PAYLOAD_GOLDEN))
+def test_array_fast_checkpoint_payload_matches_golden_digest(label):
+    fields, _ = FAST_GOLDEN[label]
+    sim = fast_session(fields)
+    assert payload_digest(sim, epoch=False) == FAST_PAYLOAD_GOLDEN[label]
 
 
 def counting(policy_cls, *args, **kwargs):
