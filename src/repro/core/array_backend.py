@@ -49,7 +49,7 @@ from repro.core.backend import GraphBackend
 from repro.core.csr import CSRView, csr_index_dtype
 from repro.core.node import NodeRecord
 from repro.core.snapshot import Snapshot
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 
 
 class _ReverseIndex(dict):
@@ -257,6 +257,19 @@ class ArraySlotBackend(GraphBackend):
 
     def birth_time(self, node_id: int) -> float:
         return float(self._birth[self._row_of[node_id]])
+
+    def youngest_alive(self) -> int:
+        """The most recently born alive node, from one pass over the
+        alive rows' birth times.  Among equal birth times it returns the
+        first in alive order, as ``max`` over :meth:`alive_ids` does."""
+        if not len(self.alive):
+            raise ConfigurationError("network has no alive nodes")
+        rows = np.flatnonzero(self._alive_rows)
+        times = self._birth[rows]
+        latest = self._id_of[rows[times == times.max()]].tolist()
+        if len(latest) == 1:
+            return latest[0]
+        return min(latest, key=self.alive.index)
 
     def out_slots_of(self, node_id: int) -> list[int | None]:
         row = self._row_of[node_id]
@@ -561,7 +574,7 @@ class ArraySlotBackend(GraphBackend):
         ``num_slots`` slots, and ids ``base + n .. base + n + rounds - 1``
         are already allocated.  Round ``k`` (1-based) at time
         ``start_time + k``: node ``base + k - 1`` dies, each orphaned
-        slot re-targets via ``plan.take_regen`` when *regenerate* (else
+        slot re-targets via ``plan.regen`` when *regenerate* (else
         stays empty), then node ``base + n + k - 1`` is born with
         ``num_slots`` requests addressed by ``plan.birth_offsets[k-1]``
         (offset ``v`` = the ``v``-th oldest post-death survivor).  The
@@ -590,8 +603,9 @@ class ArraySlotBackend(GraphBackend):
         d = int(num_slots)
         if W < 1:
             return
-        if plan.rounds < W or plan.d != d:
-            raise SimulationError("window plan does not cover this batch")
+        if plan.rounds != W or plan.d != d:
+            # A plan sizes its blocks for exactly its rounds.
+            raise SimulationError("window plan does not match this batch")
         if self.num_alive() != n:
             raise SimulationError(
                 f"fused window needs exactly {n} alive nodes, "
@@ -726,13 +740,13 @@ class ArraySlotBackend(GraphBackend):
                 regenerated += len(orphans)
                 # Skip trick: draw v over the n-2 survivors other than
                 # the orphan's own source (post-death range [k, k+n-1)).
-                for e, v in zip(orphans, plan.take_regen(len(orphans)).tolist()):
+                for e, v in zip(orphans, plan.regen(len(orphans))):
                     t = k + v + (v >= e // d - k)
                     final[e] = t
                     if t < W:
                         in_lists[t].append(e)
             # Birth: local n+k-1 targets local k+v.
-            births.append([k + v for v in plan.take_birth(1)[0].tolist()])
+            births.append([k + v for v in plan.births()])
             for e, t in enumerate(births[-1], (n + k - 1) * d):
                 if t < W:
                     in_lists[t].append(e)

@@ -9,7 +9,8 @@ backend shares: the alive set as an
 :class:`~repro.util.sampling.IndexedSet` (so uniform sampling consumes
 the RNG identically on every implementation), the mutation epoch and
 touched-node tracking, id allocation, ``sample_*``, ``apply_deaths`` and
-``youngest_alive``.
+the reference ``youngest_alive`` (the array backend overrides it with one
+vectorised pass that picks the same node).
 
 The readable dict-of-dicts reference backend the library started from
 lives in ``tests/oracles/dict_backend.py``: the parity suites build

@@ -15,23 +15,32 @@ then the newborn's ``d`` birth draws.
   paper's uniform-over-others birth law — the newborn itself is not in
   the pool, so no rejection or skip is needed.  Windows without
   regeneration draws (SDG) may take the whole window's matrix upfront
-  (:meth:`take_birth` with ``rounds > 1``): NumPy generates bounded
-  integers element-by-element from the bit stream, so one ``(W, d)``
-  request consumes the generator exactly like ``W`` consecutive ``(1,
-  d)`` requests (pinned by the window-boundary equivalence tests).
+  (:meth:`WindowDrawPlan.take_birth` with ``rounds > 1``): bounded draws
+  consume the generator one value after another, so one ``(W, d)`` take
+  consumes it exactly like ``W`` consecutive one-round takes (pinned by
+  the window-boundary equivalence tests).
 * **regeneration draws** — uniform over ``[0, n-2)``, exactly one per
   orphaned request, taken per round.  An orphan owned by the survivor at
   post-death age rank ``rel`` maps draw ``v`` to rank ``v + (v >=
   rel)``: exact uniform over the ``n - 2`` survivors other than itself
   (the skip trick), no rejection re-draws.
 
-Draw counts are *exact* — nothing is pre-drawn and discarded at a window
-boundary — so the consumed RNG stream depends only on the round sequence,
-never on how rounds are partitioned into windows.  That buys the two
-reproducibility guarantees the fused path makes: arbitrary window splits
-replay the identical trajectory (W=1 fused == one big window), and a
-checkpoint between windows restores it (the trajectory is a pure function
-of backend state + RNG state, with no pool carry-over to lose).
+Every value is what a per-call ``rng.integers(0, bound)`` would return
+at that point of the stream.  The plan serves them from a
+:class:`~repro.util.sampling.RawWordDraws` source: raw words are drawn
+ahead in blocks, and closing the plan rewinds the generator to just
+after the words the window's draws consumed.  So the stream position
+after a window still depends only on the sequence of rounds, never on
+how rounds are partitioned into windows or how far ahead a block drew.
+That buys the two reproducibility guarantees the fused path makes:
+arbitrary window splits replay the identical trajectory (W=1 fused ==
+one big window), and a checkpoint between windows restores it (the
+trajectory is a pure function of backend state + RNG state, with no
+pool carry-over to lose).
+
+The array kernel reads each round's draws as Python ints
+(:meth:`WindowDrawPlan.regen`, :meth:`WindowDrawPlan.births`): inside
+one block they are list slices, with no NumPy call per round.
 
 Both backends consume the *same* plan protocol with the *same* orphan
 ordering, so the fused trajectory is bit-identical across backends —
@@ -47,10 +56,28 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.util.sampling import RawWordDraws
+
+
+#: Words a fused round is expected to take, in units of ``d``, slightly
+#: over: ``d`` births and up to ``2d`` orphans (steady-state SDGR windows
+#: took 2.7d words a round at n = 300 to 1e4, as the dying oldest node
+#: has gathered regenerated slots).
+_ROUND_WORDS = 3
 
 
 class WindowDrawPlan:
     """The RNG draws of one fused streaming window, in canonical order.
+
+    Every draw is served by one
+    :class:`~repro.util.sampling.RawWordDraws` source, so the generator
+    runs ahead of the window's draws until :meth:`close` (or the end of a
+    ``with`` block) rewinds it to just after them.  Nothing else may
+    draw from *rng* while the plan is open.  Each take tells the source
+    the words the rest of the window is expected to need, and the ``d``
+    birth draws per remaining newborn that are certain to follow.  (With
+    ``n = 2`` a birth pool is one node and takes no word, but then no
+    take ever draws a block.)
 
     Args:
         n: constant network size of the streaming model.
@@ -59,7 +86,7 @@ class WindowDrawPlan:
         rng: the driver's generator, advanced by every take.
     """
 
-    __slots__ = ("n", "d", "rounds", "_rng", "_birth_taken")
+    __slots__ = ("n", "d", "rounds", "_source", "_birth_taken")
 
     def __init__(
         self, n: int, d: int, rounds: int, rng: np.random.Generator
@@ -71,28 +98,42 @@ class WindowDrawPlan:
         self.n = int(n)
         self.d = int(d)
         self.rounds = int(rounds)
-        self._rng = rng
+        self._source = RawWordDraws(rng)
         self._birth_taken = 0
 
-    def take_birth(self, rounds: int = 1) -> np.ndarray:
-        """Birth offsets for the next *rounds* newborns, shape ``(rounds, d)``.
+    def __enter__(self) -> "WindowDrawPlan":
+        return self
 
-        Uniform over ``[0, n-1)`` — the ``n - 1`` post-death survivors of
-        each newborn's round.  Regenerating windows must take one round at
-        a time, interleaved with that round's :meth:`take_regen`;
-        regeneration-free windows may take the whole window upfront (the
-        two consume the generator identically).
-        """
+    def __exit__(self, *exc_info) -> None:
+        self._source.__exit__(*exc_info)
+
+    def close(self) -> None:
+        """Rewind the generator to just after the draws taken so far."""
+        self._source.close()
+
+    def _count_births(self, rounds: int) -> None:
         if self._birth_taken + rounds > self.rounds:
             raise ConfigurationError(
                 f"window plan covers {self.rounds} rounds; birth draws for "
                 f"{self._birth_taken + rounds} requested"
             )
         self._birth_taken += rounds
-        return self._rng.integers(0, self.n - 1, size=(rounds, self.d))
 
-    def take_regen(self, count: int) -> np.ndarray:
-        """The current round's *count* regeneration draws, over ``[0, n-2)``.
+    def births(self) -> list[int]:
+        """The next newborn's ``d`` birth offsets, as Python ints.
+
+        Uniform over ``[0, n-1)`` — the ``n - 1`` post-death survivors of
+        the newborn's round.
+        """
+        self._count_births(1)
+        rest = self.rounds - self._birth_taken  # rounds after this one
+        return self._source.take(
+            self.n - 1, self.d, _ROUND_WORDS * self.d * rest, self.d * rest
+        )
+
+    def regen(self, count: int) -> list[int]:
+        """The current round's *count* regeneration draws, over
+        ``[0, n-2)``, as Python ints.
 
         Consumed in orphan order (ascending ``(source, slot)``), exactly
         *count* draws — the stream position after a round depends only on
@@ -103,4 +144,26 @@ class WindowDrawPlan:
             raise ConfigurationError(
                 "regeneration draws need n >= 3 (no third node to re-target)"
             )
-        return self._rng.integers(0, self.n - 2, size=count)
+        rest = self.rounds - self._birth_taken - 1  # rounds after this one
+        # This round's newborn follows, then the rounds after it.
+        return self._source.take(
+            self.n - 2,
+            count,
+            self.d + _ROUND_WORDS * self.d * rest,
+            self.d * (rest + 1),
+        )
+
+    def take_birth(self, rounds: int = 1) -> np.ndarray:
+        """Birth offsets for the next *rounds* newborns, shape ``(rounds, d)``.
+
+        The same draws as *rounds* calls of :meth:`births`; regeneration-
+        free windows take the whole window in one array.
+        """
+        self._count_births(rounds)
+        return self._source.take_array(self.n - 1, rounds * self.d).reshape(
+            rounds, self.d
+        )
+
+    def take_regen(self, count: int) -> np.ndarray:
+        """:meth:`regen` as an int64 array."""
+        return np.array(self.regen(count), dtype=np.int64)

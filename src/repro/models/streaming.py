@@ -169,15 +169,15 @@ class StreamingNetwork(DynamicNetwork):
                     f"id drift: allocated {node_ids[0]}, schedule expects "
                     f"{expected}"
                 )
-            plan = WindowDrawPlan(self.n, self.d, chunk, self.rng)
-            self.state.apply_round_batch(
-                base=base,
-                rounds=chunk,
-                num_slots=self.d,
-                start_time=float(self.round_number),
-                plan=plan,
-                regenerate=bool(regenerate),
-            )
+            with WindowDrawPlan(self.n, self.d, chunk, self.rng) as plan:
+                self.state.apply_round_batch(
+                    base=base,
+                    rounds=chunk,
+                    num_slots=self.d,
+                    start_time=float(self.round_number),
+                    plan=plan,
+                    regenerate=bool(regenerate),
+                )
             self.round_number += chunk
             self.clock.advance_to(float(self.round_number))
             remaining -= chunk

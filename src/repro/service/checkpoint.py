@@ -1,10 +1,14 @@
 """Versioned, content-hashed checkpoints of running simulations.
 
-A checkpoint is a single JSON file:
+A checkpoint is a single JSON file, written compactly with its keys
+sorted:
 
-    {"format": "repro-checkpoint", "version": 1,
-     "sha256": "<hash of the canonical payload encoding>",
-     "payload": {...}}
+    {"format":"repro-checkpoint","payload":{...},
+     "sha256":"<hash of the canonical payload text>","version":1}
+
+The payload is encoded once and turned into its canonical text once;
+the file embeds exactly the text the hash covers.  Any JSON layout of
+the same envelope loads (older files used spaced separators).
 
 The payload serializes everything that determines the rest of a seeded
 trajectory: the :class:`~repro.scenario.spec.ScenarioSpec`, the backend
@@ -77,8 +81,20 @@ FILE_PREFIX = "ckpt-"
 # ----------------------------------------------------------------------
 
 
+#: Leaf types JSON writes as they are (``bool`` is an ``int``).
+_JSON_SCALARS = (str, int, float, type(None))
+
+#: Exact types :func:`encode_value` passes through a list in one check.
+_PLAIN_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def encode_value(value: Any) -> Any:
-    """Recursively convert *value* into plain JSON-able structures."""
+    """Recursively convert *value* into plain JSON-able structures.
+
+    A list or tuple whose items are all plain scalars is copied in one
+    step, without a call per item.  Anything that is neither a container,
+    a NumPy value nor a JSON scalar raises :class:`CheckpointError`.
+    """
     if isinstance(value, np.ndarray):
         return {
             "__ndarray__": True,
@@ -97,8 +113,15 @@ def encode_value(value: Any) -> Any:
     if isinstance(value, dict):
         return {str(key): encode_value(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
+        if set(map(type, value)) <= _PLAIN_SCALARS:
+            return list(value)
         return [encode_value(item) for item in value]
-    return value
+    if isinstance(value, _JSON_SCALARS):
+        return value
+    raise CheckpointError(
+        f"checkpoint payload is not JSON-serializable: a "
+        f"{type(value).__name__} value"
+    )
 
 
 def decode_value(value: Any) -> Any:
@@ -116,6 +139,7 @@ def decode_value(value: Any) -> Any:
 
 
 def _canonical_text(encoded_payload: Any) -> str:
+    """The payload's canonical JSON text: the bytes its hash covers."""
     try:
         return json.dumps(
             encoded_payload, sort_keys=True, separators=(",", ":")
@@ -126,10 +150,8 @@ def _canonical_text(encoded_payload: Any) -> str:
         ) from error
 
 
-def _payload_hash(encoded_payload: Any) -> str:
-    return hashlib.sha256(
-        _canonical_text(encoded_payload).encode("utf-8")
-    ).hexdigest()
+def _text_hash(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -339,14 +361,18 @@ class Checkpoint:
 
 
 def build_payload(simulation: "Simulation") -> dict:
-    """Capture a :class:`Simulation`'s full resumable state as a dict."""
+    """Capture a :class:`Simulation`'s full resumable state, encoded.
+
+    Returns the :func:`encode_value` form (plain JSON structures, NumPy
+    arrays as base64 blobs), encoded once; an observer whose state does
+    not encode is named in the :class:`CheckpointError`.
+    """
     network = simulation.network
     kind, dump, _ = _driver_codec(network)
     observers = []
     for observer in simulation.observers:
-        state = observer.state_dict()
         try:
-            _canonical_text(encode_value(state))
+            state = encode_value(observer.state_dict())
         except CheckpointError as error:
             raise CheckpointError(
                 f"observer {observer.name!r} has non-serializable state: "
@@ -357,23 +383,27 @@ def build_payload(simulation: "Simulation") -> dict:
     # in _feeds is NOT its observer's position in simulation.observers —
     # record the observer-list index, which is what restore resolves.
     slot_of = {id(obs): i for i, obs in enumerate(simulation.observers)}
-    return {
-        "spec": simulation.spec.to_dict(),
-        "time": network.now,
-        "rounds_completed": simulation.rounds_completed,
-        "backend": network.state.dump_state(),
-        "driver": {"kind": kind, **dump(network)},
-        "rng": network.rng.bit_generator.state,
-        "observers": observers,
-        "feeds": [
-            {
-                "observer": slot_of[id(feed.observer)],
-                "window": encode_report(feed.window),
-                "last_flush_round": feed.last_flush_round,
-            }
-            for feed in simulation._feeds
-        ],
-    }
+    payload = encode_value(
+        {
+            "spec": simulation.spec.to_dict(),
+            "time": network.now,
+            "rounds_completed": simulation.rounds_completed,
+            "backend": network.state.dump_state(),
+            "driver": {"kind": kind, **dump(network)},
+            "rng": network.rng.bit_generator.state,
+            "observers": [],
+            "feeds": [
+                {
+                    "observer": slot_of[id(feed.observer)],
+                    "window": encode_report(feed.window),
+                    "last_flush_round": feed.last_flush_round,
+                }
+                for feed in simulation._feeds
+            ],
+        }
+    )
+    payload["observers"] = observers
+    return payload
 
 
 def write_checkpoint(simulation: "Simulation", path: str | Path) -> Path:
@@ -384,17 +414,16 @@ def write_checkpoint(simulation: "Simulation", path: str | Path) -> Path:
     leaves *path* pointing at a partially written envelope.
     """
     target = Path(path)
-    encoded = encode_value(build_payload(simulation))
-    envelope = {
-        "format": FORMAT,
-        "version": VERSION,
-        "sha256": _payload_hash(encoded),
-        "payload": encoded,
-    }
+    text = _canonical_text(build_payload(simulation))
+    # The envelope's keys in sorted order, around the one payload text.
+    envelope = (
+        f'{{"format":{json.dumps(FORMAT)},"payload":{text},'
+        f'"sha256":"{_text_hash(text)}","version":{VERSION}}}'
+    )
     target.parent.mkdir(parents=True, exist_ok=True)
     scratch = target.with_name(target.name + ".tmp")
     with scratch.open("w", encoding="utf-8") as handle:
-        handle.write(json.dumps(envelope, sort_keys=True))
+        handle.write(envelope)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(scratch, target)
@@ -499,7 +528,7 @@ def _load_checkpoint_file(path: Path) -> Checkpoint:
             f"{VERSION}"
         )
     recorded = envelope.get("sha256")
-    actual = _payload_hash(envelope["payload"])
+    actual = _text_hash(_canonical_text(envelope["payload"]))
     if recorded != actual:
         raise CheckpointError(
             f"checkpoint {path} failed content-hash verification "

@@ -9,6 +9,7 @@ the classic list + position-map ("swap-pop") representation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -29,7 +30,228 @@ def _uniform_indices(rng: np.random.Generator, size: int, k: int) -> list[int]:
     return rng.integers(0, size, size=k).tolist()
 
 
-#: Fewest values a speculative chunk of :func:`birth_prefix_draws` draws.
+#: Raw words are 32-bit: ``rng.integers(0, b)`` with ``b <= 2**32`` draws
+#: one ``next_uint32`` per attempt (Lemire's multiply-shift).
+_WORD_SPAN = 1 << 32
+_LOW_HALF = _WORD_SPAN - 1
+
+#: Most words one block of a :class:`RawWordDraws` holds: 256 KiB of
+#: words, and per tabulated bound about 2.4 MB of Python ints.  Bounds
+#: what a long window keeps at once and what a close replays.
+_MAX_BLOCK_WORDS = 1 << 16
+
+#: Blocks of at most this many words serve :meth:`RawWordDraws.take` with
+#: a per-word Python loop: below it a block is cheaper to walk than to
+#: tabulate with NumPy, whose per-call cost dominates a one-round window
+#: (about 3d words).
+_SMALL_BLOCK_WORDS = 64
+
+
+def _check_bound(bound: int) -> None:
+    if not 1 <= bound <= _WORD_SPAN:
+        raise ValueError(
+            f"raw-word draws need 1 <= bound <= 2**32, got {bound}"
+        )
+
+
+def _lemire(
+    words: np.ndarray, bounds: np.ndarray | np.uint64
+) -> tuple[np.ndarray, np.ndarray]:
+    """NumPy's bounded draw ``[0, bound)`` from each raw word.
+
+    Returns the values ``(w·b) >> 32`` (int64) and the ascending
+    positions of the words NumPy rejects, whose low half is below
+    ``(2**32 − b) % b``: a rejected word is discarded and the draw takes
+    the next word with the same bound.  *words* are uint32, *bounds* (an
+    array or one shared scalar) uint64, each at least 2, since a bound
+    of 1 takes no word at all.  Like NumPy, the threshold is worked out
+    only where the low half is below the bound, which always exceeds it.
+    """
+    product = words * bounds
+    at = np.flatnonzero((product & _LOW_HALF) < bounds)
+    if at.size:
+        bound = bounds[at] if np.ndim(bounds) else bounds
+        at = at[(product[at] & _LOW_HALF) < (_WORD_SPAN - bound) % bound]
+    np.right_shift(product, 32, out=product)
+    return product.view(np.int64), at
+
+
+class RawWordDraws:
+    """Exact bounded draws from one generator, served from raw-word blocks.
+
+    For every bound ``1 <= b <= 2**32`` each draw returns what
+    ``rng.integers(0, b)`` would at that point of the stream, and after
+    :meth:`close` the generator is in the state those per-call draws
+    would have left.  Words are pulled ahead in blocks with one
+    ``rng.integers(0, 2**32, size=m, dtype=np.uint32)`` call (the same
+    ``next_uint32`` sequence the bounded draws consume) and turned into
+    values with NumPy's own multiply-shift and rejection rule
+    (:func:`_lemire`).  A block is refilled only once it is used up, so
+    refills never rewind; :meth:`close` restores the state saved before
+    the last block and replays exactly its consumed words.  Nothing else
+    may draw from the generator while the source is open.
+
+    A take's *ahead* hint (the words the caller expects to need after
+    it) sizes a refill, up to ``_MAX_BLOCK_WORDS``.  Its *sure* part
+    counts draws certain to follow, each taking at least one word: a
+    block no longer than the take plus those is certain to be used up,
+    so it is drawn without saving the state it would rewind to.
+    """
+
+    __slots__ = ("_rng", "_saved", "_words", "_raw", "_pos", "_size", "_tables")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._saved = None
+        self._words = None
+        self._raw: list[int] | None = None
+        self._pos = 0
+        self._size = 0
+        self._tables: dict[int, tuple[list[int], list[int]]] = {}
+
+    def __enter__(self) -> "RawWordDraws":
+        return self
+
+    def __exit__(self, exc_type, *exc_info) -> None:
+        if exc_type is not None and self._saved is None:
+            # An error cut short the draws this block was sure to serve;
+            # leave the generator after the block rather than mask it.
+            self._pos = self._size
+        self.close()
+
+    def close(self) -> None:
+        """Rewind the generator to just after the consumed words.
+
+        Raises :class:`RuntimeError` when a block drawn for sure draws
+        was not used up: the state to rewind to was never saved.
+        """
+        if self._pos < self._size:
+            if self._saved is None:
+                raise RuntimeError(
+                    f"{self._size - self._pos} words drawn for draws that "
+                    "were sure to follow were never used"
+                )
+            self._rng.bit_generator.state = self._saved
+            if self._pos:
+                self._rng.integers(0, _WORD_SPAN, size=self._pos, dtype=np.uint32)
+        self._words = self._raw = None
+        self._pos = self._size = 0
+        self._tables = {}
+
+    def _refill(self, size: int, sure: int) -> None:
+        """Replace the used-up block with *size* fresh words (capped).
+
+        *sure* counts the words certain to be consumed next; a block no
+        longer than that is not rewound, so its start state is not saved.
+        """
+        size = min(max(size, 1), _MAX_BLOCK_WORDS)
+        self._saved = self._rng.bit_generator.state if size > sure else None
+        self._words = self._rng.integers(0, _WORD_SPAN, size=size, dtype=np.uint32)
+        self._raw = self._words.tolist() if size <= _SMALL_BLOCK_WORDS else None
+        self._pos = 0
+        self._size = size
+        self._tables = {}
+
+    def take(
+        self, bound: int, count: int, ahead: int = 0, sure: int = 0
+    ) -> list[int]:
+        """*count* draws over ``[0, bound)`` as Python ints.
+
+        A large block keeps, per bound, its values and rejected word
+        positions as Python lists, so a take inside it that meets no
+        rejected word is a list slice; a small block is walked word by
+        word.
+        """
+        table = self._tables.get(bound)
+        pos = self._pos
+        end = pos + count
+        if table is not None and pos <= end <= self._size and not table[1]:
+            self._pos = end
+            return table[0][pos:end]
+        _check_bound(bound)
+        if count < 0:
+            raise ValueError(f"negative draw count {count}")
+        if bound == 1:
+            return [0] * count
+        out: list[int] = []
+        while len(out) < count:
+            need = count - len(out)
+            if self._pos == self._size:
+                self._refill(need + ahead, need + sure)
+            pos = self._pos
+            end = min(self._size, pos + need)
+            if self._raw is not None:
+                threshold = (_WORD_SPAN - bound) % bound
+                for word in self._raw[pos:end]:
+                    product = word * bound
+                    if product & _LOW_HALF >= threshold:
+                        out.append(product >> 32)
+                self._pos = end
+                continue
+            values, rejected = self._table(bound)
+            if rejected:
+                at = bisect_left(rejected, pos)
+                if at < len(rejected) and rejected[at] < end:
+                    end = rejected[at]
+                    out += values[pos:end]
+                    self._pos = end + 1
+                    continue
+            out += values[pos:end]
+            self._pos = end
+        return out
+
+    def _table(self, bound: int) -> tuple[list[int], list[int]]:
+        """The block's values and rejected word positions under *bound*."""
+        table = self._tables.get(bound)
+        if table is None:
+            values, rejected = _lemire(self._words, np.uint64(bound))
+            table = self._tables[bound] = (values.tolist(), rejected.tolist())
+        return table
+
+    def take_array(self, bound: int, count: int) -> np.ndarray:
+        """*count* draws over ``[0, bound)`` as an int64 array."""
+        _check_bound(bound)
+        if bound == 1:
+            return np.zeros(count, dtype=np.int64)
+        if count <= _SMALL_BLOCK_WORDS:
+            return np.array(self.take(bound, count), dtype=np.int64)
+        out = np.empty(count, dtype=np.int64)
+        self._fill(np.full(count, bound, dtype=np.uint64), out)
+        return out
+
+    def _fill(
+        self, bounds: np.ndarray, out: np.ndarray, redraw_last: bool = False
+    ) -> None:
+        """One draw per uint64 bound (each at least 2) into *out*.
+
+        With *redraw_last* a value equal to its bound − 1 is drawn again
+        with the same bound (a newborn that is last in its own pool
+        rejecting itself); each redraw moves every later draw one word
+        on.  Values are computed a run at a time from the unread words;
+        a run stops at its first redraw, and with *redraw_last* spans
+        about one bound's worth of draws (at least
+        ``_SPECULATION_MIN``), the expected distance between self-hits.
+        """
+        pos = 0
+        while pos < bounds.size:
+            if self._pos == self._size:
+                self._refill(bounds.size - pos, bounds.size - pos)
+            span = bounds.size - pos
+            if redraw_last:
+                span = min(span, max(_SPECULATION_MIN, int(bounds[pos])))
+            words = self._words[self._pos : self._pos + span]
+            run = bounds[pos : pos + words.size]
+            values, rejected = _lemire(words, run)
+            stop = int(rejected[0]) if rejected.size else words.size
+            if redraw_last:
+                hits = np.flatnonzero(values[:stop] == run[:stop] - 1)
+                stop = int(hits[0]) if hits.size else stop
+            out[pos : pos + stop] = values[:stop]
+            self._pos += stop + (stop < words.size)
+            pos += stop
+
+
+#: Fewest draws one speculative run of :func:`birth_prefix_draws` spans.
 _SPECULATION_MIN = 512
 
 
@@ -46,38 +268,20 @@ def birth_prefix_draws(
     exclude=newborn)``; a newborn alone in its pool draws nothing and
     gets a row of −1.
 
-    One ``rng.integers`` call with an array of bounds consumes the stream
-    like scalar calls with those bounds, one after another.  So a chunk
-    of about one pool size of values (at least ``_SPECULATION_MIN``) is
-    drawn speculatively, assuming no rejection; at the first rejected
-    value the generator state is restored and the chunk replayed up to
-    and including that value, and drawing goes on from there.
-    Rejections come about ``d·ln(count)`` times in all, mostly in the
-    first, smallest pools.
+    Every draw comes from one :class:`RawWordDraws` source.  Values are
+    computed a run of about one pool size at a time, assuming no
+    rejection; a self-hit ends the run, its word is consumed, and the
+    request draws again from the next word, so every later request
+    moves one word on.  Self-hits come about ``d·ln(count)`` times in
+    all, mostly in the first, smallest pools.
     """
     out = np.full((count, d), -1, dtype=np.int64)
     skip = 1 if first_size == 1 else 0
     if count <= skip or d == 0:
         return out
-    sizes = np.arange(first_size + skip, first_size + count, dtype=np.int64)
-    bounds = np.repeat(sizes, d)
-    flat = out[skip:].reshape(-1)
-    bit_generator = rng.bit_generator
-    pos = 0
-    while pos < bounds.size:
-        chunk = bounds[pos : pos + max(_SPECULATION_MIN, int(bounds[pos]))]
-        saved = bit_generator.state
-        values = rng.integers(0, chunk)
-        rejected = np.flatnonzero(values == chunk - 1)
-        if rejected.size == 0:
-            flat[pos : pos + chunk.size] = values
-            pos += chunk.size
-            continue
-        first = int(rejected[0])
-        flat[pos : pos + first] = values[:first]
-        bit_generator.state = saved
-        rng.integers(0, chunk[: first + 1])
-        pos += first
+    sizes = np.arange(first_size + skip, first_size + count, dtype=np.uint64)
+    with RawWordDraws(rng) as source:
+        source._fill(np.repeat(sizes, d), out[skip:].reshape(-1), redraw_last=True)
     return out
 
 
@@ -158,6 +362,10 @@ class IndexedSet:
             (item, base + offset)
             for offset, item in enumerate(self._items[base:])
         )
+
+    def index(self, item: int) -> int:
+        """Position of *item* in the internal order (``KeyError`` if absent)."""
+        return self._pos[item]
 
     def discard(self, item: int) -> None:
         """Remove *item* if present (no-op otherwise)."""

@@ -292,17 +292,17 @@ class DictBackend(GraphBackend):
             orphaned = self.remove_node(base + k - 1, death_time=time)
             lo = base + k  # oldest post-death survivor
             if regenerate and orphaned:
-                draws = plan.take_regen(len(orphaned))
-                for (source, slot_index), v in zip(orphaned, draws.tolist()):
+                draws = plan.regen(len(orphaned))
+                for (source, slot_index), v in zip(orphaned, draws):
                     rel = source - lo
                     target = lo + v + (1 if v >= rel else 0)
                     self.assign_slot(source, slot_index, target)
             birth_row = (
-                offsets[k - 1] if offsets is not None else plan.take_birth(1)[0]
+                offsets[k - 1].tolist() if offsets is not None else plan.births()
             )
             birth_id = base + n + k - 1
             self.add_node(birth_id, birth_time=time, num_slots=num_slots)
-            for slot_index, v in enumerate(birth_row.tolist()):
+            for slot_index, v in enumerate(birth_row):
                 self.assign_slot(birth_id, slot_index, lo + v)
         # Canonical post-window alive order (ascending ids), matching the
         # array kernel's write-back so later per-event draws agree too.

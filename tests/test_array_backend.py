@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from repro.core.array_backend import ArraySlotBackend
-from repro.core.backend import create_backend
+from repro.core.backend import GraphBackend, create_backend
 from repro.core.edge_policy import CappedRegenerationPolicy, RegenerationPolicy
 from repro.errors import ConfigurationError, SimulationError
+from repro.models.poisson import PDGR
 from repro.models.streaming import SDGR
 from tests.oracles.dict_backend import DictBackend
 
@@ -353,6 +354,59 @@ class TestBackendAnalysis:
             reference = adversarial_expansion_upper_bound(net.snapshot(), seed=1)
             # Same candidate portfolio scored either way: identical minimum.
             assert fast.min_ratio == pytest.approx(reference.min_ratio)
+
+
+def youngest_by_max(state) -> int:
+    """The reference: ``max`` over the alive order, keyed by birth time."""
+    return GraphBackend.youngest_alive(state)
+
+
+class TestYoungestAlive:
+    """The vectorised pass picks what ``max`` over the alive order picks."""
+
+    def test_per_event_and_fused_streaming(self):
+        net = SDGR(80, 3, seed=4)
+        for step in range(12):
+            if step % 2:
+                net.run_rounds(7)
+            else:
+                net.advance_to_time_batched(net.now + 9, window=3)
+            assert net.state.youngest_alive() == youngest_by_max(net.state)
+            assert net.state.youngest_alive() == max(net.state.alive_ids())
+
+    def test_poisson(self):
+        net = PDGR(n=120, d=3, seed=9)
+        for _ in range(10):
+            net.advance_to_time(net.now + 3.0)
+            assert net.state.youngest_alive() == youngest_by_max(net.state)
+
+    def test_restored_session(self, tmp_path):
+        from repro.scenario import ScenarioSpec, Simulation
+
+        spec = ScenarioSpec(churn="poisson", n=60, d=3, horizon=20, seed=2)
+        sim = Simulation(spec)
+        sim._run_per_event(8)
+        path = sim.save_checkpoint(tmp_path / "ck.json")
+        restored = Simulation.restore(path).network.state
+        assert restored.youngest_alive() == youngest_by_max(restored)
+        assert restored.youngest_alive() == sim.network.state.youngest_alive()
+
+    def test_ties_go_to_the_first_in_alive_order(self):
+        state = ArraySlotBackend(initial_capacity=4, slot_width=1)
+        for node_id, time in enumerate([1.0, 5.0, 5.0, 2.0, 3.0, 5.0]):
+            state.allocate_id()
+            state.add_node(node_id, birth_time=time, num_slots=1)
+        # The swap-pop discard moves the last member (5) into 1's place,
+        # ahead of 2 in alive order though behind it in row order.
+        state.remove_node(1, death_time=6.0)
+        assert state.alive_ids() == [0, 5, 2, 3, 4]
+        assert state.youngest_alive() == youngest_by_max(state) == 5
+        state.remove_node(5, death_time=6.0)
+        assert state.youngest_alive() == youngest_by_max(state) == 2
+
+    def test_empty_network_raises(self):
+        with pytest.raises(ConfigurationError, match="no alive nodes"):
+            ArraySlotBackend().youngest_alive()
 
 
 class TestFactory:
