@@ -125,7 +125,7 @@ def measure_service(
         # the same seeded trajectory up to the checkpoint round.
         start = time.perf_counter()
         cold = Simulation(spec, observers=observers)
-        cold._run_batched(float(restored_rounds))
+        cold._run_windows(restored_rounds)
         cold_seconds = time.perf_counter() - start
 
         # Restore parity at scale: finishing the restored session must

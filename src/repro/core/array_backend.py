@@ -41,6 +41,7 @@ reference it is checked against lives in ``tests/oracles/dict_backend.py``.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,8 +49,17 @@ import numpy as np
 from repro.core.backend import GraphBackend
 from repro.core.csr import CSRView, csr_index_dtype
 from repro.core.node import NodeRecord
+from repro.core.round_batch import ROUND_WORDS
 from repro.core.snapshot import Snapshot
 from repro.errors import ConfigurationError, SimulationError
+from repro.sim.events import (
+    EdgeCreated,
+    EdgeDestroyed,
+    EventRecord,
+    NodeBorn,
+    NodeDied,
+)
+from repro.util.sampling import RawWordDraws
 
 
 class _ReverseIndex(dict):
@@ -754,6 +764,199 @@ class ArraySlotBackend(GraphBackend):
         if final:
             out_flat[list(final)] = list(final.values())
         return regenerated
+
+    # ------------------------------------------------------------------
+    # exact streaming rounds (the per-event law, a window at a time)
+    # ------------------------------------------------------------------
+
+    def apply_exact_rounds(
+        self,
+        first_round: int,
+        rounds: int,
+        n: int,
+        d: int,
+        regenerate: bool,
+        rng: np.random.Generator,
+    ) -> list[list[EventRecord]]:
+        """Run streaming rounds ``first_round … first_round + rounds − 1``
+        exactly as the uniform policies' hooks would, one round after
+        another; returns each round's event records.
+
+        Round ``r`` at time ``r``: when ``r > n`` node ``r − n − 1`` dies
+        (``EdgePolicy.handle_death``), each orphan in ascending
+        ``(source, slot)`` order re-targets when *regenerate* (the walk
+        of ``IndexedSet.sample_each_excluding`` over the ``n − 1``
+        survivors), then node ``r − 1`` is born with *d* requests (the
+        same walk over the alive set with the newborn last).  Records,
+        slots, in-counts, reverse-index sets, alive order, epoch, touched
+        ids and the generator state all end as that hook loop leaves
+        them, and the checks of :meth:`remove_node`, :meth:`add_node` and
+        :meth:`assign_slots` all still run.
+
+        Every draw comes from one
+        :class:`~repro.util.sampling.RawWordDraws` source, closed at the
+        end of the window.  Each take tells it the words the rest of the
+        window is expected to need and the draws certain to follow (the
+        round's birth and every later round's), so a one-round window
+        draws one block that it uses up: no state save and no rewind.
+        """
+        if d > self._width:
+            self._grow_cols(d)
+        in_refs = self._ensure_in_refs()
+        row_of = self._row_of
+        items = self.alive._items
+        position = self.alive._pos
+        free = self._free
+        slots = self._slots
+        num_slots = self._num_slots
+        birth = self._birth
+        id_of = self._id_of
+        alive_rows = self._alive_rows
+        in_count = self._in_count
+        touched: list[int] | None = [] if self._touched is not None else None
+        mutations = 0
+        # Words a round is expected to take: d births, and with
+        # regeneration up to 2d orphans.
+        round_words = (ROUND_WORDS if regenerate else 1) * d
+        last_round = first_round + rounds - 1
+        out: list[list[EventRecord]] = []
+        try:
+            with RawWordDraws(rng) as source:
+                take = source.take
+                for r in range(first_round, last_round + 1):
+                    time = float(r)
+                    rest = last_round - r  # rounds after this one
+                    events: list[EventRecord] = []
+                    pairs: list[tuple[int, int]] = []
+                    writes: list[int] = []
+                    if r > n:
+                        # ---- death (handle_death + remove_node) ----
+                        dead = r - n - 1
+                        row = row_of.get(dead)
+                        if row is None:
+                            raise SimulationError(
+                                f"cannot remove node {dead}: not alive"
+                            )
+                        own = slots[row, : num_slots.item(row)].tolist()
+                        refs = in_refs[row]
+                        neighbours = {id_of.item(t) for t in own if t >= 0}
+                        neighbours.update(s for s, _ in refs)
+                        death = EventRecord(
+                            time=time,
+                            kind=NodeDied(node_id=dead),
+                            edges_destroyed=list(
+                                map(EdgeDestroyed, repeat(dead), neighbours)
+                            ),
+                        )
+                        events.append(death)
+                        del row_of[dead]
+                        at = position.pop(dead)
+                        moved = items.pop()
+                        if moved != dead:
+                            items[at] = moved
+                            position[moved] = at
+                        alive_rows[row] = False
+                        if touched is not None:
+                            touched.append(dead)
+                        for j, t in enumerate(own):
+                            if t >= 0:
+                                in_refs[t].discard((dead, j))
+                                in_count[t] = in_count.item(t) - 1
+                                if touched is not None:
+                                    touched.append(id_of.item(t))
+                        slots[row] = -1
+                        orphaned = sorted(refs)
+                        for s, j in orphaned:
+                            slots[row_of[s], j] = -1
+                        if touched is not None:
+                            touched.extend(s for s, _ in orphaned)
+                        in_refs[row] = set()
+                        in_count[row] = 0
+                        id_of[row] = -1
+                        num_slots[row] = 0
+                        birth[row] = 0.0
+                        free.append(row)
+                        mutations += 1
+                        # ---- regeneration (RegenerationPolicy.repair_orphans) ----
+                        size = len(items)
+                        if regenerate and orphaned and size >= 2:
+                            owners = [s for s, _ in orphaned]
+                            count = len(owners)
+                            targets: list[int] = []
+                            while len(targets) < count:
+                                for v in take(
+                                    size,
+                                    count - len(targets),
+                                    d + round_words * rest,
+                                    d * (rest + 1),
+                                ):
+                                    candidate = items[v]
+                                    if candidate != owners[len(targets)]:
+                                        targets.append(candidate)
+                            pairs = orphaned
+                            writes = targets
+                            death.edges_created = list(
+                                map(EdgeCreated, owners, targets)
+                            )
+                    # ---- birth (handle_birth + add_node) ----
+                    node = self._next_id
+                    self._next_id = node + 1
+                    if node != r - 1:
+                        raise SimulationError(
+                            f"id drift: allocated {node}, schedule expects "
+                            f"{r - 1}"
+                        )
+                    if node in row_of:
+                        raise SimulationError(f"node id {node} already exists")
+                    if free:
+                        row = free.pop()
+                    else:
+                        if self._high == self._cap:
+                            self._grow_rows(self._cap * 2)
+                            slots = self._slots
+                            num_slots = self._num_slots
+                            birth = self._birth
+                            id_of = self._id_of
+                            alive_rows = self._alive_rows
+                            in_count = self._in_count
+                        row = self._high
+                        self._high = row + 1
+                    slots[row] = -1
+                    num_slots[row] = d
+                    birth[row] = time
+                    id_of[row] = node
+                    alive_rows[row] = True
+                    in_count[row] = 0
+                    row_of[node] = row
+                    position[node] = len(items)
+                    items.append(node)
+                    mutations += 1
+                    if touched is not None:
+                        touched.append(node)
+                    born = EventRecord(time=time, kind=NodeBorn(node_id=node))
+                    events.append(born)
+                    size = len(items)
+                    if size >= 2:
+                        last = size - 1  # the newborn's own index
+                        targets = []
+                        while len(targets) < d:
+                            for v in take(
+                                size, d - len(targets), round_words * rest, d * rest
+                            ):
+                                if v != last:
+                                    targets.append(items[v])
+                        pairs = pairs + [(node, j) for j in range(d)]
+                        writes = writes + targets
+                        born.edges_created = list(
+                            map(EdgeCreated, repeat(node), targets)
+                        )
+                    # The round's regeneration, then birth, slot writes.
+                    self.assign_slots(pairs, writes)
+                    out.append(events)
+        finally:
+            if mutations:
+                self._note_mutation(touched or (), mutations)
+        return out
 
     # ------------------------------------------------------------------
     # bulk capped placement (RAES / capped-regeneration fast path)

@@ -63,7 +63,7 @@ from repro.util.sampling import RawWordDraws
 #: over: ``d`` births and up to ``2d`` orphans (steady-state SDGR windows
 #: took 2.7d words a round at n = 300 to 1e4, as the dying oldest node
 #: has gathered regenerated slots).
-_ROUND_WORDS = 3
+ROUND_WORDS = 3
 
 
 class WindowDrawPlan:
@@ -128,7 +128,7 @@ class WindowDrawPlan:
         self._count_births(1)
         rest = self.rounds - self._birth_taken  # rounds after this one
         return self._source.take(
-            self.n - 1, self.d, _ROUND_WORDS * self.d * rest, self.d * rest
+            self.n - 1, self.d, ROUND_WORDS * self.d * rest, self.d * rest
         )
 
     def regen(self, count: int) -> list[int]:
@@ -149,7 +149,7 @@ class WindowDrawPlan:
         return self._source.take(
             self.n - 2,
             count,
-            self.d + _ROUND_WORDS * self.d * rest,
+            self.d + ROUND_WORDS * self.d * rest,
             self.d * (rest + 1),
         )
 
@@ -163,7 +163,3 @@ class WindowDrawPlan:
         return self._source.take_array(self.n - 1, rounds * self.d).reshape(
             rounds, self.d
         )
-
-    def take_regen(self, count: int) -> np.ndarray:
-        """:meth:`regen` as an int64 array."""
-        return np.array(self.regen(count), dtype=np.int64)

@@ -17,6 +17,7 @@ used by Lemma 3.14 (see DESIGN.md §2.2).  During the first ``n`` rounds
 from __future__ import annotations
 
 from repro.churn.streaming import StreamingSchedule
+from repro.core.array_backend import ArraySlotBackend
 from repro.core.backend import GraphBackend
 from repro.core.edge_policy import (
     EdgePolicy,
@@ -73,6 +74,49 @@ class StreamingNetwork(DynamicNetwork):
 
     def advance_round(self) -> RoundReport:
         """Apply one streaming round: death (if any), regeneration, birth."""
+        return self._rounds(1)[0]
+
+    def run_rounds(self, count: int) -> list[RoundReport]:
+        """Apply *count* streaming rounds, returning their reports.
+
+        With a uniform policy (``round_batch_regenerate`` is ``True`` or
+        ``False``) on the array backend the window runs through
+        :meth:`~repro.core.array_backend.ArraySlotBackend.apply_exact_rounds`:
+        the policy hooks' per-event law, bit-identical to them for any
+        partition into windows.  Other policies and backends step the
+        hooks one round at a time, and a subclass with its own
+        :meth:`advance_round` (the baselines) steps that.
+        """
+        if type(self).advance_round is not StreamingNetwork.advance_round:
+            return super().run_rounds(count)
+        return self._rounds(count)
+
+    def _rounds(self, count: int) -> list[RoundReport]:
+        """*count* rounds of this class's law: the exact window kernel,
+        or the policy hooks round by round."""
+        regenerate = self.policy.round_batch_regenerate
+        if regenerate is None or not isinstance(self.state, ArraySlotBackend):
+            return [self._hook_round() for _ in range(count)]
+        if count <= 0:
+            return []
+        first = self.round_number + 1
+        start = self.now
+        self.clock.advance_to(float(first))
+        rounds = self.state.apply_exact_rounds(
+            first, count, self.n, self.d, regenerate, self.rng
+        )
+        self.round_number = first + count - 1
+        self.clock.advance_to(float(self.round_number))
+        reports = []
+        for end, events in enumerate(rounds, first):
+            reports.append(
+                RoundReport(start_time=start, end_time=float(end), events=events)
+            )
+            start = float(end)
+        return reports
+
+    def _hook_round(self) -> RoundReport:
+        """One round through the policy's birth and death hooks."""
         self.round_number += 1
         start = self.now
         self.clock.advance_to(float(self.round_number))
@@ -196,8 +240,7 @@ class StreamingNetwork(DynamicNetwork):
 
     def _per_event_rounds(self, count: int, report: RoundReport) -> None:
         """Window fallback: ordinary per-event rounds, per-round records."""
-        for _ in range(count):
-            round_report = self.advance_round()
+        for round_report in self.run_rounds(count):
             report.events.extend(round_report.events)
 
     def newest_id(self) -> int:

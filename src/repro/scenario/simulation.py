@@ -7,15 +7,17 @@ experiment runners, the CLI and sweeps share — churn stepping, observer
 cadence and protocol dispatch live here instead of being re-wired per
 experiment.
 
-Two stepping modes:
+One loop steps the run in windows between observer reads and
+checkpoints (the whole run when there is no cadence), in one of two
+stepping modes:
 
-* **per-event** (the default): one :meth:`~repro.models.base.DynamicNetwork.advance_round`
-  call per unit-time round, exactly what the hand-written experiment
-  loops did — a scenario run is bit-identical to the pre-scenario code on
-  the same seed.
+* **per-event** (the default): a window is one
+  :meth:`~repro.models.base.DynamicNetwork.run_rounds` call, the same
+  rounds as the hand-written experiment loops' one ``advance_round``
+  per unit-time round — a scenario run is bit-identical to the
+  pre-scenario code on the same seed.
 * **fused** (``ScenarioSpec(fast_rounds=True)``): churn models exposing
-  ``advance_to_time_batched`` advance in windows between observer reads
-  and checkpoints (the whole run when there is no cadence), keeping the
+  ``advance_to_time_batched`` advance a window per call, keeping the
   hot loop on the array backend's vectorized path.  The streaming and
   threshold drivers run the fused per-round churn kernel
   (``apply_round_batch``): same churn law, different seeded trajectory.
@@ -57,6 +59,9 @@ from repro.scenario.observers import Observer, make_observer
 from repro.scenario.registry import build_network
 from repro.scenario.spec import ScenarioSpec
 from repro.util.rng import SeedLike
+
+#: Most rounds one per-event window runs (:meth:`Simulation.run`).
+_MAX_EXACT_WINDOW = 1024
 
 
 class _ObserverFeed:
@@ -332,10 +337,7 @@ class Simulation:
             raise ConfigurationError(
                 f"stepping needs a whole number of rounds, got {rounds}"
             )
-        if self._fast_rounds_active():
-            self._run_batched(int(rounds))
-        else:
-            self._run_per_event(int(rounds))
+        self._run_windows(int(rounds))
         self._notify_finish()
         return self
 
@@ -364,27 +366,44 @@ class Simulation:
             for feed in due:
                 feed.flush(view, self.rounds_completed)
 
-    def _run_per_event(self, rounds: int) -> None:
-        for _ in range(rounds):
-            report = self.network.advance_round()
-            self.rounds_completed += 1
-            self._dispatch(report)
-            self._maybe_checkpoint()
+    def _run_windows(self, rounds: int) -> None:
+        """Step *rounds* rounds in windows, feeding observers and taking
+        checkpoints at window ends.
 
-    def _run_batched(self, rounds: int) -> None:
+        Windows end on every multiple of the gcd of the attached
+        cadences, so every cadence lands on a window end; with no
+        cadence the run is one window.  A window is one
+        ``advance_to_time_batched`` call when fused stepping is active,
+        else one ``run_rounds`` call, whose reports merge into one;
+        per-event windows are cut at ``_MAX_EXACT_WINDOW`` rounds, which
+        bounds the records a window holds and changes no output.
+        """
         network = self.network
-        # Observer reads (and checkpoints) happen at window boundaries:
-        # the stride is the gcd of the attached cadences so every cadence
-        # is hit exactly.
+        fused = self._fast_rounds_active()
         cadences = [f.observer.every for f in self._feeds]
         if self.checkpoint_every:
             cadences.append(self.checkpoint_every)
-        stride = math.gcd(*cadences) if cadences else max(int(rounds), 1)
+        stride = math.gcd(*cadences) if cadences else 0
         end = network.now + rounds
-        while network.now < end:
-            target = min(network.now + stride, end)
-            report = network.advance_to_time_batched(target)
-            self.rounds_completed += int(round(target - report.start_time))
+        left = rounds
+        while left > 0:
+            count = left
+            if stride:
+                count = min(count, stride - self.rounds_completed % stride)
+            if fused:
+                report = network.advance_to_time_batched(
+                    end if count == left else network.now + count
+                )
+            else:
+                count = min(count, _MAX_EXACT_WINDOW)
+                reports = network.run_rounds(count)
+                report = RoundReport(
+                    start_time=reports[0].start_time,
+                    end_time=reports[-1].end_time,
+                    events=[e for r in reports for e in r.events],
+                )
+            left -= count
+            self.rounds_completed += count
             self._dispatch(report)
             self._maybe_checkpoint()
 

@@ -7,8 +7,10 @@ sorted:
      "sha256":"<hash of the canonical payload text>","version":1}
 
 The payload is encoded once and turned into its canonical text once;
-the file embeds exactly the text the hash covers.  Any JSON layout of
-the same envelope loads (older files used spaced separators).
+the file embeds exactly the text the hash covers, so loading hashes that
+slice of the file as it stands.  Any JSON layout of the same envelope
+loads (older files used spaced separators): when the slice does not
+match, the parsed payload's canonical text is hashed instead.
 
 The payload serializes everything that determines the rest of a seeded
 trajectory: the :class:`~repro.scenario.spec.ScenarioSpec`, the backend
@@ -125,7 +127,10 @@ def encode_value(value: Any) -> Any:
 
 
 def decode_value(value: Any) -> Any:
-    """Inverse of :func:`encode_value` (applied after ``json.loads``)."""
+    """Inverse of :func:`encode_value` (applied after ``json.loads``).
+
+    A list whose items are all plain scalars is returned as it is.
+    """
     if isinstance(value, dict):
         if value.get("__ndarray__"):
             raw = base64.b64decode(value["data"])
@@ -134,6 +139,8 @@ def decode_value(value: Any) -> Any:
             )
         return {key: decode_value(item) for key, item in value.items()}
     if isinstance(value, list):
+        if set(map(type, value)) <= _PLAIN_SCALARS:
+            return value
         return [decode_value(item) for item in value]
     return value
 
@@ -406,6 +413,12 @@ def build_payload(simulation: "Simulation") -> dict:
     return payload
 
 
+#: The envelope's keys in sorted order: what the file holds before the
+#: payload text, and what follows it up to the hash.
+_HEAD = f'{{"format":{json.dumps(FORMAT)},"payload":'
+_HASH_KEY = ',"sha256":"'
+
+
 def write_checkpoint(simulation: "Simulation", path: str | Path) -> Path:
     """Write *simulation*'s state to *path* atomically; returns the path.
 
@@ -415,10 +428,8 @@ def write_checkpoint(simulation: "Simulation", path: str | Path) -> Path:
     """
     target = Path(path)
     text = _canonical_text(build_payload(simulation))
-    # The envelope's keys in sorted order, around the one payload text.
     envelope = (
-        f'{{"format":{json.dumps(FORMAT)},"payload":{text},'
-        f'"sha256":"{_text_hash(text)}","version":{VERSION}}}'
+        f'{_HEAD}{text}{_HASH_KEY}{_text_hash(text)}","version":{VERSION}}}'
     )
     target.parent.mkdir(parents=True, exist_ok=True)
     scratch = target.with_name(target.name + ".tmp")
@@ -505,6 +516,15 @@ def load_checkpoint(source: str | Path) -> Checkpoint:
     )
 
 
+def _written_payload(text: str) -> str | None:
+    """The payload text as the file holds it, between ``"payload":`` and
+    ``,"sha256"``; None when the file does not open as written."""
+    end = text.rfind(_HASH_KEY)
+    if not text.startswith(_HEAD) or end < len(_HEAD):
+        return None
+    return text[len(_HEAD) : end]
+
+
 def _load_checkpoint_file(path: Path) -> Checkpoint:
     try:
         text = path.read_text(encoding="utf-8")
@@ -528,13 +548,17 @@ def _load_checkpoint_file(path: Path) -> Checkpoint:
             f"{VERSION}"
         )
     recorded = envelope.get("sha256")
-    actual = _text_hash(_canonical_text(envelope["payload"]))
-    if recorded != actual:
-        raise CheckpointError(
-            f"checkpoint {path} failed content-hash verification "
-            f"(recorded {recorded!r}, computed {actual!r}) — the file is "
-            "corrupted"
-        )
+    written = _written_payload(text)
+    if written is None or _text_hash(written) != recorded:
+        # Another layout of the envelope (older files were spaced), or a
+        # corrupted file: check the canonical text of what was parsed.
+        actual = _text_hash(_canonical_text(envelope["payload"]))
+        if recorded != actual:
+            raise CheckpointError(
+                f"checkpoint {path} failed content-hash verification "
+                f"(recorded {recorded!r}, computed {actual!r}) — the file "
+                "is corrupted"
+            )
     return Checkpoint(payload=decode_value(envelope["payload"]), path=path)
 
 

@@ -385,7 +385,7 @@ class TestYoungestAlive:
 
         spec = ScenarioSpec(churn="poisson", n=60, d=3, horizon=20, seed=2)
         sim = Simulation(spec)
-        sim._run_per_event(8)
+        sim._run_windows(8)
         path = sim.save_checkpoint(tmp_path / "ck.json")
         restored = Simulation.restore(path).network.state
         assert restored.youngest_alive() == youngest_by_max(restored)

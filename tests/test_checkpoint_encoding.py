@@ -19,13 +19,13 @@ from repro.errors import CheckpointError
 from repro.scenario import ScenarioSpec, Simulation
 from repro.scenario.observers import Observer
 from repro.service import checkpoint as checkpoint_io
-from repro.service.checkpoint import build_payload, encode_value
+from repro.service.checkpoint import build_payload, decode_value, encode_value
 
 
 def session() -> Simulation:
     spec = ScenarioSpec(churn="streaming", policy="regen", n=40, d=3, horizon=12, seed=13)
     sim = Simulation(spec, observers=("size", {"name": "degrees", "params": {"every": 4}}))
-    sim._run_per_event(6)
+    sim._run_windows(6)
     return sim
 
 
@@ -59,6 +59,40 @@ def test_spaced_layout_still_loads(tmp_path):
     assert canonical(encode_value(loaded.payload)) == canonical(envelope["payload"])
     resumed = Simulation.restore(spaced).run()
     assert resumed.results() == Simulation.restore(path).run().results()
+
+
+def test_compact_file_is_checked_on_its_own_text(tmp_path, monkeypatch):
+    """The hash covers the payload text as written, so a compact file
+    loads without re-serialising what was parsed."""
+    sim = session()
+    path = sim.save_checkpoint(tmp_path / "ck.json")
+
+    def refuse(payload):
+        raise AssertionError("the compact file was re-serialised")
+
+    monkeypatch.setattr(checkpoint_io, "_canonical_text", refuse)
+    loaded = checkpoint_io.load_checkpoint(path)
+    assert loaded.rounds_completed == 6
+
+
+def test_flipped_byte_in_compact_payload_is_rejected(tmp_path):
+    sim = session()
+    path = sim.save_checkpoint(tmp_path / "ck.json")
+    text = path.read_text(encoding="utf-8")
+    assert text.count('"rounds_completed":6') == 1
+    path.write_text(
+        text.replace('"rounds_completed":6', '"rounds_completed":7'),
+        encoding="utf-8",
+    )
+    with pytest.raises(CheckpointError, match="content-hash"):
+        checkpoint_io.load_checkpoint(path)
+
+
+def test_decode_passes_lists_of_plain_scalars_through():
+    items = [1, 2.5, "x", True, None]
+    assert decode_value(items) is items
+    nested = decode_value([[1, 2], {"a": [3]}])
+    assert nested == [[1, 2], {"a": [3]}]
 
 
 def test_build_payload_is_already_encoded():

@@ -278,15 +278,15 @@ class TestWindowDrawPlan:
     def test_regen_needs_three_nodes(self):
         plan = WindowDrawPlan(2, 1, 2, make_rng(0))
         with pytest.raises(ConfigurationError):
-            plan.take_regen(1)
+            plan.regen(1)
 
     def test_draw_ranges(self):
         plan = WindowDrawPlan(10, 3, 4, make_rng(7))
         births = plan.take_birth(4)
         assert births.shape == (4, 3)
         assert births.min() >= 0 and births.max() < 9
-        regen = plan.take_regen(100)
-        assert regen.min() >= 0 and regen.max() < 8
+        regen = plan.regen(100)
+        assert min(regen) >= 0 and max(regen) < 8
 
 
 class TestFastRoundsSimulation:
@@ -401,7 +401,7 @@ class TestFastRoundsSimulation:
         spec = self._spec()
         baseline = Simulation(spec, observers=observers).run()
         partial = Simulation(spec, observers=observers)
-        partial._run_batched(7.0)  # not a multiple of any cadence
+        partial._run_windows(7)  # not a multiple of any cadence
         path = partial.save_checkpoint(tmp_path / "ck.json")
         restored = Simulation.restore(path).run()
         assert restored.rounds_completed == baseline.rounds_completed

@@ -59,7 +59,7 @@ def _run_uninterrupted(spec):
 def _run_interrupted(spec, checkpoint_round):
     """Advance to checkpoint_round, dump, restore, finish the horizon."""
     partial = Simulation(spec, observers=OBSERVERS)
-    partial._run_per_event(checkpoint_round)
+    partial._run_windows(checkpoint_round)
     with tempfile.TemporaryDirectory() as scratch:
         path = partial.save_checkpoint(os.path.join(scratch, "ck.json"))
         return Simulation.restore(path).run()
@@ -152,7 +152,7 @@ class TestRestoreParityDeterministic:
         mixed = ("coverage", {"name": "size", "params": {"every": 1}})
         baseline = Simulation(spec, observers=mixed).run()
         partial = Simulation(spec, observers=mixed)
-        partial._run_per_event(6)
+        partial._run_windows(6)
         path = partial.save_checkpoint(tmp_path / "ck.json")
         restored = Simulation.restore(path)
         assert [f.observer.name for f in restored._feeds] == ["size"]
@@ -221,7 +221,7 @@ class TestCheckpointFiles:
 
     def test_checkpoint_envelope_shape(self, tmp_path):
         sim = Simulation(_spec("streaming", {}), observers=OBSERVERS)
-        sim._run_per_event(3)
+        sim._run_windows(3)
         path = sim.save_checkpoint(tmp_path / "ck.json")
         envelope = json.loads(path.read_text())
         assert envelope["format"] == checkpoint_io.FORMAT
@@ -239,7 +239,7 @@ class TestCheckpointFiles:
 
     def test_corrupted_payload_rejected(self, tmp_path):
         sim = Simulation(_spec("streaming", {}))
-        sim._run_per_event(2)
+        sim._run_windows(2)
         path = sim.save_checkpoint(tmp_path / "ck.json")
         envelope = json.loads(path.read_text())
         envelope["payload"]["rounds_completed"] = 999
@@ -249,7 +249,7 @@ class TestCheckpointFiles:
 
     def test_truncated_file_rejected(self, tmp_path):
         sim = Simulation(_spec("streaming", {}))
-        sim._run_per_event(2)
+        sim._run_windows(2)
         path = sim.save_checkpoint(tmp_path / "ck.json")
         path.write_text(path.read_text()[: 100])
         with pytest.raises(CheckpointError, match="not valid JSON"):
@@ -257,7 +257,7 @@ class TestCheckpointFiles:
 
     def test_version_mismatch_rejected(self, tmp_path):
         sim = Simulation(_spec("streaming", {}))
-        sim._run_per_event(2)
+        sim._run_windows(2)
         path = sim.save_checkpoint(tmp_path / "ck.json")
         envelope = json.loads(path.read_text())
         envelope["version"] = 999
@@ -279,7 +279,7 @@ class TestCheckpointFiles:
         # A checkpoint whose spec names the array backend restores as one.
         spec = _spec("streaming", {}, backend="array")
         sim = Simulation(spec, observers=OBSERVERS)
-        sim._run_per_event(4)
+        sim._run_windows(4)
         path = sim.save_checkpoint(tmp_path / "ck.json")
         restored = Simulation.restore(path)
         assert type(restored.state).__name__ == "ArraySlotBackend"
@@ -289,7 +289,7 @@ class TestCheckpointFiles:
         # dump_state, recorded kind "dict") fails loudly on restore.
         build_drivers_on_oracle(monkeypatch)
         sim = Simulation(_spec("streaming", {}), observers=OBSERVERS)
-        sim._run_per_event(4)
+        sim._run_windows(4)
         path = sim.save_checkpoint(tmp_path / "ck.json")
         monkeypatch.undo()
         assert checkpoint_io.load_checkpoint(path).payload["backend"][
@@ -314,7 +314,7 @@ class TestObserverRestore:
         sim = Simulation(
             _spec("streaming", {}), observers=[Custom()]
         )
-        sim._run_per_event(6)
+        sim._run_windows(6)
         path = sim.save_checkpoint(tmp_path / "ck.json")
         with pytest.raises(CheckpointError, match="cannot rebuild observer"):
             Simulation.restore(path)
@@ -323,7 +323,7 @@ class TestObserverRestore:
 
     def test_declaration_name_mismatch_rejected(self, tmp_path):
         sim = Simulation(_spec("streaming", {}), observers=["size"])
-        sim._run_per_event(2)
+        sim._run_windows(2)
         path = sim.save_checkpoint(tmp_path / "ck.json")
         with pytest.raises(CheckpointError, match="do not match"):
             Simulation.restore(path, observers=["degrees"])
@@ -417,7 +417,7 @@ class TestConfiguration:
 
     def test_spec_and_restore_mutually_exclusive(self, tmp_path):
         sim = Simulation(_spec("streaming", {}))
-        sim._run_per_event(2)
+        sim._run_windows(2)
         path = sim.save_checkpoint(tmp_path / "ck.json")
         with pytest.raises(ConfigurationError, match="not both"):
             Simulation(_spec("streaming", {}), restore_from=path)

@@ -88,7 +88,7 @@ class TestMetricsSink:
         partial = Simulation(
             spec, observers=[MetricsSink(path=str(path_cut), wallclock=False)]
         )
-        partial._run_per_event(6)
+        partial._run_windows(6)
         checkpoint = partial.save_checkpoint(tmp_path / "ck.json")
         # Simulate the kill: blow away the interrupted stream entirely.
         os.remove(path_cut)
