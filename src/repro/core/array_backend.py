@@ -41,7 +41,6 @@ reference it is checked against lives in ``tests/oracles/dict_backend.py``.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,13 +51,6 @@ from repro.core.node import NodeRecord
 from repro.core.round_batch import ROUND_WORDS
 from repro.core.snapshot import Snapshot
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.events import (
-    EdgeCreated,
-    EdgeDestroyed,
-    EventRecord,
-    NodeBorn,
-    NodeDied,
-)
 from repro.util.sampling import RawWordDraws
 
 
@@ -777,21 +769,23 @@ class ArraySlotBackend(GraphBackend):
         d: int,
         regenerate: bool,
         rng: np.random.Generator,
-    ) -> list[list[EventRecord]]:
+    ) -> list[tuple]:
         """Run streaming rounds ``first_round … first_round + rounds − 1``
         exactly as the uniform policies' hooks would, one round after
-        another; returns each round's event records.
+        another; returns each round's log entry, the plain ints and lists
+        :func:`~repro.sim.events.decode_round_log` turns into the hooks'
+        event records when someone reads them.
 
         Round ``r`` at time ``r``: when ``r > n`` node ``r − n − 1`` dies
         (``EdgePolicy.handle_death``), each orphan in ascending
         ``(source, slot)`` order re-targets when *regenerate* (the walk
         of ``IndexedSet.sample_each_excluding`` over the ``n − 1``
         survivors), then node ``r − 1`` is born with *d* requests (the
-        same walk over the alive set with the newborn last).  Records,
-        slots, in-counts, reverse-index sets, alive order, epoch, touched
-        ids and the generator state all end as that hook loop leaves
-        them, and the checks of :meth:`remove_node`, :meth:`add_node` and
-        :meth:`assign_slots` all still run.
+        same walk over the alive set with the newborn last).  Decoded
+        records, slots, in-counts, reverse-index sets, alive order,
+        epoch, touched ids and the generator state all end as that hook
+        loop leaves them, and the checks of :meth:`remove_node`,
+        :meth:`add_node` and :meth:`assign_slots` all still run.
 
         Every draw comes from one
         :class:`~repro.util.sampling.RawWordDraws` source, closed at the
@@ -819,14 +813,14 @@ class ArraySlotBackend(GraphBackend):
         # regeneration up to 2d orphans.
         round_words = (ROUND_WORDS if regenerate else 1) * d
         last_round = first_round + rounds - 1
-        out: list[list[EventRecord]] = []
+        out: list[tuple] = []
         try:
             with RawWordDraws(rng) as source:
                 take = source.take
                 for r in range(first_round, last_round + 1):
                     time = float(r)
                     rest = last_round - r  # rounds after this one
-                    events: list[EventRecord] = []
+                    dead = neighbours = owners = regenerated = None
                     pairs: list[tuple[int, int]] = []
                     writes: list[int] = []
                     if r > n:
@@ -841,14 +835,6 @@ class ArraySlotBackend(GraphBackend):
                         refs = in_refs[row]
                         neighbours = {id_of.item(t) for t in own if t >= 0}
                         neighbours.update(s for s, _ in refs)
-                        death = EventRecord(
-                            time=time,
-                            kind=NodeDied(node_id=dead),
-                            edges_destroyed=list(
-                                map(EdgeDestroyed, repeat(dead), neighbours)
-                            ),
-                        )
-                        events.append(death)
                         del row_of[dead]
                         at = position.pop(dead)
                         moved = items.pop()
@@ -894,10 +880,7 @@ class ArraySlotBackend(GraphBackend):
                                     if candidate != owners[len(targets)]:
                                         targets.append(candidate)
                             pairs = orphaned
-                            writes = targets
-                            death.edges_created = list(
-                                map(EdgeCreated, owners, targets)
-                            )
+                            writes = regenerated = targets
                     # ---- birth (handle_birth + add_node) ----
                     node = self._next_id
                     self._next_id = node + 1
@@ -933,12 +916,10 @@ class ArraySlotBackend(GraphBackend):
                     mutations += 1
                     if touched is not None:
                         touched.append(node)
-                    born = EventRecord(time=time, kind=NodeBorn(node_id=node))
-                    events.append(born)
+                    targets = []
                     size = len(items)
                     if size >= 2:
                         last = size - 1  # the newborn's own index
-                        targets = []
                         while len(targets) < d:
                             for v in take(
                                 size, d - len(targets), round_words * rest, d * rest
@@ -947,12 +928,11 @@ class ArraySlotBackend(GraphBackend):
                                     targets.append(items[v])
                         pairs = pairs + [(node, j) for j in range(d)]
                         writes = writes + targets
-                        born.edges_created = list(
-                            map(EdgeCreated, repeat(node), targets)
-                        )
                     # The round's regeneration, then birth, slot writes.
                     self.assign_slots(pairs, writes)
-                    out.append(events)
+                    out.append(
+                        (time, dead, neighbours, owners, regenerated, node, targets)
+                    )
         finally:
             if mutations:
                 self._note_mutation(touched or (), mutations)

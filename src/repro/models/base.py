@@ -15,7 +15,6 @@ rely on the small interface defined here:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,17 +23,68 @@ from repro.core.edge_policy import EdgePolicy
 from repro.core.snapshot import Snapshot
 from repro.errors import SimulationError
 from repro.sim.clock import SimClock
-from repro.sim.events import EventRecord
+from repro.sim.events import EventRecord, decode_round_log
 from repro.util.rng import SeedLike, make_rng
 
 
-@dataclass
 class RoundReport:
-    """Everything that happened during one unit-time round."""
+    """Everything that happened during one unit-time round (or a window).
 
-    start_time: float
-    end_time: float
-    events: list[EventRecord] = field(default_factory=list)
+    ``events`` lists the churn records in order.  A report of one exact
+    streaming round (:meth:`logged`) holds the plain log entry the window
+    kernel wrote instead; the first read of ``events`` (or ``births``/
+    ``deaths``) builds its records from that entry alone and caches
+    them.  :meth:`extend` appends another report's events without
+    reading them: the merged report keeps the unread rounds and reads
+    them when its own ``events`` are read, so every report holding a
+    round shares that round's record objects.  Nothing else tells a
+    lazy report from a read one: it compares, prints and pickles as its
+    records.
+    """
+
+    __slots__ = ("start_time", "end_time", "_events", "_log", "_unread")
+
+    def __init__(
+        self,
+        start_time: float,
+        end_time: float,
+        events: list[EventRecord] | None = None,
+    ) -> None:
+        self.start_time = start_time
+        self.end_time = end_time
+        self._events = [] if events is None else events
+        self._log: tuple | None = None  # an unread round's kernel log
+        self._unread: list[RoundReport] = []  # unread rounds after _events
+
+    @classmethod
+    def logged(cls, start_time: float, end_time: float, log: tuple) -> RoundReport:
+        """The report of one exact round, from its kernel log entry
+        (see :func:`~repro.sim.events.decode_round_log`)."""
+        report = cls(start_time, end_time)
+        report._log = log
+        return report
+
+    @property
+    def events(self) -> list[EventRecord]:
+        if self._log is not None:
+            self._events = decode_round_log(self._log)
+            self._log = None
+        elif self._unread:
+            unread, self._unread = self._unread, []
+            for part in unread:
+                self._events.extend(part.events)
+        return self._events
+
+    def extend(self, other: RoundReport) -> None:
+        """Append *other*'s events after this report's, leaving unread
+        rounds unread wherever that keeps the order."""
+        if other._log is not None:
+            self._unread.append(other)
+        elif other._events and self._unread:
+            self.events.extend(other.events)
+        else:
+            self._events.extend(other._events)
+            self._unread.extend(other._unread)
 
     @property
     def births(self) -> list[int]:
@@ -45,6 +95,26 @@ class RoundReport:
     def deaths(self) -> list[int]:
         # Flattened so batched NodesDied records report every victim.
         return [nid for e in self.events if e.is_death for nid in e.node_ids]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RoundReport):
+            return NotImplemented
+        return (self.start_time, self.end_time, self.events) == (
+            other.start_time,
+            other.end_time,
+            other.events,
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"RoundReport(start_time={self.start_time!r}, "
+            f"end_time={self.end_time!r}, events={self.events!r})"
+        )
+
+    def __reduce__(self) -> tuple:
+        return (RoundReport, (self.start_time, self.end_time, self.events))
 
 
 class DynamicNetwork(ABC):

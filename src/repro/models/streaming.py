@@ -87,9 +87,13 @@ class StreamingNetwork(DynamicNetwork):
         hooks one round at a time, and a subclass with its own
         :meth:`advance_round` (the baselines) steps that.
         """
-        if type(self).advance_round is not StreamingNetwork.advance_round:
+        if self._own_round_law():
             return super().run_rounds(count)
         return self._rounds(count)
+
+    def _own_round_law(self) -> bool:
+        """Whether a subclass (a baseline) steps its own ``advance_round``."""
+        return type(self).advance_round is not StreamingNetwork.advance_round
 
     def _rounds(self, count: int) -> list[RoundReport]:
         """*count* rounds of this class's law: the exact window kernel,
@@ -102,16 +106,15 @@ class StreamingNetwork(DynamicNetwork):
         first = self.round_number + 1
         start = self.now
         self.clock.advance_to(float(first))
-        rounds = self.state.apply_exact_rounds(
+        logs = self.state.apply_exact_rounds(
             first, count, self.n, self.d, regenerate, self.rng
         )
         self.round_number = first + count - 1
         self.clock.advance_to(float(self.round_number))
         reports = []
-        for end, events in enumerate(rounds, first):
-            reports.append(
-                RoundReport(start_time=start, end_time=float(end), events=events)
-            )
+        logged = RoundReport.logged
+        for end, log in enumerate(logs, first):
+            reports.append(logged(start, float(end), log))
             start = float(end)
         return reports
 
@@ -169,13 +172,17 @@ class StreamingNetwork(DynamicNetwork):
         trajectory than the per-event path — like ``fast_warm``).
 
         Falls back to per-event rounds whenever the law is not the plain
-        uniform one (bounded-degree policies).  Churn is reported as one
-        coalesced ``NodesDied`` plus one ``NodesBorn`` record per window,
-        not per round.
+        uniform one (bounded-degree policies, or a subclass with its own
+        :meth:`advance_round`, such as the baselines).  Churn is reported
+        as one coalesced ``NodesDied`` plus one ``NodesBorn`` record per
+        window, not per round.
         """
         rounds = self._window_rounds(target)
         if rounds <= 0:
             self.clock.advance_to(target)
+            return
+        if self._own_round_law():
+            self._per_event_rounds(rounds, report)
             return
         # Warm-up prefix (rounds <= n have no deaths): one canonical-plan
         # birth batch, bit-identical across backends.
@@ -241,7 +248,7 @@ class StreamingNetwork(DynamicNetwork):
     def _per_event_rounds(self, count: int, report: RoundReport) -> None:
         """Window fallback: ordinary per-event rounds, per-round records."""
         for round_report in self.run_rounds(count):
-            report.events.extend(round_report.events)
+            report.extend(round_report)
 
     def newest_id(self) -> int:
         """Id of the node born in the most recent round."""

@@ -235,8 +235,7 @@ class ThresholdStreamingNetwork(DynamicNetwork):
                     min(rounds, self._FUSED_CHUNK_CAP), report
                 )
             if committed == 0:
-                round_report = self.advance_round()
-                report.events.extend(round_report.events)
+                report.extend(self.advance_round())
                 rounds -= 1
             else:
                 rounds -= committed

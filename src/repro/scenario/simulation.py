@@ -83,7 +83,7 @@ class _ObserverFeed:
         self.last_flush_round: int | None = None
 
     def feed(self, report: RoundReport) -> None:
-        self.window.events.extend(report.events)
+        self.window.extend(report)
         self.window.end_time = report.end_time
 
     def flush(self, view: CSRView | None, rounds_completed: int) -> None:
@@ -397,11 +397,9 @@ class Simulation:
             else:
                 count = min(count, _MAX_EXACT_WINDOW)
                 reports = network.run_rounds(count)
-                report = RoundReport(
-                    start_time=reports[0].start_time,
-                    end_time=reports[-1].end_time,
-                    events=[e for r in reports for e in r.events],
-                )
+                report = RoundReport(reports[0].start_time, reports[-1].end_time)
+                for part in reports:
+                    report.extend(part)
             left -= count
             self.rounds_completed += count
             self._dispatch(report)

@@ -1,14 +1,18 @@
 """Event record types emitted by the dynamic-network drivers.
 
 Each churn event (a node birth or death) produces one :class:`EventRecord`
-describing exactly which topology changes it caused.  The asynchronous
-flooding process consumes these records to learn about newly created edges
-incident to informed nodes; experiment code consumes them for tracing.
+on first read, describing exactly which topology changes it caused: exact
+per-event streaming rounds log plain ints and lists instead, and a
+:class:`~repro.models.base.RoundReport` turns them into records
+(:func:`decode_round_log`) only when its ``events`` are read.  The
+asynchronous flooding process consumes these records to learn about
+newly created edges incident to informed nodes; experiment code consumes
+them for tracing.
 
 The per-edge records :class:`EdgeCreated` and :class:`EdgeDestroyed` are
 :class:`~typing.NamedTuple` classes: immutable, hashable and picklable,
-and about half as costly to build as a frozen dataclass (the per-event
-path builds one per request).  Being tuples, a record compares
+and about half as costly to build as a frozen dataclass (the policy
+hooks build one per request).  Being tuples, a record compares
 equal to its ``(source, target)`` tuple (so an ``EdgeCreated`` and an
 ``EdgeDestroyed`` with the same endpoints compare equal too); tell them
 apart by type or by the :class:`EventRecord` list holding them.
@@ -17,6 +21,7 @@ apart by type or by the :class:`EventRecord` list holding them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 
@@ -110,3 +115,44 @@ class EventRecord:
         if isinstance(self.kind, (NodesBorn, NodesDied)):
             return self.kind.node_ids
         return (self.kind.node_id,)
+
+
+def decode_round_log(log: tuple) -> list[EventRecord]:
+    """The records of one exact streaming round, from its log entry.
+
+    The window kernel logs a round as ``(time, dead, destroyed, owners,
+    regenerated, born, targets)``: *dead* is ``None`` in a round without
+    a death, otherwise *destroyed* is the dying node's neighbour set and
+    *owners*/*regenerated* are the regenerated requests' sources and new
+    targets (``None`` when nothing regenerated); *born* is the newborn
+    and *targets* its request targets in slot order.
+
+    Returns the death record (if any), then the birth record, equal to
+    what the policy hooks return for that round: ``edges_destroyed`` in
+    the neighbour set's iteration order, the regenerated requests in
+    order, the newborn's requests in slot order.  Edge records are built
+    through ``tuple.__new__``, the C path behind the named tuples' own
+    constructor, so they have the same type and values.
+    """
+    time, dead, destroyed, owners, regenerated, born, targets = log
+    new = tuple.__new__
+    records = []
+    if dead is not None:
+        records.append(
+            EventRecord(
+                time,
+                NodeDied(dead),
+                list(map(new, repeat(EdgeCreated), zip(owners, regenerated)))
+                if owners
+                else [],
+                list(map(new, repeat(EdgeDestroyed), zip(repeat(dead), destroyed))),
+            )
+        )
+    records.append(
+        EventRecord(
+            time,
+            NodeBorn(born),
+            list(map(new, repeat(EdgeCreated), zip(repeat(born), targets))),
+        )
+    )
+    return records

@@ -8,6 +8,7 @@ from repro.analysis.components import component_summary
 from repro.baselines import CentralCacheNetwork, TokenNetwork
 from repro.errors import ConfigurationError
 from repro.flooding import flood_discrete
+from repro.scenario import ScenarioSpec, Simulation
 
 
 class TestCentralCache:
@@ -78,3 +79,35 @@ class TestTokenNetwork:
         net.run_rounds(150)
         result = flood_discrete(net, max_rounds=80)
         assert result.completed
+
+
+@pytest.mark.parametrize("churn", ["tokens", "central_cache"])
+def test_fast_rounds_keep_the_baseline_dynamics(churn):
+    # A baseline steps its own advance_round; fused windows must too.
+    sessions = []
+    for fast in (False, True):
+        spec = ScenarioSpec(
+            churn=churn,
+            policy="none",
+            n=100,
+            d=3,
+            horizon=50,
+            seed=1,
+            fast_rounds=fast,
+        )
+        sim = Simulation(spec, observers=[{"name": "size", "params": {"every": 7}}])
+        sessions.append(sim.run())
+    per_event, fused = (sim.network for sim in sessions)
+    slots = [
+        {u: list(net.state.out_slots_of(u)) for u in net.state.alive_ids()}
+        for net in (per_event, fused)
+    ]
+    assert slots[0] == slots[1]
+    assert fused.rng.bit_generator.state == per_event.rng.bit_generator.state
+    assert vars(fused).get("cache") == vars(per_event).get("cache")
+    tokens = [
+        [(t.owner, t.carrier, t.age) for t in vars(net).get("tokens", [])]
+        for net in (per_event, fused)
+    ]
+    assert tokens[0] == tokens[1]
+    assert sessions[0].results() == sessions[1].results()
