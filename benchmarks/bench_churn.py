@@ -3,9 +3,8 @@
 The measured unit is the streaming driver's inner loop: one
 death→regeneration→birth round.  The per-event path pays Python
 dispatch per event; the fused path (``advance_to_time_batched`` through
-``apply_round_batch``) executes a whole window of rounds with O(1)
-Python overhead per round — precomputed draw plans, one batched
-backend write.
+``apply_fused_rounds``) executes a whole window of the same rounds with
+O(1) Python overhead per round and one batched backend write.
 
 Measured per size (array backend, the production configuration):
 
@@ -19,10 +18,10 @@ Measured per size (array backend, the production configuration):
 * An **n = 1e6 smoke row** — fused-only (per-event is minutes at that
   scale), invariants checked, demonstrating million-node routine use.
 
-Timings never compare across stepping modes' trajectories: both paths
-draw the same churn law (fused is a distinct seeded trajectory, like
-``fast_warm``), and cross-backend bit-identity of the fused path is
-covered by tests/test_fused_rounds.py.
+Both paths step the same seeded trajectory (the fused kernel takes the
+per-event draws; tests/test_fused_windows.py holds it to the hook
+loop), so the two timings cover the same rounds.  On the dict oracle a
+fused window steps the hooks.
 
     PYTHONPATH=src python benchmarks/bench_churn.py
 

@@ -78,7 +78,7 @@ from repro.models import (
 )
 from repro.scenario import ScenarioSpec, Simulation, simulate
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "PDG",

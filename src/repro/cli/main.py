@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from repro.experiments.registry import all_experiments, run_experiment
 
@@ -272,14 +273,24 @@ def run_restore(
     checkpoint_every: int | None = None,
     checkpoint_dir: str | None = None,
 ) -> int:
-    """Resume a checkpointed session and run it to its spec horizon."""
-    from repro.scenario import Simulation
+    """Resume a checkpointed session and run it to its spec horizon.
 
-    simulation = Simulation.restore(
-        source,
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=checkpoint_dir,
-    )
+    Cadence checkpoints go to *checkpoint_dir*, else to the spec's or
+    the ambient directory, else next to the checkpoint restored from.
+    """
+    from repro.scenario import Simulation
+    from repro.service.options import current_service_options, use_service_options
+
+    fallback = None
+    if current_service_options().checkpoint_dir is None:
+        path = Path(source)
+        fallback = str(path if path.is_dir() else path.parent)
+    with use_service_options(checkpoint_dir=fallback):
+        simulation = Simulation.restore(
+            source,
+            checkpoint_every=checkpoint_every,
+            checkpoint_dir=checkpoint_dir,
+        )
     print(f"restored: {simulation.restored_from}")
     print(
         f"resuming at t={simulation.network.now:g} "

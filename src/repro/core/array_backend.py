@@ -41,6 +41,7 @@ reference it is checked against lives in ``tests/oracles/dict_backend.py``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,10 +49,15 @@ import numpy as np
 from repro.core.backend import GraphBackend
 from repro.core.csr import CSRView, csr_index_dtype
 from repro.core.node import NodeRecord
-from repro.core.round_batch import ROUND_WORDS
 from repro.core.snapshot import Snapshot
 from repro.errors import ConfigurationError, SimulationError
-from repro.util.sampling import RawWordDraws
+from repro.util.sampling import IndexedSet, RawWordDraws
+
+#: Words an exact or fused round is expected to take, in units of ``d``,
+#: slightly over: ``d`` births and up to ``2d`` orphans (steady-state SDGR
+#: windows took 2.7d words a round at n = 300 to 1e4, as the dying oldest
+#: node has gathered regenerated slots).
+_ROUND_WORDS = 3
 
 
 class _ReverseIndex(dict):
@@ -557,57 +563,52 @@ class ArraySlotBackend(GraphBackend):
         self._note_mutation(touched, count + tgt.size)
 
     # ------------------------------------------------------------------
-    # fused streaming rounds (death → regeneration → birth per round)
+    # fused streaming rounds (the exact rounds on a local slot matrix)
     # ------------------------------------------------------------------
 
-    def apply_round_batch(
+    def apply_fused_rounds(
         self,
-        base: int,
+        first_round: int,
         rounds: int,
-        num_slots: int,
-        start_time: float,
-        plan,
+        n: int,
+        d: int,
         regenerate: bool,
+        rng: np.random.Generator,
     ) -> None:
-        """Execute *rounds* fused streaming rounds in one pass.
+        """Run steady-state streaming rounds ``first_round … first_round +
+        rounds − 1`` as :meth:`apply_exact_rounds` does, without records.
 
-        Precondition: the alive set is exactly the contiguous id range
-        ``[base, base + n)`` (``n`` = ``plan.n``), every alive node has
-        ``num_slots`` slots, and ids ``base + n .. base + n + rounds - 1``
-        are already allocated.  Round ``k`` (1-based) at time
-        ``start_time + k``: node ``base + k - 1`` dies, each orphaned
-        slot re-targets via ``plan.regen`` when *regenerate* (else
-        stays empty), then node ``base + n + k - 1`` is born with
-        ``num_slots`` requests addressed by ``plan.birth_offsets[k-1]``
-        (offset ``v`` = the ``v``-th oldest post-death survivor).  The
-        plan is consumed in the documented orphan order (see
-        :mod:`repro.core.round_batch` for the draw law), and the window
-        leaves the alive set in ascending id order.
+        The draws are the exact kernel's, in the same order and encoding,
+        so slots, rows, in-counts, alive order, epoch and generator state
+        end as it (and the policy hooks) leave them, for any partition
+        into windows.  The reverse index is dropped; the next per-event
+        operation snapshots it again with the same sets (in row-major
+        order).  Touched ids are a superset: every id the window covers.
 
-        Works in a *local-id* coordinate system over the window's node
-        universe (``local = id − base``, length ``L = n + W``): the whole
-        out-slot state becomes one ``(L, d)`` int64 matrix.  With
-        regeneration, :meth:`_fused_regen_rounds` runs the rounds as a
-        plain Python loop over in-lists of the locals that die inside the
-        window and writes the matrix once at the end.  Without
-        regeneration there is no per-round work at all: the window's
-        births pre-scatter in one vectorized take (a birth at round ``j``
-        only targets locals ``≥ j``, so it can never point at a node that
-        dies before it exists) and dead targets are masked wholesale.
-        The write-back relabels the ``n`` final survivors into rows
-        ``0..n-1`` in ascending id order and drops the reverse index
-        (:meth:`_ensure_in_refs` snapshots it only if a per-event
-        operation needs it — steady fused streaming with CSR observers
-        never does).
+        Precondition: every round has a death (``first_round > n``), the
+        alive set is the id range ``[first_round − n − 1, first_round −
+        1)``, each node with *d* slots, and ``first_round − 1`` is the
+        next id.
+
+        The window works on local ids (``local = id − base``, base the
+        first node to die): the out-slots of all ``n + rounds`` of them
+        form one ``(n + rounds, d)`` matrix of locals.  A death pushes its
+        row on the free list and the same round's birth pops it, so local
+        ``l`` sits in row ``rows0[l % n]`` and the write-back touches only
+        the survivors' rows, with no relabelling.  With regeneration the
+        rounds run as a Python loop (:meth:`_fused_regen_rounds`); without
+        it every draw is a birth and the alive order follows the schedule
+        alone, so the window is vectorised (:meth:`_fused_birth_rounds`).
         """
-        n = int(plan.n)
         W = int(rounds)
-        d = int(num_slots)
         if W < 1:
             return
-        if plan.rounds != W or plan.d != d:
-            # A plan sizes its blocks for exactly its rounds.
-            raise SimulationError("window plan does not match this batch")
+        base = first_round - n - 1
+        if base < 0 or n < 2:
+            raise SimulationError(
+                f"fused rounds need a death every round; round {first_round} "
+                f"of a network of {n} has none"
+            )
         if self.num_alive() != n:
             raise SimulationError(
                 f"fused window needs exactly {n} alive nodes, "
@@ -629,133 +630,201 @@ class ArraySlotBackend(GraphBackend):
             raise SimulationError(
                 "fused window needs a uniform out-degree across alive nodes"
             )
-
-        L = n + W
-        # Local out-slot matrix: row l holds node base+l's targets as
-        # locals (-1 = empty); rows [0, n) seed from live state.  Round
-        # k's newborn (local n+k-1) picks offset v among the post-death
-        # survivors [k, k+n-1), i.e. local k+v.
-        out = np.full((L, d), -1, dtype=np.int64)
-        current = self._slots[rows0, :d]
-        valid0 = current >= 0
-        if np.any(valid0):
-            out[:n][valid0] = (
-                self._id_of[current[valid0]] - base
+        if self._next_id != first_round - 1:
+            raise SimulationError(
+                f"id drift: next id {self._next_id}, schedule expects "
+                f"{first_round - 1}"
             )
-        out_flat = out.reshape(-1)
 
-        surv = out[W:]
+        out = np.full((n + W, d), -1, dtype=np.int64)
+        current = self._slots[rows0, :d]
+        valid = current >= 0
+        out[:n][valid] = self._id_of[current[valid]] - base
         regenerated = 0
-        if regenerate:
-            # Births interleave with the per-round regeneration draws
-            # (the plan's canonical order), so they scatter in-loop.
-            regenerated = self._fused_regen_rounds(out_flat, n, W, d, plan)
-            if np.any((surv >= 0) & (surv < W)):
-                raise SimulationError(
-                    "fused regeneration left a slot pointing at a dead node"
-                )
+        with RawWordDraws(rng) as source:
+            # Like the exact kernel: with n = 2 no third node can take an
+            # orphan, so orphans stay empty and nothing is drawn for them.
+            if regenerate and n >= 3:
+                regenerated = self._fused_regen_rounds(out, base, n, W, d, source)
+            else:
+                self._fused_birth_rounds(out, base, n, W, d, source)
+
+        # ---- write-back: the survivors are locals W … W + n − 1 ----
+        surv = out[W:]
+        surv[surv < W] = -1  # targets that died in the window
+        trows = np.where(surv >= 0, rows0[surv % n], -1)
+        self._slots[rows0[np.arange(W, W + n) % n], :d] = trows
+        born = np.arange(W + n - min(W, n), W + n)  # the newborns alive
+        born_rows = rows0[born % n]
+        self._id_of[born_rows] = born + base
+        self._birth[born_rows] = (born + (first_round - n)).astype(np.float64)
+        self._in_count[rows0] = np.bincount(
+            trows[trows >= 0], minlength=self._cap
+        )[rows0]
+        born_ids = (born + base).tolist()
+        if W >= n:
+            self._row_of = dict(zip(born_ids, born_rows.tolist()))
         else:
-            # No regeneration draws to interleave: pre-scatter the whole
-            # window's births in one take.  A birth at round j only
-            # targets locals >= j, never a pending death, and nothing
-            # rewrites a slot — a target is simply dead at window end iff
-            # its local id < W.
-            out[n:] = plan.take_birth(W) + np.arange(
-                1, W + 1, dtype=np.int64
-            )[:, None]
-            surv[(surv >= 0) & (surv < W)] = -1
-
-        # ---- write-back: relabel the n survivors into rows 0..n-1 ----
-        keep = max(n - W, 0)  # original nodes still alive at window end
-        old_birth = self._birth[rows0[n - keep :]].copy()
-        final_ids = np.arange(base + W, base + W + n, dtype=np.int64)
-        final_slots = np.where(surv >= 0, surv - W, -1)
-        self._slots[:, :] = -1
-        self._slots[:n, :d] = final_slots
-        self._num_slots[:] = 0
-        self._num_slots[:n] = d
-        birth = np.empty(n, dtype=np.float64)
-        birth[:keep] = old_birth
-        # Newborn base+n+k-1 joined at time start_time + k.
-        birth[keep:] = start_time + (final_ids[keep:] - (base + n) + 1)
-        self._birth[:] = 0.0
-        self._birth[:n] = birth
-        self._id_of[:] = -1
-        self._id_of[:n] = final_ids
-        self._alive_rows[:] = False
-        self._alive_rows[:n] = True
-        self._in_count[:] = 0
-        assigned = final_slots[final_slots >= 0]
-        if assigned.size:
-            self._in_count[:n] = np.bincount(assigned, minlength=n).astype(
-                np.int32
-            )[:n]
-        self._row_of = dict(zip(final_ids.tolist(), range(n)))
-        self._free = list(range(self._high - 1, n - 1, -1))
-        from repro.util.sampling import IndexedSet
-
-        self.alive = IndexedSet.from_unique_list(final_ids.tolist())
+            for dead in range(base, base + W):
+                del row_of[dead]
+            row_of.update(zip(born_ids, born_rows.tolist()))
+        self._next_id += W
         self._in_refs = None
-        # Count like a per-round loop of the mutation primitives: one per
-        # death, newborn, birth slot and regenerated slot.
+        # Count like the exact kernel: one per death, newborn, birth
+        # slot and regenerated slot.
         self._note_mutation(
             range(base, base + n + W) if self._touched is not None else (),
             count=W * (2 + d) + regenerated,
         )
 
     def _fused_regen_rounds(
-        self, out_flat: np.ndarray, n: int, W: int, d: int, plan
+        self,
+        out: np.ndarray,
+        base: int,
+        n: int,
+        W: int,
+        d: int,
+        source: RawWordDraws,
     ) -> int:
-        """Per-round regeneration + birth over the local out-slot matrix;
-        returns the number of regenerated slots.
+        """Fill *out* with the window's births and regenerated targets,
+        round by round, keeping the alive order in place; returns the
+        number of regenerated slots.
 
-        Keeps an in-list of entries (``source_local·d + slot``) only for
-        the locals ``t < W`` that die inside the window, as Python int
-        lists.  They are seeded with one stable argsort over the
-        prefilled entries with ``target < W``; each regeneration or
-        birth aimed at such a local appends to its list.  Round ``k``'s
-        orphans are the entries of local ``k - 1`` whose source is still
-        alive (``source_local ≥ k``), sorted ascending.  No liveness
-        check on the slot is needed: a slot's target changes only when
-        that target dies, so every listed entry still points at ``t``
-        when ``t`` dies, and each new target is at least the current
-        round and so greater than ``t`` — no entry is listed twice.
-        Births and the final regeneration targets are written into
-        *out_flat* once after the loop.  Draws consume in the plan's
-        canonical per-round order — the round's regenerations, then its
-        birth.
+        In-lists of entries (``source_local·d + slot``) are kept only for
+        the locals ``t < W`` that die in the window.  Round ``k``'s
+        orphans are the entries of local ``k − 1`` whose source is still
+        alive (``source_local ≥ k``), ascending.  No liveness check on
+        the slot is needed: a slot's target changes only when that
+        target dies, and each new target outlives it, so every listed
+        entry still points at ``t`` when ``t`` dies.
+
+        The draws are :meth:`apply_exact_rounds`'s.  An orphan draws over
+        the ``n − 1`` survivors in alive order and rejects its own
+        source; a rejected value is dropped and the take's later values
+        go on to the same orphan, so only the shortfall is drawn again.
+        The newborn, last of ``n``, draws over all and rejects itself.
         """
+        alive = self.alive
+        items = alive._items
+        position = alive._pos
+        out_flat = out.reshape(-1)
         seeded = np.flatnonzero((out_flat[: n * d] >= 0) & (out_flat[: n * d] < W))
         targets = out_flat[seeded]
-        order = np.argsort(targets, kind="stable")
         ends = np.cumsum(np.bincount(targets, minlength=W)).tolist()
-        entries = seeded[order].tolist()
+        entries = seeded[np.argsort(targets, kind="stable")].tolist()
         in_lists = [entries[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
 
+        take = source.take
+        last = n - 1  # the newborn's index; also the survivors' count
+        round_words = _ROUND_WORDS * d
         final: dict[int, int] = {}  # entry -> last regenerated target
-        births = []
+        births: list[list[int]] = []
         regenerated = 0
         for k in range(1, W + 1):
+            rest = W - k  # rounds after this one
+            dead = base + k - 1
+            at = position.pop(dead)
+            moved = items.pop()
+            if moved != dead:
+                items[at] = moved
+                position[moved] = at
             # Entries >= k·d belong to sources alive this round.
-            orphans = sorted(e for e in in_lists[k - 1] if e >= k * d)
-            if orphans:
-                regenerated += len(orphans)
-                # Skip trick: draw v over the n-2 survivors other than
-                # the orphan's own source (post-death range [k, k+n-1)).
-                for e, v in zip(orphans, plan.regen(len(orphans))):
-                    t = k + v + (v >= e // d - k)
-                    final[e] = t
-                    if t < W:
-                        in_lists[t].append(e)
-            # Birth: local n+k-1 targets local k+v.
-            births.append([k + v for v in plan.births()])
-            for e, t in enumerate(births[-1], (n + k - 1) * d):
+            orphans = in_lists[k - 1]
+            orphans.sort()
+            del orphans[: bisect_left(orphans, k * d)]
+            count = len(orphans)
+            regenerated += count
+            i = 0
+            while i < count:
+                for v in take(
+                    last, count - i, d + round_words * rest, d * (rest + 1)
+                ):
+                    t = items[v] - base
+                    e = orphans[i]
+                    if t != e // d:
+                        final[e] = t
+                        if t < W:
+                            in_lists[t].append(e)
+                        i += 1
+            node = dead + n
+            position[node] = last
+            items.append(node)
+            row = take(n, d, round_words * rest, d * rest)
+            if last in row:
+                row = [v for v in row if v != last]
+                while len(row) < d:
+                    for v in take(n, d - len(row), round_words * rest, d * rest):
+                        if v != last:
+                            row.append(v)
+            row = [items[v] - base for v in row]
+            births.append(row)
+            e = (node - base) * d
+            for t in row:
                 if t < W:
                     in_lists[t].append(e)
+                e += 1
         out_flat[n * d :] = np.array(births, dtype=np.int64).reshape(-1)
         if final:
             out_flat[list(final)] = list(final.values())
         return regenerated
+
+    def _fused_birth_rounds(
+        self,
+        out: np.ndarray,
+        base: int,
+        n: int,
+        W: int,
+        d: int,
+        source: RawWordDraws,
+    ) -> None:
+        """Fill *out* with the window's births when nothing regenerates,
+        in a few array passes, and leave the alive order as the rounds do.
+
+        Every draw is a birth over ``n`` with a redraw on ``n − 1`` (the
+        newborn itself), so the window's draws are one flat stream.  The
+        alive order follows the schedule alone: round ``k`` moves the
+        last entry (the previous newborn) into the dying local's position
+        ``at_k`` and appends its newborn.  Only that last entry ever
+        moves, so a newborn dies where the next round put it: ``at_k =
+        at_{k−n+1}`` once ``k > n``.  A pool index ``v`` of round ``k``
+        then names the last write to position ``v`` up to round ``k``,
+        found with one ``searchsorted`` over the writes' ``(position,
+        round)`` keys, or else the window's first order.
+        """
+        items0 = np.asarray(self.alive._items, dtype=np.int64) - base
+        draws = source.take_array(n, W * d, redraw_last=True).reshape(W, d)
+        pos0 = np.empty(n, dtype=np.int64)
+        pos0[items0] = np.arange(n)
+        at = np.empty(W, dtype=np.int64)
+        first = min(W, n)
+        at[:first] = pos0[:first]
+        moved = int(items0[-1])  # moved by round 1 into local 0's place
+        if 0 < moved < first:
+            at[moved] = pos0[0]
+        if W > n:
+            at[n:] = at[1 + np.arange(n - 1, W - 1) % (n - 1)]
+        values = np.arange(n - 1, n - 1 + W, dtype=np.int64)
+        values[0] = moved
+        span = W + 1
+        keys = at * span + np.arange(1, W + 1)
+        order = np.argsort(keys)
+        keys = keys[order]
+        values = values[order]
+        # Only the births of newborns alive at the window's end matter.
+        skip = max(W - n, 0)
+        pool = draws[skip:]
+        queries = pool * span + np.arange(skip + 1, W + 1)[:, None]
+        hit = np.maximum(np.searchsorted(keys, queries, side="right") - 1, 0)
+        found = keys[hit]
+        written = (found <= queries) & (found // span == pool)
+        out[n + skip :] = np.where(written, values[hit], items0[pool])
+        # The final order: each position's last write, the newborn last.
+        positions = keys // span
+        ends = np.append(positions[1:] != positions[:-1], True)
+        final = items0.copy()
+        final[positions[ends]] = values[ends]
+        final[n - 1] = n + W - 1
+        self.alive = IndexedSet.from_unique_list((final + base).tolist())
 
     # ------------------------------------------------------------------
     # exact streaming rounds (the per-event law, a window at a time)
@@ -811,7 +880,7 @@ class ArraySlotBackend(GraphBackend):
         mutations = 0
         # Words a round is expected to take: d births, and with
         # regeneration up to 2d orphans.
-        round_words = (ROUND_WORDS if regenerate else 1) * d
+        round_words = (_ROUND_WORDS if regenerate else 1) * d
         last_round = first_round + rounds - 1
         out: list[tuple] = []
         try:
@@ -1200,8 +1269,6 @@ class ArraySlotBackend(GraphBackend):
         carry one more flag and may hold an int32 id column: the flag is
         ignored and the ids widen to int64.
         """
-        from repro.util.sampling import IndexedSet
-
         self._cap = int(payload["capacity"])
         self._width = int(payload["width"])
         high = int(payload["high"])

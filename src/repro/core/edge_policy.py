@@ -138,14 +138,16 @@ class EdgePolicy(ABC):
 
     @property
     def round_batch_regenerate(self) -> bool | None:
-        """Gate for the fused streaming-round kernel.
+        """Gate for the streaming window kernels.
 
-        ``True``/``False`` is the *regenerate* argument a fused
-        ``apply_round_batch`` window may run with; ``None`` means this
-        policy's per-round law is not the plain uniform death →
-        regeneration → birth law the kernel implements (bounded-degree
-        policies, or any subclass overriding the birth/death hooks), so
-        the driver must stay on the per-event path.
+        ``True``/``False`` is the *regenerate* argument an exact
+        (``apply_exact_rounds``) or fused (``apply_fused_rounds``)
+        window may run with; both take the per-event draws, so either
+        reproduces this policy's hooks.  ``None`` means this policy's
+        per-round law is not the plain uniform death → regeneration →
+        birth law the kernels implement (bounded-degree policies, or any
+        subclass overriding the birth/death hooks), so the driver steps
+        the hooks.
         """
         return None
 

@@ -203,18 +203,19 @@ class DynamicNetwork(ABC):
         Splits ``[now, target]`` into windows of at most *window* time
         units (default: one window for the whole span) and hands each to
         the driver's ``_advance_window_batched``, which applies the
-        window's churn through the policy's batched
-        ``handle_births``/``handle_deaths`` paths.  Same churn law as the
-        per-event path, different seeded trajectory — see the driver
-        docstrings for each model's exact approximation.
+        window's churn through the driver's batched path — see the
+        driver docstrings for each model's law and stream.
 
         Only drivers with ``supports_batched_advance`` implement this.
         The Poisson/general drivers group a window's churn into one
-        births batch and one deaths batch; the streaming-cadence models
-        — whose schedule interleaves a death and a birth every round —
-        instead run the window through the fused per-round kernel
-        (``apply_round_batch``), which keeps the exact death →
-        regeneration → birth law round by round.
+        births batch and one deaths batch, which approximates the
+        per-event law on a different seeded trajectory.  The streaming
+        models — whose schedule interleaves a death and a birth every
+        round — instead run the window through the fused per-round
+        kernel (``apply_fused_rounds``), which takes the per-event
+        draws: the per-event trajectory, reported as one coalesced
+        record pair per window.  The threshold driver fuses its
+        pure-birth stretches on a stream of its own.
         """
         if not self.supports_batched_advance:
             raise NotImplementedError(

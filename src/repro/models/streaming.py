@@ -24,7 +24,6 @@ from repro.core.edge_policy import (
     NoRegenerationPolicy,
     RegenerationPolicy,
 )
-from repro.core.round_batch import WindowDrawPlan
 from repro.errors import ConfigurationError, SimulationError
 from repro.models.base import DynamicNetwork, RoundReport
 from repro.sim.events import EventRecord, NodesBorn, NodesDied
@@ -165,70 +164,51 @@ class StreamingNetwork(DynamicNetwork):
         return rounds
 
     def _advance_window_batched(self, target: float, report: RoundReport) -> None:
-        """One fused window: the exact per-round death → regeneration →
-        birth law executed through the backend's ``apply_round_batch``
-        kernel (same 1/(n−1) destination probabilities, bit-identical
-        across backends within the fused path, a different seeded
-        trajectory than the per-event path — like ``fast_warm``).
+        """One fused window: the exact rounds of :meth:`run_rounds`,
+        through the array backend's ``apply_fused_rounds`` kernel.
 
-        Falls back to per-event rounds whenever the law is not the plain
-        uniform one (bounded-degree policies, or a subclass with its own
-        :meth:`advance_round`, such as the baselines).  Churn is reported
-        as one coalesced ``NodesDied`` plus one ``NodesBorn`` record per
-        window, not per round.
+        The window leaves the state, the alive order and the generator
+        exactly as per-event rounds do, for any partition into windows;
+        only the report differs.  Churn is reported as one coalesced
+        ``NodesDied`` plus one ``NodesBorn`` record per window, not per
+        round.  The warm-up prefix of a cold network (rounds ``≤ n``,
+        births only) runs as one exact birth batch.
+
+        Policies outside the plain uniform law (bounded-degree ones, or
+        any subclass overriding a hook), subclasses with their own
+        :meth:`advance_round` (the baselines) and other backends step
+        per-event rounds instead.
         """
         rounds = self._window_rounds(target)
         if rounds <= 0:
             self.clock.advance_to(target)
             return
-        if self._own_round_law():
+        regenerate = self.policy.round_batch_regenerate
+        if (
+            self._own_round_law()
+            or regenerate is None
+            or not isinstance(self.state, ArraySlotBackend)
+        ):
             self._per_event_rounds(rounds, report)
             return
-        # Warm-up prefix (rounds <= n have no deaths): one canonical-plan
-        # birth batch, bit-identical across backends.
         if self.round_number < self.n:
             take = min(rounds, self.n - self.round_number)
-            if self.policy.supports_batch_birth:
-                node_ids = self._pure_birth_rounds(
-                    self.round_number, take, exact=False
-                )
-                self.round_number += take
-                report.events.append(
-                    EventRecord(
-                        time=self.now, kind=NodesBorn(node_ids=tuple(node_ids))
-                    )
-                )
-            else:
-                self._per_event_rounds(take, report)
+            node_ids = self._pure_birth_rounds(self.round_number, take, exact=True)
+            self.round_number += take
+            report.events.append(
+                EventRecord(time=self.now, kind=NodesBorn(node_ids=tuple(node_ids)))
+            )
             rounds -= take
             if rounds <= 0:
                 return
-        regenerate = self.policy.round_batch_regenerate
-        if regenerate is None or (regenerate and self.n < 3):
-            self._per_event_rounds(rounds, report)
-            return
         first_dead = self.round_number - self.n
         first_born = self.round_number
         remaining = rounds
         while remaining > 0:
             chunk = min(remaining, max(4096, min(self.n, self._FUSED_CHUNK_CAP)))
-            base = self.round_number - self.n
-            node_ids = self.state.allocate_ids(chunk)
-            expected = self.schedule.birth_id(self.round_number + 1)
-            if node_ids[0] != expected:
-                raise SimulationError(
-                    f"id drift: allocated {node_ids[0]}, schedule expects "
-                    f"{expected}"
-                )
-            with WindowDrawPlan(self.n, self.d, chunk, self.rng) as plan:
-                self.state.apply_round_batch(
-                    base=base,
-                    rounds=chunk,
-                    num_slots=self.d,
-                    start_time=float(self.round_number),
-                    plan=plan,
-                    regenerate=bool(regenerate),
-                )
+            self.state.apply_fused_rounds(
+                self.round_number + 1, chunk, self.n, self.d, regenerate, self.rng
+            )
             self.round_number += chunk
             self.clock.advance_to(float(self.round_number))
             remaining -= chunk

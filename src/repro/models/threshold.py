@@ -55,6 +55,8 @@ topology backends, like every other driver.
 
 from __future__ import annotations
 
+import heapq
+
 from repro.core.backend import GraphBackend
 from repro.core.edge_policy import EdgePolicy
 from repro.errors import ConfigurationError, SimulationError
@@ -166,14 +168,16 @@ class ThresholdStreamingNetwork(DynamicNetwork):
     ) -> None:
         """Retire every sub-threshold node, cascading deterministically.
 
-        Candidates are processed in ascending-id order; a departure
-        enqueues its former neighbours (their degree just dropped),
-        except the *exempt* newborn still in its grace round.  The loop
-        terminates because every death strictly shrinks the alive set.
+        Candidates are processed in ascending-id order, kept in a heap
+        with a membership set beside it; a departure enqueues its former
+        neighbours (their degree just dropped), except the *exempt*
+        newborn still in its grace round.  The loop terminates because
+        every death strictly shrinks the alive set.
         """
         state = self.state
-        while candidates:
-            node_id = min(candidates)
+        queue = sorted(candidates)  # a sorted list is a heap
+        while queue:
+            node_id = heapq.heappop(queue)
             candidates.discard(node_id)
             if not state.is_alive(node_id):
                 continue
@@ -185,8 +189,13 @@ class ThresholdStreamingNetwork(DynamicNetwork):
             )
             report.events.append(record)
             for neighbor in neighbors:
-                if neighbor != exempt and state.is_alive(neighbor):
+                if (
+                    neighbor != exempt
+                    and neighbor not in candidates
+                    and state.is_alive(neighbor)
+                ):
                     candidates.add(neighbor)
+                    heapq.heappush(queue, neighbor)
 
     # ------------------------------------------------------------------
     # fused windows (verified pure-birth prefixes)
@@ -211,8 +220,8 @@ class ThresholdStreamingNetwork(DynamicNetwork):
         ``apply_birth_slots``, and re-runs the first failing round — and
         any round whose law the fuser cannot verify (first post-warm
         sweep, bounded-degree policies) — through the per-event path with
-        fresh draws.  Like the streaming kernel: same law, bit-identical
-        across backends within the fused path, a different seeded
+        fresh draws.  Same law, bit-identical across backends within the
+        fused path, but unlike the streaming kernel a different seeded
         trajectory than the per-event path.
         """
         span = target - self.now

@@ -18,14 +18,15 @@ stepping modes:
   pre-scenario code on the same seed.
 * **fused** (``ScenarioSpec(fast_rounds=True)``): churn models exposing
   ``advance_to_time_batched`` advance a window per call, keeping the
-  hot loop on the array backend's vectorized path.  The streaming and
-  threshold drivers run the fused per-round churn kernel
-  (``apply_round_batch``): same churn law, different seeded trajectory.
-  The Poisson/general drivers apply each window's births as one batch
-  and then its deaths as one batch — births before deaths within a
-  window, an approximation that vanishes as the window shrinks (see the
-  drivers' docstrings).  The request is advisory: drivers without a
-  batched path run per-event.
+  hot loop on the array backend's vectorized path.  The streaming
+  drivers run the fused per-round churn kernel (``apply_fused_rounds``),
+  which is the per-event trajectory with one coalesced report per
+  window; the threshold driver's fuse is the same churn law on a
+  different seeded trajectory.  The Poisson/general drivers apply each
+  window's births as one batch and then its deaths as one batch —
+  births before deaths within a window, an approximation that vanishes
+  as the window shrinks (see the drivers' docstrings).  The request is
+  advisory: drivers without a batched path run per-event.
 
 Both paths step whole rounds only.
 

@@ -92,12 +92,13 @@ class ScenarioSpec:
             between observer reads and checkpoints (the whole run when
             there is no cadence) advance through the driver's batched
             window path when it has one (``supports_batched_advance``),
-            falling back to per-event rounds otherwise.  The streaming
-            and threshold fused kernels keep the churn law on a
-            different seeded trajectory (like ``fast_warm``); the
-            Poisson/general windows apply all of a window's births
-            before its deaths, an approximation that shrinks with the
-            window.
+            falling back to per-event rounds otherwise.  The SDG/SDGR
+            fused kernel is the per-event trajectory (it changes only
+            speed and how finely reports are split); the threshold
+            fuse keeps the churn law on a different seeded trajectory
+            (like ``fast_warm``); the Poisson/general windows apply all
+            of a window's births before its deaths, an approximation
+            that shrinks with the window.
     """
 
     churn: str = "streaming"

@@ -208,15 +208,24 @@ class RawWordDraws:
             table = self._tables[bound] = (values.tolist(), rejected.tolist())
         return table
 
-    def take_array(self, bound: int, count: int) -> np.ndarray:
-        """*count* draws over ``[0, bound)`` as an int64 array."""
+    def take_array(
+        self, bound: int, count: int, redraw_last: bool = False
+    ) -> np.ndarray:
+        """*count* draws over ``[0, bound)`` as an int64 array.
+
+        With *redraw_last* a value of ``bound − 1`` is drawn again, so
+        the values lie in ``[0, bound − 1)``: a newborn, last of its own
+        pool, rejecting itself.
+        """
         _check_bound(bound)
+        if redraw_last and bound < 2:
+            raise ValueError("redrawing the last value needs a bound of 2 or more")
         if bound == 1:
             return np.zeros(count, dtype=np.int64)
-        if count <= _SMALL_BLOCK_WORDS:
+        if count <= _SMALL_BLOCK_WORDS and not redraw_last:
             return np.array(self.take(bound, count), dtype=np.int64)
         out = np.empty(count, dtype=np.int64)
-        self._fill(np.full(count, bound, dtype=np.uint64), out)
+        self._fill(np.full(count, bound, dtype=np.uint64), out, redraw_last)
         return out
 
     def _fill(

@@ -5,9 +5,10 @@ backend, :class:`~repro.core.array_backend.ArraySlotBackend`; this
 readable :class:`~repro.core.backend.GraphBackend` is the second,
 independent implementation the parity suites check it against.  Tests
 inject it with ``backend=DictBackend()`` (``create_backend`` returns an
-instance unchanged).  Seeded churn — per-event, exact warm-up, fast
-pure-birth batches and fused windows — is bit-identical to the array
-backend; the dict lists a node's neighbours in insertion order, so
+instance unchanged).  Seeded churn — per-event, exact warm-up and fast
+pure-birth batches — is bit-identical to the array backend; streaming
+fused windows step the policy hooks here, the per-event rounds the
+array kernel reproduces.  The dict lists a node's neighbours in insertion order, so
 consumers that spend RNG along a neighbour list (set-frontier gossip and
 lossy flooding, token walks) diverge.  It has no vectorized frontier
 (flood it through ``spread`` with a ``SetFrontier``, as
@@ -246,69 +247,6 @@ class DictBackend(GraphBackend):
             )
         self._note_mutation(touched)
         return orphaned
-
-    # ------------------------------------------------------------------
-    # fused streaming rounds (reference implementation)
-    # ------------------------------------------------------------------
-
-    def apply_round_batch(
-        self,
-        base: int,
-        rounds: int,
-        num_slots: int,
-        start_time: float,
-        plan,
-        regenerate: bool,
-    ) -> None:
-        """Reference fused kernel: per-round graph mutations, plan draws.
-
-        Deliberately built from the ordinary mutation primitives
-        (:meth:`remove_node` / :meth:`add_node` / :meth:`assign_slot`) so
-        it shares *no* mechanics with the array kernel beyond the
-        :class:`~repro.core.round_batch.WindowDrawPlan` — the cross-backend
-        bit-identity tests are a real two-implementation cross-check.
-        """
-        n = plan.n
-        if self.num_alive() != n:
-            raise SimulationError(
-                f"fused window needs exactly {n} alive nodes, "
-                f"found {self.num_alive()}"
-            )
-        for node_id in range(base, base + n):
-            if node_id not in self.alive:
-                raise SimulationError(
-                    f"fused window needs the contiguous alive range "
-                    f"[{base}, {base + n}); {node_id} is missing"
-                )
-        # Regeneration-free windows take every birth draw upfront (same
-        # generator consumption as per-round takes — see round_batch.py).
-        offsets = None if regenerate else plan.take_birth(int(rounds))
-        for k in range(1, int(rounds) + 1):
-            time = start_time + k
-            # Death → regeneration → birth, the model's per-round order
-            # (see models/streaming.py).  remove_node returns the orphans
-            # in ascending (source, slot) order — the plan's canonical
-            # regeneration-draw order.
-            orphaned = self.remove_node(base + k - 1, death_time=time)
-            lo = base + k  # oldest post-death survivor
-            if regenerate and orphaned:
-                draws = plan.regen(len(orphaned))
-                for (source, slot_index), v in zip(orphaned, draws):
-                    rel = source - lo
-                    target = lo + v + (1 if v >= rel else 0)
-                    self.assign_slot(source, slot_index, target)
-            birth_row = (
-                offsets[k - 1].tolist() if offsets is not None else plan.births()
-            )
-            birth_id = base + n + k - 1
-            self.add_node(birth_id, birth_time=time, num_slots=num_slots)
-            for slot_index, v in enumerate(birth_row):
-                self.assign_slot(birth_id, slot_index, lo + v)
-        # Canonical post-window alive order (ascending ids), matching the
-        # array kernel's write-back so later per-event draws agree too.
-        self.alive = IndexedSet.from_unique_list(
-            list(range(base + rounds, base + rounds + n))
-        )
 
     # ------------------------------------------------------------------
     # state serialization (service plane)

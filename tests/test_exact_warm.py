@@ -104,14 +104,15 @@ GOLDEN = {
 
 
 #: Fast streams on the array backend: label -> (spec fields, sha256 of
-#: the trajectory transcript without the epoch).  ``fast_warm`` warm-ups and
-#: ``fast_rounds`` sessions (the fused warm prefix of ``warm=False``
-#: included) draw every pure-birth batch in one call; these streams were
-#: first pinned with the array backend's earlier batch implementation, so
-#: they pin the one batch path to it.  The two ``-steady`` cases run past
-#: the warm prefix into fused steady-state windows (horizon > n); their
-#: streams were first pinned before ``apply_round_batch`` counted the epoch
-#: like the dict backend, so they pin that count's fix to the old stream.
+#: the trajectory transcript without the epoch).  ``fast_warm`` warm-ups
+#: and Poisson ``fast_rounds`` sessions draw every pure-birth batch in one
+#: call; these streams were first pinned with the array backend's earlier
+#: batch implementation, so they pin the one batch path to it.  Streaming
+#: ``fast_rounds`` sessions (the ``sdg-``/``sdgr-cold-fast-rounds`` cases;
+#: ``warm=False``, so their first n rounds are the exact warm prefix, and
+#: the ``-steady`` ones run on into fused steady-state windows) follow the
+#: per-event stream: their digests are those of the same spec without
+#: ``fast_rounds`` (their payloads differ from it only in that field).
 #: The epoch is compared with the dict backend's instead, which counts
 #: like the per-birth loop.
 FAST_GOLDEN = {
@@ -157,24 +158,24 @@ FAST_GOLDEN = {
         {"policy": "none", "n": 200, "d": 4, "horizon": 350,
          "fast_rounds": True, "churn_params": {"warm": False}},
         (
-            "e3f55442bb3c90b03f90def50958fc57"
-            "6f46428b2c85a42625373fd6cf74188c"
+            "229c0c8eba30163fecc3e46f24a00353"
+            "64810efdef9c303e8101c3c9ac288265"
         ),
     ),
     "sdgr-cold-fast-rounds": (
         {"n": 300, "d": 4, "horizon": 250, "fast_rounds": True,
          "churn_params": {"warm": False}},
         (
-            "8dc24d85064ec2cd69f12598dcec07c8"
-            "2e0859a7661f9ac45c988d35c6968ff3"
+            "b7bac3e00f18747e578e5c4fda100ecf"
+            "fe7084f546f5fc44778b1c1f09eaf1be"
         ),
     ),
     "sdgr-cold-fast-rounds-steady": (
         {"n": 200, "d": 4, "horizon": 350, "fast_rounds": True,
          "churn_params": {"warm": False}},
         (
-            "e6acc13eb8e36e387f4b786892ea4b99"
-            "045177577da69bd341d25b4fb8660231"
+            "1afe3b119b81d3054c78771d26bc45a7"
+            "c667a192bf8064536d283dac47cf1835"
         ),
     ),
     "tsdg-fast-rounds": (
@@ -262,20 +263,20 @@ FAST_PAYLOAD_GOLDEN = {
         "6c71a44768939572f3c3b8d8b42a2a46"
     ),
     "sdg-cold-fast-rounds-steady": (
-        "e6ffe6abb605902303afeb58b700ecce"
-        "4b5996b239f867c5df565eb521f34b3e"
+        "8ff6844d9d8a725bf3eb9813f56d0878"
+        "f6cbe485bcbb4a9f619369d922f0d6a8"
     ),
     "sdg-fast-warm": (
         "797cb40ac4f6658570d902a9609f8749"
         "ae2483eee6246ef6c94b3591fd5ba8e4"
     ),
     "sdgr-cold-fast-rounds": (
-        "f3291e4016d82fc8123ceea7afbb51ca"
-        "c485f59f10a083f538490a50ec515b29"
+        "4d626b5f876d854679e5203f09bf0926"
+        "6a4a88add49d1e616ed194ae85c20c76"
     ),
     "sdgr-cold-fast-rounds-steady": (
-        "d7873476ffb80e25f82f1e82ebe0e97d"
-        "4921878ef5f3e38ac28f18d2897a092a"
+        "148e1b40b29caeb3282958d69612c199"
+        "c80d94f76b0f11641a25df70f153bcd8"
     ),
     "sdgr-fast-warm": (
         "fe3e64d8fa5b34c10d0ca9b55063a3b1"
@@ -447,9 +448,9 @@ def test_overridden_birth_hooks_run_once_per_warm_birth(
 
 
 def test_fused_prefix_epoch_matches_across_backends(monkeypatch):
-    """A fused session's warm prefix (``warm=False``, applied through
-    ``apply_birth_slots``) counts the epoch like the dict oracle's
-    per-slot loop; the epoch is written into checkpoints."""
+    """A fused session's warm prefix (``warm=False``, one exact birth
+    batch through ``apply_birth_slots``) counts the epoch like the dict
+    oracle's per-slot loop; the epoch is written into checkpoints."""
     spec = ScenarioSpec(
         churn="streaming",
         policy="regen",

@@ -1,8 +1,9 @@
 """Golden digests of seeded fused streaming windows.
 
-``tests/test_fused_rounds.py`` checks the fused kernel against the dict
-oracle, which pins the topology but not the array backend's own
-bookkeeping.  These digests pin that too: each one hashes the backend
+``tests/test_fused_windows.py`` checks the streaming fused kernel
+against the per-event hook loop, and ``tests/test_fused_rounds.py`` the
+threshold fuse against the dict oracle.  These digests pin the array
+backend's own bookkeeping after a window too: each one hashes the backend
 state after a seeded fused window (slot matrix, ``id_of``, birth times,
 alive order, free list, ``mutation_epoch``) and the driver's RNG state,
 then the event records of one per-event round run right after the
@@ -39,36 +40,36 @@ MODELS = {
 #: (model, n, d, W) -> sha256 of the window transcript.
 GOLDEN = {
     ('SDG', 3, 1, 25): (
-        "23b45c71301c466c1fc0cf1b94665e75"
-        "311eb640282680cdd18e186b1c6b9249"
+        "2636461795a37030a1f6daa2b2e0536f"
+        "bf6551ba7993fd177b3aa839c2f19a79"
     ),
     ('SDG', 7, 2, 40): (
-        "4015f4681e3376369a24bf430ebc2080"
-        "135ed8789a926daf4d79178f76a7d0b3"
+        "1edc63b70345ef77244154ab92831928"
+        "8c49b9961a4ea804af2b4b82118ef139"
     ),
     ('SDG', 50, 3, 120): (
-        "ec23d4695193e3a3d63c08ee6b00c9df"
-        "8412bb5353cbe03322e78b9e048d569f"
+        "270ac964840ccd303a8c192dd5d57c0c"
+        "2ac66311949ba767f86b4b7c074d8923"
     ),
     ('SDG', 2000, 8, 100): (
-        "66abdb0c5729be4b22c73d470bc9518d"
-        "11d348ef96284c9a1f39185b193e690e"
+        "453efd2358bc689ad3056f89cedcbd4a"
+        "161b1128602197f0c04d813256551845"
     ),
     ('SDGR', 3, 1, 25): (
-        "815dd50ec500ef896581f2ad5a2275f7"
-        "cfcf39038073d149851f01868051155d"
+        "5345f5fde04677834257e73a84ed9f3f"
+        "0dea8e43f202e60c12bec8e059ae630d"
     ),
     ('SDGR', 7, 2, 40): (
-        "e6b0a46e4f82c628916f36fff5192d93"
-        "9625a00ccde8d940e2c19ac7c3389212"
+        "fabd95805ec885e03a4c5e5affe39ec6"
+        "10d154c526a12c5dd67acd1ac109a2c5"
     ),
     ('SDGR', 50, 3, 120): (
-        "58bee0e90079ba9b6c914fcd00f8ba4c"
-        "131191e5976a9fb3ae5e884fcd25264a"
+        "137f08c984cc84c2ab4dd33cab76bf91"
+        "11a23e3585355125d1737a12ee90ffe7"
     ),
     ('SDGR', 2000, 8, 100): (
-        "0939f4c46e21c17e524180606edd7b99"
-        "30e13e151b48a76b991e750fd8d68e60"
+        "3175906845499a9525876e9e26273b67"
+        "6583614310f654e0a8836d3cf17eb3c1"
     ),
     ('TSDG', 40, 4, 60): (
         "46e636713c8a32ca92cfdf3cb38769c0"

@@ -1,24 +1,25 @@
-"""Fused streaming-round kernels: parity, partition invariance, events.
+"""Fused streaming-round windows: identity, partition invariance, events.
 
 The fused window path (`_advance_window_batched` on the streaming and
 threshold drivers) executes W death→regeneration→birth rounds with one
 batched backend write.  Its contract, tested here:
 
-* **Bit-identity across backends** — a seeded fused run produces the
-  same topology on the array backend and the dict oracle (the oracle's
-  `apply_round_batch` in ``tests/oracles/dict_backend.py`` is the
-  reference implementation, consuming the RNG draw-for-draw
-  identically).
+* **Per-event identity** (streaming) — an SDG/SDGR fused window on the
+  array backend takes the per-event draws, so a seeded fused run ends
+  with the topology and generator state of per-event rounds, on the
+  array backend and on the dict oracle (which steps the policy hooks).
+  ``tests/test_fused_windows.py`` compares the full backend state.
+* **Cross-backend identity** (threshold) — the threshold driver's fused
+  path is its own seeded stream, the same on both backends.
 * **Partition invariance** (streaming only) — the trajectory depends
   only on the round sequence, never on how rounds are grouped into
   windows: W=1 == W=7 == one window covering everything.  This is what
   makes checkpoint-mid-window restore exact.  The threshold driver's
   fused path discards speculative draws on a failed stopping-condition
   exam, so it is deliberately *excluded* from partition tests.
-* **Law parity** — fused and per-event runs follow the same churn law
-  on distinct seeded trajectories (like ``fast_warm``), so degree
-  summaries, isolated fractions and population trajectories agree in
-  distribution.
+* **Law parity** (threshold) — fused and per-event runs follow the same
+  churn law on distinct seeded trajectories, so population trajectories
+  agree in distribution.
 * **Coalesced events** — a fused window emits one ``NodesDied`` and one
   ``NodesBorn`` record per chunk instead of per-round singles, and the
   flattened id lists match the per-event law exactly (streaming ids are
@@ -33,7 +34,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.edge_policy import NoRegenerationPolicy, RegenerationPolicy
-from repro.core.round_batch import WindowDrawPlan
 from repro.errors import ConfigurationError
 from repro.models.streaming import SDG, SDGR
 from repro.models.threshold import TSDG
@@ -72,9 +72,13 @@ class TestCrossBackendIdentity:
     def test_fused_is_bit_identical_across_backends(
         self, factory, n, d, rounds
     ):
+        """The array kernel against the oracle, which steps the hooks."""
         array_net = fused(factory, n, d, 42, rounds, backend="array")
         dict_net = fused(factory, n, d, 42, rounds, backend="dict")
         assert snap_key(array_net) == snap_key(dict_net)
+        assert (
+            array_net.rng.bit_generator.state == dict_net.rng.bit_generator.state
+        )
         array_net.state.check_invariants()
         dict_net.state.check_invariants()
 
@@ -90,9 +94,9 @@ class TestCrossBackendIdentity:
 
     @pytest.mark.parametrize("factory", [SDG, SDGR], ids=["SDG", "SDGR"])
     def test_fused_epoch_matches_across_backends(self, factory):
-        """The array kernel counts the mutation epoch like the dict
-        reference: one per death, newborn, birth slot and regenerated
-        slot.  The epoch is written into checkpoints."""
+        """The array kernel counts the mutation epoch like the oracle's
+        hooks: one per death, newborn, birth slot and regenerated slot.
+        The epoch is written into checkpoints."""
         epochs = []
         for backend in ("dict", "array"):
             net = factory(200, 4, seed=3, backend=BACKENDS[backend]())
@@ -145,8 +149,8 @@ class TestWindowPartitionInvariance:
         assert snap_key(net) == reference
 
     def test_fused_matches_across_backends_per_window_size(self):
-        # The partition must not matter on either backend — guards the
-        # draw-ordering contract of both apply_round_batch variants.
+        # The partition must not matter on either backend: the array
+        # kernel's windows and the oracle's hook rounds.
         for window in (1.0, 3.0, None):
             a = fused(SDGR, 12, 2, 9, 31, backend="array", window=window)
             b = fused(SDGR, 12, 2, 9, 31, backend="dict", window=window)
@@ -155,12 +159,13 @@ class TestWindowPartitionInvariance:
 
 class TestFallbacks:
     def test_n2_regen_falls_back_to_per_event(self):
-        # SDGR's regeneration draw needs n >= 3 targets; n=2 must still
-        # advance correctly through the per-event path.
+        # SDGR's regeneration needs a third node; at n=2 orphans stay
+        # empty and draw nothing, as in per-event rounds.
         net = SDGR(2, 2, seed=1, backend="array")
         net.advance_to_time_batched(net.now + 10)
         net.state.check_invariants()
         assert net.num_alive() == 2
+        assert snap_key(net) == snap_key(per_event(SDGR, 2, 2, 1, 10))
 
     def test_custom_policy_falls_back_to_per_event(self):
         from repro.models.streaming import StreamingNetwork
@@ -183,40 +188,28 @@ class TestFallbacks:
 
 
 class TestDistributionParity:
-    """Fused and per-event runs follow the same law on different seeded
-    trajectories; summary statistics agree across seed ensembles."""
+    """Streaming fused runs take the per-event draws, so their summaries
+    equal the per-event ones seed for seed; the threshold driver's fused
+    and per-event runs follow one law on different seeded trajectories,
+    and summary statistics agree across seed ensembles."""
 
     def test_sdgr_mean_degree(self):
         n, d, rounds = 200, 4, 400
-        deg_fused, deg_event = [], []
-        for seed in range(12):
-            f = fused(SDGR, n, d, seed, rounds)
-            e = per_event(SDGR, n, d, seed + 1000, rounds)
-            deg_fused.append(
-                np.mean([f.state.degree(i) for i in f.state.alive_ids()])
-            )
-            deg_event.append(
-                np.mean([e.state.degree(i) for i in e.state.alive_ids()])
-            )
-        assert abs(np.mean(deg_fused) - np.mean(deg_event)) < 0.15
+        for seed in range(3):
+            f = fused(SDGR, n, d, seed, rounds, window=150)
+            e = per_event(SDGR, n, d, seed, rounds)
+            assert [f.state.degree(i) for i in f.state.alive_ids()] == [
+                e.state.degree(i) for i in e.state.alive_ids()
+            ]
 
     def test_sdg_isolated_fraction(self):
         n, d, rounds = 200, 4, 400
-        iso_fused, iso_event = [], []
-        for seed in range(12):
-            f = fused(SDG, n, d, seed, rounds)
-            e = per_event(SDG, n, d, seed + 1000, rounds)
-            iso_fused.append(
-                np.mean(
-                    [f.state.degree(i) == 0 for i in f.state.alive_ids()]
-                )
-            )
-            iso_event.append(
-                np.mean(
-                    [e.state.degree(i) == 0 for i in e.state.alive_ids()]
-                )
-            )
-        assert abs(np.mean(iso_fused) - np.mean(iso_event)) < 0.03
+        for seed in range(3):
+            f = fused(SDG, n, d, seed, rounds, window=150)
+            e = per_event(SDG, n, d, seed, rounds)
+            assert [f.state.degree(i) == 0 for i in f.state.alive_ids()] == [
+                e.state.degree(i) == 0 for i in e.state.alive_ids()
+            ]
 
     def test_threshold_population_trajectory(self):
         pops_fused, pops_event = [], []
@@ -258,35 +251,6 @@ class TestCoalescedEvents:
         )
         assert report.deaths == list(range(15))
         assert report.births == list(range(20, 35))
-
-
-class TestWindowDrawPlan:
-    def test_validates_construction(self):
-        rng = make_rng(0)
-        with pytest.raises(ConfigurationError):
-            WindowDrawPlan(1, 2, 5, rng)
-        with pytest.raises(ConfigurationError):
-            WindowDrawPlan(10, 2, 0, rng)
-
-    def test_birth_overdraw_rejected(self):
-        plan = WindowDrawPlan(10, 2, 3, make_rng(0))
-        plan.take_birth(2)
-        plan.take_birth(1)
-        with pytest.raises(ConfigurationError):
-            plan.take_birth(1)
-
-    def test_regen_needs_three_nodes(self):
-        plan = WindowDrawPlan(2, 1, 2, make_rng(0))
-        with pytest.raises(ConfigurationError):
-            plan.regen(1)
-
-    def test_draw_ranges(self):
-        plan = WindowDrawPlan(10, 3, 4, make_rng(7))
-        births = plan.take_birth(4)
-        assert births.shape == (4, 3)
-        assert births.min() >= 0 and births.max() < 9
-        regen = plan.regen(100)
-        assert min(regen) >= 0 and max(regen) < 8
 
 
 class TestFastRoundsSimulation:
@@ -394,7 +358,7 @@ class TestFastRoundsSimulation:
     def test_checkpoint_mid_window_restore_parity(self, tmp_path):
         # Partition invariance makes a checkpoint taken at any round
         # boundary exact: restore + finish is bit-identical to the
-        # uninterrupted fused run.
+        # uninterrupted fused run, and to the per-event one.
         from repro.scenario import Simulation
 
         observers = ("size", {"name": "degrees", "params": {"every": 4}})
@@ -411,6 +375,12 @@ class TestFastRoundsSimulation:
         assert (
             restored.network.rng.bit_generator.state
             == baseline.network.rng.bit_generator.state
+        )
+        per_event = Simulation(self._spec(fast_rounds=False)).run()
+        assert restored.snapshot() == per_event.snapshot()
+        assert (
+            restored.network.rng.bit_generator.state
+            == per_event.network.rng.bit_generator.state
         )
 
 

@@ -99,6 +99,40 @@ class TestDynamics:
         assert net.state.is_alive(newborn)
         net.check_threshold_invariant()  # newborn exempt, rest >= 7
 
+    def test_sweep_retires_in_ascending_id_order(self):
+        """The first sweep of the core regime cascades through most of
+        the network, and each departure regenerates: the heap-ordered
+        sweep must retire nodes in the order of a scan for the smallest
+        pending id, so the deaths and the draws match."""
+
+        class ScanSweep(ThresholdStreamingNetwork):
+            def _sweep(self, candidates, report, exempt):
+                state = self.state
+                while candidates:
+                    node_id = min(candidates)
+                    candidates.discard(node_id)
+                    if not state.is_alive(node_id):
+                        continue
+                    if state.degree(node_id) >= self.threshold:
+                        continue
+                    neighbors = set(state.neighbors(node_id))
+                    report.events.append(
+                        self.policy.handle_death(state, node_id, self.now, self.rng)
+                    )
+                    for neighbor in neighbors:
+                        if neighbor != exempt and state.is_alive(neighbor):
+                            candidates.add(neighbor)
+
+        nets = [
+            cls(200, RegenerationPolicy(6), threshold=7, seed=0)
+            for cls in (ThresholdStreamingNetwork, ScanSweep)
+        ]
+        reports = [[net.advance_round() for _ in range(3)] for net in nets]
+        assert [r.deaths for r in reports[0]] == [r.deaths for r in reports[1]]
+        assert len(reports[0][0].deaths) > 50
+        assert nets[0].snapshot() == nets[1].snapshot()
+        assert nets[0].rng.bit_generator.state == nets[1].rng.bit_generator.state
+
     def test_seeded_trajectories_bit_identical_across_backends(self):
         nets = [
             ThresholdStreamingNetwork(

@@ -378,6 +378,37 @@ class TestCli:
         tail = baseline[baseline.index("observers:"):]
         assert resumed.endswith(tail)
 
+    def test_restore_writes_cadence_checkpoints_next_to_its_source(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A spec with a cadence but no directory, run with
+        ``--checkpoint-dir``: restoring one of its checkpoints without
+        the flag writes the later ones next to the restored file."""
+        from repro.cli.main import main as cli_main
+
+        example = os.path.join(
+            os.path.dirname(__file__), "..", "examples", "service_checkpoint.json"
+        )
+        with open(example) as handle:
+            document = json.load(handle)
+        del document["scenario"]["checkpoint_dir"]
+        document["observers"] = ["size"]
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(document))
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["--scenario", str(scenario), "--checkpoint-dir", "ck2"]) == 0
+        first = sorted(os.listdir(tmp_path / "ck2"))
+        assert [checkpoint_io._rounds_in_name(f) for f in first] == [
+            25, 50, 75, 100,
+        ]
+        capsys.readouterr()
+        source = tmp_path / "ck2" / first[0]
+        assert cli_main(["--restore", str(source)]) == 0
+        resumed = sorted(set(os.listdir(tmp_path / "ck2")) - set(first))
+        assert [checkpoint_io._rounds_in_name(f) for f in resumed] == [
+            50, 75, 100,
+        ]
+
     def test_restore_conflicts_with_scenario(self, tmp_path):
         from repro.cli.main import main as cli_main
 

@@ -2,11 +2,13 @@
 
 :class:`repro.util.sampling.RawWordDraws` pulls raw 32-bit words in
 blocks and applies NumPy's own bounded-integer rule to them (Lemire's
-multiply-shift with rejection).  Every fused streaming window and the
-exact warm-up draw through it, so its values and the generator state it
-leaves must equal what per-call ``rng.integers(0, bound)`` gives.  A
-NumPy release that changes its bounded-integer algorithm fails here by
-name.  Only NumPy and pytest are needed.
+multiply-shift with rejection).  Every fused and exact streaming window
+and the exact warm-up draw through it, so its values and the generator
+state it leaves must equal what per-call ``rng.integers(0, bound)``
+gives; the fused windows are checked against the dict oracle's hook
+rounds, which draw one call at a time.  A NumPy release that changes
+its bounded-integer algorithm fails here by name.  Only NumPy and
+pytest are needed.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ import numpy as np
 import pytest
 
 from repro.core.edge_policy import NoRegenerationPolicy, RegenerationPolicy
-from repro.core.round_batch import WindowDrawPlan
-from repro.models import streaming
 from repro.models.streaming import StreamingNetwork
 from repro.util import sampling
 from repro.util.sampling import RawWordDraws, birth_prefix_draws
@@ -199,44 +199,40 @@ def test_birth_prefix_draws_across_refills(
     assert_same_state(fast, reference)
 
 
-def test_plan_draws_are_the_per_call_stream():
-    """A plan's regeneration and birth draws, in canonical order."""
-    fast, reference = twins("PCG64", 6)
-    with WindowDrawPlan(50, 4, 3, fast) as plan:
-        assert plan.regen(5) == per_call(reference, 48, 5)
-        assert plan.births() == per_call(reference, 49, 4)
-        assert plan.regen(0) == []
-        assert plan.take_birth(2).tolist() == [
-            per_call(reference, 49, 4) for _ in range(2)
-        ]
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+@pytest.mark.parametrize("block", [3, None])
+@pytest.mark.parametrize("bound", [2, 3, 1999, 2**31 - 1])
+def test_take_array_redraw_last_matches_per_call_draws(
+    kind, block, bound, monkeypatch
+):
+    """Each draw redrawn while it is ``bound − 1``, one call at a time."""
+    if block is not None:
+        monkeypatch.setattr(sampling, "_MAX_BLOCK_WORDS", block)
+    fast, reference = twins(kind, 13)
+    with RawWordDraws(fast) as source:
+        for count in (0, 1, 7, 700):
+            expected = []
+            for _ in range(count):
+                value = bound - 1
+                while value == bound - 1:
+                    value = int(reference.integers(0, bound))
+                expected.append(value)
+            assert source.take_array(bound, count, redraw_last=True).tolist() == (
+                expected
+            )
+        with pytest.raises(ValueError, match="bound of 2"):
+            source.take_array(1, 3, redraw_last=True)
     assert_same_state(fast, reference)
 
 
-class PerCallPlan(WindowDrawPlan):
-    """The plan's draws as per-call ``rng.integers``, one call per take."""
-
-    def __init__(self, n, d, rounds, rng):
-        super().__init__(n, d, rounds, rng)
-        self.rng = rng
-
-    def births(self):
-        self._count_births(1)
-        return per_call(self.rng, self.n - 1, self.d)
-
-    def regen(self, count):
-        return per_call(self.rng, self.n - 2, count)
-
-    def take_birth(self, rounds=1):
-        self._count_births(rounds)
-        return self.rng.integers(0, self.n - 1, size=(rounds, self.d))
-
-
 def fused_state(n, d, seed, rounds, window, backend, regenerate=True):
+    """Alive order, out-slots and generator state after fused windows;
+    the dict oracle steps them as hook rounds, one draw per call."""
     policy = RegenerationPolicy(d) if regenerate else NoRegenerationPolicy(d)
     net = StreamingNetwork(n, policy, seed=seed, backend=backend)
     net.advance_to_time_batched(net.now + rounds, window=window)
     state = net.state
-    alive = sorted(state.alive_ids())
+    alive = state.alive_ids()
     return (
         alive,
         [state.out_slots_of(u) for u in alive],
@@ -244,40 +240,32 @@ def fused_state(n, d, seed, rounds, window, backend, regenerate=True):
     )
 
 
-def per_call_state(monkeypatch, *args, **kwargs):
-    with monkeypatch.context() as patch:
-        patch.setattr(streaming, "WindowDrawPlan", PerCallPlan)
-        return fused_state(*args, **kwargs)
-
-
 @pytest.mark.parametrize("regenerate", [True, False], ids=["SDGR", "SDG"])
-def test_one_round_windows_match_the_oracle(regenerate, monkeypatch):
+def test_one_round_windows_match_the_oracle(regenerate):
     array = fused_state(60, 4, 5, 150, 1, None, regenerate)
     oracle = fused_state(60, 4, 5, 150, 1, DictBackend(), regenerate)
-    reference = per_call_state(monkeypatch, 60, 4, 5, 150, 1, None, regenerate)
-    assert array == oracle == reference
+    assert array == oracle
 
 
 @pytest.mark.parametrize("regenerate", [True, False], ids=["SDGR", "SDG"])
 def test_windows_longer_than_a_block_match_the_oracle(regenerate, monkeypatch):
     """Blocks of 37 words make one 200-round window refill dozens of
-    times; the result must equal the oracle's, the unchanged block
-    size's and per-call draws'."""
+    times; the result must equal the unchanged block size's and the
+    oracle's hook rounds, which draw per call."""
     unchanged = fused_state(60, 4, 8, 200, None, None, regenerate)
-    reference = per_call_state(monkeypatch, 60, 4, 8, 200, None, None, regenerate)
+    reference = fused_state(60, 4, 8, 200, None, DictBackend(), regenerate)
     monkeypatch.setattr(sampling, "_MAX_BLOCK_WORDS", 37)
     array = fused_state(60, 4, 8, 200, None, None, regenerate)
-    oracle = fused_state(60, 4, 8, 200, None, DictBackend(), regenerate)
-    assert array == oracle == unchanged == reference
+    assert array == unchanged == reference
 
 
-def test_an_error_inside_a_plan_is_not_masked():
+def test_an_error_inside_a_source_is_not_masked():
     """A window cut short by an error re-raises that error on leaving
-    the plan, even when its block was sized for draws that never came."""
+    the source, even when its block was sized for draws that never came."""
     rng = np.random.default_rng(3)
     with pytest.raises(KeyError):
-        with WindowDrawPlan(50, 4, 1, rng) as plan:
-            plan.regen(5)
+        with RawWordDraws(rng) as source:
+            source.take(48, 5, ahead=4, sure=4)
             raise KeyError("cut short")
     source = RawWordDraws(np.random.default_rng(3))
     source.take(48, 5, ahead=4, sure=4)
