@@ -18,11 +18,12 @@
 * **batched births** — :meth:`apply_birth_slots` writes thousands of
   pre-drawn births in a handful of array operations;
 * **a lazy reverse index** — ``_in_refs`` maps a row to the set of
-  ``(source id, slot)`` pairs pointing at it.  Batch writes (fused
-  windows, whole-population births, checkpoint restore) drop it; the
-  next per-event operation takes one sorted snapshot of the slot matrix
-  and each row's set is built from it when first touched, in the
-  row-major insertion order an eager rebuild would give;
+  ``(source id, slot)`` pairs pointing at it.  Batch writes
+  (whole-population births, checkpoint restore) drop it and fused
+  windows keep an existing one exact; the next per-event operation
+  takes one sorted snapshot of the slot matrix and each row's set is
+  built from it when first touched, in the row-major insertion order an
+  eager rebuild would give;
 * **a dense in-degree counter** — ``_in_count`` holds each row's
   in-slot count as an ``int32`` array, valid at all times (batch writes
   recompute it with one bincount), so capacity checks in the
@@ -581,9 +582,16 @@ class ArraySlotBackend(GraphBackend):
         The draws are the exact kernel's, in the same order and encoding,
         so slots, rows, in-counts, alive order, epoch and generator state
         end as it (and the policy hooks) leave them, for any partition
-        into windows.  The reverse index is dropped; the next per-event
-        operation snapshots it again with the same sets (in row-major
-        order).  Touched ids are a superset: every id the window covers.
+        into windows.  A reverse index that exists when the window starts
+        gets the exact kernel's set edits in its order (each round: the
+        dying node's own slots discarded in slot order, its row reset,
+        then the regenerated orphans in ascending ``(source, slot)`` order
+        and the newborn's slots added), so it ends as that kernel leaves
+        it, set order included.  An absent one stays absent: the next
+        per-event operation snapshots the same sets in row-major order,
+        so its rows can list their pairs (and the next deaths their
+        ``edges_destroyed``) in another order than per-event rounds
+        would.  Touched ids are a superset: every id the window covers.
 
         Precondition: every round has a death (``first_round > n``), the
         alive set is the id range ``[first_round − n − 1, first_round −
@@ -641,13 +649,17 @@ class ArraySlotBackend(GraphBackend):
         valid = current >= 0
         out[:n][valid] = self._id_of[current[valid]] - base
         regenerated = 0
+        refs = self._in_refs
+        rows = rows0.tolist() if refs is not None else None
         with RawWordDraws(rng) as source:
             # Like the exact kernel: with n = 2 no third node can take an
             # orphan, so orphans stay empty and nothing is drawn for them.
             if regenerate and n >= 3:
-                regenerated = self._fused_regen_rounds(out, base, n, W, d, source)
+                regenerated = self._fused_regen_rounds(
+                    out, base, n, W, d, source, rows
+                )
             else:
-                self._fused_birth_rounds(out, base, n, W, d, source)
+                self._fused_birth_rounds(out, base, n, W, d, source, rows)
 
         # ---- write-back: the survivors are locals W … W + n − 1 ----
         surv = out[W:]
@@ -669,7 +681,6 @@ class ArraySlotBackend(GraphBackend):
                 del row_of[dead]
             row_of.update(zip(born_ids, born_rows.tolist()))
         self._next_id += W
-        self._in_refs = None
         # Count like the exact kernel: one per death, newborn, birth
         # slot and regenerated slot.
         self._note_mutation(
@@ -685,10 +696,13 @@ class ArraySlotBackend(GraphBackend):
         W: int,
         d: int,
         source: RawWordDraws,
+        rows: list[int] | None,
     ) -> int:
         """Fill *out* with the window's births and regenerated targets,
         round by round, keeping the alive order in place; returns the
-        number of regenerated slots.
+        number of regenerated slots.  With *rows* (each local's row is
+        ``rows[local % n]``) every round also edits the reverse index as
+        :meth:`apply_exact_rounds` does.
 
         In-lists of entries (``source_local·d + slot``) are kept only for
         the locals ``t < W`` that die in the window.  Round ``k``'s
@@ -720,6 +734,9 @@ class ArraySlotBackend(GraphBackend):
         final: dict[int, int] = {}  # entry -> last regenerated target
         births: list[list[int]] = []
         regenerated = 0
+        if rows is not None:
+            refs = self._in_refs
+            first_out = out[: min(n, W)].tolist()  # the window's first slots
         for k in range(1, W + 1):
             rest = W - k  # rounds after this one
             dead = base + k - 1
@@ -758,6 +775,18 @@ class ArraySlotBackend(GraphBackend):
                             row.append(v)
             row = [items[v] - base for v in row]
             births.append(row)
+            if rows is not None:
+                e = (k - 1) * d
+                own = first_out[k - 1] if k <= n else births[k - 1 - n]
+                for j, t in enumerate(own):
+                    t = final.get(e + j, t)
+                    if t >= 0:
+                        refs[rows[t % n]].discard((dead, j))
+                refs[rows[(k - 1) % n]] = set()
+                for e in orphans:
+                    refs[rows[final[e] % n]].add((e // d + base, e % d))
+                for j, t in enumerate(row):
+                    refs[rows[t % n]].add((node, j))
             e = (node - base) * d
             for t in row:
                 if t < W:
@@ -776,9 +805,13 @@ class ArraySlotBackend(GraphBackend):
         W: int,
         d: int,
         source: RawWordDraws,
+        rows: list[int] | None,
     ) -> None:
         """Fill *out* with the window's births when nothing regenerates,
         in a few array passes, and leave the alive order as the rounds do.
+        With *rows* (each local's row is ``rows[local % n]``) it fills
+        every birth and then replays the exact kernel's reverse-index
+        edits round by round.
 
         Every draw is a birth over ``n`` with a redraw on ``n − 1`` (the
         newborn itself), so the window's draws are one flat stream.  The
@@ -810,8 +843,9 @@ class ArraySlotBackend(GraphBackend):
         order = np.argsort(keys)
         keys = keys[order]
         values = values[order]
-        # Only the births of newborns alive at the window's end matter.
-        skip = max(W - n, 0)
+        # Without an index only the births of newborns alive at the
+        # window's end matter.
+        skip = max(W - n, 0) if rows is None else 0
         pool = draws[skip:]
         queries = pool * span + np.arange(skip + 1, W + 1)[:, None]
         hit = np.maximum(np.searchsorted(keys, queries, side="right") - 1, 0)
@@ -825,6 +859,21 @@ class ArraySlotBackend(GraphBackend):
         final[positions[ends]] = values[ends]
         final[n - 1] = n + W - 1
         self.alive = IndexedSet.from_unique_list((final + base).tolist())
+        if rows is None:
+            return
+        # A slot whose target died is cleared, so round k discards only
+        # the dying node's slots on targets still alive (locals >= k).
+        refs = self._in_refs
+        slots = out.tolist()
+        for k in range(1, W + 1):
+            dead = base + k - 1
+            for j, t in enumerate(slots[k - 1]):
+                if t >= k:
+                    refs[rows[t % n]].discard((dead, j))
+            refs[rows[(k - 1) % n]] = set()
+            node = dead + n
+            for j, t in enumerate(slots[k - 1 + n]):
+                refs[rows[t % n]].add((node, j))
 
     # ------------------------------------------------------------------
     # exact streaming rounds (the per-event law, a window at a time)

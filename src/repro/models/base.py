@@ -164,6 +164,18 @@ class DynamicNetwork(ABC):
         """Advance *count* unit-time rounds, returning their reports."""
         return [self.advance_round() for _ in range(count)]
 
+    #: Most rounds one :meth:`run_rounds` call of :meth:`advance_rounds`
+    #: runs, which bounds the reports it holds at once.
+    _UNRECORDED_CHUNK = 1024
+
+    def advance_rounds(self, count: int) -> None:
+        """Advance *count* unit-time rounds and keep no reports: the
+        rounds of :meth:`run_rounds`, for callers that read none."""
+        while count > 0:
+            chunk = min(count, self._UNRECORDED_CHUNK)
+            self.run_rounds(chunk)
+            count -= chunk
+
     def _pure_birth_rounds(self, start: int, count: int, exact: bool) -> list[int]:
         """Apply rounds ``start + 1 … start + count`` as one pure-birth batch.
 

@@ -90,6 +90,39 @@ class StreamingNetwork(DynamicNetwork):
             return super().run_rounds(count)
         return self._rounds(count)
 
+    def advance_rounds(self, count: int) -> None:
+        """Apply *count* streaming rounds and keep no reports.
+
+        The rounds of :meth:`run_rounds`, bit-identical in everything
+        they leave behind: backend state, the reverse index and its set
+        order, generator, epoch.  With a uniform policy on the array
+        backend the steady-state rounds run through the fused kernel
+        after the reverse index is built, as a per-event window builds
+        it at its first round, so the kernel keeps it exact.  The cold
+        warm-up prefix, the baselines, other policies and other backends
+        run :meth:`run_rounds`.
+        """
+        regenerate = self._fused_law()
+        if regenerate is None:
+            super().advance_rounds(count)
+            return
+        if self.round_number < self.n:
+            take = min(count, self.n - self.round_number)
+            self.run_rounds(take)
+            count -= take
+        if count > 0:
+            self.state._ensure_in_refs()
+            self._fused_rounds(count, regenerate)
+
+    def _fused_law(self) -> bool | None:
+        """The fused kernel's *regenerate* flag for this network, or
+        ``None`` when its rounds must step :meth:`run_rounds`' own way: a
+        baseline's round law, a policy outside the uniform law, or a
+        backend without the kernel."""
+        if self._own_round_law() or not isinstance(self.state, ArraySlotBackend):
+            return None
+        return self.policy.round_batch_regenerate
+
     def _own_round_law(self) -> bool:
         """Whether a subclass (a baseline) steps its own ``advance_round``."""
         return type(self).advance_round is not StreamingNetwork.advance_round
@@ -171,8 +204,12 @@ class StreamingNetwork(DynamicNetwork):
         exactly as per-event rounds do, for any partition into windows;
         only the report differs.  Churn is reported as one coalesced
         ``NodesDied`` plus one ``NodesBorn`` record per window, not per
-        round.  The warm-up prefix of a cold network (rounds ``≤ n``,
-        births only) runs as one exact birth batch.
+        round.  The kernel keeps a reverse index that exists when the
+        window starts exact, set order included; one that does not stays
+        absent and is rebuilt in row-major order when next needed, so the
+        next per-event deaths list ``edges_destroyed`` in that order
+        (the same contents).  The warm-up prefix of a cold network
+        (rounds ``≤ n``, births only) runs as one exact birth batch.
 
         Policies outside the plain uniform law (bounded-degree ones, or
         any subclass overriding a hook), subclasses with their own
@@ -183,12 +220,8 @@ class StreamingNetwork(DynamicNetwork):
         if rounds <= 0:
             self.clock.advance_to(target)
             return
-        regenerate = self.policy.round_batch_regenerate
-        if (
-            self._own_round_law()
-            or regenerate is None
-            or not isinstance(self.state, ArraySlotBackend)
-        ):
+        regenerate = self._fused_law()
+        if regenerate is None:
             self._per_event_rounds(rounds, report)
             return
         if self.round_number < self.n:
@@ -203,15 +236,7 @@ class StreamingNetwork(DynamicNetwork):
                 return
         first_dead = self.round_number - self.n
         first_born = self.round_number
-        remaining = rounds
-        while remaining > 0:
-            chunk = min(remaining, max(4096, min(self.n, self._FUSED_CHUNK_CAP)))
-            self.state.apply_fused_rounds(
-                self.round_number + 1, chunk, self.n, self.d, regenerate, self.rng
-            )
-            self.round_number += chunk
-            self.clock.advance_to(float(self.round_number))
-            remaining -= chunk
+        self._fused_rounds(rounds, regenerate)
         report.events.append(
             EventRecord(
                 time=self.now,
@@ -224,6 +249,19 @@ class StreamingNetwork(DynamicNetwork):
                 kind=NodesBorn(node_ids=tuple(range(first_born, first_born + rounds))),
             )
         )
+
+    def _fused_rounds(self, count: int, regenerate: bool) -> None:
+        """*count* steady-state rounds through ``apply_fused_rounds``, in
+        chunks of at most ``max(4096, min(n, _FUSED_CHUNK_CAP))``."""
+        chunk_cap = max(4096, min(self.n, self._FUSED_CHUNK_CAP))
+        while count > 0:
+            chunk = min(count, chunk_cap)
+            self.state.apply_fused_rounds(
+                self.round_number + 1, chunk, self.n, self.d, regenerate, self.rng
+            )
+            self.round_number += chunk
+            self.clock.advance_to(float(self.round_number))
+            count -= chunk
 
     def _per_event_rounds(self, count: int, report: RoundReport) -> None:
         """Window fallback: ordinary per-event rounds, per-round records."""

@@ -28,7 +28,12 @@ stepping modes:
   as the window shrinks (see the drivers' docstrings).  The request is
   advisory: drivers without a batched path run per-event.
 
-Both paths step whole rounds only.
+A per-event session with no feed (no observer with ``every > 0``) reads
+no report, so its windows are
+:meth:`~repro.models.base.DynamicNetwork.advance_rounds` calls: the
+rounds of ``run_rounds`` with no report built (SDG/SDGR run them
+through the fused kernel, bit-identically).  Both paths step whole
+rounds only.
 
 Observation windows build topology access **at most once each**: one
 :class:`~repro.core.csr.CSRView` shared by every due ``needs_view``
@@ -374,13 +379,16 @@ class Simulation:
         Windows end on every multiple of the gcd of the attached
         cadences, so every cadence lands on a window end; with no
         cadence the run is one window.  A window is one
-        ``advance_to_time_batched`` call when fused stepping is active,
-        else one ``run_rounds`` call, whose reports merge into one;
-        per-event windows are cut at ``_MAX_EXACT_WINDOW`` rounds, which
-        bounds the records a window holds and changes no output.
+        ``advance_to_time_batched`` call when fused stepping is active.
+        Otherwise, when no observer has a feed (every cadence is 0), it
+        is one ``advance_rounds`` call, which builds no report; else one
+        ``run_rounds`` call, whose reports merge into one, cut at
+        ``_MAX_EXACT_WINDOW`` rounds, which bounds the records a window
+        holds and changes no output.
         """
         network = self.network
         fused = self._fast_rounds_active()
+        unrecorded = not fused and not self._feeds
         cadences = [f.observer.every for f in self._feeds]
         if self.checkpoint_every:
             cadences.append(self.checkpoint_every)
@@ -391,7 +399,10 @@ class Simulation:
             count = left
             if stride:
                 count = min(count, stride - self.rounds_completed % stride)
-            if fused:
+            report = None
+            if unrecorded:
+                network.advance_rounds(count)
+            elif fused:
                 report = network.advance_to_time_batched(
                     end if count == left else network.now + count
                 )
@@ -403,7 +414,8 @@ class Simulation:
                     report.extend(part)
             left -= count
             self.rounds_completed += count
-            self._dispatch(report)
+            if report is not None:
+                self._dispatch(report)
             self._maybe_checkpoint()
 
     def _notify_finish(self) -> None:

@@ -107,7 +107,7 @@ class RawWordDraws:
         self._raw: list[int] | None = None
         self._pos = 0
         self._size = 0
-        self._tables: dict[int, tuple[list[int], list[int]]] = {}
+        self._tables: dict[int, list] = {}
 
     def __enter__(self) -> "RawWordDraws":
         return self
@@ -158,14 +158,14 @@ class RawWordDraws:
         """*count* draws over ``[0, bound)`` as Python ints.
 
         A large block keeps, per bound, its values and rejected word
-        positions as Python lists, so a take inside it that meets no
-        rejected word is a list slice; a small block is walked word by
-        word.
+        positions as Python lists and the next rejected position it
+        found, so a take inside it that ends before that position is a
+        list slice; a small block is walked word by word.
         """
         table = self._tables.get(bound)
         pos = self._pos
         end = pos + count
-        if table is not None and pos <= end <= self._size and not table[1]:
+        if table is not None and pos <= end <= table[2]:
             self._pos = end
             return table[0][pos:end]
         _check_bound(bound)
@@ -188,24 +188,28 @@ class RawWordDraws:
                         out.append(product >> 32)
                 self._pos = end
                 continue
-            values, rejected = self._table(bound)
-            if rejected:
-                at = bisect_left(rejected, pos)
-                if at < len(rejected) and rejected[at] < end:
-                    end = rejected[at]
-                    out += values[pos:end]
-                    self._pos = end + 1
-                    continue
+            table = self._table(bound)
+            values, rejected, _ = table
+            # Positions only grow within a block, so the first rejected
+            # one from here stays the next one until a take passes it.
+            stop = table[2] = rejected[bisect_left(rejected, pos)]
+            if stop < end:
+                out += values[pos:stop]
+                self._pos = stop + 1
+                continue
             out += values[pos:end]
             self._pos = end
         return out
 
-    def _table(self, bound: int) -> tuple[list[int], list[int]]:
-        """The block's values and rejected word positions under *bound*."""
+    def _table(self, bound: int) -> list:
+        """The block's values and rejected word positions under *bound*
+        (ending with the block size as a sentinel), then the first
+        rejected position at or after the last general-loop take."""
         table = self._tables.get(bound)
         if table is None:
             values, rejected = _lemire(self._words, np.uint64(bound))
-            table = self._tables[bound] = (values.tolist(), rejected.tolist())
+            rejected = rejected.tolist() + [self._size]
+            table = self._tables[bound] = [values.tolist(), rejected, rejected[0]]
         return table
 
     def take_array(

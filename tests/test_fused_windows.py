@@ -5,12 +5,14 @@ windows on the array backend run through
 ``ArraySlotBackend.apply_fused_rounds``, which takes the per-event
 rounds' draws in their own encoding.  After every window the state must
 be what the hook loop leaves after the same rounds: the dumped backend
-state (slots, rows, free list, alive order, epoch), the in-counts and
-the generator state.  The kernel drops the reverse index, which is
-snapshotted again in row-major order, so it is compared as sets; the
-touched ids may be a superset.  This holds for any partition into
-windows, warm or cold, on PCG64 and MT19937, with the default and a tiny
-raw-word block.  Only NumPy and pytest are needed.
+state (slots, rows, free list, alive order, epoch), the in-counts, the
+generator state and, when the window starts with a reverse index, every
+row's set in its iteration order.  A window that starts without one
+leaves it absent; it is snapshotted again in row-major order, so then
+it is compared as sets.  The touched ids may be a superset.  This holds
+for any partition into windows, warm or cold, on PCG64 and MT19937, with
+the default and a tiny raw-word block.  Only NumPy and pytest are
+needed.
 """
 
 from __future__ import annotations
@@ -39,9 +41,12 @@ def twins(policy: str, n: int, d: int, kind: str, seed: int, warm: bool):
     return networks
 
 
-def state_of(network: StreamingNetwork) -> dict:
+def state_of(network: StreamingNetwork, ordered: bool = True) -> dict:
+    """The network's state; the reverse index as ordered lists, or as
+    sets when not *ordered*."""
     state = network.state
     in_refs = state._ensure_in_refs()
+    collect = list if ordered else set
     dump = state.dump_state()
     return {
         "round": network.round_number,
@@ -58,7 +63,7 @@ def state_of(network: StreamingNetwork) -> dict:
         },
         "in_count": state._in_count.tolist(),
         "in_refs": {
-            u: set(in_refs[state.row_for(u)]) for u in state.alive_ids()
+            u: collect(in_refs[state.row_for(u)]) for u in state.alive_ids()
         },
         "rng": plain(network.rng.bit_generator.state),
     }
@@ -70,12 +75,19 @@ def random_windows(n: int, seed: int, count: int = 8) -> list[int]:
     return [int(chooser.integers(1, 2 * n + 6)) for _ in range(count)]
 
 
-def assert_windows_replay_hooks(policy, n, d, kind, warm, windows):
+def assert_windows_replay_hooks(policy, n, d, kind, warm, windows, index=True):
+    """After each window the kernel's network is the hook loop's.  With
+    *index* every window starts with the reverse index built, so it must
+    keep each set's order; without, every window starts without one."""
     kernel, hooks = twins(policy, n, d, kind, seed=n * 10 + d, warm=warm)
     for size in windows:
+        if index:
+            kernel.state._ensure_in_refs()
+        else:
+            kernel.state._in_refs = None
         kernel.advance_to_time_batched(kernel.now + size)
         hooks.run_rounds(size)
-        assert state_of(kernel) == state_of(hooks), size
+        assert state_of(kernel, index) == state_of(hooks, index), size
         theirs = hooks.state.drain_touched()
         assert theirs <= kernel.state.drain_touched(), size
 
@@ -100,6 +112,16 @@ def test_fused_windows_across_block_refills(warm, policy, n, d, kind, monkeypatc
     monkeypatch.setattr(sampling, "_MAX_BLOCK_WORDS", 37)
     windows = random_windows(n, seed=7 * n + d)
     assert_windows_replay_hooks(policy, n, d, kind, warm, windows)
+
+
+@pytest.mark.parametrize("n,d", [(3, 1), (5, 3), (40, 8), (300, 3)])
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+def test_windows_without_an_index_keep_its_sets(warm, policy, n, d):
+    """A window that starts without a reverse index leaves it absent;
+    the snapshot taken after it holds the hook loop's sets."""
+    windows = [1, 7, n - 1, n, n + 3, 2 * n + 5, 1]
+    assert_windows_replay_hooks(policy, n, d, "PCG64", warm, windows, index=False)
 
 
 def test_n2_windows_replay_the_hook_loop():
@@ -159,7 +181,8 @@ def test_fast_rounds_session_is_the_per_event_session(policy, warm, tmp_path):
         sessions[fast] = sim.run()
     fast, per_event = sessions[True], sessions[False]
     assert fast.results() == per_event.results()
-    assert state_of(fast.network) == state_of(per_event.network)
+    # The restored session's windows start without a reverse index.
+    assert state_of(fast.network, False) == state_of(per_event.network, False)
     payloads = []
     for sim in (fast, per_event):
         payload = encode_value(build_payload(sim))

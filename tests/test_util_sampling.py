@@ -7,8 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.util import sampling
 from repro.util.rng import make_rng
-from repro.util.sampling import IndexedSet, birth_batch_draws, birth_prefix_draws
+from repro.util.sampling import (
+    IndexedSet,
+    RawWordDraws,
+    birth_batch_draws,
+    birth_prefix_draws,
+)
 
 
 class TestBasicOps:
@@ -269,3 +275,27 @@ def test_birth_batch_draws_take_one_draw_per_request(members, count, d, seed):
         ]
         assert fast[k].tolist() == expected
     assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+def test_takes_clear_of_rejected_words_are_list_slices(monkeypatch):
+    """A tabulated block holding rejected words still serves every take
+    whose own words hold none as a list slice: only takes that meet a
+    rejected word (and the first, which tabulates) go through the
+    general loop, which is the only part of ``take`` that checks its
+    bound.  Values and generator state are the per-call ones."""
+    bound = 4_252_000_000  # rejects a word with probability about 1 %
+    general = []
+    check_bound = sampling._check_bound
+    monkeypatch.setattr(
+        sampling, "_check_bound", lambda b: general.append(b) or check_bound(b)
+    )
+    fast_rng, slow_rng = make_rng(17), make_rng(17)
+    with RawWordDraws(fast_rng) as source:
+        values = source.take(bound, 1, ahead=2500)
+        for _ in range(1000):
+            values += source.take(bound, 2)
+        rejected = source._tables[bound][1][:-1]
+    assert len(rejected) >= 5
+    assert values == [int(slow_rng.integers(0, bound)) for _ in range(2001)]
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+    assert len(general) <= 1 + len(rejected)
