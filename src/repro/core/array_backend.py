@@ -20,10 +20,10 @@
 * **a lazy reverse index** — ``_in_refs`` maps a row to the set of
   ``(source id, slot)`` pairs pointing at it.  Batch writes
   (whole-population births, checkpoint restore) drop it and fused
-  windows keep an existing one exact; the next per-event operation
-  takes one sorted snapshot of the slot matrix and each row's set is
-  built from it when first touched, in the row-major insertion order an
-  eager rebuild would give;
+  windows keep an existing one exact, editing only the rows that outlive
+  them; the next per-event operation takes one sorted snapshot of the
+  slot matrix and each row's set is built from it when first touched, in
+  the row-major insertion order an eager rebuild would give;
 * **a dense in-degree counter** — ``_in_count`` holds each row's
   in-slot count as an ``int32`` array, valid at all times (batch writes
   recompute it with one bincount), so capacity checks in the
@@ -587,11 +587,18 @@ class ArraySlotBackend(GraphBackend):
         dying node's own slots discarded in slot order, its row reset,
         then the regenerated orphans in ascending ``(source, slot)`` order
         and the newborn's slots added), so it ends as that kernel leaves
-        it, set order included.  An absent one stays absent: the next
-        per-event operation snapshots the same sets in row-major order,
-        so its rows can list their pairs (and the next deaths their
-        ``edges_destroyed``) in another order than per-event rounds
-        would.  Touched ids are a superset: every id the window covers.
+        it, set order included.  Only the edits to rows of nodes alive at
+        the window's end are made: the row of a node that dies inside the
+        window is replaced by a new set when it dies, so nothing done to
+        its old set can be seen, and it is never built.  A surviving
+        row keeps all its edits in order, those from sources that die
+        later included, since a set's iteration order depends on its
+        whole add and discard history.  An absent index stays
+        absent: the next per-event operation snapshots the same sets in
+        row-major order, so its rows can list their pairs (and the next
+        deaths their ``edges_destroyed``) in another order than
+        per-event rounds would.  Touched ids are a superset: every id the
+        window covers.
 
         Precondition: every round has a death (``first_round > n``), the
         alive set is the id range ``[first_round − n − 1, first_round −
@@ -702,7 +709,8 @@ class ArraySlotBackend(GraphBackend):
         round by round, keeping the alive order in place; returns the
         number of regenerated slots.  With *rows* (each local's row is
         ``rows[local % n]``) every round also edits the reverse index as
-        :meth:`apply_exact_rounds` does.
+        :meth:`apply_exact_rounds` does, on the survivors' rows only
+        (targets ``t ≥ W``); each round still resets the dying row.
 
         In-lists of entries (``source_local·d + slot``) are kept only for
         the locals ``t < W`` that die in the window.  Round ``k``'s
@@ -780,13 +788,16 @@ class ArraySlotBackend(GraphBackend):
                 own = first_out[k - 1] if k <= n else births[k - 1 - n]
                 for j, t in enumerate(own):
                     t = final.get(e + j, t)
-                    if t >= 0:
+                    if t >= W:
                         refs[rows[t % n]].discard((dead, j))
                 refs[rows[(k - 1) % n]] = set()
                 for e in orphans:
-                    refs[rows[final[e] % n]].add((e // d + base, e % d))
+                    t = final[e]
+                    if t >= W:
+                        refs[rows[t % n]].add((e // d + base, e % d))
                 for j, t in enumerate(row):
-                    refs[rows[t % n]].add((node, j))
+                    if t >= W:
+                        refs[rows[t % n]].add((node, j))
             e = (node - base) * d
             for t in row:
                 if t < W:
@@ -809,9 +820,10 @@ class ArraySlotBackend(GraphBackend):
     ) -> None:
         """Fill *out* with the window's births when nothing regenerates,
         in a few array passes, and leave the alive order as the rounds do.
-        With *rows* (each local's row is ``rows[local % n]``) it fills
-        every birth and then replays the exact kernel's reverse-index
-        edits round by round.
+        Only the births that can target a survivor are filled.  With
+        *rows* (each local's row is ``rows[local % n]``) it then replays
+        the exact kernel's reverse-index edits round by round, on the
+        survivors' rows only (targets ``t ≥ W``).
 
         Every draw is a birth over ``n`` with a redraw on ``n − 1`` (the
         newborn itself), so the window's draws are one flat stream.  The
@@ -843,9 +855,10 @@ class ArraySlotBackend(GraphBackend):
         order = np.argsort(keys)
         keys = keys[order]
         values = values[order]
-        # Without an index only the births of newborns alive at the
-        # window's end matter.
-        skip = max(W - n, 0) if rows is None else 0
+        # A newborn targets older locals only, so the births of the
+        # newborns up to local W target only locals that die in the
+        # window: their slots end cleared (-1), as ``out`` starts.
+        skip = max(W - n + 1, 0)
         pool = draws[skip:]
         queries = pool * span + np.arange(skip + 1, W + 1)[:, None]
         hit = np.maximum(np.searchsorted(keys, queries, side="right") - 1, 0)
@@ -861,19 +874,17 @@ class ArraySlotBackend(GraphBackend):
         self.alive = IndexedSet.from_unique_list((final + base).tolist())
         if rows is None:
             return
-        # A slot whose target died is cleared, so round k discards only
-        # the dying node's slots on targets still alive (locals >= k).
+        # Only the survivors' rows (locals >= W) are edited: the others
+        # get a new set when their node dies.  The dying node discards
+        # nothing: every slot targets an older node, already dead.
         refs = self._in_refs
-        slots = out.tolist()
+        slots = out[n:].tolist()
         for k in range(1, W + 1):
-            dead = base + k - 1
-            for j, t in enumerate(slots[k - 1]):
-                if t >= k:
-                    refs[rows[t % n]].discard((dead, j))
             refs[rows[(k - 1) % n]] = set()
-            node = dead + n
-            for j, t in enumerate(slots[k - 1 + n]):
-                refs[rows[t % n]].add((node, j))
+            node = base + k - 1 + n
+            for j, t in enumerate(slots[k - 1]):
+                if t >= W:
+                    refs[rows[t % n]].add((node, j))
 
     # ------------------------------------------------------------------
     # exact streaming rounds (the per-event law, a window at a time)
