@@ -19,11 +19,13 @@
   pre-drawn births in a handful of array operations;
 * **a lazy reverse index** — ``_in_refs`` maps a row to the set of
   ``(source id, slot)`` pairs pointing at it.  Batch writes
-  (whole-population births, checkpoint restore) drop it and fused
-  windows keep an existing one exact, editing only the rows that outlive
-  them; the next per-event operation takes one sorted snapshot of the
-  slot matrix and each row's set is built from it when first touched, in
-  the row-major insertion order an eager rebuild would give;
+  (whole-population births, checkpoint restore) drop it; the next
+  per-event operation takes one sorted snapshot of the slot matrix and
+  each row's set is built from it when first touched, in the row-major
+  insertion order an eager rebuild would give.  Fused windows keep an
+  existing one exact without editing a set inside their rounds: they
+  hand it one sorted block of the surviving rows' edits, which a row
+  replays when first touched;
 * **a dense in-degree counter** — ``_in_count`` holds each row's
   in-slot count as an ``int32`` array, valid at all times (batch writes
   recompute it with one bincount), so capacity checks in the
@@ -43,6 +45,7 @@ reference it is checked against lives in ``tests/oracles/dict_backend.py``.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -60,6 +63,11 @@ from repro.util.sampling import IndexedSet, RawWordDraws
 #: node has gathered regenerated slots).
 _ROUND_WORDS = 3
 
+#: A fused window's reverse-index edits in the order the per-event rounds
+#: make them: each edit's target local, its entry ``source_local·d +
+#: slot`` and whether it adds (else discards) the pair.
+_Edits = tuple[np.ndarray, np.ndarray, np.ndarray]
+
 
 class _ReverseIndex(dict):
     """Row -> set of ``(source id, slot)`` pairs whose slot targets the row.
@@ -72,9 +80,22 @@ class _ReverseIndex(dict):
     same edits, which keeps ``neighbors()`` order, ``edges_destroyed``
     order and checkpoints unchanged.  Rows beyond the snapshot (grown
     later) start empty.
+
+    Fused windows hand over their edits as one block
+    (:meth:`take_edits`): each edit ``(source id, slot, add)`` on the row
+    of a node alive at the window's end, grouped by row in the order the
+    per-event rounds make them.  A row already built is edited at once.
+    The row of a node born in the window is marked *reset* (its base is
+    an empty set, not the snapshot's run), and every other row keeps
+    ``(block, lo, hi)`` segments that :meth:`__missing__` replays in
+    order on the row's base when it first builds it, so a set's whole
+    add-and-discard history, and with it its iteration order, is the
+    eager one.  A reset drops the row's older segments and a build drops
+    its segments and its mark, so pending edits never outlive the node
+    in their row: they are at most the edits of the last ``n`` rounds.
     """
 
-    __slots__ = ("_starts", "_sources", "_cols")
+    __slots__ = ("_starts", "_sources", "_cols", "_pending", "_reset")
 
     def __init__(self, slots: np.ndarray, id_of: np.ndarray) -> None:
         super().__init__()
@@ -89,14 +110,65 @@ class _ReverseIndex(dict):
         self._sources = id_of[rows]
         self._starts = np.zeros(cap + 1, dtype=np.int64)
         np.cumsum(np.bincount(targets, minlength=cap), out=self._starts[1:])
+        # Unbuilt row -> its pending (block, lo, hi) segments, oldest
+        # first; the unbuilt rows whose base is empty.
+        self._pending: dict[int, list[tuple[np.ndarray, int, int]]] = {}
+        self._reset: set[int] = set()
 
     def __missing__(self, row: int) -> set[tuple[int, int]]:
-        bounds = self._starts[row : row + 2].tolist()
-        lo, hi = bounds if len(bounds) == 2 else (0, 0)
-        refs = self[row] = set(
-            zip(self._sources[lo:hi].tolist(), self._cols[lo:hi].tolist())
-        )
+        if row in self._reset:
+            self._reset.discard(row)
+            refs: set[tuple[int, int]] = set()
+        else:
+            bounds = self._starts[row : row + 2].tolist()
+            lo, hi = bounds if len(bounds) == 2 else (0, 0)
+            refs = set(
+                zip(self._sources[lo:hi].tolist(), self._cols[lo:hi].tolist())
+            )
+        for block, lo, hi in self._pending.pop(row, ()):
+            _replay(refs, block[lo:hi].tolist())
+        self[row] = refs
         return refs
+
+    def take_edits(
+        self, rows: np.ndarray, edits: np.ndarray, reset: np.ndarray
+    ) -> None:
+        """Take a fused window's edits: ``edits[i]`` is ``(source id,
+        slot, add)`` on row ``rows[i]``, each row's edits contiguous and
+        in the order they were made; *reset* holds the rows whose node
+        was born in the window (empty at its birth)."""
+        pending = self._pending
+        reset = reset.tolist()
+        if pending or self:
+            for row in reset:
+                pending.pop(row, None)
+                self.pop(row, None)
+        self._reset.update(reset)
+        if not rows.size:
+            return
+        cuts = np.flatnonzero(rows[1:] != rows[:-1]) + 1
+        heads = rows[np.concatenate(([0], cuts))].tolist()
+        bounds = cuts.tolist()
+        built = self.get
+        for row, lo, hi in zip(heads, [0] + bounds, bounds + [rows.size]):
+            refs = built(row)
+            if refs is not None:
+                _replay(refs, edits[lo:hi].tolist())
+            else:
+                pending.setdefault(row, []).append((edits, lo, hi))
+
+    def deferred_rows(self) -> set[int]:
+        """Rows with pending segments or a reset mark."""
+        return self._pending.keys() | self._reset
+
+
+def _replay(refs: set[tuple[int, int]], edits: list[list[int]]) -> None:
+    """Apply ``(source id, slot, add)`` edits to a row's set in order."""
+    for source, slot, add in edits:
+        if add:
+            refs.add((source, slot))
+        else:
+            refs.discard((source, slot))
 
 
 class ArraySlotBackend(GraphBackend):
@@ -583,22 +655,27 @@ class ArraySlotBackend(GraphBackend):
         so slots, rows, in-counts, alive order, epoch and generator state
         end as it (and the policy hooks) leave them, for any partition
         into windows.  A reverse index that exists when the window starts
-        gets the exact kernel's set edits in its order (each round: the
-        dying node's own slots discarded in slot order, its row reset,
-        then the regenerated orphans in ascending ``(source, slot)`` order
-        and the newborn's slots added), so it ends as that kernel leaves
-        it, set order included.  Only the edits to rows of nodes alive at
-        the window's end are made: the row of a node that dies inside the
-        window is replaced by a new set when it dies, so nothing done to
-        its old set can be seen, and it is never built.  A surviving
-        row keeps all its edits in order, those from sources that die
-        later included, since a set's iteration order depends on its
-        whole add and discard history.  An absent index stays
-        absent: the next per-event operation snapshots the same sets in
-        row-major order, so its rows can list their pairs (and the next
-        deaths their ``edges_destroyed``) in another order than
-        per-event rounds would.  Touched ids are a superset: every id the
-        window covers.
+        ends as the exact kernel leaves it, set order included, but no
+        set is edited inside the rounds: the kernel returns the exact
+        kernel's set edits (each round: the dying node's own slots
+        discarded in slot order, its row reset, then the regenerated
+        orphans in ascending ``(source, slot)`` order and the newborn's
+        slots added), and only those on rows of nodes alive at the
+        window's end are kept (the
+        row of a node that dies inside the window is replaced by a new
+        set when it dies, so nothing done to its old set can be seen).
+        They go to the index as one block, grouped by row with one stable
+        argsort on the target local (:meth:`_ReverseIndex.take_edits`):
+        a built row is edited at once, the rows of nodes born in the
+        window are marked reset, and every other row replays its edits
+        when first touched.  A surviving row keeps all its edits in
+        order, those from sources that die later included, since a set's
+        iteration order depends on its whole add and discard history.
+        An absent index stays absent and no edits are laid out: the next
+        per-event operation snapshots the same sets in row-major order, so
+        its rows can list their pairs (and the next deaths their
+        ``edges_destroyed``) in another order than per-event rounds
+        would.  Touched ids are a superset: every id the window covers.
 
         Precondition: every round has a death (``first_round > n``), the
         alive set is the id range ``[first_round − n − 1, first_round −
@@ -657,16 +734,32 @@ class ArraySlotBackend(GraphBackend):
         out[:n][valid] = self._id_of[current[valid]] - base
         regenerated = 0
         refs = self._in_refs
-        rows = rows0.tolist() if refs is not None else None
+        log = refs is not None
         with RawWordDraws(rng) as source:
             # Like the exact kernel: with n = 2 no third node can take an
             # orphan, so orphans stay empty and nothing is drawn for them.
             if regenerate and n >= 3:
-                regenerated = self._fused_regen_rounds(
-                    out, base, n, W, d, source, rows
+                regenerated, edits = self._fused_regen_rounds(
+                    out, base, n, W, d, source, log
                 )
             else:
-                self._fused_birth_rounds(out, base, n, W, d, source, rows)
+                edits = self._fused_birth_rounds(out, base, n, W, d, source, log)
+        if refs is not None:
+            # The edits on survivors' rows (targets t >= W), grouped by
+            # target in round order; the survivors born in the window
+            # start from an empty set.
+            targets, entries, adds = edits
+            keep = np.flatnonzero(targets >= W)
+            keep = keep[np.argsort(targets[keep], kind="stable")]
+            changes = np.empty((keep.size, 3), dtype=np.int64)
+            changes[:, 0], changes[:, 1] = np.divmod(entries[keep], d)
+            changes[:, 0] += base
+            changes[:, 2] = adds[keep]
+            refs.take_edits(
+                rows0[targets[keep] % n],
+                changes,
+                rows0[np.arange(max(W, n), W + n) % n],
+            )
 
         # ---- write-back: the survivors are locals W … W + n − 1 ----
         surv = out[W:]
@@ -703,14 +796,18 @@ class ArraySlotBackend(GraphBackend):
         W: int,
         d: int,
         source: RawWordDraws,
-        rows: list[int] | None,
-    ) -> int:
+        log: bool,
+    ) -> tuple[int, _Edits | None]:
         """Fill *out* with the window's births and regenerated targets,
         round by round, keeping the alive order in place; returns the
-        number of regenerated slots.  With *rows* (each local's row is
-        ``rows[local % n]``) every round also edits the reverse index as
-        :meth:`apply_exact_rounds` does, on the survivors' rows only
-        (targets ``t ≥ W``); each round still resets the dying row.
+        number of regenerated slots and, when *log*, the window's
+        reverse-index edits (:data:`_Edits`) in the order
+        :meth:`apply_exact_rounds` makes them.  Round ``k`` discards the
+        dying local ``k − 1``'s slots (their targets at its death,
+        *out*'s final values), adds the regenerated orphans in ascending
+        entry order, then the newborn's slots with their birth-time
+        targets.  The round loop itself does no index work: the edits
+        are laid out after it in a few array passes.
 
         In-lists of entries (``source_local·d + slot``) are kept only for
         the locals ``t < W`` that die in the window.  Round ``k``'s
@@ -741,10 +838,6 @@ class ArraySlotBackend(GraphBackend):
         round_words = _ROUND_WORDS * d
         final: dict[int, int] = {}  # entry -> last regenerated target
         births: list[list[int]] = []
-        regenerated = 0
-        if rows is not None:
-            refs = self._in_refs
-            first_out = out[: min(n, W)].tolist()  # the window's first slots
         for k in range(1, W + 1):
             rest = W - k  # rounds after this one
             dead = base + k - 1
@@ -758,7 +851,6 @@ class ArraySlotBackend(GraphBackend):
             orphans.sort()
             del orphans[: bisect_left(orphans, k * d)]
             count = len(orphans)
-            regenerated += count
             i = 0
             while i < count:
                 for v in take(
@@ -783,30 +875,53 @@ class ArraySlotBackend(GraphBackend):
                             row.append(v)
             row = [items[v] - base for v in row]
             births.append(row)
-            if rows is not None:
-                e = (k - 1) * d
-                own = first_out[k - 1] if k <= n else births[k - 1 - n]
-                for j, t in enumerate(own):
-                    t = final.get(e + j, t)
-                    if t >= W:
-                        refs[rows[t % n]].discard((dead, j))
-                refs[rows[(k - 1) % n]] = set()
-                for e in orphans:
-                    t = final[e]
-                    if t >= W:
-                        refs[rows[t % n]].add((e // d + base, e % d))
-                for j, t in enumerate(row):
-                    if t >= W:
-                        refs[rows[t % n]].add((node, j))
             e = (node - base) * d
             for t in row:
                 if t < W:
                     in_lists[t].append(e)
                 e += 1
-        out_flat[n * d :] = np.array(births, dtype=np.int64).reshape(-1)
+        # in_lists[k − 1] now holds round k's orphans.
+        born = np.array(births, dtype=np.int64)
+        out[n:] = born
         if final:
             out_flat[list(final)] = list(final.values())
-        return regenerated
+        regenerated = sum(map(len, in_lists))
+        if not log:
+            return regenerated, None
+        counts = np.fromiter(map(len, in_lists), dtype=np.int64, count=W)
+        orphans = np.fromiter(
+            chain.from_iterable(in_lists), dtype=np.int64, count=regenerated
+        )
+        # An orphan's new target outlives the window only at the entry's
+        # last orphaning (an earlier one dies in the window, which orphans
+        # the entry again), and then it is the entry's final value; the
+        # others are dropped with every edit whose target dies (t < W).
+        by_entry = np.argsort(orphans, kind="stable")
+        grouped = orphans[by_entry]
+        last = np.ones(regenerated, dtype=bool)
+        last[:-1] = grouped[1:] != grouped[:-1]
+        latest = by_entry[last]
+        renewed = np.full(regenerated, -1, dtype=np.int64)
+        renewed[latest] = out_flat[orphans[latest]]
+        # Round k (from 1) spans 2d edits plus its orphans: d discards of
+        # local k − 1's entries, then its orphans, then d births.
+        lead = 2 * d * np.arange(W)
+        start = (lead + np.cumsum(counts) - counts)[:, None] + np.arange(d)
+        at = np.concatenate(
+            (
+                start.reshape(-1),
+                np.repeat(lead + d, counts) + np.arange(regenerated),
+                (start + (counts + d)[:, None]).reshape(-1),
+            )
+        )
+        order = np.empty_like(at)
+        order[at] = np.arange(at.size)
+        targets = np.concatenate((out_flat[: W * d], renewed, born.reshape(-1)))
+        entries = np.concatenate(
+            (np.arange(W * d), orphans, np.arange(n * d, (n + W) * d))
+        )
+        # The first W·d edits laid out are the discards.
+        return regenerated, (targets[order], entries[order], order >= W * d)
 
     def _fused_birth_rounds(
         self,
@@ -816,14 +931,14 @@ class ArraySlotBackend(GraphBackend):
         W: int,
         d: int,
         source: RawWordDraws,
-        rows: list[int] | None,
-    ) -> None:
+        log: bool,
+    ) -> _Edits | None:
         """Fill *out* with the window's births when nothing regenerates,
         in a few array passes, and leave the alive order as the rounds do.
         Only the births that can target a survivor are filled.  With
-        *rows* (each local's row is ``rows[local % n]``) it then replays
-        the exact kernel's reverse-index edits round by round, on the
-        survivors' rows only (targets ``t ≥ W``).
+        *log* it returns them as reverse-index edits (:data:`_Edits`) in
+        round order.  There are no discards: the dying node is the
+        oldest, so its slots target dead nodes and are already cleared.
 
         Every draw is a birth over ``n`` with a redraw on ``n − 1`` (the
         newborn itself), so the window's draws are one flat stream.  The
@@ -872,19 +987,11 @@ class ArraySlotBackend(GraphBackend):
         final[positions[ends]] = values[ends]
         final[n - 1] = n + W - 1
         self.alive = IndexedSet.from_unique_list((final + base).tolist())
-        if rows is None:
-            return
-        # Only the survivors' rows (locals >= W) are edited: the others
-        # get a new set when their node dies.  The dying node discards
-        # nothing: every slot targets an older node, already dead.
-        refs = self._in_refs
-        slots = out[n:].tolist()
-        for k in range(1, W + 1):
-            refs[rows[(k - 1) % n]] = set()
-            node = base + k - 1 + n
-            for j, t in enumerate(slots[k - 1]):
-                if t >= W:
-                    refs[rows[t % n]].add((node, j))
+        if not log:
+            return None
+        births = out[n + skip :].reshape(-1)
+        entries = np.arange((n + skip) * d, (n + W) * d)
+        return births, entries, np.ones(births.size, dtype=bool)
 
     # ------------------------------------------------------------------
     # exact streaming rounds (the per-event law, a window at a time)
@@ -1424,11 +1531,20 @@ class ArraySlotBackend(GraphBackend):
           * the dense ``_in_count`` mirror equals ``len(_in_refs[row])``
             on every used row;
           * free rows are fully cleared (no stale slots or reverse refs);
-          * CSR degrees and the cached edge count match a recount.
+          * CSR degrees and the cached edge count match a recount;
+          * every reverse-index row with pending fused-window edits (or a
+            reset mark) is alive and not yet built.
 
-        Builds every row of the reverse index.
+        Builds every row of the reverse index (after the last check), so
+        the slot checks also cover the rows the pending edits replay.
         """
         in_refs = self._ensure_in_refs()
+        for row in sorted(in_refs.deferred_rows()):
+            if not self._alive_rows[row] or row in in_refs:
+                raise SimulationError(
+                    f"row {row} holds pending reverse-index edits but is "
+                    f"{'built' if row in in_refs else 'dead'}"
+                )
         for node_id, row in self._row_of.items():
             if self._id_of[row] != node_id:
                 raise SimulationError(f"row map corrupt for node {node_id}")
