@@ -19,13 +19,11 @@
   pre-drawn births in a handful of array operations;
 * **a lazy reverse index** — ``_in_refs`` maps a row to the set of
   ``(source id, slot)`` pairs pointing at it.  Batch writes
-  (whole-population births, checkpoint restore) drop it; the next
-  per-event operation takes one sorted snapshot of the slot matrix and
-  each row's set is built from it when first touched, in the row-major
-  insertion order an eager rebuild would give.  Fused windows keep an
-  existing one exact without editing a set inside their rounds: they
-  hand it one sorted block of the surviving rows' edits, which a row
-  replays when first touched;
+  (whole-population births, fused windows, checkpoint restore) drop it;
+  the next per-event operation takes one sorted snapshot of the slot
+  matrix and each row's set is built from it when first touched.  No
+  output depends on a set's iteration order: every consumer that exposes
+  a neighbour order sorts ascending;
 * **a dense in-degree counter** — ``_in_count`` holds each row's
   in-slot count as an ``int32`` array, valid at all times (batch writes
   recompute it with one bincount), so capacity checks in the
@@ -45,7 +43,6 @@ reference it is checked against lives in ``tests/oracles/dict_backend.py``.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -62,40 +59,18 @@ from repro.util.sampling import IndexedSet, RawWordDraws
 #: windows took 2.7d words a round at n = 300 to 1e4, as the dying oldest
 #: node has gathered regenerated slots).
 _ROUND_WORDS = 3
-
-#: A fused window's reverse-index edits in the order the per-event rounds
-#: make them: each edit's target local, its entry ``source_local·d +
-#: slot`` and whether it adds (else discards) the pair.
-_Edits = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
 class _ReverseIndex(dict):
     """Row -> set of ``(source id, slot)`` pairs whose slot targets the row.
 
     Built from one snapshot of the slot matrix: the assigned slots in
     row-major order, stably sorted by target row.  A row's set is made
     from its run of the snapshot on first lookup (:meth:`__missing__`)
-    and kept, so later mutations edit it in place.  Every set thus has
-    the insertion order of an eager row-major rebuild followed by the
-    same edits, which keeps ``neighbors()`` order, ``edges_destroyed``
-    order and checkpoints unchanged.  Rows beyond the snapshot (grown
-    later) start empty.
-
-    Fused windows hand over their edits as one block
-    (:meth:`take_edits`): each edit ``(source id, slot, add)`` on the row
-    of a node alive at the window's end, grouped by row in the order the
-    per-event rounds make them.  A row already built is edited at once.
-    The row of a node born in the window is marked *reset* (its base is
-    an empty set, not the snapshot's run), and every other row keeps
-    ``(block, lo, hi)`` segments that :meth:`__missing__` replays in
-    order on the row's base when it first builds it, so a set's whole
-    add-and-discard history, and with it its iteration order, is the
-    eager one.  A reset drops the row's older segments and a build drops
-    its segments and its mark, so pending edits never outlive the node
-    in their row: they are at most the edits of the last ``n`` rounds.
+    and kept, so later mutations edit it in place.  Rows beyond the
+    snapshot (grown later) start empty.  A set's iteration order is
+    unspecified: every consumer that exposes an order sorts ascending.
     """
 
-    __slots__ = ("_starts", "_sources", "_cols", "_pending", "_reset")
+    __slots__ = ("_starts", "_sources", "_cols")
 
     def __init__(self, slots: np.ndarray, id_of: np.ndarray) -> None:
         super().__init__()
@@ -110,65 +85,13 @@ class _ReverseIndex(dict):
         self._sources = id_of[rows]
         self._starts = np.zeros(cap + 1, dtype=np.int64)
         np.cumsum(np.bincount(targets, minlength=cap), out=self._starts[1:])
-        # Unbuilt row -> its pending (block, lo, hi) segments, oldest
-        # first; the unbuilt rows whose base is empty.
-        self._pending: dict[int, list[tuple[np.ndarray, int, int]]] = {}
-        self._reset: set[int] = set()
 
     def __missing__(self, row: int) -> set[tuple[int, int]]:
-        if row in self._reset:
-            self._reset.discard(row)
-            refs: set[tuple[int, int]] = set()
-        else:
-            bounds = self._starts[row : row + 2].tolist()
-            lo, hi = bounds if len(bounds) == 2 else (0, 0)
-            refs = set(
-                zip(self._sources[lo:hi].tolist(), self._cols[lo:hi].tolist())
-            )
-        for block, lo, hi in self._pending.pop(row, ()):
-            _replay(refs, block[lo:hi].tolist())
+        bounds = self._starts[row : row + 2].tolist()
+        lo, hi = bounds if len(bounds) == 2 else (0, 0)
+        refs = set(zip(self._sources[lo:hi].tolist(), self._cols[lo:hi].tolist()))
         self[row] = refs
         return refs
-
-    def take_edits(
-        self, rows: np.ndarray, edits: np.ndarray, reset: np.ndarray
-    ) -> None:
-        """Take a fused window's edits: ``edits[i]`` is ``(source id,
-        slot, add)`` on row ``rows[i]``, each row's edits contiguous and
-        in the order they were made; *reset* holds the rows whose node
-        was born in the window (empty at its birth)."""
-        pending = self._pending
-        reset = reset.tolist()
-        if pending or self:
-            for row in reset:
-                pending.pop(row, None)
-                self.pop(row, None)
-        self._reset.update(reset)
-        if not rows.size:
-            return
-        cuts = np.flatnonzero(rows[1:] != rows[:-1]) + 1
-        heads = rows[np.concatenate(([0], cuts))].tolist()
-        bounds = cuts.tolist()
-        built = self.get
-        for row, lo, hi in zip(heads, [0] + bounds, bounds + [rows.size]):
-            refs = built(row)
-            if refs is not None:
-                _replay(refs, edits[lo:hi].tolist())
-            else:
-                pending.setdefault(row, []).append((edits, lo, hi))
-
-    def deferred_rows(self) -> set[int]:
-        """Rows with pending segments or a reset mark."""
-        return self._pending.keys() | self._reset
-
-
-def _replay(refs: set[tuple[int, int]], edits: list[list[int]]) -> None:
-    """Apply ``(source id, slot, add)`` edits to a row's set in order."""
-    for source, slot, add in edits:
-        if add:
-            refs.add((source, slot))
-        else:
-            refs.discard((source, slot))
 
 
 class ArraySlotBackend(GraphBackend):
@@ -583,10 +506,9 @@ class ArraySlotBackend(GraphBackend):
         per written slot); rows may reference earlier newborns of the
         same batch.  Targets among the newborns resolve to rows through
         one sorted map of the batch's ids, older targets through the id
-        map.  When the batch is the whole population on
-        ascending rows, the reverse index is dropped instead of built:
-        :meth:`_ensure_in_refs` snapshots it row-major, which is exactly
-        the loop's insertion order.  No RNG is consumed.
+        map.  When the batch is the whole population, the reverse index
+        is dropped instead of built (:meth:`_ensure_in_refs` snapshots
+        the same sets).  No RNG is consumed.
         """
         count = len(node_ids)
         if count == 0:
@@ -621,7 +543,7 @@ class ArraySlotBackend(GraphBackend):
         self._in_count += np.bincount(trows, minlength=self._cap).astype(
             np.int32
         )
-        if whole and np.all(rows[1:] > rows[:-1]):
+        if whole:
             self._in_refs = None
         else:
             for source, col, trow in zip(
@@ -654,28 +576,9 @@ class ArraySlotBackend(GraphBackend):
         The draws are the exact kernel's, in the same order and encoding,
         so slots, rows, in-counts, alive order, epoch and generator state
         end as it (and the policy hooks) leave them, for any partition
-        into windows.  A reverse index that exists when the window starts
-        ends as the exact kernel leaves it, set order included, but no
-        set is edited inside the rounds: the kernel returns the exact
-        kernel's set edits (each round: the dying node's own slots
-        discarded in slot order, its row reset, then the regenerated
-        orphans in ascending ``(source, slot)`` order and the newborn's
-        slots added), and only those on rows of nodes alive at the
-        window's end are kept (the
-        row of a node that dies inside the window is replaced by a new
-        set when it dies, so nothing done to its old set can be seen).
-        They go to the index as one block, grouped by row with one stable
-        argsort on the target local (:meth:`_ReverseIndex.take_edits`):
-        a built row is edited at once, the rows of nodes born in the
-        window are marked reset, and every other row replays its edits
-        when first touched.  A surviving row keeps all its edits in
-        order, those from sources that die later included, since a set's
-        iteration order depends on its whole add and discard history.
-        An absent index stays absent and no edits are laid out: the next
-        per-event operation snapshots the same sets in row-major order, so
-        its rows can list their pairs (and the next deaths their
-        ``edges_destroyed``) in another order than per-event rounds
-        would.  Touched ids are a superset: every id the window covers.
+        into windows.  The reverse index is dropped; the next per-event
+        operation snapshots it again with the same sets.  Touched ids are
+        a superset: every id the window covers.
 
         Precondition: every round has a death (``first_round > n``), the
         alive set is the id range ``[first_round − n − 1, first_round −
@@ -733,33 +636,13 @@ class ArraySlotBackend(GraphBackend):
         valid = current >= 0
         out[:n][valid] = self._id_of[current[valid]] - base
         regenerated = 0
-        refs = self._in_refs
-        log = refs is not None
         with RawWordDraws(rng) as source:
             # Like the exact kernel: with n = 2 no third node can take an
             # orphan, so orphans stay empty and nothing is drawn for them.
             if regenerate and n >= 3:
-                regenerated, edits = self._fused_regen_rounds(
-                    out, base, n, W, d, source, log
-                )
+                regenerated = self._fused_regen_rounds(out, base, n, W, d, source)
             else:
-                edits = self._fused_birth_rounds(out, base, n, W, d, source, log)
-        if refs is not None:
-            # The edits on survivors' rows (targets t >= W), grouped by
-            # target in round order; the survivors born in the window
-            # start from an empty set.
-            targets, entries, adds = edits
-            keep = np.flatnonzero(targets >= W)
-            keep = keep[np.argsort(targets[keep], kind="stable")]
-            changes = np.empty((keep.size, 3), dtype=np.int64)
-            changes[:, 0], changes[:, 1] = np.divmod(entries[keep], d)
-            changes[:, 0] += base
-            changes[:, 2] = adds[keep]
-            refs.take_edits(
-                rows0[targets[keep] % n],
-                changes,
-                rows0[np.arange(max(W, n), W + n) % n],
-            )
+                self._fused_birth_rounds(out, base, n, W, d, source)
 
         # ---- write-back: the survivors are locals W … W + n − 1 ----
         surv = out[W:]
@@ -781,6 +664,7 @@ class ArraySlotBackend(GraphBackend):
                 del row_of[dead]
             row_of.update(zip(born_ids, born_rows.tolist()))
         self._next_id += W
+        self._in_refs = None
         # Count like the exact kernel: one per death, newborn, birth
         # slot and regenerated slot.
         self._note_mutation(
@@ -796,18 +680,10 @@ class ArraySlotBackend(GraphBackend):
         W: int,
         d: int,
         source: RawWordDraws,
-        log: bool,
-    ) -> tuple[int, _Edits | None]:
+    ) -> int:
         """Fill *out* with the window's births and regenerated targets,
         round by round, keeping the alive order in place; returns the
-        number of regenerated slots and, when *log*, the window's
-        reverse-index edits (:data:`_Edits`) in the order
-        :meth:`apply_exact_rounds` makes them.  Round ``k`` discards the
-        dying local ``k − 1``'s slots (their targets at its death,
-        *out*'s final values), adds the regenerated orphans in ascending
-        entry order, then the newborn's slots with their birth-time
-        targets.  The round loop itself does no index work: the edits
-        are laid out after it in a few array passes.
+        number of regenerated slots.
 
         In-lists of entries (``source_local·d + slot``) are kept only for
         the locals ``t < W`` that die in the window.  Round ``k``'s
@@ -881,47 +757,10 @@ class ArraySlotBackend(GraphBackend):
                     in_lists[t].append(e)
                 e += 1
         # in_lists[k − 1] now holds round k's orphans.
-        born = np.array(births, dtype=np.int64)
-        out[n:] = born
+        out[n:] = births
         if final:
             out_flat[list(final)] = list(final.values())
-        regenerated = sum(map(len, in_lists))
-        if not log:
-            return regenerated, None
-        counts = np.fromiter(map(len, in_lists), dtype=np.int64, count=W)
-        orphans = np.fromiter(
-            chain.from_iterable(in_lists), dtype=np.int64, count=regenerated
-        )
-        # An orphan's new target outlives the window only at the entry's
-        # last orphaning (an earlier one dies in the window, which orphans
-        # the entry again), and then it is the entry's final value; the
-        # others are dropped with every edit whose target dies (t < W).
-        by_entry = np.argsort(orphans, kind="stable")
-        grouped = orphans[by_entry]
-        last = np.ones(regenerated, dtype=bool)
-        last[:-1] = grouped[1:] != grouped[:-1]
-        latest = by_entry[last]
-        renewed = np.full(regenerated, -1, dtype=np.int64)
-        renewed[latest] = out_flat[orphans[latest]]
-        # Round k (from 1) spans 2d edits plus its orphans: d discards of
-        # local k − 1's entries, then its orphans, then d births.
-        lead = 2 * d * np.arange(W)
-        start = (lead + np.cumsum(counts) - counts)[:, None] + np.arange(d)
-        at = np.concatenate(
-            (
-                start.reshape(-1),
-                np.repeat(lead + d, counts) + np.arange(regenerated),
-                (start + (counts + d)[:, None]).reshape(-1),
-            )
-        )
-        order = np.empty_like(at)
-        order[at] = np.arange(at.size)
-        targets = np.concatenate((out_flat[: W * d], renewed, born.reshape(-1)))
-        entries = np.concatenate(
-            (np.arange(W * d), orphans, np.arange(n * d, (n + W) * d))
-        )
-        # The first W·d edits laid out are the discards.
-        return regenerated, (targets[order], entries[order], order >= W * d)
+        return sum(map(len, in_lists))
 
     def _fused_birth_rounds(
         self,
@@ -931,14 +770,10 @@ class ArraySlotBackend(GraphBackend):
         W: int,
         d: int,
         source: RawWordDraws,
-        log: bool,
-    ) -> _Edits | None:
+    ) -> None:
         """Fill *out* with the window's births when nothing regenerates,
         in a few array passes, and leave the alive order as the rounds do.
-        Only the births that can target a survivor are filled.  With
-        *log* it returns them as reverse-index edits (:data:`_Edits`) in
-        round order.  There are no discards: the dying node is the
-        oldest, so its slots target dead nodes and are already cleared.
+        Only the births that can target a survivor are filled.
 
         Every draw is a birth over ``n`` with a redraw on ``n − 1`` (the
         newborn itself), so the window's draws are one flat stream.  The
@@ -987,11 +822,6 @@ class ArraySlotBackend(GraphBackend):
         final[positions[ends]] = values[ends]
         final[n - 1] = n + W - 1
         self.alive = IndexedSet.from_unique_list((final + base).tolist())
-        if not log:
-            return None
-        births = out[n + skip :].reshape(-1)
-        entries = np.arange((n + skip) * d, (n + W) * d)
-        return births, entries, np.ones(births.size, dtype=bool)
 
     # ------------------------------------------------------------------
     # exact streaming rounds (the per-event law, a window at a time)
@@ -1452,8 +1282,8 @@ class ArraySlotBackend(GraphBackend):
         self._alive_rows[:high] = np.asarray(payload["alive_rows"], dtype=bool)
         self._free = [int(row) for row in payload["free"]]
         # Derived indices: _row_of from the id column, _in_count from the
-        # slot matrix; the reverse index is snapshotted lazily, in the
-        # same row-major order as after any other batch write.
+        # slot matrix; the reverse index is snapshotted lazily, as after
+        # any other batch write.
         self._row_of = {
             int(self._id_of[row]): int(row)
             for row in np.nonzero(self._alive_rows)[0]
@@ -1531,20 +1361,9 @@ class ArraySlotBackend(GraphBackend):
           * the dense ``_in_count`` mirror equals ``len(_in_refs[row])``
             on every used row;
           * free rows are fully cleared (no stale slots or reverse refs);
-          * CSR degrees and the cached edge count match a recount;
-          * every reverse-index row with pending fused-window edits (or a
-            reset mark) is alive and not yet built.
-
-        Builds every row of the reverse index (after the last check), so
-        the slot checks also cover the rows the pending edits replay.
+          * CSR degrees and the cached edge count match a recount.
         """
         in_refs = self._ensure_in_refs()
-        for row in sorted(in_refs.deferred_rows()):
-            if not self._alive_rows[row] or row in in_refs:
-                raise SimulationError(
-                    f"row {row} holds pending reverse-index edits but is "
-                    f"{'built' if row in in_refs else 'dead'}"
-                )
         for node_id, row in self._row_of.items():
             if self._id_of[row] != node_id:
                 raise SimulationError(f"row map corrupt for node {node_id}")

@@ -148,7 +148,12 @@ class GraphBackend(ABC):
 
     @abstractmethod
     def neighbors(self, node_id: int) -> Iterable[int]:
-        """Current undirected neighbours of *node_id*."""
+        """Current undirected neighbours of *node_id*, each id once.
+
+        Their iteration order is unspecified: every consumer that exposes
+        an order (``edges_destroyed``, ``random_neighbor``'s draw,
+        lossy flooding's draws) sorts the ids ascending.
+        """
 
     @abstractmethod
     def degree(self, node_id: int) -> int:

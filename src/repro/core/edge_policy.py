@@ -86,9 +86,10 @@ class EdgePolicy(ABC):
     ) -> EventRecord:
         """Remove the dying node and repair orphaned requests per policy."""
         record = EventRecord(time=time, kind=NodeDied(node_id=node_id))
-        # Destroyed edges: everything incident to the dying node.
+        # Destroyed edges: everything incident to the dying node, in
+        # ascending neighbour id.
         record.edges_destroyed.extend(
-            map(EdgeDestroyed, repeat(node_id), state.neighbors(node_id))
+            map(EdgeDestroyed, repeat(node_id), sorted(state.neighbors(node_id)))
         )
         orphaned = state.remove_node(node_id, death_time=time)
         self.repair_orphans(state, orphaned, time, rng, record)
@@ -225,12 +226,13 @@ class EdgePolicy(ABC):
         batch — the semantics of "these nodes left simultaneously".
         Returns one aggregate :class:`NodesDied` record: ``edges_destroyed``
         holds every edge incident to a victim (victim–victim edges once),
-        ``edges_created`` every regenerated replacement edge.
+        victim by victim in ascending neighbour id, ``edges_created``
+        every regenerated replacement edge.
         """
         record = EventRecord(time=time, kind=NodesDied(node_ids=tuple(node_ids)))
         seen: set[tuple[int, int]] = set()
         for node_id in node_ids:
-            for neighbor in list(state.neighbors(node_id)):
+            for neighbor in sorted(state.neighbors(node_id)):
                 key = (min(node_id, neighbor), max(node_id, neighbor))
                 if key in seen:
                     continue

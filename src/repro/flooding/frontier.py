@@ -117,12 +117,13 @@ class SetFrontier:
 
         Each (informed node → uninformed neighbour) transmission succeeds
         independently with probability ``1 − loss``; a node already
-        delivered this round receives no further transmissions.
+        delivered this round receives no further transmissions.  The
+        draws go in ascending order of sender, then of neighbour.
         """
         state, informed = self.state, self.informed
         delivered: set[int] = set()
-        for u in informed:
-            for v in state.neighbors(u):
+        for u in sorted(informed):
+            for v in sorted(state.neighbors(u)):
                 if v in informed or v in delivered:
                     continue
                 if rng.random() >= loss:

@@ -94,25 +94,16 @@ class StreamingNetwork(DynamicNetwork):
         """Apply *count* streaming rounds and keep no reports.
 
         The rounds of :meth:`run_rounds`, bit-identical in everything
-        they leave behind: backend state, the reverse index and its set
-        order, generator, epoch.  With a uniform policy on the array
-        backend the steady-state rounds run through the fused kernel
-        after the reverse index is built, as a per-event window builds
-        it at its first round, so the kernel keeps it exact.  The cold
-        warm-up prefix, the baselines, other policies and other backends
-        run :meth:`run_rounds`.
+        they leave behind: backend state, generator, epoch.  With a
+        uniform policy on the array backend they run as a fused window
+        (:meth:`_fused_advance`); the baselines, other policies and
+        other backends run :meth:`run_rounds`.
         """
         regenerate = self._fused_law()
         if regenerate is None:
             super().advance_rounds(count)
-            return
-        if self.round_number < self.n:
-            take = min(count, self.n - self.round_number)
-            self.run_rounds(take)
-            count -= take
-        if count > 0:
-            self.state._ensure_in_refs()
-            self._fused_rounds(count, regenerate)
+        else:
+            self._fused_advance(count, regenerate)
 
     def _fused_law(self) -> bool | None:
         """The fused kernel's *regenerate* flag for this network, or
@@ -197,19 +188,14 @@ class StreamingNetwork(DynamicNetwork):
         return rounds
 
     def _advance_window_batched(self, target: float, report: RoundReport) -> None:
-        """One fused window: the exact rounds of :meth:`run_rounds`,
-        through the array backend's ``apply_fused_rounds`` kernel.
+        """One fused window (:meth:`_fused_advance`), reported coarsely.
 
         The window leaves the state, the alive order and the generator
         exactly as per-event rounds do, for any partition into windows;
-        only the report differs.  Churn is reported as one coalesced
-        ``NodesDied`` plus one ``NodesBorn`` record per window, not per
-        round.  The kernel keeps a reverse index that exists when the
-        window starts exact, set order included; one that does not stays
-        absent and is rebuilt in row-major order when next needed, so the
-        next per-event deaths list ``edges_destroyed`` in that order
-        (the same contents).  The warm-up prefix of a cold network
-        (rounds ``≤ n``, births only) runs as one exact birth batch.
+        only the report differs.  Churn is reported as coalesced
+        records, not per round: one ``NodesBorn`` for a warm-up prefix,
+        then one ``NodesDied`` plus one ``NodesBorn`` for the
+        steady-state rounds.
 
         Policies outside the plain uniform law (bounded-degree ones, or
         any subclass overriding a hook), subclasses with their own
@@ -224,31 +210,44 @@ class StreamingNetwork(DynamicNetwork):
         if regenerate is None:
             self._per_event_rounds(rounds, report)
             return
-        if self.round_number < self.n:
-            take = min(rounds, self.n - self.round_number)
-            node_ids = self._pure_birth_rounds(self.round_number, take, exact=True)
-            self.round_number += take
-            report.events.append(
-                EventRecord(time=self.now, kind=NodesBorn(node_ids=tuple(node_ids)))
+        start = self.round_number
+        warm = self._fused_advance(rounds, regenerate)
+        events = report.events
+        if warm:
+            events.append(
+                EventRecord(
+                    time=float(start + warm),
+                    kind=NodesBorn(node_ids=tuple(range(start, start + warm))),
+                )
             )
-            rounds -= take
-            if rounds <= 0:
-                return
-        first_dead = self.round_number - self.n
-        first_born = self.round_number
-        self._fused_rounds(rounds, regenerate)
-        report.events.append(
-            EventRecord(
-                time=self.now,
-                kind=NodesDied(node_ids=tuple(range(first_dead, first_dead + rounds))),
+        if rounds > warm:
+            # Round r kills node r − n − 1 and gives birth to node r − 1.
+            born, died = start + warm, start + warm - self.n
+            steady = rounds - warm
+            events.append(
+                EventRecord(
+                    time=self.now,
+                    kind=NodesDied(node_ids=tuple(range(died, died + steady))),
+                )
             )
-        )
-        report.events.append(
-            EventRecord(
-                time=self.now,
-                kind=NodesBorn(node_ids=tuple(range(first_born, first_born + rounds))),
+            events.append(
+                EventRecord(
+                    time=self.now,
+                    kind=NodesBorn(node_ids=tuple(range(born, born + steady))),
+                )
             )
-        )
+
+    def _fused_advance(self, count: int, regenerate: bool) -> int:
+        """*count* rounds of the uniform law on the array backend: the
+        warm-up prefix of a cold network (rounds ``≤ n``, births only) as
+        one exact birth batch, then :meth:`_fused_rounds`.  Returns the
+        prefix's length."""
+        warm = min(count, max(self.n - self.round_number, 0))
+        if warm:
+            self._pure_birth_rounds(self.round_number, warm, exact=True)
+            self.round_number += warm
+        self._fused_rounds(count - warm, regenerate)
+        return warm
 
     def _fused_rounds(self, count: int, regenerate: bool) -> None:
         """*count* steady-state rounds through ``apply_fused_rounds``, in

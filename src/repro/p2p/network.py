@@ -134,7 +134,7 @@ class BitcoinLikeNetwork(DynamicNetwork):
         record = EventRecord(time=self.now, kind=NodeDied(node_id=node_id))
         from repro.sim.events import EdgeDestroyed
 
-        for neighbor in list(self.state.neighbors(node_id)):
+        for neighbor in sorted(self.state.neighbors(node_id)):
             record.edges_destroyed.append(EdgeDestroyed(node_id, neighbor))
         self.state.remove_node(node_id, death_time=self.now)
         self.addrmans.pop(node_id, None)

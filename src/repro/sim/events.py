@@ -129,8 +129,9 @@ def decode_round_log(log: tuple) -> list[EventRecord]:
 
     Returns the death record (if any), then the birth record, equal to
     what the policy hooks return for that round: ``edges_destroyed`` in
-    the neighbour set's iteration order, the regenerated requests in
-    order, the newborn's requests in slot order.  Edge records are built
+    ascending neighbour id (sorted here, so an unread record costs
+    nothing), the regenerated requests in order, the newborn's requests
+    in slot order.  Edge records are built
     through ``tuple.__new__``, the C path behind the named tuples' own
     constructor, so they have the same type and values.
     """
@@ -145,7 +146,13 @@ def decode_round_log(log: tuple) -> list[EventRecord]:
                 list(map(new, repeat(EdgeCreated), zip(owners, regenerated)))
                 if owners
                 else [],
-                list(map(new, repeat(EdgeDestroyed), zip(repeat(dead), destroyed))),
+                list(
+                    map(
+                        new,
+                        repeat(EdgeDestroyed),
+                        zip(repeat(dead), sorted(destroyed)),
+                    )
+                ),
             )
         )
     records.append(

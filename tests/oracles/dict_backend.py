@@ -8,9 +8,11 @@ inject it with ``backend=DictBackend()`` (``create_backend`` returns an
 instance unchanged).  Seeded churn — per-event, exact warm-up and fast
 pure-birth batches — is bit-identical to the array backend; streaming
 fused windows step the policy hooks here, the per-event rounds the
-array kernel reproduces.  The dict lists a node's neighbours in insertion order, so
-consumers that spend RNG along a neighbour list (set-frontier gossip and
-lossy flooding, token walks) diverge.  It has no vectorized frontier
+array kernel reproduces.  Like the array backend, it lists a node's
+neighbours in ascending id wherever an order is exposed (a random
+neighbour's draw), so consumers that spend RNG along a neighbour list
+(set-frontier gossip and lossy flooding, token walks, the p2p overlay)
+draw alike on both.  It has no vectorized frontier
 (flood it through ``spread`` with a ``SetFrontier``, as
 :func:`flood_discrete_reference` does) and no bulk capped placement
 (bounded-degree policies run on it with ``bulk=False``).
@@ -97,15 +99,12 @@ class DictBackend(GraphBackend):
     def random_neighbor(
         self, node_id: int, rng: np.random.Generator
     ) -> int | None:
-        """Uniformly random current neighbour, or None if isolated.
-
-        Preserves the adjacency-row insertion order when listing
-        candidates, so seeded trajectories match the pre-backend code.
-        """
+        """Uniformly random current neighbour, or None if isolated; the
+        candidates are listed in ascending id, as on the array backend."""
         neighbors = self.adj.get(node_id)
         if not neighbors:
             return None
-        keys = list(neighbors)
+        keys = sorted(neighbors)
         return keys[int(rng.integers(0, len(keys)))]
 
     def degree_vector(self) -> np.ndarray:
@@ -255,11 +254,8 @@ class DictBackend(GraphBackend):
     def dump_state(self) -> dict:
         """Serialize the full mutable state to a JSON-able dict.
 
-        Adjacency is emitted as ordered pair-lists — both the row order
-        and the within-row neighbour order are RNG-visible (they feed
-        :meth:`random_neighbor` draws in the gossip/lossy protocols), so
-        plain JSON objects (which would also stringify the int keys)
-        cannot carry them faithfully.  Dead-node records are dropped:
+        Adjacency is emitted as pair-lists: plain JSON objects would
+        stringify the int keys.  Dead-node records are dropped:
         nothing on a seeded trajectory reads them after the fact.
         """
         nodes = [

@@ -53,20 +53,20 @@ _CAPPED = {"max_in_degree": 5, "max_attempts": 4}
 #: (:func:`session_transcript`).
 GOLDEN = {
     ("streaming", "none", "array", 2000, 8): (
-        "937ce6c81cf1a0c27c8fc7a37426a703"
-        "c17ead5a2deb8d8d3fee05a2056b1684"
+        "f6a77bcda536e8f294a1bedc8522db87"
+        "f0dac33721454ab2518fde7731afc8f8"
     ),
     ("streaming", "none", "dict", 2000, 8): (
         "f6a77bcda536e8f294a1bedc8522db87"
         "f0dac33721454ab2518fde7731afc8f8"
     ),
     ("streaming", "regen", "array", 2000, 8): (
-        "3a4e23d68d6b5893bb62af567adb2078"
-        "92617c5b51691481f35b898462e94aba"
+        "4e00a479949f0b627e5aa818e996bdd0"
+        "b10b79098ef381fddf532257888f43e4"
     ),
     ("streaming", "regen", "dict", 2000, 8): (
-        "2f43aa442bb542c7b5f414bbdebdb612"
-        "0683630e706db7f2193e6fb12fc33cd9"
+        "4e00a479949f0b627e5aa818e996bdd0"
+        "b10b79098ef381fddf532257888f43e4"
     ),
     ("threshold", "capped", "array", 300, 3): (
         "0dc9fa8839fe2d8ca347e21da3f076ad"
@@ -120,46 +120,46 @@ FAST_GOLDEN = {
         {"churn": "poisson", "n": 300, "d": 4, "horizon": 40,
          "fast_rounds": True},
         (
-            "56f240cd1c9f969aeb8b1b37ecf6696d"
-            "bdbbe3a38df838660bb21aca94ba9372"
+            "162018fd88f19e655eb12913342ce31a"
+            "277976a744d7fc6d938cac287664d394"
         ),
     ),
     "pdgr-fast-warm": (
         {"churn": "poisson", "n": 300, "d": 4,
          "churn_params": {"fast_warm": True}},
         (
-            "35f5cf3fdd519dc846e5a80fda076541"
-            "5539a90a6fde68d4435b00e2c26b7b6f"
+            "faf810ac338b0aa1664f2ef3f2eb179d"
+            "3c96510ddca3d195f560cabe56c6ef03"
         ),
     ),
     "sdg-fast-warm": (
         {"policy": "none", "n": 2000, "d": 8,
          "churn_params": {"fast_warm": True}},
         (
-            "b14a572d523b1f593cc88c15807c17df"
-            "5b8991b87a59d9d0bdf42eb7fc29546d"
+            "4bcc1f371f69dd10b77dbbbdf00676ab"
+            "7eb7e5df9a1ca9a72bab7d9c3cc811cf"
         ),
     ),
     "sdgr-fast-warm": (
         {"n": 2000, "d": 8, "churn_params": {"fast_warm": True}},
         (
-            "72117bb83c2f34b69b6279a92da4e3a6"
-            "12c9371ccfc380dcce493dbc58758303"
+            "11798b6818853ce21409d335978aaa53"
+            "b1346c29bfc9aabd7174f6a372ad1053"
         ),
     ),
     "sdgr-fast-warm-n3": (
         {"n": 3, "d": 4, "churn_params": {"fast_warm": True}},
         (
-            "d57b2cdc79735c83a7d725f8b902d5fe"
-            "ce9cc253af192c670854d45a5bb533a7"
+            "ad10c1f227a6724be8aa963534bc8ef0"
+            "197890b299465567d612c3265fd09fe8"
         ),
     ),
     "sdg-cold-fast-rounds-steady": (
         {"policy": "none", "n": 200, "d": 4, "horizon": 350,
          "fast_rounds": True, "churn_params": {"warm": False}},
         (
-            "229c0c8eba30163fecc3e46f24a00353"
-            "64810efdef9c303e8101c3c9ac288265"
+            "4ffc0c0f3210827b6cccfe8f2437d592"
+            "76d6bb86cb584b57393772c63fbaef8d"
         ),
     ),
     "sdgr-cold-fast-rounds": (
@@ -174,8 +174,8 @@ FAST_GOLDEN = {
         {"n": 200, "d": 4, "horizon": 350, "fast_rounds": True,
          "churn_params": {"warm": False}},
         (
-            "1afe3b119b81d3054c78771d26bc45a7"
-            "c667a192bf8064536d283dac47cf1835"
+            "2d0915a5e03d42317137bfdb31e21a9a"
+            "35ce3cd9f8f258631919736d8c03a114"
         ),
     ),
     "tsdg-fast-rounds": (

@@ -6,8 +6,8 @@ array backend through one window kernel,
 source.  A policy subclass that overrides a hook falls off the kernel
 (``round_batch_regenerate`` is ``None``), so a trivial override forces
 the hook loop the kernel must reproduce: the same per-round records,
-slots, reverse-index sets and their order, alive order, epoch, touched
-ids and generator state, for every partition of the rounds into windows.
+slots, reverse-index sets, alive order, epoch, touched ids and generator
+state, for every partition of the rounds into windows.
 Only NumPy and pytest are needed.
 """
 
@@ -94,10 +94,8 @@ def state_of(network: StreamingNetwork) -> dict:
             if isinstance(value, np.ndarray)
         },
         "in_count": state._in_count.tolist(),
-        # Each alive node's reverse-index set in iteration order: the
-        # order later neighbour sets and destroyed-edge lists follow.
         "in_refs": {
-            u: list(in_refs[state.row_for(u)]) for u in state.alive_ids()
+            u: set(in_refs[state.row_for(u)]) for u in state.alive_ids()
         },
         "touched": sorted(state.drain_touched()),
         "rng": plain(network.rng.bit_generator.state),

@@ -7,10 +7,8 @@ backend's own bookkeeping after a window too: each one hashes the backend
 state after a seeded fused window (slot matrix, ``id_of``, birth times,
 alive order, free list, ``mutation_epoch``) and the driver's RNG state,
 then the event records of one per-event round run right after the
-window (``edges_destroyed`` follows the reverse index's set order), the
-iteration order of the reverse-index set of every used row, and the
-state once more.  A digest changes exactly when the fused trajectory or
-the reverse index's insertion order does.
+window, the reverse-index set of every used row (sorted), and the state
+once more.  A digest changes exactly when the fused trajectory does.
 
 Shapes cover a window shorter than ``n`` (2000, 8, 100), a window longer
 than ``n`` so newborns die inside it (50, 3, 120), and the smallest
@@ -40,44 +38,44 @@ MODELS = {
 #: (model, n, d, W) -> sha256 of the window transcript.
 GOLDEN = {
     ('SDG', 3, 1, 25): (
-        "2636461795a37030a1f6daa2b2e0536f"
-        "bf6551ba7993fd177b3aa839c2f19a79"
+        "59225d453bc32f9857dcdace502599db"
+        "085109535c095c0f4fd30975b9a88700"
     ),
     ('SDG', 7, 2, 40): (
-        "1edc63b70345ef77244154ab92831928"
-        "8c49b9961a4ea804af2b4b82118ef139"
+        "a2e1fb9b2b21228654c8374932921535"
+        "577ea49574774187d39f7071dc72ee8e"
     ),
     ('SDG', 50, 3, 120): (
-        "270ac964840ccd303a8c192dd5d57c0c"
-        "2ac66311949ba767f86b4b7c074d8923"
+        "5bdb41f52220a37184be0c5f9cd8a016"
+        "b5a0265bd65c79403fa74adc8e50b79c"
     ),
     ('SDG', 2000, 8, 100): (
-        "453efd2358bc689ad3056f89cedcbd4a"
-        "161b1128602197f0c04d813256551845"
+        "eea43c4fc365de20eb06e3d89b14156e"
+        "f0caa75e9d5b8abba7291341076edebd"
     ),
     ('SDGR', 3, 1, 25): (
-        "5345f5fde04677834257e73a84ed9f3f"
-        "0dea8e43f202e60c12bec8e059ae630d"
+        "4316efff28b1c443b7483d1a66f0b056"
+        "5f90758562fe4abb5288cc782f5a178b"
     ),
     ('SDGR', 7, 2, 40): (
-        "fabd95805ec885e03a4c5e5affe39ec6"
-        "10d154c526a12c5dd67acd1ac109a2c5"
+        "0ca6db8d3cf25552077b620feb6ce852"
+        "743d129472a290d57917a9fc5dfa14bc"
     ),
     ('SDGR', 50, 3, 120): (
-        "137f08c984cc84c2ab4dd33cab76bf91"
-        "11a23e3585355125d1737a12ee90ffe7"
+        "97928ed8aa7a9f58a74be23ae7cdde9b"
+        "76450a4ebd2d2c162cf2062dc02bc823"
     ),
     ('SDGR', 2000, 8, 100): (
-        "3175906845499a9525876e9e26273b67"
-        "6583614310f654e0a8836d3cf17eb3c1"
+        "8d034694e4548270ac73928059bb4fa1"
+        "0bb3b24ae411cdccc340eec588dacd94"
     ),
     ('TSDG', 40, 4, 60): (
-        "46e636713c8a32ca92cfdf3cb38769c0"
-        "3a30d755fd726f2e0133017a0d7d2365"
+        "51da35d65942925115e588891943daf6"
+        "fe34c3eb2fd25f577ce6b80e590eaa60"
     ),
     ('TSDG', 300, 6, 200): (
-        "a442d93debfa3691c8151a0070464ca6"
-        "9fbe674cb282d22429b3fc52cc2f8ad9"
+        "349ac16614e764b614c50f1bbf252530"
+        "c55c441350be2f5df51f37cee2506d44"
     ),
 }
 
@@ -124,7 +122,7 @@ def window_transcript(model: str, n: int, d: int, rounds: int) -> dict:
             break
     state = net.state
     in_refs = [
-        [list(pair) for pair in state._in_refs[row]]
+        [list(pair) for pair in sorted(state._in_refs[row])]
         for row in range(state.dump_state()["high"])
     ]
     state.check_invariants()

@@ -6,10 +6,9 @@ windows on the array backend run through
 rounds' draws in their own encoding.  After every window the state must
 be what the hook loop leaves after the same rounds: the dumped backend
 state (slots, rows, free list, alive order, epoch), the in-counts, the
-generator state and, when the window starts with a reverse index, every
-row's set in its iteration order.  A window that starts without one
-leaves it absent; it is snapshotted again in row-major order, so then
-it is compared as sets.  The touched ids may be a superset.  This holds
+generator state and every row's reverse-index set.  A window drops the
+reverse index, built or not at its start, and the next read snapshots
+the same sets again.  The touched ids may be a superset.  This holds
 for any partition into windows, warm or cold, on PCG64 and MT19937, with
 the default and a tiny raw-word block.  Only NumPy and pytest are
 needed.
@@ -41,12 +40,10 @@ def twins(policy: str, n: int, d: int, kind: str, seed: int, warm: bool):
     return networks
 
 
-def state_of(network: StreamingNetwork, ordered: bool = True) -> dict:
-    """The network's state; the reverse index as ordered lists, or as
-    sets when not *ordered*."""
+def state_of(network: StreamingNetwork) -> dict:
+    """The network's state, each reverse-index row as a set."""
     state = network.state
     in_refs = state._ensure_in_refs()
-    collect = list if ordered else set
     dump = state.dump_state()
     return {
         "round": network.round_number,
@@ -63,7 +60,7 @@ def state_of(network: StreamingNetwork, ordered: bool = True) -> dict:
         },
         "in_count": state._in_count.tolist(),
         "in_refs": {
-            u: collect(in_refs[state.row_for(u)]) for u in state.alive_ids()
+            u: set(in_refs[state.row_for(u)]) for u in state.alive_ids()
         },
         "rng": plain(network.rng.bit_generator.state),
     }
@@ -77,8 +74,8 @@ def random_windows(n: int, seed: int, count: int = 8) -> list[int]:
 
 def assert_windows_replay_hooks(policy, n, d, kind, warm, windows, index=True):
     """After each window the kernel's network is the hook loop's.  With
-    *index* every window starts with the reverse index built, so it must
-    keep each set's order; without, every window starts without one."""
+    *index* every window starts with the reverse index built, which it
+    must not leave stale; without, every window starts without one."""
     kernel, hooks = twins(policy, n, d, kind, seed=n * 10 + d, warm=warm)
     for size in windows:
         if index:
@@ -87,7 +84,7 @@ def assert_windows_replay_hooks(policy, n, d, kind, warm, windows, index=True):
             kernel.state._in_refs = None
         kernel.advance_to_time_batched(kernel.now + size)
         hooks.run_rounds(size)
-        assert state_of(kernel, index) == state_of(hooks, index), size
+        assert state_of(kernel) == state_of(hooks), size
         theirs = hooks.state.drain_touched()
         assert theirs <= kernel.state.drain_touched(), size
 
@@ -181,8 +178,7 @@ def test_fast_rounds_session_is_the_per_event_session(policy, warm, tmp_path):
         sessions[fast] = sim.run()
     fast, per_event = sessions[True], sessions[False]
     assert fast.results() == per_event.results()
-    # The restored session's windows start without a reverse index.
-    assert state_of(fast.network, False) == state_of(per_event.network, False)
+    assert state_of(fast.network) == state_of(per_event.network)
     payloads = []
     for sim in (fast, per_event):
         payload = encode_value(build_payload(sim))

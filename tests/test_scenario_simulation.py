@@ -188,7 +188,9 @@ class TestPortedExperimentParity:
     dict run builds every driver on the oracle
     (``tests/oracles/dict_backend.py``)."""
 
-    @pytest.mark.parametrize("experiment_id", ["EXP-01", "EXP-02", "EXP-11"])
+    @pytest.mark.parametrize(
+        "experiment_id", ["EXP-01", "EXP-02", "EXP-11", "EXP-17"]
+    )
     def test_dict_array_identical(self, experiment_id, monkeypatch):
         on_array = run_experiment(experiment_id, quick=True, seed=0)
         build_drivers_on_oracle(monkeypatch)

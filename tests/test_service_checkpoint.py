@@ -23,6 +23,7 @@ from repro.scenario.observers import Observer, register_observer
 from repro.service import checkpoint as checkpoint_io
 from repro.service import use_service_options
 from tests.oracles.dict_backend import build_drivers_on_oracle
+from tests.test_exact_windows import records
 
 HORIZON = 16
 
@@ -160,6 +161,25 @@ class TestRestoreParityDeterministic:
         assert restored.results() == baseline.results()
         assert restored.snapshot() == baseline.snapshot()
         assert len(restored.results()["size"]["sizes"]) == HORIZON
+
+    @pytest.mark.parametrize("via", ["state", "simulation"])
+    def test_records_after_restore_match(self, via, tmp_path):
+        """The 300 per-event rounds after a restore record what the
+        uninterrupted run records, ``edges_destroyed`` order included:
+        the restored reverse index is a fresh snapshot of the slots, and
+        no record depends on its sets' iteration order."""
+        spec = _spec("streaming", {}, n=200, d=4, horizon=500, seed=5)
+        baseline, resumed = (
+            Simulation(spec, observers=OBSERVERS).run() for _ in range(2)
+        )
+        if via == "state":
+            state = resumed.network.state
+            state.restore_state(state.dump_state())
+        else:
+            resumed = Simulation.restore(resumed.save_checkpoint(tmp_path / "ck"))
+        assert records(resumed.network.run_rounds(300)) == records(
+            baseline.network.run_rounds(300)
+        )
 
     def test_flood_after_restore_matches(self):
         spec = _spec(

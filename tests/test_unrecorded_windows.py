@@ -3,16 +3,14 @@
 A :class:`~repro.scenario.Simulation` whose observers all have
 ``every = 0`` keeps no per-round report, so its windows step
 ``DynamicNetwork.advance_rounds``.  On SDG/SDGR with the array backend
-that runs the steady-state rounds through the fused kernel after
-building the reverse index, which the kernel then keeps exact.  The
-session must end as one whose windows step ``run_rounds`` (the
-per-event path, forced here by binding the base ``advance_rounds``):
-backend state, in-counts, every reverse-index set in its order,
-generator state, epoch, observer results, flood result, cadence
-checkpoint bytes, a restored session's end, the next per-event records
-(``edges_destroyed`` order included) and the backend invariants.  Other
-drivers, policies and backends keep their ``run_rounds`` stream.  Only
-NumPy and pytest are needed.
+that runs the rounds as one fused window.  The session must end as one
+whose windows step ``run_rounds`` (the per-event path, forced here by
+binding the base ``advance_rounds``): backend state, in-counts, every
+reverse-index set, generator state, epoch, observer results, flood
+result, cadence checkpoint bytes, a restored session's end, the next
+per-event records (``edges_destroyed`` order included) and the backend
+invariants.  Other drivers, policies and backends keep their
+``run_rounds`` stream.  Only NumPy and pytest are needed.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ def state_of(sim: Simulation) -> dict:
         },
         "in_count": state._in_count.tolist(),
         "in_refs": {
-            u: list(in_refs[state.row_for(u)]) for u in state.alive_ids()
+            u: set(in_refs[state.row_for(u)]) for u in state.alive_ids()
         },
         "epoch": state.mutation_epoch(),
         "rng": plain(network.rng.bit_generator.state),
@@ -153,19 +151,19 @@ def test_incremental_expansion_observer_sees_the_same_graphs(model):
 
 def test_unrecorded_windows_run_the_fused_kernel(monkeypatch):
     """The steady-state rounds of a feedless session take one fused call
-    per cadence window, with the reverse index already built; a feed
-    sends the session back to ``run_rounds``."""
+    per cadence window; a feed sends the session back to
+    ``run_rounds``."""
     calls = []
     kernel = ArraySlotBackend.apply_fused_rounds
 
     def spy(self, first_round, rounds, *args):
-        calls.append((first_round, rounds, self._in_refs is not None))
+        calls.append((first_round, rounds))
         return kernel(self, first_round, rounds, *args)
 
     monkeypatch.setattr(ArraySlotBackend, "apply_fused_rounds", spy)
     spec = spec_for("SDGR", 40, 3, warm=False)
     Simulation(spec, observers=("degrees",)).run()
-    assert calls == [(41, 57, True)]
+    assert calls == [(41, 57)]
     calls.clear()
     Simulation(spec, observers=({"name": "degrees", "params": {"every": 9}},)).run()
     assert calls == []
