@@ -52,7 +52,7 @@ bench-service:
 # floor) plus an n=1e6 fused smoke row; writes BENCH_churn.json.
 bench-churn:
 	$(PYTHON) -m pytest tests/test_fused_rounds.py tests/test_fused_windows.py \
-		tests/test_survivor_index.py \
+		tests/test_survivor_index.py tests/test_indexless_windows.py \
 		tests/test_unrecorded_windows.py \
 		tests/test_per_event_golden.py tests/test_exact_warm.py \
 		tests/test_util_sampling.py tests/test_backend_parity.py -q

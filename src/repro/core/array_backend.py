@@ -18,12 +18,16 @@
 * **batched births** — :meth:`apply_birth_slots` writes thousands of
   pre-drawn births in a handful of array operations;
 * **a lazy reverse index** — ``_in_refs`` maps a row to the set of
-  ``(source id, slot)`` pairs pointing at it.  Batch writes
-  (whole-population births, fused windows, checkpoint restore) drop it;
-  the next per-event operation takes one sorted snapshot of the slot
-  matrix and each row's set is built from it when first touched.  No
-  output depends on a set's iteration order: every consumer that exposes
-  a neighbour order sorts ascending;
+  ``(source id, slot)`` pairs pointing at it.  It is a cache that only
+  readers build (:meth:`neighbors`, :meth:`remove_node`,
+  :meth:`check_invariants`): the first takes one sorted snapshot of the
+  slot matrix and each row's set is built from it when first touched.
+  Writers edit it only while it exists, and batch writes
+  (whole-population births, fused windows, checkpoint restore) drop it.
+  The exact and fused kernels do not need it (the exact kernel reads
+  it when it exists).
+  No output depends on a set's iteration order: every consumer that
+  exposes a neighbour order sorts ascending;
 * **a dense in-degree counter** — ``_in_count`` holds each row's
   in-slot count as an ``int32`` array, valid at all times (batch writes
   recompute it with one bincount), so capacity checks in the
@@ -49,6 +53,7 @@ import numpy as np
 
 from repro.core.backend import GraphBackend
 from repro.core.csr import CSRView, csr_index_dtype
+from repro.core.in_slots import ReverseIndex, grouped, scan_in_slot_keys
 from repro.core.node import NodeRecord
 from repro.core.snapshot import Snapshot
 from repro.errors import ConfigurationError, SimulationError
@@ -59,39 +64,17 @@ from repro.util.sampling import IndexedSet, RawWordDraws
 #: windows took 2.7d words a round at n = 300 to 1e4, as the dying oldest
 #: node has gathered regenerated slots).
 _ROUND_WORDS = 3
-class _ReverseIndex(dict):
-    """Row -> set of ``(source id, slot)`` pairs whose slot targets the row.
 
-    Built from one snapshot of the slot matrix: the assigned slots in
-    row-major order, stably sorted by target row.  A row's set is made
-    from its run of the snapshot on first lookup (:meth:`__missing__`)
-    and kept, so later mutations edit it in place.  Rows beyond the
-    snapshot (grown later) start empty.  A set's iteration order is
-    unspecified: every consumer that exposes an order sorts ascending.
-    """
+#: Full slot-matrix passes exact windows may make, since the reverse
+#: index was last dropped, before one builds the index instead: about
+#: what building it costs, in passes.  The snapshot plus one row build
+#: per alive node took 83 passes at n = 2000, 268 at 1e4, 451 at 1e5
+#: and 747 at 1e6 (SDGR, d = 8, 2 vCPUs, CPython 3.11, NumPy 2.4).
+_SCANS_BEFORE_INDEX = 400
 
-    __slots__ = ("_starts", "_sources", "_cols")
-
-    def __init__(self, slots: np.ndarray, id_of: np.ndarray) -> None:
-        super().__init__()
-        cap, width = slots.shape
-        flat_slots = slots.reshape(-1)
-        flat = np.flatnonzero(flat_slots >= 0)
-        targets = flat_slots[flat]
-        # Sort by target with the row-major flat index as the tie-break:
-        # one integer sort, several times faster than a stable argsort.
-        flat = np.sort(targets * flat_slots.size + flat) % flat_slots.size
-        rows, self._cols = np.divmod(flat, width)
-        self._sources = id_of[rows]
-        self._starts = np.zeros(cap + 1, dtype=np.int64)
-        np.cumsum(np.bincount(targets, minlength=cap), out=self._starts[1:])
-
-    def __missing__(self, row: int) -> set[tuple[int, int]]:
-        bounds = self._starts[row : row + 2].tolist()
-        lo, hi = bounds if len(bounds) == 2 else (0, 0)
-        refs = set(zip(self._sources[lo:hi].tolist(), self._cols[lo:hi].tolist()))
-        self[row] = refs
-        return refs
+#: Deaths a slot-matrix pass lists keys for, at least: a short window's
+#: pass also serves the windows after it.
+_LIST_AHEAD = 32
 
 
 class ArraySlotBackend(GraphBackend):
@@ -110,11 +93,16 @@ class ArraySlotBackend(GraphBackend):
         self._birth = np.zeros(self._cap, dtype=np.float64)
         self._id_of = np.full(self._cap, -1, dtype=np.int64)
         self._alive_rows = np.zeros(self._cap, dtype=bool)
-        # The reverse index; None when a batch write dropped it.
-        # _ensure_in_refs() snapshots the slot matrix on the next
-        # per-event mutation or neighbour query, and rows build lazily.
-        # _in_count stays valid at all times.
-        self._in_refs: _ReverseIndex | None = None
+        # The reverse index, a cache: None until a reader needs it, and
+        # again after a batch write drops it.  _ensure_in_refs() snapshots
+        # the slot matrix and rows build lazily; writers edit it only
+        # while it exists.  _in_count stays valid at all times.
+        self._in_refs: ReverseIndex | None = None
+        # Slot entries exact windows have scanned since the index was
+        # last dropped, and the in-slot keys a window listed for nodes
+        # that outlive it (see _in_slot_keys).
+        self._scanned = 0
+        self._kept_keys: tuple[int, int, list[list[int]]] | None = None
         self._in_count = np.zeros(self._cap, dtype=np.int32)
         self._row_of: dict[int, int] = {}
         self._free: list[int] = []
@@ -198,14 +186,52 @@ class ArraySlotBackend(GraphBackend):
         extra = np.full((self._cap, new_width - self._width), -1, dtype=np.int64)
         self._slots = np.hstack([self._slots, extra])
         self._width = new_width
+        self._kept_keys = None  # keys encode the width
 
-    def _ensure_in_refs(self) -> _ReverseIndex:
-        """The reverse index, snapshotted from the slot matrix if a batch
-        write dropped it (rows build on first touch).  Call it before
-        any slot write that must be reflected in the index."""
+    def _ensure_in_refs(self) -> ReverseIndex:
+        """The reverse index, snapshotted from the slot matrix if there is
+        none (rows build on first touch).  Only readers call it:
+        :meth:`neighbors`, :meth:`remove_node`, :meth:`check_invariants`
+        and an exact window past its scan budget (:meth:`_in_slot_keys`).
+        Writers edit the index only while it exists."""
         if self._in_refs is None:
-            self._in_refs = _ReverseIndex(self._slots, self._id_of)
+            self._in_refs = ReverseIndex(self._slots, self._id_of)
         return self._in_refs
+
+    def _drop_in_refs(self) -> None:
+        """Drop the reverse index after a batch write."""
+        self._in_refs = None
+        self._scanned = 0
+
+    def _in_slot_keys(self, first: int, last: int) -> list[list[int]]:
+        """The in-slots of nodes ``first … last`` and the next ones, up to
+        :data:`_LIST_AHEAD` in all, as unsorted keys ``source id · width
+        + slot`` (an empty list for a node not alive; keys of sources
+        that died since may remain), or no lists when the reverse index
+        exists.
+
+        The lists come from the previous exact window when it listed
+        these nodes and nothing has mutated since (the epoch is
+        unchanged), else from one pass over the slot matrix.  Once the
+        passes since the index was last dropped have read more than
+        :data:`_SCANS_BEFORE_INDEX` matrices, the index is built instead.
+        """
+        kept, self._kept_keys = self._kept_keys, None
+        width, high = self._width, self._high
+        budget = _SCANS_BEFORE_INDEX * high * width
+        if self._in_refs is None and self._scanned > budget:
+            self._ensure_in_refs()
+        if last < first or self._in_refs is not None:
+            return []
+        if kept and kept[:2] == (self._mutation_epoch, first):
+            if len(kept[2]) > last - first:
+                return kept[2]
+        ids = range(first, max(last + 1, first + _LIST_AHEAD))
+        rows = list(map(self._row_of.get, ids))
+        if rows.count(None) == len(rows):
+            return [[] for _ in rows]
+        self._scanned += high * width
+        return scan_in_slot_keys(self._slots[:high], self._id_of, rows)
 
     # ------------------------------------------------------------------
     # basic queries
@@ -325,7 +351,7 @@ class ArraySlotBackend(GraphBackend):
         read with ``.item()`` through local aliases, and the touched ids
         are collected only while :meth:`track_mutations` is on.
         """
-        in_refs = self._ensure_in_refs()
+        in_refs = self._in_refs
         row_of = self._row_of
         slots = self._slots
         num_slots = self._num_slots
@@ -353,7 +379,8 @@ class ArraySlotBackend(GraphBackend):
                 if trow is None:
                     raise SimulationError(f"slot target {target} is not alive")
                 slots[srow, slot_index] = trow
-                in_refs[trow].add((source, slot_index))
+                if in_refs is not None:
+                    in_refs[trow].add((source, slot_index))
                 in_count[trow] = in_count.item(trow) + 1
                 applied += 1
                 if touched is not None:
@@ -364,7 +391,6 @@ class ArraySlotBackend(GraphBackend):
                 self._note_mutation(touched or (), applied)
 
     def clear_slot(self, source: int, slot_index: int) -> int | None:
-        in_refs = self._ensure_in_refs()
         srow = self._row_of[source]
         if not 0 <= slot_index < self._num_slots.item(srow):
             raise IndexError(
@@ -375,7 +401,8 @@ class ArraySlotBackend(GraphBackend):
         if trow < 0:
             return None
         slots[srow, slot_index] = -1
-        in_refs[trow].discard((source, slot_index))
+        if self._in_refs is not None:
+            self._in_refs[trow].discard((source, slot_index))
         in_count = self._in_count
         in_count[trow] = in_count.item(trow) - 1
         target = self._id_of.item(trow)
@@ -507,8 +534,9 @@ class ArraySlotBackend(GraphBackend):
         same batch.  Targets among the newborns resolve to rows through
         one sorted map of the batch's ids, older targets through the id
         map.  When the batch is the whole population, the reverse index
-        is dropped instead of built (:meth:`_ensure_in_refs` snapshots
-        the same sets).  No RNG is consumed.
+        is dropped (a reader's :meth:`_ensure_in_refs` snapshots the
+        same sets); otherwise it is edited if it exists.  No RNG is
+        consumed.
         """
         count = len(node_ids)
         if count == 0:
@@ -523,7 +551,6 @@ class ArraySlotBackend(GraphBackend):
         if np.any(tgt == src_ids):
             raise SimulationError("self-loop in pre-drawn birth targets")
         whole = self.num_alive() == 0
-        in_refs = self._ensure_in_refs()
         rows = self._register_rows(node_ids, times, num_slots)
         order = np.argsort(ids, kind="stable")
         pos = np.minimum(np.searchsorted(ids[order], tgt), count - 1)
@@ -543,9 +570,10 @@ class ArraySlotBackend(GraphBackend):
         self._in_count += np.bincount(trows, minlength=self._cap).astype(
             np.int32
         )
+        in_refs = self._in_refs
         if whole:
-            self._in_refs = None
-        else:
+            self._drop_in_refs()
+        elif in_refs is not None:
             for source, col, trow in zip(
                 src_ids.tolist(), src_cols.tolist(), trows.tolist()
             ):
@@ -576,8 +604,8 @@ class ArraySlotBackend(GraphBackend):
         The draws are the exact kernel's, in the same order and encoding,
         so slots, rows, in-counts, alive order, epoch and generator state
         end as it (and the policy hooks) leave them, for any partition
-        into windows.  The reverse index is dropped; the next per-event
-        operation snapshots it again with the same sets.  Touched ids are
+        into windows.  The reverse index is dropped; the next reader
+        snapshots it again with the same sets.  Touched ids are
         a superset: every id the window covers.
 
         Precondition: every round has a death (``first_round > n``), the
@@ -664,7 +692,7 @@ class ArraySlotBackend(GraphBackend):
                 del row_of[dead]
             row_of.update(zip(born_ids, born_rows.tolist()))
         self._next_id += W
-        self._in_refs = None
+        self._drop_in_refs()
         # Count like the exact kernel: one per death, newborn, birth
         # slot and regenerated slot.
         self._note_mutation(
@@ -704,10 +732,7 @@ class ArraySlotBackend(GraphBackend):
         position = alive._pos
         out_flat = out.reshape(-1)
         seeded = np.flatnonzero((out_flat[: n * d] >= 0) & (out_flat[: n * d] < W))
-        targets = out_flat[seeded]
-        ends = np.cumsum(np.bincount(targets, minlength=W)).tolist()
-        entries = seeded[np.argsort(targets, kind="stable")].tolist()
-        in_lists = [entries[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
+        in_lists = grouped(seeded, out_flat[seeded], W)
 
         take = source.take
         last = n - 1  # the newborn's index; also the survivors' count
@@ -848,10 +873,19 @@ class ArraySlotBackend(GraphBackend):
         of ``IndexedSet.sample_each_excluding`` over the ``n − 1``
         survivors), then node ``r − 1`` is born with *d* requests (the
         same walk over the alive set with the newborn last).  Decoded
-        records, slots, in-counts, reverse-index sets, alive order,
-        epoch, touched ids and the generator state all end as that hook
-        loop leaves them, and the checks of :meth:`remove_node`,
-        :meth:`add_node` and :meth:`assign_slots` all still run.
+        records, slots, in-counts, alive order, epoch, touched ids, the
+        generator state and the reverse index's sets, when it exists,
+        all end as that hook loop leaves them, and the checks of
+        :meth:`remove_node`, :meth:`add_node` and :meth:`assign_slots`
+        all still run.
+
+        A death reads the dying row of the reverse index when it exists.
+        Otherwise the window builds none: the orphans come from in-lists
+        of keys ``source id · width + slot`` made at its start for every
+        node that dies in it (:meth:`_in_slot_keys`); each slot the
+        window writes is appended to the list of its target when that
+        target dies later, and the lists of nodes that outlive the window
+        are kept for the next one.
 
         Every draw comes from one
         :class:`~repro.util.sampling.RawWordDraws` source, closed at the
@@ -862,7 +896,17 @@ class ArraySlotBackend(GraphBackend):
         """
         if d > self._width:
             self._grow_cols(d)
-        in_refs = self._ensure_in_refs()
+        width = self._width
+        last_round = first_round + rounds - 1
+        # Without the reverse index: the in-slot keys (source id · width
+        # + slot) of the nodes that die in the window, listed at its
+        # start; the window's own writes to them are appended as they
+        # happen.
+        first_dead = max(first_round, n + 1) - n - 1
+        last_dead = last_round - n - 1
+        in_keys = self._in_slot_keys(first_dead, last_dead)
+        listed_end = first_dead + len(in_keys)
+        in_refs = self._in_refs  # edited only when it exists
         row_of = self._row_of
         items = self.alive._items
         position = self.alive._pos
@@ -878,7 +922,6 @@ class ArraySlotBackend(GraphBackend):
         # Words a round is expected to take: d births, and with
         # regeneration up to 2d orphans.
         round_words = (_ROUND_WORDS if regenerate else 1) * d
-        last_round = first_round + rounds - 1
         out: list[tuple] = []
         try:
             with RawWordDraws(rng) as source:
@@ -898,9 +941,21 @@ class ArraySlotBackend(GraphBackend):
                                 f"cannot remove node {dead}: not alive"
                             )
                         own = slots[row, : num_slots.item(row)].tolist()
-                        refs = in_refs[row]
+                        if in_refs is not None:
+                            orphaned = sorted(in_refs[row])
+                        else:
+                            # A slot changes target only when its target
+                            # dies, and the new target outlives it, so a
+                            # listed key still points here unless its
+                            # source died first (deaths go in id order).
+                            # The rest are the orphans, in ascending
+                            # (source, slot) order.
+                            keys = in_keys[dead - first_dead]
+                            keys.sort()
+                            del keys[: bisect_left(keys, (dead + 1) * width)]
+                            orphaned = [divmod(key, width) for key in keys]
                         neighbours = {id_of.item(t) for t in own if t >= 0}
-                        neighbours.update(s for s, _ in refs)
+                        neighbours.update(s for s, _ in orphaned)
                         del row_of[dead]
                         at = position.pop(dead)
                         moved = items.pop()
@@ -912,17 +967,18 @@ class ArraySlotBackend(GraphBackend):
                             touched.append(dead)
                         for j, t in enumerate(own):
                             if t >= 0:
-                                in_refs[t].discard((dead, j))
+                                if in_refs is not None:
+                                    in_refs[t].discard((dead, j))
                                 in_count[t] = in_count.item(t) - 1
                                 if touched is not None:
                                     touched.append(id_of.item(t))
                         slots[row] = -1
-                        orphaned = sorted(refs)
                         for s, j in orphaned:
                             slots[row_of[s], j] = -1
                         if touched is not None:
                             touched.extend(s for s, _ in orphaned)
-                        in_refs[row] = set()
+                        if in_refs is not None:
+                            in_refs[row] = set()
                         in_count[row] = 0
                         id_of[row] = -1
                         num_slots[row] = 0
@@ -996,12 +1052,19 @@ class ArraySlotBackend(GraphBackend):
                         writes = writes + targets
                     # The round's regeneration, then birth, slot writes.
                     self.assign_slots(pairs, writes)
+                    if writes and min(writes) < listed_end:
+                        for (s, j), t in zip(pairs, writes):
+                            if first_dead <= t < listed_end:
+                                in_keys[t - first_dead].append(s * width + j)
                     out.append(
                         (time, dead, neighbours, owners, regenerated, node, targets)
                     )
         finally:
             if mutations:
                 self._note_mutation(touched or (), mutations)
+        kept = in_keys[last_dead - first_dead + 1 :]
+        if kept:
+            self._kept_keys = (self._mutation_epoch, last_dead + 1, kept)
         return out
 
     # ------------------------------------------------------------------
@@ -1062,7 +1125,7 @@ class ArraySlotBackend(GraphBackend):
             per-slot loop, different RNG stream consumption — this is a
             batch path, not a per-event path.
         """
-        in_refs = self._ensure_in_refs()
+        in_refs = self._in_refs
         source_ids = np.asarray(sources, dtype=np.int64)
         slot_cols = np.asarray(slot_indices, dtype=np.int64)
         count = len(source_ids)
@@ -1136,12 +1199,13 @@ class ArraySlotBackend(GraphBackend):
                 accepted_rows = trows[accepted]
                 self._slots[srows[hit], slot_cols[hit]] = accepted_rows
                 np.add.at(in_count, accepted_rows, 1)
-                for s, j, trow in zip(
-                    source_ids[hit].tolist(),
-                    slot_cols[hit].tolist(),
-                    accepted_rows.tolist(),
-                ):
-                    in_refs[trow].add((s, j))
+                if in_refs is not None:
+                    for s, j, trow in zip(
+                        source_ids[hit].tolist(),
+                        slot_cols[hit].tolist(),
+                        accepted_rows.tolist(),
+                    ):
+                        in_refs[trow].add((s, j))
                 placed[hit] = self._id_of[accepted_rows]
             pending = pending[~accepted]
         if self._touched is not None:
@@ -1288,7 +1352,7 @@ class ArraySlotBackend(GraphBackend):
             int(self._id_of[row]): int(row)
             for row in np.nonzero(self._alive_rows)[0]
         }
-        self._in_refs = None
+        self._drop_in_refs()
         targets = self._slots[self._slots >= 0]
         self._in_count = np.bincount(targets, minlength=self._cap).astype(np.int32)
         self.alive = IndexedSet(payload["alive"])
@@ -1298,6 +1362,7 @@ class ArraySlotBackend(GraphBackend):
         self._csr_indptr = None
         self._csr_indices = None
         self._csr_edge_count = 0
+        self._kept_keys = None  # the restored epoch may equal its epoch
         self._touched = None
 
     # ------------------------------------------------------------------

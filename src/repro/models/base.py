@@ -32,12 +32,13 @@ class RoundReport:
 
     ``events`` lists the churn records in order.  A report of one exact
     streaming round (:meth:`logged`) holds the plain log entry the window
-    kernel wrote instead; the first read of ``events`` (or ``births``/
-    ``deaths``) builds its records from that entry alone and caches
-    them.  :meth:`extend` appends another report's events without
-    reading them: the merged report keeps the unread rounds and reads
-    them when its own ``events`` are read, so every report holding a
-    round shares that round's record objects.  Nothing else tells a
+    kernel wrote instead; the first read of ``events`` builds its
+    records from that entry alone and caches them (``births`` and
+    ``deaths`` read the entry without building them).  :meth:`extend`
+    appends another report's events without reading them: the merged
+    report keeps the unread rounds and reads them when its own
+    ``events`` are read, so every report holding a round shares that
+    round's record objects.  Nothing else tells a
     lazy report from a read one: it compares, prints and pickles as its
     records.
     """
@@ -88,11 +89,16 @@ class RoundReport:
 
     @property
     def births(self) -> list[int]:
+        if self._log is not None:  # an unread round: its one newborn
+            return [self._log[5]]
         # Flattened so batched NodesBorn records report every newborn.
         return [nid for e in self.events if e.is_birth for nid in e.node_ids]
 
     @property
     def deaths(self) -> list[int]:
+        if self._log is not None:  # an unread round: its death, if any
+            dead = self._log[1]
+            return [] if dead is None else [dead]
         # Flattened so batched NodesDied records report every victim.
         return [nid for e in self.events if e.is_death for nid in e.node_ids]
 

@@ -107,8 +107,17 @@ def canonical_json(data: Any) -> str:
     Sorted keys, no whitespace, and non-finite floats sentinel-encoded
     (``allow_nan=False`` guarantees no ``NaN``/``Infinity`` literal can
     reach the output), so the same identity hashes to the same key on
-    every host and under every JSON implementation.
+    every host and under every JSON implementation.  Data with no
+    non-finite float and only JSON-native containers is dumped as is;
+    only a refused dump walks it through :func:`encode_nonfinite`,
+    which gives the same text for the rest.
     """
+    try:
+        return json.dumps(
+            data, sort_keys=True, separators=(",", ":"), allow_nan=False
+        )
+    except (ValueError, TypeError):
+        pass
     return json.dumps(
         encode_nonfinite(data),
         sort_keys=True,

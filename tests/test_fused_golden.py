@@ -121,8 +121,9 @@ def window_transcript(model: str, n: int, d: int, rounds: int) -> dict:
         if any(type(event.kind).__name__ == "NodeDied" for event in events):
             break
     state = net.state
+    index = state._ensure_in_refs()
     in_refs = [
-        [list(pair) for pair in sorted(state._in_refs[row])]
+        [list(pair) for pair in sorted(index[row])]
         for row in range(state.dump_state()["high"])
     ]
     state.check_invariants()

@@ -444,10 +444,11 @@ MUTATION_SITES = [
 
 
 class TestLazyReverseIndex:
-    """After a fused window the reverse index builds a row only when a
-    per-event operation first touches it.  Every mutation site must
-    leave the same topology and the same set iteration order as the
-    same mutation applied after building every row eagerly."""
+    """After a fused window the reverse index is absent; a reader
+    snapshots it and builds a row only when first touching it, and a
+    writer leaves an absent index absent.  Every mutation site must
+    leave the same topology and the same rows, as sets, as the same
+    mutation applied after building every row eagerly."""
 
     @staticmethod
     def _run(factory, site, eager, restore):
@@ -462,10 +463,10 @@ class TestLazyReverseIndex:
         if eager:
             state.check_invariants()  # builds every row
         _mutate(state, site, net.now)
-        built = len(state._in_refs)
+        built = 0 if state._in_refs is None else len(state._in_refs)
         state.check_invariants()
         in_refs = [
-            list(state._in_refs[row]) for row in range(state.row_capacity())
+            sorted(state._in_refs[row]) for row in range(state.row_capacity())
         ]
         return net, built, in_refs
 

@@ -138,6 +138,56 @@ def test_births_and_deaths_of_lazy_reports():
     assert merged.deaths == list(range(5))
 
 
+def flattened(report: RoundReport) -> tuple[list[int], list[int]]:
+    """Births and deaths flattened from the decoded records."""
+    events = report.events
+    return (
+        [u for e in events if e.is_birth for u in e.node_ids],
+        [u for e in events if e.is_death for u in e.node_ids],
+    )
+
+
+@pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+@pytest.mark.parametrize("make", [SDGR, SDG])
+def test_births_and_deaths_equal_the_decoded_records(built, make, read_first):
+    reports = make(n=8, d=2, seed=3, warm=False).run_rounds(20)
+    for report in reports:
+        if read_first:
+            report.events
+        births, deaths = report.births, report.deaths
+        assert (births, deaths) == flattened(report)
+    # Every round decoded once: 20 births, and a death in each round
+    # after the first n = 8.
+    assert len(built) == 20 + 12
+
+
+def test_a_flood_decodes_no_record(monkeypatch):
+    from repro.flooding import flood_discrete
+    from repro.models import base
+
+    def run():
+        network = SDGR(n=300, d=4, seed=11, fast_warm=True)
+        network.advance_rounds(40)  # a fused window drops the index
+        return flood_discrete(network)
+
+    decoded = []
+    decode = base.decode_round_log
+
+    def spy(log):
+        decoded.append(log)
+        return decode(log)
+
+    monkeypatch.setattr(base, "decode_round_log", spy)
+    result = run()
+    assert decoded == []
+    # The same flood with every report read through its records.
+    monkeypatch.setattr(
+        RoundReport, "births", property(lambda report: flattened(report)[0])
+    )
+    assert run() == result
+    assert decoded
+
+
 def test_append_onto_a_lazy_report_keeps_order():
     report = SDGR(n=12, d=2, seed=8).advance_round()
     extra = EventRecord(time=99.0, kind=NodeBorn(node_id=1000))

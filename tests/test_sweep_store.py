@@ -9,6 +9,7 @@ import math
 import multiprocessing
 import os
 import time
+import types
 
 import pytest
 
@@ -51,6 +52,26 @@ class TestCanonicalJson:
 
     def test_sorted_and_compact(self):
         assert canonical_json({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"spec": {"n": 300, "d": (4, 8)}, "seed": [1, (2, 3)], "x": 0.5},
+            {"a": (float("nan"), [float("inf"), {"b": float("-inf")}])},
+            types.MappingProxyType({"z": 1, "a": (1.5, "s")}),
+            {"m": types.MappingProxyType({"k": [float("nan")]}), "t": ()},
+            [None, True, -0.0, 1e300, "NaN"],
+        ],
+        ids=["finite", "nonfinite", "proxy", "proxy-nonfinite", "list"],
+    )
+    def test_same_text_as_the_walk(self, data):
+        walked = json.dumps(
+            encode_nonfinite(data),
+            sort_keys=True,
+            separators=(",", ":"),
+            allow_nan=False,
+        )
+        assert canonical_json(data) == walked
 
     def test_encode_decode_roundtrip(self):
         value = {
