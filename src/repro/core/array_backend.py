@@ -65,13 +65,6 @@ from repro.util.sampling import IndexedSet, RawWordDraws
 #: node has gathered regenerated slots).
 _ROUND_WORDS = 3
 
-#: Full slot-matrix passes exact windows may make, since the reverse
-#: index was last dropped, before one builds the index instead: about
-#: what building it costs, in passes.  The snapshot plus one row build
-#: per alive node took 83 passes at n = 2000, 268 at 1e4, 451 at 1e5
-#: and 747 at 1e6 (SDGR, d = 8, 2 vCPUs, CPython 3.11, NumPy 2.4).
-_SCANS_BEFORE_INDEX = 400
-
 #: Deaths a slot-matrix pass lists keys for, at least: a short window's
 #: pass also serves the windows after it.
 _LIST_AHEAD = 32
@@ -98,10 +91,8 @@ class ArraySlotBackend(GraphBackend):
         # the slot matrix and rows build lazily; writers edit it only
         # while it exists.  _in_count stays valid at all times.
         self._in_refs: ReverseIndex | None = None
-        # Slot entries exact windows have scanned since the index was
-        # last dropped, and the in-slot keys a window listed for nodes
-        # that outlive it (see _in_slot_keys).
-        self._scanned = 0
+        # The in-slot keys an exact window listed for nodes that outlive
+        # it (see _in_slot_keys).
         self._kept_keys: tuple[int, int, list[list[int]]] | None = None
         self._in_count = np.zeros(self._cap, dtype=np.int32)
         self._row_of: dict[int, int] = {}
@@ -191,17 +182,12 @@ class ArraySlotBackend(GraphBackend):
     def _ensure_in_refs(self) -> ReverseIndex:
         """The reverse index, snapshotted from the slot matrix if there is
         none (rows build on first touch).  Only readers call it:
-        :meth:`neighbors`, :meth:`remove_node`, :meth:`check_invariants`
-        and an exact window past its scan budget (:meth:`_in_slot_keys`).
-        Writers edit the index only while it exists."""
+        :meth:`neighbors`, :meth:`remove_node` and
+        :meth:`check_invariants`.  Writers edit the index only while it
+        exists."""
         if self._in_refs is None:
             self._in_refs = ReverseIndex(self._slots, self._id_of)
         return self._in_refs
-
-    def _drop_in_refs(self) -> None:
-        """Drop the reverse index after a batch write."""
-        self._in_refs = None
-        self._scanned = 0
 
     def _in_slot_keys(self, first: int, last: int) -> list[list[int]]:
         """The in-slots of nodes ``first … last`` and the next ones, up to
@@ -212,15 +198,9 @@ class ArraySlotBackend(GraphBackend):
 
         The lists come from the previous exact window when it listed
         these nodes and nothing has mutated since (the epoch is
-        unchanged), else from one pass over the slot matrix.  Once the
-        passes since the index was last dropped have read more than
-        :data:`_SCANS_BEFORE_INDEX` matrices, the index is built instead.
+        unchanged), else from one pass over the slot matrix.
         """
         kept, self._kept_keys = self._kept_keys, None
-        width, high = self._width, self._high
-        budget = _SCANS_BEFORE_INDEX * high * width
-        if self._in_refs is None and self._scanned > budget:
-            self._ensure_in_refs()
         if last < first or self._in_refs is not None:
             return []
         if kept and kept[:2] == (self._mutation_epoch, first):
@@ -230,8 +210,7 @@ class ArraySlotBackend(GraphBackend):
         rows = list(map(self._row_of.get, ids))
         if rows.count(None) == len(rows):
             return [[] for _ in rows]
-        self._scanned += high * width
-        return scan_in_slot_keys(self._slots[:high], self._id_of, rows)
+        return scan_in_slot_keys(self._slots[: self._high], self._id_of, rows)
 
     # ------------------------------------------------------------------
     # basic queries
@@ -572,7 +551,7 @@ class ArraySlotBackend(GraphBackend):
         )
         in_refs = self._in_refs
         if whole:
-            self._drop_in_refs()
+            self._in_refs = None
         elif in_refs is not None:
             for source, col, trow in zip(
                 src_ids.tolist(), src_cols.tolist(), trows.tolist()
@@ -692,7 +671,7 @@ class ArraySlotBackend(GraphBackend):
                 del row_of[dead]
             row_of.update(zip(born_ids, born_rows.tolist()))
         self._next_id += W
-        self._drop_in_refs()
+        self._in_refs = None
         # Count like the exact kernel: one per death, newborn, birth
         # slot and regenerated slot.
         self._note_mutation(
@@ -1352,7 +1331,7 @@ class ArraySlotBackend(GraphBackend):
             int(self._id_of[row]): int(row)
             for row in np.nonzero(self._alive_rows)[0]
         }
-        self._drop_in_refs()
+        self._in_refs = None
         targets = self._slots[self._slots >= 0]
         self._in_count = np.bincount(targets, minlength=self._cap).astype(np.int32)
         self.alive = IndexedSet(payload["alive"])

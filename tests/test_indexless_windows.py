@@ -9,9 +9,8 @@ that only readers build.  These tests check that a window starting without it
 (after a fused window, a whole-population ``fast_warm`` batch or a
 restore) builds none and leaves what the hook loop leaves; that a window
 on a partly built index keeps every row exact; that every writer leaves
-an absent index absent; and that the rent-or-buy switch builds the index
-past its threshold without changing a record.  Only NumPy and pytest
-are needed.
+an absent index absent; and that a write between windows makes the next
+window list again.  Only NumPy and pytest are needed.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import array_backend
 from repro.core.array_backend import ArraySlotBackend
 from repro.core.in_slots import ReverseIndex
 from repro.models.streaming import StreamingNetwork
@@ -189,27 +187,6 @@ def test_writers_leave_an_absent_index_absent(builds, policy, writer):
     assert rows(lazy.state) == rows(eager.state)
     assert bare_state(lazy) == bare_state(eager)
     lazy.state.check_invariants()
-
-
-@pytest.mark.parametrize("policy", ["regen", "none"], ids=["SDGR", "SDG"])
-def test_rent_or_buy_builds_the_index_past_its_threshold(
-    builds, policy, monkeypatch
-):
-    """With a budget of 3 matrix passes and one death listed a pass, the
-    fifth one-round window builds the index, and no record changes."""
-    monkeypatch.setattr(array_backend, "_SCANS_BEFORE_INDEX", 3)
-    monkeypatch.setattr(array_backend, "_LIST_AHEAD", 1)
-    kernel, hooks = start_without_index(policy, 40, 3, "fused")
-    built_in = []
-    for step in range(10):
-        built = len(builds)
-        ours = kernel.advance_round()
-        built_in += [step] * (len(builds) - built)
-        assert records([ours]) == records([hooks.advance_round()])
-        assert (kernel.state._in_refs is None) is (step < 4)
-    assert built_in == [4]
-    assert bare_state(kernel) == bare_state(hooks)
-    assert rows(kernel.state) == eager_rows(kernel.state) == rows(hooks.state)
 
 
 @pytest.mark.parametrize("policy", ["regen", "none"], ids=["SDGR", "SDG"])
